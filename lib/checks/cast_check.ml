@@ -103,8 +103,24 @@ let check_method (p : Ir.program) (r : Solver.result) (mid : Ir.method_id) :
       | _ -> ());
   List.rev !out
 
+(* Does the body contain a reference cast? Most methods have none, and
+   they need no CFG or reaching definitions. *)
+let rec has_ref_cast (body : Ir.stmt array) : bool =
+  Array.exists
+    (function
+      | Ir.Cast { ty; _ } -> Ir.is_ref_type ty
+      | Ir.If { cond_pre; then_; else_; _ } ->
+        has_ref_cast cond_pre || has_ref_cast then_ || has_ref_cast else_
+      | Ir.While { cond_pre; body; _ } ->
+        has_ref_cast cond_pre || has_ref_cast body
+      | _ -> false)
+    body
+
 let check (p : Ir.program) (r : Solver.result) : Diagnostic.t list =
   Bits.fold
-    (fun mid acc -> List.rev_append (check_method p r mid) acc)
+    (fun mid acc ->
+      if has_ref_cast (Ir.metho p mid).Ir.m_body then
+        List.rev_append (check_method p r mid) acc
+      else acc)
     r.Solver.r_reach []
   |> List.sort Diagnostic.compare

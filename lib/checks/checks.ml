@@ -73,12 +73,8 @@ let run_all ?(checks : string list option) ?(include_jdk = false)
   let ds =
     if include_jdk then ds
     else
-      List.filter
-        (fun (d : Diagnostic.t) ->
-          not
-            (Csc_lang.Jdk.is_jdk_class
-               (Ir.class_name p (Ir.metho p d.Diagnostic.d_method).Ir.m_class)))
-        ds
+      let is_jdk = Csc_lang.Jdk.is_jdk_method p in
+      List.filter (fun (d : Diagnostic.t) -> not (is_jdk d.Diagnostic.d_method)) ds
   in
   (* sort_uniq: keep output deterministic and free of duplicate findings *)
   List.sort_uniq Diagnostic.compare ds

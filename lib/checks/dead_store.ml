@@ -34,7 +34,9 @@ let pure_def (s : Ir.stmt) : bool =
     ->
     false
 
-let check_method (p : Ir.program) (mid : Ir.method_id) : Diagnostic.t list =
+(** [locals] lists the method's named locals in id order (see {!check}). *)
+let check_method (p : Ir.program) ~(locals : Ir.var list) (mid : Ir.method_id)
+    : Diagnostic.t list =
   let m = Ir.metho p mid in
   let cfg = Cfg.of_method p mid in
   let live = Liveness.compute cfg in
@@ -55,12 +57,10 @@ let check_method (p : Ir.program) (mid : Ir.method_id) : Diagnostic.t list =
     m.Ir.m_body;
   (* method-level: named locals never read at all *)
   let unused_vars = Bits.create () in
-  Array.iter
+  List.iter
     (fun (vi : Ir.var) ->
       if
-        vi.Ir.v_method = mid && vi.Ir.v_kind = `Local
-        && (not (Bits.mem used vi.Ir.v_id))
-        && p.Ir.def_counts.(vi.Ir.v_id) > 0
+        (not (Bits.mem used vi.Ir.v_id)) && p.Ir.def_counts.(vi.Ir.v_id) > 0
       then begin
         ignore (Bits.add unused_vars vi.Ir.v_id);
         out :=
@@ -77,7 +77,7 @@ let check_method (p : Ir.program) (mid : Ir.method_id) : Diagnostic.t list =
             }
           :: !out
       end)
-    p.Ir.vars;
+    locals;
   (* per-statement dead stores (skipping wholly-unused vars, reported above) *)
   Liveness.iter live cfg (fun path s ~live_before:_ ~live_after ->
       match Ir.def_of s with
@@ -101,8 +101,21 @@ let check_method (p : Ir.program) (mid : Ir.method_id) : Diagnostic.t list =
       | _ -> ());
   List.rev !out
 
+(* named locals per method, grouped in one pass over [p.vars] so no
+   per-method pass rescans the whole program *)
+let locals_by_method (p : Ir.program) : Ir.var list array =
+  let by_method = Array.make (Array.length p.Ir.methods) [] in
+  for v = Array.length p.Ir.vars - 1 downto 0 do
+    let vi = p.Ir.vars.(v) in
+    if vi.Ir.v_kind = `Local then
+      by_method.(vi.Ir.v_method) <- vi :: by_method.(vi.Ir.v_method)
+  done;
+  by_method
+
 let check (p : Ir.program) (r : Solver.result) : Diagnostic.t list =
+  let locals = locals_by_method p in
   Bits.fold
-    (fun mid acc -> List.rev_append (check_method p mid) acc)
+    (fun mid acc ->
+      List.rev_append (check_method p ~locals:locals.(mid) mid) acc)
     r.Solver.r_reach []
   |> List.sort Diagnostic.compare

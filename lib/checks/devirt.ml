@@ -58,27 +58,43 @@ let site_path (p : Ir.program) (site : Ir.call_id) : Ir.stmt_path =
   !found
 
 let check (p : Ir.program) (r : Solver.result) : Diagnostic.t list =
-  List.filter_map
+  let poly =
+    List.filter
+      (fun si -> List.compare_length_with si.si_targets 2 >= 0)
+      (sites p r)
+  in
+  (* the statement paths of the polymorphic sites, one walk per containing
+     method rather than one per site *)
+  let paths = Hashtbl.create 64 and walked = Hashtbl.create 16 in
+  List.iter (fun si -> Hashtbl.replace paths si.si_site []) poly;
+  List.iter
     (fun si ->
-      match si.si_targets with
-      | [] | [ _ ] -> None
-      | targets ->
-        let cs = Ir.call p si.si_site in
-        Some
-          Diagnostic.
-            {
-              d_check = check_name;
-              d_severity = Info;
-              d_method = si.si_method;
-              d_path = site_path p si.si_site;
-              d_message =
-                Printf.sprintf "virtual call %s cannot be devirtualized: %d targets"
-                  (Ir.method_name p cs.Ir.cs_target)
-                  (List.length targets);
-              d_witness =
-                Some
-                  (String.concat ", "
-                     (List.map (Ir.method_name p) targets));
-            })
-    (sites p r)
+      if not (Hashtbl.mem walked si.si_method) then begin
+        Hashtbl.add walked si.si_method ();
+        Ir.iter_stmts_path
+          (fun path s ->
+            match s with
+            | Ir.Invoke { site; _ } when Hashtbl.mem paths site ->
+              Hashtbl.replace paths site path
+            | _ -> ())
+          (Ir.metho p si.si_method).Ir.m_body
+      end)
+    poly;
+  List.map
+    (fun si ->
+      let cs = Ir.call p si.si_site in
+      Diagnostic.
+        {
+          d_check = check_name;
+          d_severity = Info;
+          d_method = si.si_method;
+          d_path = Hashtbl.find paths si.si_site;
+          d_message =
+            Printf.sprintf "virtual call %s cannot be devirtualized: %d targets"
+              (Ir.method_name p cs.Ir.cs_target)
+              (List.length si.si_targets);
+          d_witness =
+            Some (String.concat ", " (List.map (Ir.method_name p) si.si_targets));
+        })
+    poly
   |> List.sort Diagnostic.compare

@@ -3,6 +3,7 @@
     so they survive re-compilation as long as the source does not move. *)
 
 module Ir = Csc_ir.Ir
+module Json = Csc_obs.Json
 
 type severity = Error | Warning | Info
 
@@ -49,49 +50,32 @@ let pp_text (p : Ir.program) ppf (d : t) =
 
 (* ------------------------------------------------------------------ JSON *)
 
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** One diagnostic as a JSON object; see README.md for the schema. *)
-let to_json (p : Ir.program) (d : t) : string =
-  Printf.sprintf
-    "{\"check\":\"%s\",\"severity\":\"%s\",\"method\":\"%s\",\"path\":\"%s\",\
-     \"message\":\"%s\"%s}"
-    (json_escape d.d_check)
-    (severity_name d.d_severity)
-    (json_escape (Ir.method_name p d.d_method))
-    (json_escape (Ir.path_to_string d.d_path))
-    (json_escape d.d_message)
-    (match d.d_witness with
-    | None -> ""
-    | Some w -> Printf.sprintf ",\"witness\":\"%s\"" (json_escape w))
+let json (p : Ir.program) (d : t) : Json.t =
+  Json.Obj
+    ([ ("check", Json.Str d.d_check);
+       ("severity", Json.Str (severity_name d.d_severity));
+       ("method", Json.Str (Ir.method_name p d.d_method));
+       ("path", Json.Str (Ir.path_to_string d.d_path));
+       ("message", Json.Str d.d_message) ]
+    @ match d.d_witness with None -> [] | Some w -> [ ("witness", Json.Str w) ])
 
 (** A diagnostic list as a JSON array, deterministic: stable-sorted by
     (method, path, severity, check, message) with identical findings
-    deduplicated, one object per line. *)
+    deduplicated. *)
+let json_list (p : Ir.program) (ds : t list) : Json.t =
+  Json.List (List.map (json p) (List.sort_uniq compare ds))
+
+(** {!json_list} as text, one object per line. *)
 let render_json (p : Ir.program) (ds : t list) : string =
-  let ds = List.sort_uniq compare ds in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";
   List.iteri
     (fun i d ->
       if i > 0 then Buffer.add_string buf ",";
       Buffer.add_string buf "\n  ";
-      Buffer.add_string buf (to_json p d))
-    ds;
+      Json.to_buffer buf (json p d))
+    (List.sort_uniq compare ds);
   Buffer.add_string buf "\n]\n";
   Buffer.contents buf
 

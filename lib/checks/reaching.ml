@@ -77,12 +77,13 @@ let iter (t : t) (cfg : Cfg.t) f =
   DF.iter_stmt_facts t.spec cfg t.df (fun p s ~before ~after:_ ->
       f p s ~reaching:before)
 
-(** The definitions of [v] within a reaching set. *)
+(** The definitions of [v] within a reaching set, in id order. Walks [v]'s
+    own definitions, not the (much larger) reaching set. *)
 let defs_of_var (t : t) (reaching : Bits.t) (v : Ir.var_id) : def list =
   match Hashtbl.find_opt t.by_var v with
   | None -> []
   | Some mine ->
     Bits.fold
-      (fun id acc -> if Bits.mem mine id then t.defs.(id) :: acc else acc)
-      reaching []
+      (fun id acc -> if Bits.mem reaching id then t.defs.(id) :: acc else acc)
+      mine []
     |> List.rev

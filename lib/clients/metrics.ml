@@ -107,8 +107,10 @@ let recall (r : Solver.result) ~(dyn_reach : Bits.t)
     Bits.fold (fun m acc -> if Bits.mem r.r_reach m then acc + 1 else acc)
       dyn_reach 0
   in
+  let static_edges = Hashtbl.create (List.length r.r_edges) in
+  List.iter (fun e -> Hashtbl.replace static_edges e ()) r.r_edges;
   let total_e = List.length dyn_edges in
-  let hit_e = List.length (List.filter (fun e -> List.mem e r.r_edges) dyn_edges) in
+  let hit_e = List.length (List.filter (Hashtbl.mem static_edges) dyn_edges) in
   {
     recall_methods = (if total_m = 0 then 1.0 else float hit_m /. float total_m);
     recall_edges = (if total_e = 0 then 1.0 else float hit_e /. float total_e);

@@ -64,6 +64,18 @@ let clear t =
 
 let copy t = { words = Array.copy t.words; card = t.card }
 
+(* Index of the single set bit of [b], a power of two ([min_int], the sign
+   bit, included), by binary search: six steps whatever the position. *)
+let bit_index b =
+  let n = ref 0 and b = ref b in
+  if !b land 0xFFFF_FFFF = 0 then begin n := 32; b := !b lsr 32 end;
+  if !b land 0xFFFF = 0 then begin n := !n + 16; b := !b lsr 16 end;
+  if !b land 0xFF = 0 then begin n := !n + 8; b := !b lsr 8 end;
+  if !b land 0xF = 0 then begin n := !n + 4; b := !b lsr 4 end;
+  if !b land 0x3 = 0 then begin n := !n + 2; b := !b lsr 2 end;
+  if !b land 0x1 = 0 then n := !n + 1;
+  !n
+
 let iter f t =
   let words = t.words in
   for w = 0 to Array.length words - 1 do
@@ -71,9 +83,7 @@ let iter f t =
     let base = w * word_bits in
     while !x <> 0 do
       let b = !x land - !x in
-      (* index of lowest set bit *)
-      let rec log2 v acc = if v = 1 then acc else log2 (v lsr 1) (acc + 1) in
-      f (base + log2 b 0);
+      f (base + bit_index b);
       x := !x land lnot b
     done
   done
@@ -88,8 +98,7 @@ let iter_diff f src excl =
     let base = w * word_bits in
     while !x <> 0 do
       let b = !x land - !x in
-      let rec log2 v acc = if v = 1 then acc else log2 (v lsr 1) (acc + 1) in
-      f (base + log2 b 0);
+      f (base + bit_index b);
       x := !x land lnot b
     done
   done

@@ -61,6 +61,7 @@ let run ?budget_s ?var ?(limit = 5) (p : Ir.program) (a : Run.analysis) :
     | exception Solver.Timeout ->
       Error (Printf.sprintf "explain: %s timed out" (Run.name a))
     | () ->
+      let is_jdk = Csc_lang.Jdk.is_jdk_method p in
       let matches v =
         let vr = Ir.var p v in
         let qualified =
@@ -71,9 +72,7 @@ let run ?budget_s ?var ?(limit = 5) (p : Ir.program) (a : Run.analysis) :
         | None ->
           (* scan mode: application variables only, the mini-JDK's internals
              are noise *)
-          not
-            (Csc_lang.Jdk.is_jdk_class
-               (Ir.class_name p (Ir.metho p vr.Ir.v_method).Ir.m_class))
+          not (is_jdk vr.Ir.v_method)
       in
       let facts = ref [] in
       let shown = ref 0 in

@@ -10,17 +10,14 @@ module Solver = Csc_pta.Solver
     membership comes from {!Csc_lang.Jdk.is_jdk_class}). *)
 let callgraph_dot ?(include_jdk = false) (p : Ir.program) (r : Solver.result) :
     string =
-  let is_jdk m =
-    Csc_lang.Jdk.is_jdk_class (Ir.class_name p (Ir.metho p m).m_class)
-  in
+  let is_jdk = Csc_lang.Jdk.is_jdk_method p in
   let keep m = include_jdk || not (is_jdk m) in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
   Bits.iter
     (fun m ->
       if keep m then
-        Buffer.add_string buf
-          (Printf.sprintf "  m%d [label=%S];\n" m (Ir.method_name p m)))
+        Printf.bprintf buf "  m%d [label=%S];\n" m (Ir.method_name p m))
     r.r_reach;
   let edge_seen = Hashtbl.create 256 in
   List.iter
@@ -29,7 +26,7 @@ let callgraph_dot ?(include_jdk = false) (p : Ir.program) (r : Solver.result) :
       if keep caller && keep callee && not (Hashtbl.mem edge_seen (caller, callee))
       then begin
         Hashtbl.add edge_seen (caller, callee) ();
-        Buffer.add_string buf (Printf.sprintf "  m%d -> m%d;\n" caller callee)
+        Printf.bprintf buf "  m%d -> m%d;\n" caller callee
       end)
     r.r_edges;
   Buffer.add_string buf "}\n";
@@ -77,35 +74,52 @@ let obj_name (p : Ir.program) (a : int) : string =
     s.Ir.a_line
 
 (** JSON points-to sets for the [pt] server request and scripting clients;
-    deterministic (variable-id order, ascending object ids). *)
+    deterministic (variable-id order, ascending object ids). Work is
+    proportional to the answer: each site's name is rendered once per call
+    (a site is mentioned once per variable that may point to it), each
+    method's name once, and JDK membership is decided once per class. *)
 let pts_json ?var ?(include_jdk = false) (p : Ir.program) (r : Solver.result) :
     Csc_obs.Json.t =
   let module Json = Csc_obs.Json in
+  let is_jdk = Csc_lang.Jdk.is_jdk_method p in
+  let site_names = Array.make (Array.length p.allocs) Json.Null in
+  let site_name a =
+    match site_names.(a) with
+    | Json.Null ->
+      let j = Json.Str (obj_name p a) in
+      site_names.(a) <- j;
+      j
+    | j -> j
+  in
+  let method_prefixes = Array.make (Array.length p.methods) "" in
+  let qualified (v : Ir.var) =
+    let m = v.v_method in
+    if method_prefixes.(m) = "" then
+      method_prefixes.(m) <- Ir.method_name p m ^ ".";
+    method_prefixes.(m) ^ v.v_name
+  in
   let rows = ref [] in
   Array.iter
     (fun (v : Ir.var) ->
-      if Ir.is_ref_type v.v_ty && Bits.mem r.r_reach v.v_method then begin
-        let qualified = Ir.method_name p v.v_method ^ "." ^ v.v_name in
-        let keep =
-          match var with
-          | Some affix -> is_suffix ~affix qualified
-          | None ->
-            include_jdk
-            || not
-                 (Csc_lang.Jdk.is_jdk_class
-                    (Ir.class_name p (Ir.metho p v.v_method).m_class))
-        in
-        if keep then
-          let allocs = r.r_pt v.v_id in
-          if not (Bits.is_empty allocs) then
+      if
+        Ir.is_ref_type v.v_ty
+        && Bits.mem r.r_reach v.v_method
+        && (var <> None || include_jdk || not (is_jdk v.v_method))
+      then begin
+        let allocs = r.r_pt v.v_id in
+        if not (Bits.is_empty allocs) then
+          let name = qualified v in
+          let keep =
+            match var with Some affix -> is_suffix ~affix name | None -> true
+          in
+          if keep then
             rows :=
               Json.Obj
-                [ ("var", Json.Str qualified);
+                [ ("var", Json.Str name);
                   ( "objects",
                     Json.List
-                      (List.map
-                         (fun a -> Json.Str (obj_name p a))
-                         (Bits.to_list allocs)) ) ]
+                      (List.rev
+                         (Bits.fold (fun a l -> site_name a :: l) allocs [])) ) ]
               :: !rows
       end)
     p.vars;

@@ -69,11 +69,8 @@ let default_matrix : Run.analysis list =
     of statements that no shrink can remove, so it is excluded. *)
 let app_stmt_count (p : Ir.program) : int =
   let n = ref 0 in
-  Ir.iter_all_stmts
-    (fun mid _ ->
-      let cname = Ir.class_name p (Ir.metho p mid).m_class in
-      if not (Jdk.is_jdk_class cname) then incr n)
-    p;
+  let is_jdk = Jdk.is_jdk_method p in
+  Ir.iter_all_stmts (fun mid _ -> if not (is_jdk mid) then incr n) p;
   !n
 
 (* ---- containment checks: dynamic ⊆ static ---- *)

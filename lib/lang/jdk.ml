@@ -593,5 +593,17 @@ let class_names =
        lines;
      List.rev !names)
 
+let class_set =
+  lazy
+    (let h = Hashtbl.create 64 in
+     List.iter (fun n -> Hashtbl.replace h n ()) (Lazy.force class_names);
+     h)
+
 let class_names () = Lazy.force class_names
-let is_jdk_class name = List.mem name (class_names ())
+let is_jdk_class name = Hashtbl.mem (Lazy.force class_set) name
+
+let is_jdk_method (p : Csc_ir.Ir.program) =
+  let by_class =
+    Array.map (fun (c : Csc_ir.Ir.klass) -> is_jdk_class c.c_name) p.classes
+  in
+  fun m -> by_class.(p.methods.(m).m_class)

@@ -16,3 +16,8 @@ val class_names : unit -> string list
 (** Is [name] a mini-JDK class? Lets clients (call-graph export, the
     {!Csc_checks} diagnostics) hide library internals from user output. *)
 val is_jdk_class : string -> bool
+
+(** [is_jdk_method p] decides {!is_jdk_class} once per class of [p]; the
+    predicate it returns is an array read per method id, for filters that
+    run per variable or per diagnostic. *)
+val is_jdk_method : Csc_ir.Ir.program -> Csc_ir.Ir.method_id -> bool

@@ -9,21 +9,38 @@ type t =
 
 (* ---------------------------------------------------------------- printer *)
 
-let escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+(* Bytes the printer must escape; everything else, bytes >= 0x80 included,
+   is copied through. *)
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Copies each run of plain bytes with one [add_substring]; a string with
+   nothing to escape (nearly every identifier) is a single scan and copy. *)
+let escape_into buf (s : string) =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = s.[i] in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !run (i - !run);
+      (match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\t' -> Buffer.add_string buf "\\t"
       | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      run := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !run (n - !run)
+
+let escape (s : string) : string =
+  if not (String.exists needs_escape s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    escape_into buf s;
+    Buffer.contents buf
+  end
 
 (* shortest decimal form that re-parses to the same IEEE double, always with
    a '.' or exponent so the parser keeps it a Float *)
@@ -46,7 +63,7 @@ let rec to_buffer buf (v : t) =
   | Float f -> Buffer.add_string buf (float_repr f)
   | Str s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
+    escape_into buf s;
     Buffer.add_char buf '"'
   | List l ->
     Buffer.add_char buf '[';
@@ -62,7 +79,7 @@ let rec to_buffer buf (v : t) =
       (fun i (k, x) ->
         if i > 0 then Buffer.add_char buf ',';
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        escape_into buf k;
         Buffer.add_string buf "\":";
         to_buffer buf x)
       kvs;
@@ -89,7 +106,7 @@ let rec pretty_buffer buf indent (v : t) =
         if i > 0 then Buffer.add_string buf ",\n";
         pad (indent + 2);
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        escape_into buf k;
         Buffer.add_string buf "\": ";
         pretty_buffer buf (indent + 2) x)
       kvs;
@@ -132,15 +149,30 @@ let parse_exn (s : string) : t =
     end
     else fail ("expected " ^ lit)
   in
+  (* end of the run of plain bytes starting at [i]: the next quote or
+     backslash, or [n] *)
+  let rec plain_end i =
+    if i < n && s.[i] <> '"' && s.[i] <> '\\' then plain_end (i + 1) else i
+  in
   let parse_string_body () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
+    let start = !pos in
+    let stop = plain_end start in
+    if stop < n && s.[stop] = '"' then begin
+      (* no escapes, the common case: one copy *)
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    end
+    else begin
+      let buf = Buffer.create (stop - start + 16) in
+      let rec go () =
+        let stop = plain_end !pos in
+        Buffer.add_substring buf s !pos (stop - !pos);
+        pos := stop;
+        if !pos >= n then fail "unterminated string"
+        else if s.[!pos] = '"' then advance ()
+        else begin
+          (* a backslash *)
           advance ();
           (if !pos >= n then fail "unterminated escape"
            else
@@ -178,13 +210,11 @@ let parse_exn (s : string) : t =
                end
              | c -> fail (Printf.sprintf "bad escape %C" c));
           go ()
-        | c ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents buf
+        end
+      in
+      go ();
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in

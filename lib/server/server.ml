@@ -179,25 +179,40 @@ let handle_callgraph t req =
           [ ("analysis", Json.Str o.Run.o_analysis);
             ("dot", Json.Str (Export.callgraph_dot ~include_jdk p r)) ] ) ]
 
+(* the "checks" member: absent, null or [] selects every checker; anything
+   but an array of known checker names is refused before any solving *)
+let checks_of_request req : string list option =
+  let bad () =
+    rejectf "bad-request" "\"checks\" must be an array of checker names (%s)"
+      (String.concat ", " Csc_checks.Checks.names)
+  in
+  match Json.member "checks" req with
+  | None | Some Json.Null | Some (Json.List []) -> None
+  | Some (Json.List l) ->
+    Some
+      (List.map
+         (fun j ->
+           match Json.get_string j with
+           | Some n when Csc_checks.Checks.by_name n <> None -> n
+           | Some n ->
+             rejectf "bad-request" "unknown checker %S (available: %s)" n
+               (String.concat ", " Csc_checks.Checks.names)
+           | None -> bad ())
+         l)
+  | Some _ -> bad ()
+
 let handle_check t req =
+  let checks = checks_of_request req in
   let _, p, o, cached = solved t req in
   let r = result_of o in
   let include_jdk = Option.value ~default:false (bool_member "include_jdk" req) in
-  let checks =
-    match Option.bind (Json.member "checks" req) Json.get_list with
-    | None | Some [] -> None
-    | Some l -> Some (List.filter_map Json.get_string l)
-  in
   let ds = Csc_checks.Checks.run_all ?checks ~include_jdk p r in
   ok_reply ~req ~cached
     [ ( "result",
         Json.Obj
           [ ("analysis", Json.Str o.Run.o_analysis);
             ("count", Json.Int (List.length ds));
-            ( "diagnostics",
-              (* render_json is the one deterministic diagnostics shape;
-                 re-parsing it embeds the same objects in the reply *)
-              Json.parse_exn (Csc_checks.Diagnostic.render_json p ds) ) ] ) ]
+            ("diagnostics", Csc_checks.Diagnostic.json_list p ds) ] ) ]
 
 let handle_taint t req =
   let tspec =
@@ -222,8 +237,7 @@ let handle_taint t req =
               Json.Int
                 (Csc_common.Bits.cardinal res.Csc_taint.Taint.t_tainted_objs)
             );
-            ( "diagnostics",
-              Json.parse_exn (Csc_checks.Diagnostic.render_json p ds) ) ] ) ]
+            ("diagnostics", Csc_checks.Diagnostic.json_list p ds) ] ) ]
 
 let handle_explain t req =
   (* provenance needs the live solver handle and disables collapsing, so
@@ -384,7 +398,12 @@ let handle_line t (line : string) : string =
           (Registry.counter t.reg ~labels:[ ("cmd", cmd) ] "server_requests");
         try dispatch t req cmd with
         | Reject (code, msg) -> error_reply ~req ~code msg
-        | Failure msg -> error_reply ~req ~code:"bad-request" msg))
+        | Failure msg -> error_reply ~req ~code:"bad-request" msg
+        | e ->
+          (* last resort: a handler bug answers this request, it must not
+             end the accept loop *)
+          Registry.incr (Registry.counter t.reg "server_internal_errors");
+          error_reply ~req ~code:"internal" (Printexc.to_string e)))
   in
   Registry.observe t.lat (Unix.gettimeofday () -. t0);
   Registry.set t.g_inflight 0.;
@@ -393,6 +412,11 @@ let handle_line t (line : string) : string =
 (* ------------------------------------------------------------ accept loop *)
 
 let serve t ~socket =
+  (* start from a settled heap: a server forked from a busy process would
+     otherwise inherit that process's major-GC phase, and its peak RSS
+     would depend on when the inherited cycle ends (on the edit workload it
+     flipped between 301 and 320 MB from run to run) *)
+  Gc.full_major ();
   let previous_sigpipe =
     (* a client vanishing mid-reply must error the write, not kill the
        daemon *)

@@ -49,7 +49,9 @@
     present on session-backed commands and true when the answer came from
     the result cache — and [{"schema": 1, "id": ..., "ok": false, "error":
     {"code": ..., "message": ...}}] on failure (codes: [parse],
-    [bad-request], [unknown-cmd], [not-found], [compile], [timeout]).
+    [bad-request], [unknown-cmd], [not-found], [compile], [timeout], and
+    [internal] for an exception no handler anticipated; those also count
+    in the [server_internal_errors] counter).
 
     {2 Concurrency model}
 
@@ -81,5 +83,7 @@ val handle_line : t -> string -> string
 
 (** Bind [socket] (an existing file is unlinked first), listen, and serve
     connections one at a time until a [shutdown] request arrives; the socket
-    file is removed on exit. Ignores SIGPIPE for the duration. *)
+    file is removed on exit. Ignores SIGPIPE for the duration. Starts with a
+    full major collection, so a server forked from another process does not
+    inherit that process's GC phase. *)
 val serve : t -> socket:string -> unit

@@ -269,9 +269,7 @@ let diagnostics ?(include_jdk = false) (p : Ir.program) (res : result_t) :
     Diagnostic.t list =
   if include_jdk then res.t_diags
   else
+    let is_jdk = Csc_lang.Jdk.is_jdk_method p in
     List.filter
-      (fun (d : Diagnostic.t) ->
-        not
-          (Csc_lang.Jdk.is_jdk_class
-             (Ir.class_name p (Ir.metho p d.Diagnostic.d_method).Ir.m_class)))
+      (fun (d : Diagnostic.t) -> not (is_jdk d.Diagnostic.d_method))
       res.t_diags

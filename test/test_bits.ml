@@ -17,7 +17,11 @@ let test_growth () =
   ignore (Bits.add b 1000);
   ignore (Bits.add b 100000);
   Alcotest.(check int) "card" 3 (Bits.cardinal b);
-  Alcotest.(check (list int)) "elems" [ 0; 1000; 100000 ] (Bits.to_list b)
+  Alcotest.(check (list int)) "elems" [ 0; 1000; 100000 ] (Bits.to_list b);
+  (* every bit position of a word, the sign bit included *)
+  for i = 0 to 3 * Sys.int_size do
+    Alcotest.(check (list int)) "singleton" [ i ] (Bits.to_list (Bits.of_list [ i ]))
+  done
 
 let test_union_into () =
   let a = Bits.of_list [ 1; 2; 3 ] in

@@ -81,6 +81,31 @@ let test_recall_perfect_and_partial () =
   in
   Alcotest.(check (float 0.001)) "methods 0%" 0.0 rc0.recall_methods
 
+(* the hash-set recall must score exactly what the naive list scan does,
+   on full results and on results with every other call edge dropped *)
+let test_recall_matches_naive () =
+  let naive (r : Solver.result) (dyn : Csc_interp.Interp.outcome) =
+    let hit = List.filter (fun e -> List.mem e r.r_edges) dyn.dyn_edges in
+    if dyn.dyn_edges = [] then 1.0
+    else float (List.length hit) /. float (List.length dyn.dyn_edges)
+  in
+  List.iter
+    (fun (name, src) ->
+      let p, r = analyze src in
+      let dyn = Csc_interp.Interp.run p in
+      let thinned =
+        { r with Solver.r_edges = List.filteri (fun i _ -> i mod 2 = 0) r.r_edges }
+      in
+      List.iter
+        (fun (what, r) ->
+          let rc =
+            Metrics.recall r ~dyn_reach:dyn.dyn_reachable ~dyn_edges:dyn.dyn_edges
+          in
+          Alcotest.(check (float 0.)) (name ^ " " ^ what) (naive r dyn)
+            rc.recall_edges)
+        [ ("full", r); ("thinned", thinned) ])
+    Fixtures.all
+
 let suite =
   [
     ( "clients",
@@ -94,5 +119,7 @@ let suite =
           test_unreachable_casts_not_counted;
         Alcotest.test_case "better_or_equal" `Quick test_better_or_equal;
         Alcotest.test_case "recall scoring" `Quick test_recall_perfect_and_partial;
+        Alcotest.test_case "recall equals the naive scan" `Quick
+          test_recall_matches_naive;
       ] );
   ]

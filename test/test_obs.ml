@@ -36,6 +36,72 @@ let test_json_escapes () =
   | Ok j2 -> Alcotest.(check bool) "pretty round-trip" true (big = j2)
   | Error e -> Alcotest.fail e
 
+(* The printer's escaper as it was before its fast path, kept as the
+   reference the optimized one must match byte for byte. *)
+let reference_escape (s : string) : string =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* printing matches the reference escaper and parses back to the string *)
+let json_string_law s =
+  let text = Json.to_string (Json.Str s) in
+  text = "\"" ^ reference_escape s ^ "\"" && Json.parse text = Ok (Json.Str s)
+
+(* random bytes, biased toward what the codec treats specially *)
+let json_bytes_gen =
+  let open QCheck2.Gen in
+  string_size
+    ~gen:
+      (frequency
+         [ (6, char_range 'a' 'z');
+           (1, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '/' ]);
+           (1, char_range '\000' '\031');
+           (1, char_range '\128' '\255');
+           (1, char) ])
+    (int_range 0 64)
+
+let prop_json_string_roundtrip =
+  QCheck2.Test.make ~name:"json string print matches reference, re-parses"
+    ~count:1000 ~print:String.escaped json_bytes_gen json_string_law
+
+let test_json_string_runs () =
+  let plain = String.make 200 'a' in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (String.escaped s) true (json_string_law s))
+    [ ""; plain; "\"" ^ plain; plain ^ "\\" ^ plain; plain ^ "\n";
+      "\001" ^ plain ^ "\"" ^ plain ^ "\031"; "\xe2\x82\xac" ^ plain ];
+  (* a plain run with nothing to escape is returned as is *)
+  Alcotest.(check bool) "no copy" true (Json.escape plain == plain);
+  (* an unterminated string reports the end of input, with or without an
+     escape before the plain run *)
+  let unterminated s =
+    match Json.parse s with
+    | Ok _ -> Alcotest.failf "accepted %S" s
+    | Error e -> e
+  in
+  Alcotest.(check string) "plain run"
+    "JSON parse error at offset 201: unterminated string"
+    (unterminated ("\"" ^ plain));
+  Alcotest.(check string) "escape then plain run"
+    "JSON parse error at offset 203: unterminated string"
+    (unterminated ("\"\\n" ^ plain));
+  Alcotest.(check string) "dangling backslash"
+    "JSON parse error at offset 202: unterminated escape"
+    (unterminated ("\"" ^ plain ^ "\\"))
+
 let test_json_rejects_garbage () =
   List.iter
     (fun s ->
@@ -339,7 +405,10 @@ let suite =
         Alcotest.test_case "string escapes" `Quick test_json_escapes;
         Alcotest.test_case "rejects malformed input" `Quick
           test_json_rejects_garbage;
+        Alcotest.test_case "escapes around plain runs" `Quick
+          test_json_string_runs;
         QCheck_alcotest.to_alcotest ~long:true prop_json_float_roundtrip;
+        QCheck_alcotest.to_alcotest ~long:true prop_json_string_roundtrip;
       ] );
     ( "obs-metrics",
       [

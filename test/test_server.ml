@@ -250,6 +250,33 @@ let test_protocol_errors () =
   (* none of the failures may count as served work gone wrong *)
   Alcotest.(check bool) "server still up" false (Server.stopped t)
 
+(* a checker the server does not know is the client's mistake: it must
+   answer bad-request, and the same server must keep serving *)
+let test_protocol_bad_checks () =
+  let t = Server.create () in
+  let h line = Server.handle_line t line in
+  let j = error_reply ~code:"bad-request" (h (req "check" "\"checks\": [\"nope\"]")) in
+  Alcotest.(check bool) "names the checker" true
+    (Astring.String.is_infix ~affix:"nope"
+       (get_str (member "message" (member "error" j))));
+  let _ = error_reply ~code:"bad-request" (h (req "check" "\"checks\": [1]")) in
+  let _ =
+    error_reply ~code:"bad-request" (h (req "check" "\"checks\": \"fail-cast\""))
+  in
+  let _ = ok_reply (h (req "check" "\"checks\": null")) in
+  let j = ok_reply (h (req "check" "\"checks\": [\"fail-cast\", \"dead-store\"]")) in
+  let res = member "result" j in
+  let ds = Option.get (Json.get_list (member "diagnostics" res)) in
+  Alcotest.(check int) "count matches diagnostics" (List.length ds)
+    (get_int (member "count" res));
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "only the selected checkers" true
+        (List.mem (get_str (member "check" d)) [ "fail-cast"; "dead-store" ]))
+    ds;
+  let _ = ok_reply (h (req "check" "")) in
+  Alcotest.(check bool) "server still up" false (Server.stopped t)
+
 (* the update command: edits applied server-side, incremental path taken,
    result digest-cached under the new revision *)
 let test_protocol_update () =
@@ -372,6 +399,7 @@ let suite =
         Alcotest.test_case "pt matches the batch CLI" `Quick
           test_protocol_pt_matches_batch;
         Alcotest.test_case "malformed requests" `Quick test_protocol_errors;
+        Alcotest.test_case "unknown checkers" `Quick test_protocol_bad_checks;
         Alcotest.test_case "update round-trip" `Quick test_protocol_update;
       ] );
     ( "server.socket",
