@@ -9,7 +9,9 @@
     - recall  : §5.1 soundness recall experiment
     - ablation: §5.1 per-pattern precision-impact study
     - checks  : flow-sensitive diagnostics counts per workload, CI vs CSC
-    - collapse: solver cycle collapsing on/off (EXPERIMENTS.md E11)
+    - collapse: solver cycle collapsing on/off, i.e. [sp_collapse]; its
+                rows are labelled ci/ci+nocollapse and csc/csc+nocollapse
+                (EXPERIMENTS.md E11)
     - taint   : taint-client leak reports on the ground-truth corpus
                 (EXPERIMENTS.md E13)
     - profile : cost attribution vs precision, ci / csc / 2obj
@@ -17,6 +19,8 @@
     - incremental : edit latency of the incremental layer vs from-scratch
                 (EXPERIMENTS.md E17)
     - micro   : Bechamel micro-benchmarks of the substrates
+    - custom  : an efficiency table over [--analyses CSV], any names the
+                analysis grammar accepts (e.g. csc,kobj:3,doop:csc)
 
     Usage: dune exec bench/main.exe -- [experiments...] [--quick] [--budget S]
                                        [--json [FILE]] [--out DIR]
@@ -78,18 +82,26 @@ let program name =
     Hashtbl.add programs_cache name p;
     p
 
-let outcome cfg pname analysis : Run.outcome =
+let outcome ?(collapse = true) cfg pname analysis : Run.outcome =
   let budget = if Run.is_datalog analysis then cfg.doop_budget else cfg.budget in
-  let key = (pname, Run.name analysis, budget) in
+  let spec =
+    { (Run.spec analysis) with
+      Run.sp_budget_s = Some budget;
+      sp_collapse = collapse;
+      sp_jobs = !run_jobs }
+  in
+  let key = (pname, Run.spec_name spec, budget) in
   match Hashtbl.find_opt cache key with
   | Some o -> o
   | None ->
-    Fmt.epr "  [%s / %s] ...@." pname (Run.name analysis);
-    let o = Run.run ~budget_s:budget ~jobs:!run_jobs (program pname) analysis in
+    Fmt.epr "  [%s / %s] ...@." pname (Run.spec_name spec);
+    let o = Run.run_spec spec (program pname) in
     (* keep full results only where a later experiment reads them (recall /
        extras / table3 overlap use CI and CSC); context-sensitive results can
        hold hundreds of MB of per-context tables *)
     let keep_result =
+      collapse
+      &&
       match analysis with
       | Run.Imp_ci | Run.Imp_csc | Run.Doop_ci | Run.Doop_csc -> true
       | _ -> false
@@ -135,12 +147,15 @@ let efficiency_table cfg ~title (analyses : Run.analysis list) =
       Fmt.pr "@.")
     cfg.programs
 
+let table2_analyses =
+  [ Run.Imp_ci; Run.Imp_kobj 2; Run.Imp_ktype 2; Run.Imp_zipper; Run.Imp_csc ]
+
 let table2 cfg =
   efficiency_table cfg
     ~title:
       "Table 2: efficiency and precision on the imperative engine (Tai-e \
        analog)"
-    [ Run.Imp_ci; Run.Imp_2obj; Run.Imp_2type; Run.Imp_zipper; Run.Imp_csc ]
+    table2_analyses
 
 let table1 cfg =
   efficiency_table cfg
@@ -151,8 +166,9 @@ let table1 cfg =
 (* ---------------------------------------------------------------- custom *)
 
 (* [custom --analyses CSV]: an ad-hoc efficiency table over any analyses the
-   grammar accepts (e.g. --analyses csc,kobj:3,no-collapse:csc). Parsed with
-   Run.analysis_of_string so bench, the CLI and the server agree on names. *)
+   grammar accepts (e.g. --analyses csc,kobj:3,doop:csc). Parsed with
+   Run.analysis_of_string so bench, the CLI and the server agree on names;
+   cycle collapsing is not an analysis, the collapse experiment covers it. *)
 let custom_analyses : Run.analysis list ref = ref []
 
 let custom_exp cfg =
@@ -342,7 +358,7 @@ let kstudy cfg =
           let fc, _, _, ce = metric_cells o in
           Fmt.pr "%-11s %-10s %9s %11s %11s@." pname o.o_analysis
             (time_cell cfg a o) fc ce)
-        [ Run.Imp_ci; Run.Imp_kobj 1; Run.Imp_2obj; Run.Imp_kobj 3; Run.Imp_csc ])
+        [ Run.Imp_ci; Run.Imp_kobj 1; Run.Imp_kobj 2; Run.Imp_kobj 3; Run.Imp_csc ])
     programs
 
 (* Not in the paper: the instanceof-resolution client over CI vs CSC. *)
@@ -397,9 +413,10 @@ let checks cfg =
    construction — the differential test suite asserts it — so the table is
    about the work saved: propagation volume, worklist pressure and the
    collapsing counters themselves. *)
-let collapse_analyses =
-  [ Run.Imp_ci; Run.Imp_no_collapse Run.Imp_ci; Run.Imp_csc;
-    Run.Imp_no_collapse Run.Imp_csc ]
+let collapse_specs =
+  List.concat_map
+    (fun a -> [ Run.spec a; { (Run.spec a) with Run.sp_collapse = false } ])
+    [ Run.Imp_ci; Run.Imp_csc ]
 
 let collapse_exp cfg =
   Fmt.pr "@.=== Extension: online cycle collapsing on/off (E11) ===@.";
@@ -408,8 +425,9 @@ let collapse_exp cfg =
   List.iter
     (fun pname ->
       List.iter
-        (fun a ->
-          let o = outcome cfg pname a in
+        (fun (s : Run.spec) ->
+          let a = s.sp_analysis in
+          let o = outcome ~collapse:s.sp_collapse cfg pname a in
           let c name =
             match o.Run.o_snapshot with
             | Some s -> (
@@ -421,7 +439,7 @@ let collapse_exp cfg =
           Fmt.pr "%-11s %-16s %9s %12s %12s %12s %9s %9s@." pname o.o_analysis
             (time_cell cfg a o) (c "propagated") (c "wl_pushes")
             (c "wl_coalesced") (c "cycles_collapsed") (c "ptrs_merged"))
-        collapse_analyses;
+        collapse_specs;
       Fmt.pr "@.")
     cfg.programs
 
@@ -462,7 +480,7 @@ let leak_programs =
                Csc_lang.Frontend.compile_string
                  (read_file (Filename.concat dir f)) )))
 
-let taint_analyses = [ Run.Imp_ci; Run.Imp_csc; Run.Imp_2obj ]
+let taint_analyses = [ Run.Imp_ci; Run.Imp_csc; Run.Imp_kobj 2 ]
 
 (* corpus programs are tiny, so cells carry no timing: the regression gate
    compares leak counts only *)
@@ -477,7 +495,9 @@ let taint_cells cfg : (string * string * int) list =
         (fun (pname, p) ->
           List.map
             (fun a ->
-              let o = Run.run ~budget_s:cfg.budget p a in
+              let o =
+                Run.run_spec { (Run.spec a) with sp_budget_s = Some cfg.budget } p
+              in
               let leaks =
                 match o.Run.o_result with
                 | None -> -1 (* timeout *)
@@ -549,7 +569,7 @@ module Attr = Csc_obs.Attr
    the timing experiments never see them — and their cells carry no time_s:
    the regression gate compares the precision metrics and ignores both the
    wall clock and the attribution payload. *)
-let profile_analyses = [ Run.Imp_ci; Run.Imp_csc; Run.Imp_2obj ]
+let profile_analyses = [ Run.Imp_ci; Run.Imp_csc; Run.Imp_kobj 2 ]
 
 let profile_cells_cache : (string * string * Run.outcome) list option ref =
   ref None
@@ -565,8 +585,13 @@ let profile_cells cfg : (string * string * Run.outcome) list =
             (fun a ->
               Fmt.epr "  [%s / %s profiled] ...@." pname (Run.name a);
               let o =
-                Run.run ~budget_s:cfg.budget ~profile:true ~profile_top:10
-                  ~jobs:!run_jobs (program pname) a
+                Run.run_spec
+                  { (Run.spec a) with
+                    sp_budget_s = Some cfg.budget;
+                    sp_profile = true;
+                    sp_profile_top = 10;
+                    sp_jobs = !run_jobs }
+                  (program pname)
               in
               let o = { o with Run.o_result = None } in
               Gc.compact ();
@@ -657,7 +682,11 @@ let scaling_cells cfg : (string * string * int * Run.outcome) list =
                   Fmt.epr "  [%s / %s on %d domain(s)] ...@." pname
                     (Run.name a) jobs;
                   let o =
-                    Run.run ~budget_s:cfg.budget ~jobs (program pname) a
+                    Run.run_spec
+                      { (Run.spec a) with
+                        sp_budget_s = Some cfg.budget;
+                        sp_jobs = jobs }
+                      (program pname)
                   in
                   let o = { o with Run.o_result = None } in
                   Gc.compact ();
@@ -1006,14 +1035,15 @@ let experiment_names =
 (* the (program, analysis) cells each experiment reads. Serializing an
    experiment maps its grid through the memo cache, so the report re-runs
    nothing. micro has no analysis grid and is not serialized. *)
-let grid_of_experiment cfg exp : (string * Run.analysis) list =
+let grid_of_experiment cfg exp : (string * Run.spec) list =
+  let cross_specs programs specs =
+    List.concat_map (fun p -> List.map (fun s -> (p, s)) specs) programs
+  in
   let cross programs analyses =
-    List.concat_map (fun p -> List.map (fun a -> (p, a)) analyses) programs
+    cross_specs programs (List.map Run.spec analyses)
   in
   match exp with
-  | "table2" ->
-    cross cfg.programs
-      [ Run.Imp_ci; Run.Imp_2obj; Run.Imp_2type; Run.Imp_zipper; Run.Imp_csc ]
+  | "table2" -> cross cfg.programs table2_analyses
   | "table1" | "fig12" ->
     cross cfg.programs
       [ Run.Doop_ci; Run.Doop_2obj; Run.Doop_2type; Run.Doop_zipper;
@@ -1028,9 +1058,9 @@ let grid_of_experiment cfg exp : (string * Run.analysis) list =
       :: List.map (fun (_, v) -> Run.Imp_csc_cfg v) ablation_variants)
   | "kstudy" ->
     cross (kstudy_programs cfg)
-      [ Run.Imp_ci; Run.Imp_kobj 1; Run.Imp_2obj; Run.Imp_kobj 3; Run.Imp_csc ]
+      [ Run.Imp_ci; Run.Imp_kobj 1; Run.Imp_kobj 2; Run.Imp_kobj 3; Run.Imp_csc ]
   | "extras" | "checks" -> cross cfg.programs [ Run.Imp_ci; Run.Imp_csc ]
-  | "collapse" -> cross cfg.programs collapse_analyses
+  | "collapse" -> cross_specs cfg.programs collapse_specs
   | "custom" -> cross cfg.programs !custom_analyses
   | _ -> []
 
@@ -1047,7 +1077,10 @@ let experiment_json cfg exp : Json.t option =
   | grid ->
     Some
       (Report.experiment_json ~name:exp
-         (List.map (fun (p, a) -> (p, outcome cfg p a)) grid))
+         (List.map
+            (fun (p, (s : Run.spec)) ->
+              (p, outcome ~collapse:s.sp_collapse cfg p s.sp_analysis))
+            grid))
 
 (* --------------------------------------------------------- regression gate *)
 

@@ -16,10 +16,11 @@
     [--trace FILE] on the analysis commands records a Chrome trace_event
     timeline of the phases (open in chrome://tracing or Perfetto).
 
-    The batch analysis subcommands ([analyze]/[check]/[taint]/[profile]) and
-    the server share one code path: a {!Csc_driver.Run.spec} built from the
-    common flag set, executed through a {!Csc_driver.Session} — batch mode
-    simply uses a session that lives for one process. *)
+    The batch analysis subcommands ([analyze]/[check]/[taint]/[profile]/
+    [callgraph]/[pts]) and the server share one code path: a
+    {!Csc_driver.Run.spec} built from the command's flags, executed through
+    a {!Csc_driver.Session} — batch mode simply uses a session that lives
+    for one process. *)
 
 module Ir = Csc_ir.Ir
 module Run = Csc_driver.Run
@@ -94,7 +95,8 @@ let trace_arg =
 let no_collapse_arg =
   let doc =
     "Disable the solver's online cycle collapsing (escape hatch; results are \
-     identical, only slower)."
+     identical, only slower). Imperative outcomes are then labelled \
+     NAME+nocollapse."
   in
   Arg.(value & flag & info [ "no-collapse" ] ~doc)
 
@@ -329,8 +331,10 @@ let explain_cmd =
     with_trace trace @@ fun () ->
     let p = load_program spec in
     match
-      Csc_driver.Explain.run ?budget_s:(budget_opt budget) ?var ~limit p
-        (analysis_of_string analysis)
+      Csc_driver.Explain.run ?var ~limit
+        { (Run.spec (analysis_of_string analysis)) with
+          Run.sp_budget_s = budget_opt budget }
+        p
     with
     | Error msg -> Fmt.failwith "%s" msg
     | Ok [] ->
@@ -605,8 +609,8 @@ let callgraph_cmd =
     Arg.(value & flag & info [ "include-jdk" ] ~doc:"Keep mini-JDK methods.")
   in
   let run spec analysis include_jdk =
-    let p = load_program spec in
-    let o = Run.run p (analysis_of_string analysis) in
+    let p, digest = load_program_d spec in
+    let o = run_cached (Run.spec (analysis_of_string analysis)) p digest in
     match o.o_result with
     | None -> Fmt.epr "analysis timed out@."
     | Some r -> print_string (Csc_driver.Export.callgraph_dot ~include_jdk p r)
@@ -624,8 +628,8 @@ let pts_cmd =
          & info [ "method"; "m" ] ~doc:"Restrict to one method, e.g. Main.main.")
   in
   let run spec analysis meth =
-    let p = load_program spec in
-    let o = Run.run p (analysis_of_string analysis) in
+    let p, digest = load_program_d spec in
+    let o = run_cached (Run.spec (analysis_of_string analysis)) p digest in
     match o.o_result with
     | None -> Fmt.epr "analysis timed out@."
     | Some r -> Csc_driver.Export.pts_dump ?method_filter:meth p r Fmt.stdout
@@ -638,7 +642,7 @@ let recall_cmd =
     let p = load_program spec in
     let reports =
       Run.recall ?budget_s:(budget_opt budget) p
-        [ Run.Imp_ci; Run.Imp_csc; Run.Imp_2obj; Run.Doop_csc ]
+        [ Run.Imp_ci; Run.Imp_csc; Run.Imp_kobj 2; Run.Doop_csc ]
     in
     Fmt.pr "%-14s %10s %10s@." "analysis" "methods" "edges";
     List.iter

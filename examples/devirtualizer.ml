@@ -15,7 +15,7 @@
 
 module Ir = Csc_ir.Ir
 module Solver = Csc_pta.Solver
-module Context = Csc_pta.Context
+module Run = Csc_driver.Run
 module Devirt = Csc_checks.Devirt
 module Diagnostic = Csc_checks.Diagnostic
 
@@ -95,10 +95,10 @@ let describe name (p : Ir.program) (r : Solver.result) =
 
 let () =
   let p = Csc_lang.Frontend.compile_string source in
-  describe "ci" p (Solver.result (Solver.analyze p));
-  describe "csc" p (Solver.result (Solver.analyze ~plugin_of:Csc_core.Csc.plugin p));
-  describe "2obj" p
-    (Solver.result (Solver.analyze ~sel:(Context.kobj ~k:2 ~hk:1) p));
+  List.iter
+    (fun a ->
+      describe (Run.name a) p (Option.get (Run.run_spec (Run.spec a) p).o_result))
+    [ Run.Imp_ci; Run.Imp_csc; Run.Imp_kobj 2 ];
   Fmt.pr
     "@.CSC devirtualizes the direct export-path call at CI cost; the@.";
   Fmt.pr

@@ -20,12 +20,12 @@ let () =
     (Bits.cardinal dyn.dyn_reachable)
     (List.length dyn.dyn_edges);
 
-  let analyses = [ Run.Imp_ci; Run.Imp_csc; Run.Imp_2type; Run.Doop_csc ] in
+  let analyses = [ Run.Imp_ci; Run.Imp_csc; Run.Imp_ktype 2; Run.Doop_csc ] in
   Fmt.pr "%-12s %10s %10s %14s %14s@." "analysis" "recall-m" "recall-e"
     "static-mtd" "static-edges";
   List.iter
     (fun a ->
-      let o = Run.run ~budget_s:120. p a in
+      let o = Run.run_spec { (Run.spec a) with sp_budget_s = Some 120. } p in
       match o.o_result with
       | None -> Fmt.pr "%-12s (timeout)@." o.o_analysis
       | Some r ->

@@ -1,9 +1,9 @@
 (** "Why does x point to o": provenance-backed derivation chains.
 
     Hoisted out of the CLI so the [explain] subcommand and the analysis
-    server share one implementation. Explaining needs the live solver handle
-    (the provenance recorder lives inside it), so this module drives
-    {!Csc_pta.Solver} directly instead of going through {!Run} — and it is
+    server share one implementation. The solve goes through the driver's one
+    path ({!Run.run_spec_solver} with provenance recording on), which hands
+    back the live solver the provenance recorder lives in. It is
     deliberately not cached by [Session]: provenance recording disables
     cycle collapsing, so an explained solve is never the solve you want to
     keep resident. *)
@@ -16,17 +16,17 @@ type fact = {
   x_chain : string list;  (** derivation chain, root first; [[]] if none *)
 }
 
-(** [run p a] solves [p] under imperative analysis [a] with provenance on
-    and returns up to [limit] (default 5) explained facts. [var] restricts
-    to variables whose qualified [Class.method.var] name ends with it;
-    without it, application (non-mini-JDK) variables are scanned. [Error]
-    for Datalog/Zipper analyses (no provenance recorder there) and for
-    solver timeouts. Prints the provenance-disables-collapsing note to
-    stderr, like the CLI always has. *)
+(** [run s p] solves [p] as requested by [s] (budget, validation, jobs, ...)
+    with provenance on and returns up to [limit] (default 5) explained
+    facts. [var] restricts to variables whose qualified [Class.method.var]
+    name ends with it; without it, application (non-mini-JDK) variables are
+    scanned. [Error] for Datalog/Zipper analyses (no provenance recorder
+    there) and for solver timeouts; with [sp_validate] on, malformed IR
+    raises [Failure] exactly as in {!Run.run_spec}. With [sp_collapse] on,
+    prints the provenance-disables-collapsing note to stderr. *)
 val run :
-  ?budget_s:float ->
   ?var:string ->
   ?limit:int ->
+  Run.spec ->
   Ir.program ->
-  Run.analysis ->
   (fact list, string) result

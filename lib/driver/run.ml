@@ -25,20 +25,15 @@ type analysis =
   | Imp_kobj of int            (** k-object-sensitive, heap depth k-1 min 1 *)
   | Imp_ktype of int
   | Imp_kcall of int
-  | Imp_2obj
-  | Imp_2type
-  | Imp_2call
+  | Imp_2obj                   (** [Imp_kobj 2] under its historical name *)
   | Imp_zipper
-  | Imp_no_collapse of analysis
-      (** same analysis with the solver's online cycle collapsing disabled;
-          the differential tests and the E11 bench row are built on this *)
   | Doop_ci
   | Doop_csc
   | Doop_2obj
   | Doop_2type
   | Doop_zipper
 
-let rec name = function
+let name = function
   | Imp_ci -> "ci"
   | Imp_csc -> "csc"
   | Imp_csc_cfg cfg -> Csc.config_name cfg
@@ -46,25 +41,65 @@ let rec name = function
   | Imp_ktype k -> Printf.sprintf "%dtype" k
   | Imp_kcall k -> Printf.sprintf "%dcall" k
   | Imp_2obj -> "2obj"
-  | Imp_2type -> "2type"
-  | Imp_2call -> "2call"
   | Imp_zipper -> "zipper-e"
-  | Imp_no_collapse a -> name a ^ "+nocollapse"
   | Doop_ci -> "doop-ci"
   | Doop_csc -> "doop-csc"
   | Doop_2obj -> "doop-2obj"
   | Doop_2type -> "doop-2type"
   | Doop_zipper -> "doop-zipper-e"
 
-let all_imperative = [ Imp_ci; Imp_csc; Imp_2obj; Imp_2type; Imp_zipper ]
+let all_imperative = [ Imp_ci; Imp_csc; Imp_kobj 2; Imp_ktype 2; Imp_zipper ]
 let all_datalog = [ Doop_ci; Doop_csc; Doop_2obj; Doop_2type; Doop_zipper ]
 
-let rec is_datalog = function
-  | Doop_ci | Doop_csc | Doop_2obj | Doop_2type | Doop_zipper -> true
-  | Imp_no_collapse a -> is_datalog a
-  | Imp_ci | Imp_csc | Imp_csc_cfg _ | Imp_kobj _ | Imp_ktype _ | Imp_kcall _
-  | Imp_2obj | Imp_2type | Imp_2call | Imp_zipper ->
-    false
+(* ------------------------------------------------------------------ plan *)
+
+(* The one place an analysis is decoded. As in the paper's Tai-e plugin
+   design, every analysis is one solver run under a context selector, with
+   the CSC plugin or not, or a Datalog rule set; Zipper^e stages a CI
+   pre-solve and a selective-2obj main solve on either engine. *)
+type stage =
+  | Imp of Context.t * Csc.config option
+  | Dl of Dl.kind
+
+type plan =
+  | Solve of stage
+  | Zipper of stage * (Bits.t -> stage)
+      (** pre-analysis; main analysis over the selected methods *)
+
+let rec plan = function
+  | Imp_ci -> Solve (Imp (Context.ci, None))
+  | Imp_csc -> Solve (Imp (Context.ci, Some Csc.default_config))
+  | Imp_csc_cfg c -> Solve (Imp (Context.ci, Some c))
+  | Imp_kobj k -> Solve (Imp (Context.kobj ~k ~hk:(max 1 (k - 1)), None))
+  | Imp_ktype k -> Solve (Imp (Context.ktype ~k ~hk:(max 1 (k - 1)), None))
+  | Imp_kcall k -> Solve (Imp (Context.kcall ~k ~hk:(max 1 (k - 1)), None))
+  | Imp_2obj -> plan (Imp_kobj 2)
+  | Imp_zipper ->
+    Zipper
+      ( Imp (Context.ci, None),
+        fun selected ->
+          Imp (Context.selective ~selected ~base:(Context.kobj ~k:2 ~hk:1), None)
+      )
+  | Doop_ci -> Solve (Dl Dl.Ci)
+  | Doop_csc -> Solve (Dl Dl.Csc_doop)
+  | Doop_2obj -> Solve (Dl Dl.Obj2)
+  | Doop_2type -> Solve (Dl Dl.Type2)
+  | Doop_zipper -> Zipper (Dl Dl.Ci, fun selected -> Dl (Dl.Selective2obj selected))
+
+let is_datalog a =
+  match plan a with Solve (Dl _) | Zipper (Dl _, _) -> true | _ -> false
+
+let stage_name = function
+  | Imp (sel, csc) ->
+    "imp:" ^ sel.Context.sel_name
+    ^ Option.fold ~none:"" ~some:(fun c -> "+" ^ Csc.config_name c) csc
+  | Dl kind -> "dl:" ^ Dl.kind_name kind
+
+let plan_name a =
+  match plan a with
+  | Solve st -> stage_name st
+  | Zipper (pre, main) ->
+    stage_name pre ^ " > select > " ^ stage_name (main (Bits.create ()))
 
 (* --------------------------------------------------- analysis-name grammar *)
 
@@ -76,91 +111,72 @@ let analysis_names =
 let grammar_help =
   "expected one of: ci, csc, csc-field, csc-container, csc-localflow, \
    zipper-e, <K>obj, <K>type, <K>call (or kobj:<K>, ktype:<K>, kcall:<K>), \
-   doop-ci, doop-csc, doop-2obj, doop-2type, doop-zipper-e (or doop:<name>), \
-   no-collapse:<imperative analysis>"
+   doop-ci, doop-csc, doop-2obj, doop-2type, doop-zipper-e (or doop:<name>)"
 
-(* "<K>obj" / "<K>type" / "<K>call" with K a positive integer *)
-let k_suffixed s ~suffix =
-  let ls = String.length s and lx = String.length suffix in
-  if ls <= lx || String.sub s (ls - lx) lx <> suffix then None
-  else
-    match int_of_string_opt (String.sub s 0 (ls - lx)) with
-    | Some k when k >= 1 -> Some k
-    | _ -> None
+(* spellings with no parameter; the eight CSC configs spell as
+   [Csc.config_name] *)
+let fixed_names =
+  List.init 8 (fun i ->
+      let c =
+        { Csc.field_pattern = i land 4 = 0; container_pattern = i land 2 = 0;
+          local_flow = i land 1 = 0 }
+      in
+      if c = Csc.default_config then ("csc", Imp_csc)
+      else (Csc.config_name c, Imp_csc_cfg c))
+  @ List.map
+      (fun a -> (name a, a))
+      [ Imp_ci; Imp_zipper; Doop_ci; Doop_csc; Doop_2obj; Doop_2type;
+        Doop_zipper ]
 
-let kobj_of = function 2 -> Imp_2obj | k -> Imp_kobj k
-let ktype_of = function 2 -> Imp_2type | k -> Imp_ktype k
-let kcall_of = function 2 -> Imp_2call | k -> Imp_kcall k
+(* the k-limited families: "<K>obj" or "kobj:<K>", K positive *)
+let k_families =
+  [ ("obj", fun k -> Imp_kobj k); ("type", fun k -> Imp_ktype k);
+    ("call", fun k -> Imp_kcall k) ]
 
-let after_colon s prefix =
+let after_prefix s prefix =
   let lp = String.length prefix in
   if String.length s > lp && String.sub s 0 lp = prefix then
     Some (String.sub s lp (String.length s - lp))
   else None
 
+let before_suffix s suffix =
+  let ls = String.length s and lx = String.length suffix in
+  if ls > lx && String.sub s (ls - lx) lx = suffix then
+    Some (String.sub s 0 (ls - lx))
+  else None
+
 let rec analysis_of_string (s : string) : (analysis, string) result =
-  let k_arg rest mk =
-    match int_of_string_opt rest with
-    | Some k when k >= 1 -> Ok (mk k)
-    | _ -> Error (Printf.sprintf "bad context depth %S (want a positive integer)" rest)
-  in
-  match s with
-  | "ci" -> Ok Imp_ci
-  | "csc" -> Ok Imp_csc
-  | "csc-field" ->
-    Ok
-      (Imp_csc_cfg
-         { field_pattern = true; container_pattern = false; local_flow = false })
-  | "csc-container" ->
-    Ok
-      (Imp_csc_cfg
-         { field_pattern = false; container_pattern = true; local_flow = false })
-  | "csc-localflow" ->
-    Ok
-      (Imp_csc_cfg
-         { field_pattern = false; container_pattern = false; local_flow = true })
-  | "zipper-e" -> Ok Imp_zipper
-  | "doop-ci" -> Ok Doop_ci
-  | "doop-csc" -> Ok Doop_csc
-  | "doop-2obj" -> Ok Doop_2obj
-  | "doop-2type" -> Ok Doop_2type
-  | "doop-zipper-e" -> Ok Doop_zipper
-  | s -> (
-    match after_colon s "no-collapse:" with
+  let positive k = match int_of_string_opt k with Some k when k >= 1 -> Some k | _ -> None in
+  let family (suffix, mk) =
+    match after_prefix s ("k" ^ suffix ^ ":") with
     | Some rest -> (
-      match analysis_of_string rest with
-      | Error _ as e -> e
-      | Ok a when is_datalog a ->
-        Error
-          (Printf.sprintf
-             "no-collapse:%s — cycle collapsing is an imperative-engine \
-              switch; it does not apply to Datalog analyses"
-             rest)
-      | Ok a -> Ok (Imp_no_collapse a))
-    | None -> (
-      match after_colon s "doop:" with
-      | Some rest -> analysis_of_string ("doop-" ^ rest)
-      | None -> (
-        match after_colon s "kobj:" with
-        | Some rest -> k_arg rest kobj_of
-        | None -> (
-          match after_colon s "ktype:" with
-          | Some rest -> k_arg rest ktype_of
-          | None -> (
-            match after_colon s "kcall:" with
-            | Some rest -> k_arg rest kcall_of
-            | None -> (
-              match k_suffixed s ~suffix:"obj" with
-              | Some k -> Ok (kobj_of k)
-              | None -> (
-                match k_suffixed s ~suffix:"type" with
-                | Some k -> Ok (ktype_of k)
-                | None -> (
-                  match k_suffixed s ~suffix:"call" with
-                  | Some k -> Ok (kcall_of k)
-                  | None ->
-                    Error
-                      (Printf.sprintf "unknown analysis %S; %s" s grammar_help)))))))))
+      match positive rest with
+      | Some k -> Some (Ok (mk k))
+      | None ->
+        Some
+          (Error
+             (Printf.sprintf "bad context depth %S (want a positive integer)"
+                rest)))
+    | None ->
+      Option.bind (before_suffix s suffix) (fun k ->
+          Option.map (fun k -> Ok (mk k)) (positive k))
+  in
+  match List.assoc_opt s fixed_names with
+  | Some a -> Ok a
+  | None -> (
+    match (after_prefix s "doop:", after_prefix s "no-collapse:") with
+    | Some rest, _ -> analysis_of_string ("doop-" ^ rest)
+    | None, Some _ ->
+      Error
+        (Printf.sprintf
+           "%S: cycle collapsing is a run switch, not an analysis; use \
+            --no-collapse on the command line or \"collapse\": false in a \
+            server request"
+           s)
+    | None, None -> (
+      match List.find_map family k_families with
+      | Some r -> r
+      | None -> Error (Printf.sprintf "unknown analysis %S; %s" s grammar_help)))
 
 type outcome = {
   o_analysis : string;
@@ -176,45 +192,8 @@ type outcome = {
   o_snapshot : Snapshot.t option;
       (** engine metrics; present even on imperative-engine timeouts *)
   o_profile : Attr.profile option;
-      (** cost attribution, present iff [run ~profile:true] *)
+      (** cost attribution, present iff [sp_profile] *)
 }
-
-let timeout_outcome ?snapshot analysis elapsed =
-  {
-    o_analysis = name analysis;
-    o_timeout = true;
-    o_time = elapsed;
-    o_pre_time = 0.;
-    o_main_time = elapsed;
-    o_result = None;
-    o_metrics = None;
-    o_selected = None;
-    o_involved = None;
-    o_shortcuts = 0;
-    o_snapshot = snapshot;
-    o_profile = None;
-  }
-
-let of_result ?(pre_time = 0.) ?selected ?involved ?(shortcuts = 0) analysis p
-    (r : Solver.result) total_time =
-  let metrics =
-    Trace.with_span ~cat:"driver" "client-metrics" (fun () ->
-        Metrics.compute p r)
-  in
-  {
-    o_analysis = name analysis;
-    o_timeout = false;
-    o_time = total_time;
-    o_pre_time = pre_time;
-    o_main_time = total_time -. pre_time;
-    o_result = Some r;
-    o_metrics = Some metrics;
-    o_selected = selected;
-    o_involved = involved;
-    o_shortcuts = shortcuts;
-    o_snapshot = Some r.Solver.r_snapshot;
-    o_profile = None;
-  }
 
 (* ------------------------------------------------------------------ spec *)
 
@@ -244,8 +223,49 @@ let spec analysis =
   }
 
 (* progress heartbeats only change stderr cadence, never the outcome, so the
-   session result cache must not fragment on them *)
-let spec_key s = { s with sp_progress_s = None }
+   session result cache must not fragment on them; [Imp_2obj] is the same
+   run as [Imp_kobj 2] *)
+let spec_key s =
+  let a = match s.sp_analysis with Imp_2obj -> Imp_kobj 2 | a -> a in
+  { s with sp_analysis = a; sp_progress_s = None }
+
+let spec_name s =
+  if s.sp_collapse || is_datalog s.sp_analysis then name s.sp_analysis
+  else name s.sp_analysis ^ "+nocollapse"
+
+let timeout_outcome ?snapshot s elapsed =
+  {
+    o_analysis = spec_name s;
+    o_timeout = true;
+    o_time = elapsed;
+    o_pre_time = 0.;
+    o_main_time = elapsed;
+    o_result = None;
+    o_metrics = None;
+    o_selected = None;
+    o_involved = None;
+    o_shortcuts = 0;
+    o_snapshot = snapshot;
+    o_profile = None;
+  }
+
+let of_result ?(pre_time = 0.) ?selected ?involved ?(shortcuts = 0) s p
+    (r : Solver.result) total_time =
+  let metrics =
+    Trace.with_span ~cat:"driver" "client-metrics" (fun () ->
+        Metrics.compute p r)
+  in
+  {
+    (timeout_outcome ~snapshot:r.Solver.r_snapshot s total_time) with
+    o_timeout = false;
+    o_pre_time = pre_time;
+    o_main_time = total_time -. pre_time;
+    o_result = Some r;
+    o_metrics = Some metrics;
+    o_selected = selected;
+    o_involved = involved;
+    o_shortcuts = shortcuts;
+  }
 
 (** Retained engine state of a completed run, for {!update}: the program,
     the (finished) solver and, for CSC analyses, the plugin handle. *)
@@ -255,6 +275,34 @@ type state = {
   st_csc : Csc.t option;
 }
 
+(* a requested --jobs N that cannot be honoured says so instead of silently
+   running sequentially (the results are identical either way; only the
+   wall-clock expectation differs) *)
+let effective_jobs s =
+  let fallback fmt =
+    Printf.ksprintf
+      (fun why ->
+        Fmt.epr "note: %s@." why;
+        1)
+      fmt
+  in
+  let jobs = max 1 s.sp_jobs in
+  if jobs <= 1 then 1
+  else if not Domains_compat.available then
+    fallback
+      "this build has no multicore runtime (OCaml < 5); --jobs %d runs on a \
+       single domain"
+      jobs
+  else if s.sp_explain then
+    fallback
+      "provenance recording (--explain) is inherently sequential; --jobs %d \
+       runs on a single domain"
+      jobs
+  else if is_datalog s.sp_analysis then
+    fallback "--jobs applies to the imperative engine only; %s runs sequentially"
+      (name s.sp_analysis)
+  else jobs
+
 (** Run one analysis under an optional time budget (seconds). Timeouts are
     reported in the outcome, not raised — like the paper's ">2h" cells.
     [sp_validate] runs {!Csc_ir.Validate.check_exn} first so malformed IR
@@ -262,233 +310,119 @@ type state = {
 
     [preseed] is applied to the created imperative solver after plugin
     installation and before solving (the incremental engine's fact
-    transplant); [keep] receives the retained {!state} when the run
-    completes without timeout. *)
-let rec run_spec_inner ?preseed ?(keep : state option ref option) (s : spec)
-    (p : Ir.program) : outcome =
-  let {
-    sp_analysis = analysis;
-    sp_budget_s = budget_s;
-    sp_validate = validate;
-    sp_explain = explain;
-    sp_collapse = collapse;
-    sp_profile = profile;
-    sp_profile_top = profile_top;
-    sp_progress_s = progress_s;
-    sp_jobs = jobs;
-  } =
-    s
-  in
-  if validate then Csc_ir.Validate.check_exn p;
-  (* a requested --jobs N that cannot be honoured says so instead of
-     silently running sequentially (the results are identical either way;
-     only the wall-clock expectation differs) *)
-  let jobs = max 1 jobs in
-  let jobs =
-    if jobs > 1 && not Domains_compat.available then begin
-      Fmt.epr
-        "note: this build has no multicore runtime (OCaml < 5); --jobs %d \
-         runs on a single domain@."
-        jobs;
-      1
-    end
-    else jobs
-  in
-  let jobs =
-    if jobs > 1 && explain then begin
-      Fmt.epr
-        "note: provenance recording (--explain) is inherently sequential; \
-         --jobs %d runs on a single domain@."
-        jobs;
-      1
-    end
-    else jobs
-  in
-  let jobs =
-    if jobs > 1 && is_datalog analysis then begin
-      Fmt.epr
-        "note: --jobs applies to the imperative engine only; %s runs \
-         sequentially@."
-        (name analysis);
-      1
-    end
-    else jobs
-  in
+    transplant). Also returns the retained {!state} of the last imperative
+    solve when the run completed without timeout. *)
+let run_kept ?preseed (s : spec) (p : Ir.program) : outcome * state option =
+  if s.sp_validate then Csc_ir.Validate.check_exn p;
+  let jobs = effective_jobs s in
   let budget =
-    match budget_s with
+    match s.sp_budget_s with
     | Some s -> Timer.budget_of_seconds s
     | None -> Timer.no_budget
   in
   let t0 = Timer.now () in
   let elapsed () = Timer.now () -. t0 in
-  (* built via create/run (not [Solver.analyze]) to keep the solver handle:
-     the timeout path still snapshots the aborted engine state *)
-  let csc_handle : Csc.t option ref = ref None in
-  let solve ?plugin_of sel =
-    let t = Solver.create ~budget ~sel ~collapse p in
-    if explain then
-      if Solver.enable_provenance t then
+  let csc_handle = ref None in
+  let solver = ref None in
+  (* Datalog runs share one attribution table across pre + main phases *)
+  let dl_attr = if s.sp_profile then Some (Attr.create ()) else None in
+  (* one solve on either engine; a timeout yields the aborted imperative
+     engine's snapshot (the Datalog engine has none). The imperative solver
+     is built via create/run (not [Solver.analyze]) to keep its handle. *)
+  let solve = function
+    | Imp (sel, csc) -> (
+      let t = Solver.create ~budget ~sel ~collapse:s.sp_collapse p in
+      if s.sp_explain && Solver.enable_provenance t then
         Fmt.epr
           "note: provenance recording (--explain) disables online cycle \
            collapsing for this run; expect a slower solve@.";
-    if profile then Solver.enable_attr t;
-    (match progress_s with Some s -> Solver.set_progress t s | None -> ());
-    (match plugin_of with Some f -> Solver.set_plugin t (f t) | None -> ());
-    (* incremental preloads enter through the ordinary worklist, after the
-       plugin is installed, so every watch and plugin hook replays on them *)
-    (match preseed with Some f -> f t | None -> ());
-    match Par.run ~jobs t with
-    | () -> Ok t
-    | exception Solver.Timeout -> Error (Solver.snapshot t)
+      if s.sp_profile then Solver.enable_attr t;
+      Option.iter (Solver.set_progress t) s.sp_progress_s;
+      Option.iter
+        (fun config ->
+          let pl, h = Csc.plugin_with_handle ~config t in
+          csc_handle := Some h;
+          Solver.set_plugin t pl)
+        csc;
+      (* incremental preloads enter through the ordinary worklist, after the
+         plugin is installed, so every watch and plugin hook replays on them *)
+      Option.iter (fun f -> f t) preseed;
+      match Par.run ~jobs t with
+      | () ->
+        solver := Some t;
+        Ok (Solver.result t)
+      | exception Solver.Timeout -> Error (Some (Solver.snapshot t)))
+    | Dl kind -> (
+      match
+        Trace.with_span ~cat:"driver" ("datalog:" ^ Dl.kind_name kind)
+          (fun () ->
+            Dl.run ~budget ?attr:dl_attr ?progress_s:s.sp_progress_s p kind)
+      with
+      | r -> Ok r
+      | exception Dl.Timeout -> Error None)
   in
-  let imperative ?plugin_of sel finish =
-    match solve ?plugin_of sel with
-    | Ok t ->
-      (match keep with
-      | Some r -> r := Some { st_prog = p; st_solver = t; st_csc = !csc_handle }
-      | None -> ());
-      let o = finish (Solver.result t) in
-      if profile then { o with o_profile = Solver.profile ~top:profile_top t }
-      else o
-    | Error snapshot -> timeout_outcome ~snapshot analysis (elapsed ())
-  in
-  (* Datalog runs share one attribution table across pre + main phases *)
-  let dl_attr = if profile then Some (Attr.create ()) else None in
-  let dl_profile (o : outcome) : outcome =
-    match dl_attr with
-    | None -> o
-    | Some a ->
+  let finish ?pre_time ?selected r =
+    let involved, shortcuts =
+      match !csc_handle with
+      | Some h -> (Some (Csc.involved_methods h), Csc.shortcut_count h)
+      | None -> (None, 0)
+    in
+    let o = of_result ?pre_time ?selected ?involved ~shortcuts s p r (elapsed ()) in
+    let top = s.sp_profile_top in
+    match (!solver, dl_attr) with
+    | Some t, _ ->
+      ( { o with o_profile = Solver.profile ~top t },
+        Some { st_prog = p; st_solver = t; st_csc = !csc_handle } )
+    | None, Some a ->
       let prof =
-        Attr.render ~top:profile_top a ~engine:"datalog"
-          ~meth_name:string_of_int ~ptr_name:string_of_int
+        Attr.render ~top a ~engine:"datalog" ~meth_name:string_of_int
+          ~ptr_name:string_of_int
       in
-      { o with o_profile = Some prof }
+      ({ o with o_profile = Some prof }, None)
+    | None, None -> (o, None)
   in
-  match analysis with
-  | Imp_no_collapse inner ->
-    let o =
-      run_spec_inner ?preseed ?keep
-        { s with sp_analysis = inner; sp_collapse = false }
-        p
-    in
-    { o with o_analysis = name analysis }
-  | Imp_ci ->
-    imperative Context.ci (fun r -> of_result analysis p r (elapsed ()))
-  | Imp_csc | Imp_csc_cfg _ ->
-    let config =
-      match analysis with Imp_csc_cfg c -> c | _ -> Csc.default_config
-    in
-    let plugin_of s =
-      let pl, h = Csc.plugin_with_handle ~config s in
-      csc_handle := Some h;
-      pl
-    in
-    imperative ~plugin_of Context.ci (fun r ->
-        let involved, shortcuts =
-          match !csc_handle with
-          | Some h -> (Some (Csc.involved_methods h), Csc.shortcut_count h)
-          | None -> (None, 0)
-        in
-        of_result ?involved ~shortcuts analysis p r (elapsed ()))
-  | Imp_kobj k ->
-    imperative (Context.kobj ~k ~hk:(max 1 (k - 1))) (fun r ->
-        of_result analysis p r (elapsed ()))
-  | Imp_ktype k ->
-    imperative (Context.ktype ~k ~hk:(max 1 (k - 1))) (fun r ->
-        of_result analysis p r (elapsed ()))
-  | Imp_kcall k ->
-    imperative (Context.kcall ~k ~hk:(max 1 (k - 1))) (fun r ->
-        of_result analysis p r (elapsed ()))
-  | Imp_2obj ->
-    imperative (Context.kobj ~k:2 ~hk:1) (fun r -> of_result analysis p r (elapsed ()))
-  | Imp_2type ->
-    imperative (Context.ktype ~k:2 ~hk:1) (fun r ->
-        of_result analysis p r (elapsed ()))
-  | Imp_2call ->
-    imperative (Context.kcall ~k:2 ~hk:1) (fun r ->
-        of_result analysis p r (elapsed ()))
-  | Imp_zipper -> (
-    (* pre-analysis (CI) + selection, then selective 2obj *)
-    match solve Context.ci with
-    | Error snapshot -> timeout_outcome ~snapshot analysis (elapsed ())
-    | Ok pre ->
-      let pre_r = Solver.result pre in
+  let timeout snapshot = (timeout_outcome ?snapshot s (elapsed ()), None) in
+  match plan s.sp_analysis with
+  | Solve st -> (
+    match solve st with Ok r -> finish r | Error snap -> timeout snap)
+  | Zipper (pre, main) -> (
+    match solve pre with
+    | Error snap -> timeout snap
+    | Ok pre_r -> (
       let sel =
         Trace.with_span ~cat:"driver" "zipper-select" (fun () ->
             Zipper.select p pre_r)
       in
       let pre_time = elapsed () in
-      let selector =
-        Context.selective ~selected:sel.Zipper.selected
-          ~base:(Context.kobj ~k:2 ~hk:1)
-      in
-      imperative selector (fun r ->
-          of_result ~pre_time ~selected:sel.Zipper.selected analysis p r
-            (elapsed ())))
-  | Doop_ci | Doop_csc | Doop_2obj | Doop_2type -> (
-    let kind =
-      match analysis with
-      | Doop_ci -> Dl.Ci
-      | Doop_csc -> Dl.Csc_doop
-      | Doop_2obj -> Dl.Obj2
-      | _ -> Dl.Type2
-    in
-    let dl_run kind =
-      Trace.with_span ~cat:"driver" ("datalog:" ^ Dl.kind_name kind) (fun () ->
-          Dl.run ~budget ?attr:dl_attr ?progress_s p kind)
-    in
-    match dl_run kind with
-    | r -> dl_profile (of_result analysis p r (elapsed ()))
-    | exception Dl.Timeout -> timeout_outcome analysis (elapsed ()))
-  | Doop_zipper -> (
-    let dl_run kind =
-      Trace.with_span ~cat:"driver" ("datalog:" ^ Dl.kind_name kind) (fun () ->
-          Dl.run ~budget ?attr:dl_attr ?progress_s p kind)
-    in
-    match dl_run Dl.Ci with
-    | exception Dl.Timeout -> timeout_outcome analysis (elapsed ())
-    | pre_r -> (
-      let sel =
-        Trace.with_span ~cat:"driver" "zipper-select" (fun () ->
-            Zipper.select p pre_r)
-      in
-      let pre_time = elapsed () in
-      match dl_run (Dl.Selective2obj sel.Zipper.selected) with
-      | r ->
-        dl_profile
-          (of_result ~pre_time ~selected:sel.Zipper.selected analysis p r
-             (elapsed ()))
-      | exception Dl.Timeout -> timeout_outcome analysis (elapsed ())))
+      match solve (main sel.Zipper.selected) with
+      | Ok r -> finish ~pre_time ~selected:sel.Zipper.selected r
+      | Error snap -> timeout snap))
 
-let run_spec (s : spec) (p : Ir.program) : outcome = run_spec_inner s p
+let run_spec (s : spec) (p : Ir.program) : outcome = fst (run_kept s p)
+
+let run_spec_solver (s : spec) (p : Ir.program) =
+  match plan s.sp_analysis with
+  | Solve (Dl _) | Zipper (Dl _, _) -> Error `Datalog
+  | Zipper (Imp _, _) -> Error `Staged
+  | Solve (Imp _) ->
+    let o, st = run_kept s p in
+    Ok (o, Option.map (fun st -> st.st_solver) st)
 
 (* ------------------------------------------------------------ incremental *)
 
 (** Analyses the incremental engine supports: the context-insensitive lattice
-    (CI and the CSC family), optionally without collapsing. Context-sensitive
-    analyses fall back to a fresh solve ({!Inc.plan} re-checks this). *)
-let rec inc_supported = function
-  | Imp_ci | Imp_csc | Imp_csc_cfg _ -> true
-  | Imp_no_collapse a -> inc_supported a
-  | Imp_kobj _ | Imp_ktype _ | Imp_kcall _ | Imp_2obj | Imp_2type | Imp_2call
-  | Imp_zipper | Doop_ci | Doop_csc | Doop_2obj | Doop_2type | Doop_zipper ->
-    false
+    (CI and the CSC family). Context-sensitive analyses fall back to a fresh
+    solve ({!Inc.plan} re-checks this). *)
+let inc_supported a =
+  match plan a with Solve (Imp (sel, _)) -> sel == Context.ci | _ -> false
 
-let rec csc_config_of = function
-  | Imp_csc -> Some Csc.default_config
-  | Imp_csc_cfg c -> Some c
-  | Imp_no_collapse a -> csc_config_of a
-  | _ -> None
+let csc_config_of a =
+  match plan a with Solve (Imp (_, c)) -> c | _ -> None
 
 (** Like {!run_spec}, but also return the retained engine {!state} when the
     analysis supports incremental updates and the run completed. *)
 let run_spec_keep (s : spec) (p : Ir.program) : outcome * state option =
-  if not (inc_supported s.sp_analysis) then (run_spec s p, None)
-  else begin
-    let keep = ref None in
-    let o = run_spec_inner ~keep s p in
-    (o, if o.o_timeout then None else !keep)
-  end
+  if inc_supported s.sp_analysis then run_kept s p else (run_spec s p, None)
 
 (** [update s ~prev p] analyzes [p] — the edited successor of [prev]'s
     program — reusing [prev]'s solved state where the edit provably cannot
@@ -519,32 +453,9 @@ let update (s : spec) ~(prev : state) (p : Ir.program) :
       match Inc.plan ?classify_old ?classify_new ?hook ~old:prev.st_solver p with
       | Inc.Fallback reason -> fallback reason
       | Inc.Preseed (pre, info) ->
-        let keep = ref None in
-        let o = run_spec_inner ~preseed:pre ~keep s p in
-        let st = if o.o_timeout then None else !keep in
-        (match st with
-        | Some st -> Inc.record st.st_solver.Solver.reg info
-        | None -> ());
+        let o, st = run_kept ~preseed:pre s p in
+        Option.iter (fun st -> Inc.record st.st_solver.Solver.reg info) st;
         (o, st, info)
-
-(** Optional-argument convenience over {!run_spec}; the two are equivalent
-    by construction. *)
-let run ?budget_s ?(validate = false) ?(explain = false) ?(collapse = true)
-    ?(profile = false) ?(profile_top = 25) ?progress_s ?(jobs = 1)
-    (p : Ir.program) (analysis : analysis) : outcome =
-  run_spec
-    {
-      sp_analysis = analysis;
-      sp_budget_s = budget_s;
-      sp_validate = validate;
-      sp_explain = explain;
-      sp_collapse = collapse;
-      sp_profile = profile;
-      sp_profile_top = profile_top;
-      sp_progress_s = progress_s;
-      sp_jobs = jobs;
-    }
-    p
 
 (* ------------------------------------------------------------- recall *)
 
@@ -561,7 +472,7 @@ let recall ?budget_s ?(max_steps = 50_000_000) (p : Ir.program)
   let dyn = Csc_interp.Interp.run ~max_steps p in
   List.filter_map
     (fun a ->
-      match (run ?budget_s p a).o_result with
+      match (run_spec { (spec a) with sp_budget_s = budget_s } p).o_result with
       | None -> None
       | Some r ->
         let rc =

@@ -10,7 +10,8 @@ module Metrics = Csc_clients.Metrics
 
 (** The analyses of the paper's evaluation plus extensions. [Imp_*] run on
     the imperative engine (Tai-e analog, Table 2), [Doop_*] on the Datalog
-    engine (Doop analog, Table 1). *)
+    engine (Doop analog, Table 1). Cycle collapsing is not an analysis: it
+    is the {!spec} field [sp_collapse]. *)
 type analysis =
   | Imp_ci
   | Imp_csc
@@ -18,13 +19,8 @@ type analysis =
   | Imp_kobj of int
   | Imp_ktype of int
   | Imp_kcall of int
-  | Imp_2obj
-  | Imp_2type
-  | Imp_2call
+  | Imp_2obj  (** the same plan and name as [Imp_kobj 2] *)
   | Imp_zipper
-  | Imp_no_collapse of analysis
-      (** same analysis with the solver's online cycle collapsing disabled
-          (differential testing, the E11 bench comparison) *)
   | Doop_ci
   | Doop_csc
   | Doop_2obj
@@ -45,17 +41,27 @@ val analysis_names : string list
     {v
     analysis ::= "ci" | "csc" | "csc-field" | "csc-container"
                | "csc-localflow" | "zipper-e"
+               | "csc-"<b>"-"<b>"-"<b>                  (b: true, false; the
+                                                         other CSC configs)
                | <K>"obj" | <K>"type" | <K>"call"        (positive K)
                | "kobj:"<K> | "ktype:"<K> | "kcall:"<K>  (same, colon form)
                | "doop-"<d> | "doop:"<d>                 (d: ci, csc, 2obj,
                                                           2type, zipper-e)
-               | "no-collapse:"<analysis>                (imperative only)
     v}
 
-    [Error msg] describes the failure and restates the grammar. The parse is
-    compatible with {!name}: [analysis_of_string (name a) = Ok a] for every
-    [a] the CLI can spell. *)
+    [Error msg] describes the failure and restates the grammar; a
+    ["no-collapse:"] prefix is refused with a pointer to the [--no-collapse]
+    flag and the server's ["collapse": false]. The parse is compatible with
+    {!name}: [analysis_of_string (name a)] succeeds for every [a], with the
+    same name and the same {!plan_name}. *)
 val analysis_of_string : string -> (analysis, string) result
+
+(** The decoded execution plan of an analysis, rendered: engine, context
+    selector, CSC plugin config or Datalog kind, and Zipper's staging. Two
+    analyses with the same plan name run identically. The plan itself is
+    private to this module; no other module maps an analysis to a selector
+    or a Datalog kind. *)
+val plan_name : analysis -> string
 
 (** True for the Doop-engine analyses (their times are not comparable with
     the imperative engine's; dispatch on this, not on name prefixes). *)
@@ -77,7 +83,7 @@ type outcome = {
           timed out (the aborted state), [None] only for Datalog timeouts *)
   o_profile : Csc_obs.Attr.profile option;
       (** cost attribution (hot methods/pointers/rules), present iff the run
-          was started with [~profile:true] and did not time out *)
+          was started with [sp_profile] and did not time out *)
 }
 
 (** An explicit run request: the analysis to run plus every knob {!run_spec}
@@ -88,14 +94,39 @@ type outcome = {
     so new knobs don't break callers. *)
 type spec = {
   sp_analysis : analysis;
-  sp_budget_s : float option;  (** wall-clock budget, [None] = unlimited *)
-  sp_validate : bool;          (** IR validation before analyzing *)
-  sp_explain : bool;           (** record points-to provenance *)
-  sp_collapse : bool;          (** online cycle collapsing (imperative) *)
-  sp_profile : bool;           (** cost attribution into [o_profile] *)
+  sp_budget_s : float option;
+      (** wall-clock budget in seconds, [None] = unlimited (a 4 GB heap cap
+          applies too). Timeouts are reported in the outcome, not raised —
+          like the paper's ">2h" cells. *)
+  sp_validate : bool;
+      (** run {!Csc_ir.Validate.check_exn} first, so malformed IR fails fast
+          (raising [Failure]) instead of corrupting analysis results; the
+          test suite keeps it always on *)
+  sp_explain : bool;
+      (** record points-to provenance on the imperative engine (adds a
+          [prov_records] counter to the snapshot); no effect on Doop
+          analyses *)
+  sp_collapse : bool;
+      (** the imperative solver's online cycle collapsing —
+          semantics-preserving, so results only differ in speed. Off, an
+          imperative outcome is labelled [<name>+nocollapse]. *)
+  sp_profile : bool;
+      (** cost attribution into [o_profile]: per-method/per-pointer
+          propagation on the imperative engine (for Zipper, the main
+          selective analysis), per-rule/per-stratum tuples and time on the
+          Datalog engine (pre + main phases combined) *)
   sp_profile_top : int;        (** rows per rendered profile table *)
-  sp_progress_s : float option;  (** stderr heartbeat cadence *)
-  sp_jobs : int;               (** imperative solver domains *)
+  sp_progress_s : float option;
+      (** emit a heartbeat line to stderr every that-many seconds of solving
+          on either engine *)
+  sp_jobs : int;
+      (** solve imperative analyses on that many domains via the sharded
+          bulk-synchronous engine ({!Csc_pta.Par}) — the fixpoint, precision
+          metrics and plugin behaviour are identical to the sequential
+          solver for every value. When [jobs > 1] cannot be honoured — a
+          sequential-only build (OCaml < 5), provenance recording, or a
+          Datalog analysis — the run falls back to one domain and says why
+          on stderr rather than degrading silently. *)
 }
 
 (** [spec a] is the default request for analysis [a]: no budget, no
@@ -103,22 +134,33 @@ type spec = {
     heartbeat, one domain. *)
 val spec : analysis -> spec
 
-(** Cache-key normalization: fields that cannot change the outcome (today
-    only [sp_progress_s], a pure stderr cadence) reset to their defaults, so
-    a result cache keyed on [spec_key s] is shared across them. *)
+(** Cache-key normalization: fields that cannot change the outcome (the
+    [sp_progress_s] stderr cadence) reset to their defaults and [Imp_2obj]
+    becomes [Imp_kobj 2], so a result cache keyed on [spec_key s] is shared
+    across them. *)
 val spec_key : spec -> spec
 
-(** Run one analysis as described by the request record. Semantics of the
-    individual knobs are documented on {!run}, which is a thin
-    optional-argument wrapper over this function. *)
+(** The outcome label of a request ([o_analysis]): the analysis name, plus
+    ["+nocollapse"] for an imperative run with [sp_collapse = false]. *)
+val spec_name : spec -> string
+
+(** Run one analysis as described by the request record. *)
 val run_spec : spec -> Ir.program -> outcome
+
+(** {!run_spec} on an analysis with a single imperative solve, also
+    returning the finished solver ([None] on timeout) so callers can query
+    engine state such as provenance. [Error `Staged] for Zipper^e (two
+    solves) and [Error `Datalog] for the Datalog engine, before any work. *)
+val run_spec_solver :
+  spec ->
+  Ir.program ->
+  (outcome * Solver.t option, [ `Staged | `Datalog ]) result
 
 (** Retained engine state of a completed run (program, solved solver, CSC
     plugin handle) — the anchor for {!update}. *)
 type state
 
-(** Analyses the incremental engine supports: CI and the CSC family
-    (optionally under [no-collapse]). *)
+(** Analyses the incremental engine supports: CI and the CSC family. *)
 val inc_supported : analysis -> bool
 
 (** Like {!run_spec}, but also return the retained {!state} when
@@ -134,45 +176,6 @@ val run_spec_keep : spec -> Ir.program -> outcome * state option
     which path ran and how much was reused. *)
 val update :
   spec -> prev:state -> Ir.program -> outcome * state option * Csc_pta.Inc.info
-
-(** Run one analysis under an optional wall-clock budget (seconds; a 4 GB
-    heap cap applies too). Timeouts are reported in the outcome, not
-    raised — like the paper's ">2h" cells. [validate] (default false) runs
-    {!Csc_ir.Validate.check_exn} on the program first, so malformed IR fails
-    fast (raising [Failure]) instead of corrupting analysis results; the
-    test suite keeps it always on. [explain] (default false) records
-    points-to provenance on the imperative engine (adds a [prov_records]
-    counter to the snapshot); it has no effect on Doop analyses.
-    [collapse] (default true) controls the imperative solver's online cycle
-    collapsing — semantics-preserving, so results only differ in speed;
-    [Imp_no_collapse] is the same switch as an analysis value.
-
-    [profile] (default false) collects cost attribution into [o_profile]:
-    per-method/per-pointer propagation on the imperative engine (for Zipper,
-    the main selective analysis), per-rule/per-stratum tuples and time on the
-    Datalog engine (pre + main phases combined); [profile_top] (default 25)
-    caps each rendered table. [progress_s] emits a heartbeat line to stderr
-    every that-many seconds of solving on either engine.
-
-    [jobs] (default 1) solves imperative analyses on that many domains via
-    the sharded bulk-synchronous engine ({!Csc_pta.Par}) — the fixpoint,
-    precision metrics and plugin behaviour are identical to the sequential
-    solver for every value. When a requested [jobs > 1] cannot be honoured —
-    a sequential-only build (OCaml < 5), provenance recording ([explain]),
-    or a Datalog analysis — the run falls back to one domain and says why on
-    stderr rather than degrading silently. *)
-val run :
-  ?budget_s:float ->
-  ?validate:bool ->
-  ?explain:bool ->
-  ?collapse:bool ->
-  ?profile:bool ->
-  ?profile_top:int ->
-  ?progress_s:float ->
-  ?jobs:int ->
-  Ir.program ->
-  analysis ->
-  outcome
 
 type recall_report = {
   rc_analysis : string;

@@ -51,17 +51,19 @@ type violation = {
 let pp_violation ppf v =
   Fmt.pf ppf "[%s] %s: %s" (kind_name v.v_kind) v.v_analysis v.v_detail
 
+let no_collapse a = { (Run.spec a) with Run.sp_collapse = false }
+
 (** The engine/configuration matrix every generated program is checked
     against: imperative and Datalog engines, CSC off and on, and (for the
     imperative engine) cycle collapsing off and on. *)
-let default_matrix : Run.analysis list =
+let default_matrix : Run.spec list =
   [
-    Run.Imp_ci;
-    Run.Imp_csc;
-    Run.Imp_no_collapse Run.Imp_ci;
-    Run.Imp_no_collapse Run.Imp_csc;
-    Run.Doop_ci;
-    Run.Doop_csc;
+    Run.spec Run.Imp_ci;
+    Run.spec Run.Imp_csc;
+    no_collapse Run.Imp_ci;
+    no_collapse Run.Imp_csc;
+    Run.spec Run.Doop_ci;
+    Run.spec Run.Doop_csc;
   ]
 
 (** IR statements in application (non-JDK) methods — the size metric for
@@ -201,8 +203,8 @@ let check ?(matrix = default_matrix) ?(max_steps = 2_000_000) ?(jobs = 1)
   let results =
     List.map
       (fun a ->
-        let aname = Run.name a in
-        match Run.run ~validate:false ~jobs p a with
+        let aname = Run.spec_name a in
+        match Run.run_spec { a with Run.sp_jobs = jobs } p with
         | { Run.o_result = Some r; _ } -> (a, aname, Ok r)
         | { Run.o_timeout; _ } ->
           ( a,
@@ -242,13 +244,14 @@ let check ?(matrix = default_matrix) ?(max_steps = 2_000_000) ?(jobs = 1)
   in
   let pair a b kind =
     match (find a, find b) with
-    | Some ra, Some rb -> cross_check p (Run.name a) (Run.name b) ra rb kind
+    | Some ra, Some rb ->
+      cross_check p (Run.spec_name a) (Run.spec_name b) ra rb kind
     | _ -> []
   in
   violations
-  @ pair Run.Imp_ci Run.Doop_ci Engine_mismatch
-  @ pair Run.Imp_ci (Run.Imp_no_collapse Run.Imp_ci) Collapse_mismatch
-  @ pair Run.Imp_csc (Run.Imp_no_collapse Run.Imp_csc) Collapse_mismatch
+  @ pair (Run.spec Run.Imp_ci) (Run.spec Run.Doop_ci) Engine_mismatch
+  @ pair (Run.spec Run.Imp_ci) (no_collapse Run.Imp_ci) Collapse_mismatch
+  @ pair (Run.spec Run.Imp_csc) (no_collapse Run.Imp_csc) Collapse_mismatch
 
 (* ---- incremental oracle: update ≡ fresh solve, bit for bit ---- *)
 
@@ -264,15 +267,16 @@ let inc_mode_str (info : Csc_pta.Inc.info) =
     mismatch at step [k] pins the failure to the single edit
     [(rev k-1, rev k)] — the state entering step [k] was itself verified
     identical to a fresh solve. *)
-let check_incremental ?(analyses = [ Run.Imp_ci; Run.Imp_csc ]) ?(jobs = 1)
+let check_incremental
+    ?(analyses = [ Run.spec Run.Imp_ci; Run.spec Run.Imp_csc ]) ?(jobs = 1)
     (revs : Ir.program list) : violation list =
   match revs with
   | [] -> []
   | p0 :: rest ->
     List.concat_map
       (fun a ->
-        let aname = Run.name a in
-        let spec = { (Run.spec a) with Run.sp_jobs = jobs } in
+        let aname = Run.spec_name a in
+        let spec = { a with Run.sp_jobs = jobs } in
         let out = ref [] in
         let crash k e =
           out :=

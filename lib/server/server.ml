@@ -246,8 +246,7 @@ let handle_explain t req =
   let p, _ = program_of_request t req in
   let limit = Option.value ~default:5 (int_member "limit" req) in
   match
-    Explain.run ?budget_s:spec.Run.sp_budget_s ?var:(str_member "var" req)
-      ~limit p spec.Run.sp_analysis
+    Explain.run ?var:(str_member "var" req) ~limit spec p
   with
   | Error msg -> reject "bad-request" msg
   | Ok facts ->

@@ -162,7 +162,8 @@ let test_disabled_path_no_alloc () =
 
 let profile_of_run analysis =
   let p = compile Fixtures.carton in
-  match (Run.run ~validate:true ~profile:true p analysis).Run.o_profile with
+  let s = { (Run.spec analysis) with sp_validate = true; sp_profile = true } in
+  match (Run.run_spec s p).Run.o_profile with
   | Some pr -> pr
   | None -> Alcotest.fail "profiled run produced no profile"
 
@@ -204,7 +205,14 @@ let test_profile_top_trims () =
   Alcotest.(check bool) "several method rows" true
     (List.length pr.Attr.p_methods > 1);
   let p = compile Fixtures.carton in
-  let o = Run.run ~validate:true ~profile:true ~profile_top:1 p Run.Imp_ci in
+  let o =
+    Run.run_spec
+      { (Run.spec Run.Imp_ci) with
+        sp_validate = true;
+        sp_profile = true;
+        sp_profile_top = 1 }
+      p
+  in
   match o.Run.o_profile with
   | Some pr1 ->
     Alcotest.(check int) "top=1 keeps one method row" 1

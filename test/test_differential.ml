@@ -39,8 +39,8 @@ let check_identical (p : Ir.program) tag (a : Run.outcome) (b : Run.outcome) =
 
 let differential analysis src tag =
   let p = compile src in
-  let on = Run.run p analysis in
-  let off = Run.run p (Run.Imp_no_collapse analysis) in
+  let on = Run.run_spec (Run.spec analysis) p in
+  let off = Run.run_spec { (Run.spec analysis) with sp_collapse = false } p in
   check_identical p tag on off
 
 let test_fixtures_ci () =

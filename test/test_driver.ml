@@ -8,6 +8,8 @@ module Metrics = Csc_clients.Metrics
 module Solver = Csc_pta.Solver
 module Bits = Csc_common.Bits
 
+let run p a = Run.run_spec (Run.spec a) p
+
 let test_zipper_selects_containers () =
   let p = compile Fixtures.containers in
   let pre = Solver.(result (analyze p)) in
@@ -49,11 +51,11 @@ class Main {
 
 let test_zipper_main_analysis_precision () =
   let p = compile Fixtures.carton in
-  let o = Run.run p Run.Imp_zipper in
+  let o = run p Run.Imp_zipper in
   match o.o_metrics with
   | None -> Alcotest.fail "zipper timed out on a tiny program"
   | Some m ->
-    let ci = Run.run p Run.Imp_ci in
+    let ci = run p Run.Imp_ci in
     let ci_m = Option.get ci.o_metrics in
     Alcotest.(check bool) "zipper at least as precise as CI" true
       (Metrics.better_or_equal m ci_m)
@@ -62,7 +64,7 @@ let test_run_all_analyses_on_fixture () =
   let p = compile Fixtures.containers in
   List.iter
     (fun a ->
-      let o = Run.run p a in
+      let o = run p a in
       Alcotest.(check bool)
         (Run.name a ^ " completes")
         true (not o.o_timeout);
@@ -74,17 +76,17 @@ let test_run_all_analyses_on_fixture () =
 let test_metrics_ordering () =
   (* CI is the least precise of all completing analyses, on every metric *)
   let p = compile Fixtures.containers in
-  let ci = Option.get (Run.run p Run.Imp_ci).o_metrics in
+  let ci = Option.get (run p Run.Imp_ci).o_metrics in
   List.iter
     (fun a ->
-      match (Run.run p a).o_metrics with
+      match (run p a).o_metrics with
       | Some m ->
         Alcotest.(check bool)
           (Run.name a ^ " at least as precise as CI")
           true
           (Metrics.better_or_equal m ci)
       | None -> ())
-    [ Run.Imp_csc; Run.Imp_2obj; Run.Imp_2type; Run.Imp_zipper; Run.Doop_csc ]
+    [ Run.Imp_csc; Run.Imp_kobj 2; Run.Imp_ktype 2; Run.Imp_zipper; Run.Doop_csc ]
 
 let test_recall_api () =
   let p = compile Fixtures.arith in
@@ -106,15 +108,15 @@ let test_overlap () =
 
 let test_csc_outcome_extras () =
   let p = compile Fixtures.carton in
-  let o = Run.run p Run.Imp_csc in
+  let o = run p Run.Imp_csc in
   Alcotest.(check bool) "has involved set" true (o.o_involved <> None);
   Alcotest.(check bool) "has shortcuts" true (o.o_shortcuts > 0)
 
 let test_workload_end_to_end () =
   (* the full pipeline on the smallest workload: CI vs CSC *)
   let p = Csc_workloads.Suite.compile "hsqldb" in
-  let ci = Run.run ~budget_s:60. p Run.Imp_ci in
-  let csc = Run.run ~budget_s:60. p Run.Imp_csc in
+  let ci = Run.run_spec { (Run.spec Run.Imp_ci) with sp_budget_s = Some 60. } p in
+  let csc = Run.run_spec { (Run.spec Run.Imp_csc) with sp_budget_s = Some 60. } p in
   match (ci.o_metrics, csc.o_metrics) with
   | Some mi, Some mc ->
     Alcotest.(check bool) "csc more precise on fail-cast" true
@@ -122,6 +124,20 @@ let test_workload_end_to_end () =
     Alcotest.(check bool) "csc call graph no larger" true
       (mc.call_edge <= mi.call_edge)
   | _ -> Alcotest.fail "timeout on hsqldb"
+
+(* the validator bad-main corruption: setItem is neither static nor
+   parameterless *)
+let test_explain_validates () =
+  let p = compile Fixtures.carton in
+  let corrupted =
+    { p with Ir.main = (find_method p "Carton.setItem").Ir.m_id }
+  in
+  let s = { (Run.spec Run.Imp_csc) with Run.sp_validate = true } in
+  let failure f = match f () with _ -> None | exception Failure m -> Some m in
+  let batch = failure (fun () -> Run.run_spec s corrupted) in
+  Alcotest.(check bool) "run_spec refuses the program" true (batch <> None);
+  Alcotest.(check (option string)) "explain fails the same way" batch
+    (failure (fun () -> Csc_driver.Explain.run s corrupted))
 
 let suite =
   [
@@ -142,6 +158,8 @@ let suite =
         Alcotest.test_case "recall API" `Quick test_recall_api;
         Alcotest.test_case "overlap" `Quick test_overlap;
         Alcotest.test_case "csc outcome extras" `Quick test_csc_outcome_extras;
+        Alcotest.test_case "explain honours validate" `Quick
+          test_explain_validates;
         Alcotest.test_case "workload end-to-end" `Slow test_workload_end_to_end;
       ] );
   ]

@@ -122,8 +122,9 @@ class Main {
 let test_involved_vs_selected_accounting () =
   (* the Table 3 machinery end to end on a fixture *)
   let p = compile Fixtures.containers in
-  let csc = Csc_driver.Run.run p Csc_driver.Run.Imp_csc in
-  let zip = Csc_driver.Run.run p Csc_driver.Run.Imp_zipper in
+  let run a = Csc_driver.Run.(run_spec (spec a)) p in
+  let csc = run Csc_driver.Run.Imp_csc in
+  let zip = run Csc_driver.Run.Imp_zipper in
   match (csc.o_involved, zip.o_selected) with
   | Some involved, Some selected ->
     Alcotest.(check bool) "some methods involved" true (Bits.cardinal involved > 0);

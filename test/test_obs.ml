@@ -248,7 +248,7 @@ let test_timeout_outcome_snapshot () =
   (* the solver timeout path must flag the outcome AND still deliver a
      well-formed snapshot of the aborted state *)
   let p = compile Fixtures.carton in
-  let o = Run.run ~budget_s:1e-9 p Run.Imp_ci in
+  let o = Run.run_spec { (Run.spec Run.Imp_ci) with sp_budget_s = Some 1e-9 } p in
   Alcotest.(check bool) "timed out" true o.Run.o_timeout;
   match o.Run.o_snapshot with
   | None -> Alcotest.fail "timed-out outcome lost its snapshot"

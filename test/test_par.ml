@@ -52,12 +52,13 @@ let check_same (p : Ir.program) tag (seq : Run.outcome) (par : Run.outcome) =
     true
     (Option.get seq.Run.o_metrics = Option.get par.Run.o_metrics)
 
-let differential analysis src tag =
+let differential ?(collapse = true) analysis src tag =
   let p = compile src in
-  let seq = Run.run p analysis in
+  let s = { (Run.spec analysis) with sp_collapse = collapse } in
+  let seq = Run.run_spec s p in
   List.iter
     (fun jobs ->
-      let par = Run.run ~jobs p analysis in
+      let par = Run.run_spec { s with sp_jobs = jobs } p in
       check_same p (Printf.sprintf "%s@j%d" tag jobs) seq par)
     [ 2; 4 ]
 
@@ -85,7 +86,7 @@ let test_generated_workload () =
    entirely when the solver was created with [~collapse:false]). *)
 let test_no_collapse () =
   let src = Gen.generate Gen.small_shape in
-  differential (Run.Imp_no_collapse Run.Imp_csc) src "gen/csc-nocollapse"
+  differential ~collapse:false Run.Imp_csc src "gen/csc-nocollapse"
 
 (* Dynamic behaviour ⊆ static result for every analysis in the oracle
    matrix, with the imperative solves running on 4 domains: the soundness

@@ -1,5 +1,6 @@
 (** Pinned outputs of the warm reads: the client answers a server renders
-    from an already-solved program ([pt], [callgraph], [check]). Each
+    from an already-solved program ([pt], [callgraph], [check]), plus the
+    [explain] facts, which solve afresh with provenance on. Each
     rendering is pinned by the MD5 of its text, so an optimization of the
     exporters, the JSON printer or the checkers must keep every byte. The
     digests were recorded before those layers were optimized; a deliberate
@@ -11,6 +12,7 @@ module Export = Csc_driver.Export
 module Json = Csc_obs.Json
 module Checks = Csc_checks.Checks
 module Diagnostic = Csc_checks.Diagnostic
+module Explain = Csc_driver.Explain
 
 let renderings (p : Ir.program) : (string * string) list =
   let o = Run.run_spec (Run.spec Run.Imp_csc) p in
@@ -67,8 +69,73 @@ let test_program name () =
   if mismatches <> [] then
     Alcotest.failf "renderings changed:\n%s" (String.concat "\n" mismatches)
 
+(* Explain facts rendered as the CLI prints them, pinned the same way:
+   (program, analysis, var) -> MD5; var [None] is scan mode. Limit 5. *)
+let explain_pinned =
+  [ (("nullbugs.mjava", "ci", None), "7d7d8a0a21545e54743ce7daa32df0ed");
+    (("nullbugs.mjava", "csc", None), "34c2c5cfefb4d12b88c95f1538f68dbf");
+    (("nullbugs.mjava", "2obj", None), "83db7c7f384b08387e7b6ace271a3836");
+    (("nullbugs.mjava", "csc", Some "main.j"),
+     "dd258a98128b28f46f8e588c63840f74");
+    (("nullbugs.mjava", "2obj", Some "main.j"),
+     "1b1cd0ef34681881136fb06843da6542");
+    (("findbugs", "ci", None), "b2090f8dbf2a5d110d575aa207821543");
+    (("findbugs", "csc", None), "b2090f8dbf2a5d110d575aa207821543");
+    (("findbugs", "2obj", None), "b2090f8dbf2a5d110d575aa207821543");
+    (("findbugs", "csc", Some "op0_0.back"),
+     "80901ea6cb71de82104fd594c5665ce8");
+    (("findbugs", "2obj", Some "op0_0.back"),
+     "f9f8561544f9a6f3afe89a07ff25bdfb") ]
+
+let render_facts facts =
+  String.concat ""
+    (List.map
+       (fun (f : Explain.fact) ->
+         Printf.sprintf "why %s -> %s:\n%s" f.x_ptr f.x_obj
+           (String.concat "" (List.map (fun l -> "  " ^ l ^ "\n") f.x_chain)))
+       facts)
+
+let explain ?var a p =
+  match Run.analysis_of_string a with
+  | Error e -> Alcotest.fail e
+  | Ok a -> Explain.run ?var ~limit:5 (Run.spec a) p
+
+let test_explain name () =
+  let p = program name in
+  List.iter
+    (fun ((n, a, var), md5) ->
+      if n = name then
+        match explain ?var a p with
+        | Error e -> Alcotest.failf "%s %s: %s" name a e
+        | Ok facts ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s %s" name a (Option.value ~default:"-" var))
+            md5
+            (Digest.to_hex (Digest.string (render_facts facts))))
+    explain_pinned
+
+let test_explain_errors () =
+  let p = program "nullbugs.mjava" in
+  let error a =
+    match explain a p with
+    | Ok _ -> Alcotest.failf "explain under %s should fail" a
+    | Error e -> e
+  in
+  Alcotest.(check string) "zipper-e"
+    "explain: zipper-e is two staged solves; explain its base instead"
+    (error "zipper-e");
+  Alcotest.(check string) "doop-csc"
+    "explain: \"doop-csc\" runs on the Datalog engine, which has no \
+     provenance recorder (imperative analyses only)"
+    (error "doop-csc")
+
 let suite =
   [ ( "pinned.renders",
       List.map
         (fun name -> Alcotest.test_case name `Quick (test_program name))
-        [ "nullbugs.mjava"; "findbugs"; "hsqldb" ] ) ]
+        [ "nullbugs.mjava"; "findbugs"; "hsqldb" ]
+      @ List.map
+          (fun name ->
+            Alcotest.test_case ("explain " ^ name) `Quick (test_explain name))
+          [ "nullbugs.mjava"; "findbugs" ]
+      @ [ Alcotest.test_case "explain errors" `Quick test_explain_errors ] ) ]

@@ -67,12 +67,12 @@ let test_grammar_forms () =
   in
   ok "kobj:3" (Run.Imp_kobj 3);
   ok "3obj" (Run.Imp_kobj 3);
-  ok "kobj:2" Run.Imp_2obj;
-  ok "ktype:2" Run.Imp_2type;
+  ok "kobj:2" (Run.Imp_kobj 2);
+  ok "ktype:2" (Run.Imp_ktype 2);
+  ok "2call" (Run.Imp_kcall 2);
   ok "kcall:1" (Run.Imp_kcall 1);
   ok "doop:csc" Run.Doop_csc;
-  ok "doop-csc" Run.Doop_csc;
-  ok "no-collapse:csc" (Run.Imp_no_collapse Run.Imp_csc)
+  ok "doop-csc" Run.Doop_csc
 
 let test_grammar_errors () =
   let bad s =
@@ -80,23 +80,80 @@ let test_grammar_errors () =
     | Ok _ -> Alcotest.failf "%s should not parse" s
     | Error e ->
       Alcotest.(check bool) ("error mentions input: " ^ s) true
-        (String.length e > 0)
+        (String.length e > 0);
+      e
   in
-  bad "bogus";
-  bad "kobj:0";
-  bad "kobj:x";
-  bad "0obj";
-  bad "doop:bogus";
-  bad "no-collapse:doop:csc"
+  List.iter
+    (fun s -> ignore (bad s))
+    [ "bogus"; "kobj:0"; "kobj:x"; "0obj"; "doop:bogus" ];
+  (* collapsing is a run switch; the refusal names both of its spellings *)
+  let e = bad "no-collapse:csc" in
+  List.iter
+    (fun affix ->
+      Alcotest.(check bool) ("error names " ^ affix) true
+        (Astring.String.is_infix ~affix e))
+    [ "--no-collapse"; "\"collapse\": false" ]
+
+(* the parent's hand-written tables, kept as the reference the decoded plan
+   must reproduce *)
+let ref_is_datalog = function
+  | Run.Doop_ci | Run.Doop_csc | Run.Doop_2obj | Run.Doop_2type
+  | Run.Doop_zipper ->
+    true
+  | _ -> false
+
+let ref_inc_supported = function
+  | Run.Imp_ci | Run.Imp_csc | Run.Imp_csc_cfg _ -> true
+  | _ -> false
+
+(* every analysis value: all constructors, k in 1..4, all 8 CSC configs *)
+let gen_analysis =
+  let open QCheck2.Gen in
+  let k = int_range 1 4 in
+  oneof
+    [ oneofl
+        Run.
+          [ Imp_ci; Imp_csc; Imp_2obj; Imp_zipper; Doop_ci; Doop_csc;
+            Doop_2obj; Doop_2type; Doop_zipper ];
+      map (fun k -> Run.Imp_kobj k) k;
+      map (fun k -> Run.Imp_ktype k) k;
+      map (fun k -> Run.Imp_kcall k) k;
+      map3
+        (fun field_pattern container_pattern local_flow ->
+          Run.Imp_csc_cfg
+            { Csc_core.Csc.field_pattern; container_pattern; local_flow })
+        bool bool bool ]
+
+let prop_grammar_plan =
+  QCheck2.Test.make ~name:"name parses back to the same name and plan"
+    ~count:300 ~print:Run.name gen_analysis (fun a ->
+      match Run.analysis_of_string (Run.name a) with
+      | Error e -> QCheck2.Test.fail_reportf "%s: %s" (Run.name a) e
+      | Ok a' ->
+        Run.name a' = Run.name a
+        && Run.plan_name a' = Run.plan_name a
+        && Run.is_datalog a = ref_is_datalog a
+        && Run.inc_supported a = ref_inc_supported a)
+
+let prop_plan_names_distinct =
+  QCheck2.Test.make ~name:"analyses share a plan iff they share a name"
+    ~count:300
+    ~print:(fun (a, b) -> Run.name a ^ " / " ^ Run.name b)
+    QCheck2.Gen.(pair gen_analysis gen_analysis)
+    (fun (a, b) ->
+      (Run.plan_name a = Run.plan_name b) = (Run.name a = Run.name b))
 
 (* ---------------------------------------------------------------- session *)
 
-let test_run_spec_equals_run () =
+let test_collapse_off_label () =
   let p = compile Fixtures.carton in
-  let a = Run.run p Run.Imp_csc in
-  let b = Run.run_spec (Run.spec Run.Imp_csc) p in
-  Alcotest.(check bool) "same metrics" true (a.Run.o_metrics = b.Run.o_metrics);
-  Alcotest.(check string) "same name" a.Run.o_analysis b.Run.o_analysis
+  let on = Run.run_spec (Run.spec Run.Imp_csc) p in
+  let off =
+    Run.run_spec { (Run.spec Run.Imp_csc) with Run.sp_collapse = false } p
+  in
+  Alcotest.(check string) "collapse on" "csc" on.Run.o_analysis;
+  Alcotest.(check string) "collapse off" "csc+nocollapse" off.Run.o_analysis;
+  Alcotest.(check bool) "same metrics" true (on.Run.o_metrics = off.Run.o_metrics)
 
 let test_session_hit_miss () =
   let s = Session.create () in
@@ -383,10 +440,13 @@ let suite =
           test_grammar_roundtrip;
         Alcotest.test_case "generalized forms" `Quick test_grammar_forms;
         Alcotest.test_case "rejects bad spellings" `Quick test_grammar_errors;
+        QCheck_alcotest.to_alcotest prop_grammar_plan;
+        QCheck_alcotest.to_alcotest prop_plan_names_distinct;
       ] );
     ( "server.session",
       [
-        Alcotest.test_case "run_spec equals run" `Quick test_run_spec_equals_run;
+        Alcotest.test_case "collapse off is labelled" `Quick
+          test_collapse_off_label;
         Alcotest.test_case "hit/miss accounting" `Quick test_session_hit_miss;
         Alcotest.test_case "digest keying" `Quick test_session_digest_change;
         Alcotest.test_case "LRU eviction under a tiny bound" `Quick
