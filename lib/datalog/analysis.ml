@@ -415,22 +415,28 @@ let result_of_cs (t : E.t) (objs : (int * int) Interner.t) ~name ~time :
     r_snapshot = dl_snapshot t ~time;
   }
 
-exception Timeout = Timer.Out_of_budget
+exception Timeout of Snapshot.t
 
-(** Run a declarative analysis end to end. Raises {!Timeout} on budget
-    expiry. [attr] collects per-rule/per-stratum cost attribution;
-    [progress_s] enables the engine's heartbeat. *)
+(** Run a declarative analysis end to end. Raises {!Timeout} with the
+    aborted engine's snapshot on budget expiry. [attr] collects
+    per-rule/per-stratum cost attribution; [progress_s] enables the
+    engine's heartbeat. *)
 let run ?(budget = Timer.no_budget) ?attr ?progress_s (p : Ir.program)
     (kind : kind) : Solver.result =
   let t0 = Timer.now () in
   let t = create () in
+  let solve t =
+    try solve ~budget ?attr ?progress_s t
+    with Timer.Out_of_budget ->
+      raise (Timeout (dl_snapshot t ~time:(Timer.now () -. t0)))
+  in
   match kind with
   | Ci | Csc_doop ->
     let csc = kind = Csc_doop in
     ignore (Facts.load ~csc t p);
     ci_rules t;
     if csc then csc_rules t;
-    solve ~budget ?attr ?progress_s t;
+    solve t;
     result_of_ci t p ~name:(kind_name kind) ~time:(Timer.now () -. t0)
   | Obj2 | Type2 | Selective2obj _ ->
     ignore (Facts.load ~csc:false t p);
@@ -442,5 +448,5 @@ let run ?(budget = Timer.no_budget) ?attr ?progress_s (p : Ir.program)
       | _ -> assert false
     in
     let objs = cs_rules t p pol in
-    solve ~budget ?attr ?progress_s t;
+    solve t;
     result_of_cs t objs ~name:(kind_name kind) ~time:(Timer.now () -. t0)

@@ -22,7 +22,9 @@ type kind =
 
 val kind_name : kind -> string
 
-exception Timeout
+(** Budget expiry, carrying the aborted engine's snapshot (tuples derived
+    so far and elapsed time), as the imperative solver's timeout does. *)
+exception Timeout of Csc_obs.Snapshot.t
 
 (** Run a declarative analysis end to end, producing the same
     engine-agnostic result shape as the imperative solver (tested to be

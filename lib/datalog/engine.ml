@@ -4,8 +4,9 @@
     the declarative version of the pointer analysis is expressed as rules
     evaluated here. Features: automatic stratification, stratified negation
     (a negated atom may only mention relations of strictly lower strata),
-    lazily-built hash indices per (relation, bound-column mask), and
-    semi-naive delta iteration inside each stratum. *)
+    lazily-built hash indices per (relation, bound-column mask), semi-naive
+    delta iteration inside each stratum, and a join planner that orders each
+    rule's body by estimated index selectivity once per round. *)
 
 open Csc_common
 module Trace = Csc_obs.Trace
@@ -44,34 +45,84 @@ let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 
 (* ------------------------------------------------------------- relations *)
 
+(* tuple keys: int arrays hashed and compared without the polymorphic
+   primitives *)
+module Key = struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = Array.length a in
+    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
+    n = Array.length b && go 0
+
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 65599) + a.(i)
+    done;
+    !h land max_int
+end
+
+module KH = Hashtbl.Make (Key)
+
+(* an append-only tuple vector. Scans read [v_len] once and then index
+   [v_data] afresh per tuple, so tuples appended during a scan (rules that
+   derive into a relation they read) are not visited by it. *)
+type vec = { mutable v_data : int array array; mutable v_len : int }
+
+let vec_create () = { v_data = [||]; v_len = 0 }
+
+let vec_push v x =
+  if v.v_len = Array.length v.v_data then begin
+    let data = Array.make (max 2 (2 * v.v_len)) [||] in
+    Array.blit v.v_data 0 data 0 v.v_len;
+    v.v_data <- data
+  end;
+  v.v_data.(v.v_len) <- x;
+  v.v_len <- v.v_len + 1
+
+let empty_vec = vec_create ()
+
+(* a hash index on the columns [ix_cols] (bitmask [ix_mask]): projected key
+   -> matching tuples. Its size is the number of distinct keys, which the
+   join planner reads as the index's selectivity. *)
+type index = {
+  ix_mask : int;
+  ix_cols : int array;
+  ix_tbl : vec KH.t;
+  ix_key : int array;  (* scratch key for [index_add] *)
+}
+
 type relation = {
   r_name : string;
   r_arity : int;
-  r_tuples : (int array, unit) Hashtbl.t;
-  (* indices: key = bitmask of bound columns; value maps the projected key
-     to the list of matching tuples *)
-  mutable r_indices : (int * (int list, int array list ref) Hashtbl.t) list;
+  r_set : unit KH.t;
+  r_all : vec;  (* every tuple, in insertion order *)
+  mutable r_indices : index list;
+  (* semi-naive delta: the tuples derived in the previous round are
+     [r_all] positions [r_dlo, r_dhi); [r_seen] is [r_all]'s length when
+     the current round started *)
+  mutable r_dlo : int;
+  mutable r_dhi : int;
+  mutable r_seen : int;
 }
-
-let key_of mask (tup : int array) : int list =
-  let k = ref [] in
-  for i = Array.length tup - 1 downto 0 do
-    if mask land (1 lsl i) <> 0 then k := tup.(i) :: !k
-  done;
-  !k
 
 type t = {
   rels : (string, relation) Hashtbl.t;
   builtins : (string, int array -> int) Hashtbl.t;
   mutable rules : rule list;
   mutable n_derived : int;
+  mutable n_scans : int;  (* candidates scanned, see [tick] *)
+  mutable n_emits : int;  (* head instantiations, new or not *)
+  mutable budget : Timer.budget;
 }
 
 let create () =
   { rels = Hashtbl.create 64; builtins = Hashtbl.create 8; rules = [];
-    n_derived = 0 }
+    n_derived = 0; n_scans = 0; n_emits = 0; budget = Timer.no_budget }
 
-(** Register a builtin function callable from rules via {!fn}. *)
+(** Register a builtin function callable from rules via {!fn}. The engine
+    reuses the argument array between calls, so [f] must not retain it. *)
 let add_builtin t name (f : int array -> int) = Hashtbl.replace t.builtins name f
 
 let relation t name arity : relation =
@@ -82,43 +133,57 @@ let relation t name arity : relation =
     r
   | None ->
     let r =
-      { r_name = name; r_arity = arity; r_tuples = Hashtbl.create 64;
-        r_indices = [] }
+      { r_name = name; r_arity = arity; r_set = KH.create 64;
+        r_all = vec_create (); r_indices = []; r_dlo = 0; r_dhi = 0;
+        r_seen = 0 }
     in
     Hashtbl.add t.rels name r;
     r
 
-let mem_tuple (r : relation) tup = Hashtbl.mem r.r_tuples tup
+let index_add ix (tup : int array) =
+  let key = ix.ix_key in
+  for i = 0 to Array.length key - 1 do
+    key.(i) <- tup.(ix.ix_cols.(i))
+  done;
+  match KH.find ix.ix_tbl key with
+  | v -> vec_push v tup
+  | exception Not_found ->
+    let v = vec_create () in
+    vec_push v tup;
+    KH.add ix.ix_tbl (Array.copy key) v
 
-(* insert into the tuple set and every built index; returns true if new *)
+(* insert a tuple known to be absent into the set, [r_all] and every built
+   index *)
+let add_new (r : relation) (tup : int array) =
+  KH.add r.r_set tup ();
+  vec_push r.r_all tup;
+  List.iter (fun ix -> index_add ix tup) r.r_indices
+
 let insert (r : relation) (tup : int array) : bool =
-  if Hashtbl.mem r.r_tuples tup then false
+  if KH.mem r.r_set tup then false
   else begin
-    Hashtbl.add r.r_tuples tup ();
-    List.iter
-      (fun (mask, idx) ->
-        let k = key_of mask tup in
-        match Hashtbl.find_opt idx k with
-        | Some l -> l := tup :: !l
-        | None -> Hashtbl.add idx k (ref [ tup ]))
-      r.r_indices;
+    add_new r tup;
     true
   end
 
-let index_for (r : relation) (mask : int) =
-  match List.assoc_opt mask r.r_indices with
-  | Some idx -> idx
+let index_for (r : relation) (mask : int) : index =
+  match List.find_opt (fun ix -> ix.ix_mask = mask) r.r_indices with
+  | Some ix -> ix
   | None ->
-    let idx = Hashtbl.create (max 64 (Hashtbl.length r.r_tuples)) in
-    Hashtbl.iter
-      (fun tup () ->
-        let k = key_of mask tup in
-        match Hashtbl.find_opt idx k with
-        | Some l -> l := tup :: !l
-        | None -> Hashtbl.add idx k (ref [ tup ]))
-      r.r_tuples;
-    r.r_indices <- (mask, idx) :: r.r_indices;
-    idx
+    let cols =
+      List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init r.r_arity Fun.id)
+      |> Array.of_list
+    in
+    let ix =
+      { ix_mask = mask; ix_cols = cols;
+        ix_tbl = KH.create (max 64 (r.r_all.v_len / 4));
+        ix_key = Array.make (Array.length cols) 0 }
+    in
+    for i = 0 to r.r_all.v_len - 1 do
+      index_add ix r.r_all.v_data.(i)
+    done;
+    r.r_indices <- ix :: r.r_indices;
+    ix
 
 (** Add an EDB fact. *)
 let fact t name args =
@@ -195,38 +260,27 @@ let stratify t : (string, int) Hashtbl.t =
 (* ------------------------------------------------------------- evaluation *)
 
 (* Rules are compiled once per [solve]: variables become integer slots in a
-   flat environment array (the sentinel [unbound] marks free slots), and each
-   body atom is resolved to its relation / builtin up front. *)
-
-let unbound = min_int
-
-(* candidate-scan budget accounting: huge joins can spend a long time without
-   deriving anything, so the deadline is also checked per scanned tuple
-   (set by [solve]; engines are evaluated one at a time). *)
-let scan_budget : Timer.budget ref = ref Timer.no_budget
-let scan_count = ref 0
-
-let tick () =
-  incr scan_count;
-  if !scan_count land 0x7ffff = 0 then Timer.check !scan_budget
+   flat environment array, and each body atom is resolved to its relation /
+   builtin up front. *)
 
 type slot = S_const of int | S_var of int
 
+type target = Rel of relation | Fn of (int array -> int)
+
 type catom = {
   ca_neg : bool;
-  ca_rel : relation option;            (* None for builtins *)
-  ca_fn : (int array -> int) option;
+  ca_target : target;
   ca_args : slot array;
 }
 
 type crule = {
   cr_head_rel : relation;
   cr_head : slot array;
+  cr_out : int array;  (* scratch head tuple *)
   cr_body : catom array;
-  cr_nvars : int;
-  cr_rule : rule;  (* original, for delta-atom positions *)
-  cr_label : string;  (* "Head :- Body, ..." for spans and attribution *)
-  mutable cr_time : float;  (* cumulative evaluation time, for profiling *)
+  cr_env : int array;  (* variable slots *)
+  cr_label : string;  (* "Head :- Body, ..." for attribution *)
+  cr_span : string;  (* "rule:" ^ cr_label *)
   mutable cr_arule : Attr.rule option;  (* attribution row, when profiling *)
 }
 
@@ -247,8 +301,9 @@ let compile_rule t (rule : rule) : crule =
       (fun a ->
         {
           ca_neg = a.neg;
-          ca_rel = (if a.builtin then None else Some (Hashtbl.find t.rels a.rel));
-          ca_fn = (if a.builtin then Some (Hashtbl.find t.builtins a.rel) else None);
+          ca_target =
+            (if a.builtin then Fn (Hashtbl.find t.builtins a.rel)
+             else Rel (Hashtbl.find t.rels a.rel));
           ca_args = Array.map slot_of a.args;
         })
       rule.body
@@ -270,208 +325,279 @@ let compile_rule t (rule : rule) : crule =
   {
     cr_head_rel = Hashtbl.find t.rels rule.head.rel;
     cr_head = head;
+    cr_out = Array.make (Array.length head) 0;
     cr_body = Array.of_list body;
-    cr_nvars = Hashtbl.length vars;
-    cr_rule = rule;
+    cr_env = Array.make (Hashtbl.length vars) 0;
     cr_label = label;
-    cr_time = 0.;
+    cr_span = "rule:" ^ label;
     cr_arule = None;
   }
 
-(* greedy join ordering: among the remaining atoms, prefer builtins and
-   negations whose inputs are bound, then the positive atom with the most
-   bound columns (ties: smallest relation). Without this, rules whose
-   textual order leaves an unbound atom early degenerate to full scans per
-   delta tuple. *)
-let pick_next (env : int array) (atoms : catom array) (remaining : int list) :
-    int option =
-  let bound_slot = function
-    | S_const _ -> true
-    | S_var v -> env.(v) <> unbound
-  in
-  let best = ref None in
-  let best_score = ref min_int in
-  List.iter
-    (fun i ->
-      let a = atoms.(i) in
-      let n = Array.length a.ca_args in
-      let nbound = ref 0 in
-      Array.iter (fun s -> if bound_slot s then incr nbound) a.ca_args;
-      let score =
-        match a.ca_rel with
-        | None ->
-          (* builtin: runnable once all inputs are bound *)
-          let inputs_bound =
-            let ok = ref true in
-            for j = 0 to n - 2 do
-              if not (bound_slot a.ca_args.(j)) then ok := false
-            done;
-            !ok
-          in
-          if inputs_bound then max_int else min_int
-        | Some r ->
-          if a.ca_neg then if !nbound = n then max_int else min_int
-          else if !nbound = n then max_int - 1
-          else
-            (* bound columns dominate: an indexed probe beats any full scan,
-               regardless of relation size *)
-            (1_000_000 * !nbound)
-            - min 999_999 (Hashtbl.length r.r_tuples)
-      in
-      if score > !best_score then begin
-        best_score := score;
-        best := Some i
-      end)
-    remaining;
-  !best
+(* Join plans. A plan lists a rule's body atoms in evaluation order, each
+   compiled against the variables bound before it, so evaluation makes no
+   per-binding decision: every column of a step is statically a key column
+   (filled from constants and bound variables before the probe), a binding
+   (the first occurrence of a free variable) or an equality check. *)
 
-(* evaluate the remaining body atoms under [env], calling [k] on success *)
-let rec eval_body (env : int array) (atoms : catom array) (remaining : int list)
-    (k : unit -> unit) =
-  match remaining with
-  | [] -> k ()
-  | _ ->
-    let i =
-      match pick_next env atoms remaining with
-      | Some i -> i
-      | None -> error "no evaluable atom (unbound builtin inputs?)"
-    in
-    let rest = List.filter (fun j -> j <> i) remaining in
-    let a = atoms.(i) in
-    let n = Array.length a.ca_args in
-    match a.ca_rel with
-    | None ->
-      (* builtin: inputs bound, last arg unified with the result *)
-      let f = Option.get a.ca_fn in
-      let inputs =
-        Array.init (n - 1) (fun j ->
-            match a.ca_args.(j) with
-            | S_const c -> c
-            | S_var v ->
-              let x = env.(v) in
-              if x = unbound then error "builtin: unbound input" else x)
-      in
-      let out = f inputs in
-      (match a.ca_args.(n - 1) with
-      | S_const c -> if out = c then eval_body env atoms rest k
-      | S_var v ->
-        let cur = env.(v) in
-        if cur = unbound then begin
-          env.(v) <- out;
-          eval_body env atoms rest k;
-          env.(v) <- unbound
-        end
-        else if cur = out then eval_body env atoms rest k)
-    | Some r ->
-      (* bound-column mask *)
-      let mask = ref 0 in
-      let fully_bound = ref true in
-      for j = 0 to n - 1 do
-        match a.ca_args.(j) with
-        | S_const _ -> mask := !mask lor (1 lsl j)
+type scan = {
+  s_rel : relation;
+  s_index : index option;  (* None: every tuple (or the delta) *)
+  s_key : int array;       (* probe key, constant positions prefilled *)
+  s_key_pos : int array;   (* key positions filled from ... *)
+  s_key_var : int array;   (* ... these variables *)
+  s_bind_col : int array;  (* env.(s_bind_var.(i)) <- tup.(s_bind_col.(i)) *)
+  s_bind_var : int array;
+  s_eqc_col : int array;   (* tup.(s_eqc_col.(i)) = s_eqc_val.(i) *)
+  s_eqc_val : int array;
+  s_eqv_col : int array;   (* tup.(s_eqv_col.(i)) = env.(s_eqv_var.(i)) *)
+  s_eqv_var : int array;
+}
+
+(* a builtin's result: bound to a free variable, or checked *)
+type out = Bind of int | Eq_var of int | Eq_const of int
+
+type step =
+  | Scan of scan  (* index probe, or full scan when nothing is bound *)
+  | Delta of scan  (* the previous round's tuples of the delta atom *)
+  | Member of {
+      m_rel : relation;
+      m_neg : bool;
+      m_tup : int array;  (* constant positions prefilled *)
+      m_pos : int array;
+      m_var : int array;
+    }  (* fully bound atom: a membership test, negated or not *)
+  | Call of {
+      c_fn : int array -> int;
+      c_in : int array;
+      c_pos : int array;
+      c_var : int array;
+      c_out : out;
+    }
+
+(* a scratch array holding [args]' constants, plus the positions and
+   variables that fill the rest *)
+let scratch (args : slot array) =
+  let a = Array.map (function S_const c -> c | S_var _ -> 0) args in
+  let vars =
+    List.filter_map
+      (fun (i, s) -> match s with S_var v -> Some (i, v) | S_const _ -> None)
+      (List.mapi (fun i s -> (i, s)) (Array.to_list args))
+  in
+  (a, Array.of_list (List.map fst vars), Array.of_list (List.map snd vars))
+
+let mask_of (bound : bool array) (args : slot array) =
+  let m = ref 0 in
+  Array.iteri
+    (fun i s ->
+      match s with
+      | S_const _ -> m := !m lor (1 lsl i)
+      | S_var v -> if bound.(v) then m := !m lor (1 lsl i))
+    args;
+  !m
+
+(* compile a positive atom against [bound] (which it updates). [mask]
+   selects the probe-key columns; every other constant or already-bound
+   column becomes a check *)
+let make_scan (r : relation) (args : slot array) (bound : bool array) ~mask :
+    scan =
+  let key = ref [] and bind = ref [] and eqc = ref [] and eqv = ref [] in
+  Array.iteri
+    (fun i s ->
+      if mask land (1 lsl i) <> 0 then key := (i, s) :: !key
+      else
+        match s with
+        | S_const c -> eqc := (i, c) :: !eqc
         | S_var v ->
-          if env.(v) <> unbound then mask := !mask lor (1 lsl j)
-          else fully_bound := false
-      done;
-      let concrete j =
-        match a.ca_args.(j) with S_const c -> c | S_var v -> env.(v)
-      in
-      if a.ca_neg || !fully_bound then begin
-        let tup = Array.init n concrete in
-        let present = mem_tuple r tup in
-        if present <> a.ca_neg then eval_body env atoms rest k
-      end
-      else begin
-        let candidates =
-          if !mask = 0 then
-            Hashtbl.fold (fun tup () acc -> tup :: acc) r.r_tuples []
+          if bound.(v) then eqv := (i, v) :: !eqv
           else begin
-            let key = ref [] in
-            for j = n - 1 downto 0 do
-              if !mask land (1 lsl j) <> 0 then key := concrete j :: !key
-            done;
-            let idx = index_for r !mask in
-            match Hashtbl.find_opt idx !key with Some l -> !l | None -> []
-          end
-        in
-        List.iter
-          (fun tup ->
-            tick ();
-            (* bind free slots, backtracking on mismatch *)
-            let rec go j undo =
-              if j >= n then begin
-                eval_body env atoms rest k;
-                List.iter (fun v -> env.(v) <- unbound) undo
-              end
-              else
-                match a.ca_args.(j) with
-                | S_const c ->
-                  if tup.(j) = c then go (j + 1) undo
-                  else List.iter (fun v -> env.(v) <- unbound) undo
-                | S_var v ->
-                  let cur = env.(v) in
-                  if cur = unbound then begin
-                    env.(v) <- tup.(j);
-                    go (j + 1) (v :: undo)
-                  end
-                  else if cur = tup.(j) then go (j + 1) undo
-                  else List.iter (fun v -> env.(v) <- unbound) undo
-            in
-            go 0 [])
-          candidates
-      end
-
-(* evaluate one compiled rule with a designated delta atom (index into the
-   original body, or -1 to use full relations), emitting head tuples *)
-let eval_rule (cr : crule) ~(delta_idx : int)
-    ~(delta : (string, (int array, unit) Hashtbl.t) Hashtbl.t)
-    ~(emit : relation -> int array -> unit) =
-  let env = Array.make (max cr.cr_nvars 1) unbound in
-  let emit_head () =
-    let out =
-      Array.map
-        (function S_const c -> c | S_var v -> env.(v))
-        cr.cr_head
-    in
-    emit cr.cr_head_rel out
+            bound.(v) <- true;
+            bind := (i, v) :: !bind
+          end)
+    args;
+  let arrays l =
+    let l = List.rev l in
+    (Array.of_list (List.map fst l), Array.of_list (List.map snd l))
   in
-  let all_idx = List.init (Array.length cr.cr_body) (fun i -> i) in
-  if Array.length cr.cr_body = 0 then emit_head ()
-  else if delta_idx < 0 then eval_body env cr.cr_body all_idx emit_head
-  else begin
-    (* iterate the delta of the designated atom, then the rest *)
-    let datom = cr.cr_body.(delta_idx) in
-    let rest = List.filter (fun i -> i <> delta_idx) all_idx in
-    let rel = Option.get datom.ca_rel in
-    match Hashtbl.find_opt delta rel.r_name with
-    | None -> ()
-    | Some d ->
-      let n = Array.length datom.ca_args in
-      Hashtbl.iter
-        (fun tup () ->
-          Array.fill env 0 (Array.length env) unbound;
-          let rec go j =
-            if j >= n then eval_body env cr.cr_body rest emit_head
-            else
-              match datom.ca_args.(j) with
-              | S_const c -> if tup.(j) = c then go (j + 1)
-              | S_var v ->
-                let cur = env.(v) in
-                if cur = unbound then begin
-                  env.(v) <- tup.(j);
-                  go (j + 1)
-                end
-                else if cur = tup.(j) then go (j + 1)
-          in
-          go 0)
-        d
+  let key_args = Array.of_list (List.rev_map snd !key) in
+  let s_key, kpos, kvar = scratch key_args in
+  let s_bind_col, s_bind_var = arrays !bind in
+  let s_eqc_col, s_eqc_val = arrays !eqc in
+  let s_eqv_col, s_eqv_var = arrays !eqv in
+  {
+    s_rel = r;
+    s_index = (if mask = 0 then None else Some (index_for r mask));
+    s_key;
+    s_key_pos = kpos;
+    s_key_var = kvar;
+    s_bind_col;
+    s_bind_var;
+    s_eqc_col;
+    s_eqc_val;
+    s_eqv_col;
+    s_eqv_var;
+  }
+
+(* estimated candidates of probing [r] on [mask]: |R| / distinct keys *)
+let estimate (r : relation) mask =
+  let n = r.r_all.v_len in
+  if mask = 0 || n = 0 then float_of_int n
+  else float_of_int n /. float_of_int (KH.length (index_for r mask).ix_tbl)
+
+(* Order the body greedily, with the delta atom (if [delta >= 0]) first:
+   a negated atom, builtin or fully bound atom goes as soon as its inputs
+   are bound; otherwise the positive atom with the fewest estimated
+   candidates, where any bound probe beats any full scan (ties: smaller
+   relation, then body order). Built once per rule, delta position and
+   round, from the index statistics at that time. *)
+let plan (cr : crule) ~(delta : int) : step array =
+  let body = cr.cr_body in
+  let bound = Array.make (Array.length cr.cr_env) false in
+  let is_bound = function S_const _ -> true | S_var v -> bound.(v) in
+  let inputs (a : catom) = Array.sub a.ca_args 0 (Array.length a.ca_args - 1) in
+  let ready (a : catom) =
+    match a.ca_target with
+    | Fn _ -> Array.for_all is_bound (inputs a)
+    | Rel _ -> Array.for_all is_bound a.ca_args
+  in
+  let step_of (a : catom) =
+    match a.ca_target with
+    | Rel r when ready a ->
+      let m_tup, m_pos, m_var = scratch a.ca_args in
+      Member { m_rel = r; m_neg = a.ca_neg; m_tup; m_pos; m_var }
+    | Rel r -> Scan (make_scan r a.ca_args bound ~mask:(mask_of bound a.ca_args))
+    | Fn f ->
+      let c_in, c_pos, c_var = scratch (inputs a) in
+      let c_out =
+        match a.ca_args.(Array.length a.ca_args - 1) with
+        | S_const c -> Eq_const c
+        | S_var v when bound.(v) -> Eq_var v
+        | S_var v ->
+          bound.(v) <- true;
+          Bind v
+      in
+      Call { c_fn = f; c_in; c_pos; c_var; c_out }
+  in
+  let steps =
+    ref
+      (if delta < 0 then []
+       else
+         match body.(delta).ca_target with
+         | Rel r -> [ Delta (make_scan r body.(delta).ca_args bound ~mask:0) ]
+         | Fn _ -> invalid_arg "Engine.plan: builtin delta atom")
+  in
+  let remaining =
+    ref (List.filter (( <> ) delta) (List.init (Array.length body) Fun.id))
+  in
+  while !remaining <> [] do
+    let next =
+      match List.find_opt (fun i -> ready body.(i)) !remaining with
+      | Some i -> i
+      | None ->
+        let best = ref None in
+        List.iter
+          (fun i ->
+            match body.(i).ca_target with
+            | Rel r when not body.(i).ca_neg ->
+              let mask = mask_of bound body.(i).ca_args in
+              let cost = (mask = 0, estimate r mask, r.r_all.v_len) in
+              (match !best with
+              | Some (_, c) when compare c cost <= 0 -> ()
+              | _ -> best := Some (i, cost))
+            | _ -> ())
+          !remaining;
+        (match !best with
+        | Some (i, _) -> i
+        | None -> error "no evaluable atom in %s (unbound builtin inputs?)" cr.cr_label)
+    in
+    steps := step_of body.(next) :: !steps;
+    remaining := List.filter (( <> ) next) !remaining
+  done;
+  Array.of_list (List.rev !steps)
+
+(* candidate-scan accounting: huge joins can spend a long time without
+   deriving anything, so the deadline is also checked per scanned tuple *)
+let tick t =
+  t.n_scans <- t.n_scans + 1;
+  if t.n_scans land 0x7ffff = 0 then Timer.check t.budget
+
+let rec eq_const cols vals (tup : int array) i =
+  i >= Array.length cols
+  || (tup.(cols.(i)) = vals.(i) && eq_const cols vals tup (i + 1))
+
+let rec eq_var cols vars (env : int array) (tup : int array) i =
+  i >= Array.length cols
+  || (tup.(cols.(i)) = env.(vars.(i)) && eq_var cols vars env tup (i + 1))
+
+(* bind the free columns of [tup], then run the checks *)
+let matches s (env : int array) (tup : int array) =
+  for i = 0 to Array.length s.s_bind_col - 1 do
+    env.(s.s_bind_var.(i)) <- tup.(s.s_bind_col.(i))
+  done;
+  eq_const s.s_eqc_col s.s_eqc_val tup 0 && eq_var s.s_eqv_col s.s_eqv_var env tup 0
+
+let fill (dst : int array) pos vars (env : int array) =
+  for i = 0 to Array.length pos - 1 do
+    dst.(pos.(i)) <- env.(vars.(i))
+  done
+
+let emit t (cr : crule) =
+  t.n_emits <- t.n_emits + 1;
+  if t.n_emits land 0xffff = 0 then Timer.check t.budget;
+  let out = cr.cr_out in
+  for i = 0 to Array.length out - 1 do
+    out.(i) <-
+      (match cr.cr_head.(i) with S_const c -> c | S_var v -> cr.cr_env.(v))
+  done;
+  let r = cr.cr_head_rel in
+  if not (KH.mem r.r_set out) then begin
+    add_new r (Array.copy out);
+    t.n_derived <- t.n_derived + 1;
+    match cr.cr_arule with None -> () | Some ar -> Attr.rule_tuples ar
   end
 
+let rec exec t (cr : crule) (plan : step array) i =
+  if i = Array.length plan then emit t cr
+  else
+    let env = cr.cr_env in
+    match plan.(i) with
+    | Scan s ->
+      let v =
+        match s.s_index with
+        | None -> s.s_rel.r_all
+        | Some ix -> (
+          fill s.s_key s.s_key_pos s.s_key_var env;
+          match KH.find ix.ix_tbl s.s_key with
+          | v -> v
+          | exception Not_found -> empty_vec)
+      in
+      for j = 0 to v.v_len - 1 do
+        tick t;
+        if matches s env v.v_data.(j) then exec t cr plan (i + 1)
+      done
+    | Delta s ->
+      let r = s.s_rel in
+      for j = r.r_dlo to r.r_dhi - 1 do
+        if matches s env r.r_all.v_data.(j) then exec t cr plan (i + 1)
+      done
+    | Member m ->
+      fill m.m_tup m.m_pos m.m_var env;
+      if KH.mem m.m_rel.r_set m.m_tup <> m.m_neg then exec t cr plan (i + 1)
+    | Call c -> (
+      fill c.c_in c.c_pos c.c_var env;
+      let x = c.c_fn c.c_in in
+      match c.c_out with
+      | Bind v ->
+        env.(v) <- x;
+        exec t cr plan (i + 1)
+      | Eq_var v -> if env.(v) = x then exec t cr plan (i + 1)
+      | Eq_const k -> if x = k then exec t cr plan (i + 1))
+
 (** Run all rules to fixpoint, stratum by stratum. [attr] records per-rule
-    and per-stratum tuple counts and wall time; [progress_s] emits a stderr
-    heartbeat line every that-many seconds. Both default to off. *)
+    and per-stratum tuple counts, candidates scanned and wall time;
+    [progress_s] emits a stderr heartbeat line every that-many seconds.
+    Both default to off. *)
 let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
-  scan_budget := budget;
+  t.budget <- budget;
   let t_solve0 = Timer.now () in
   let last_progress = ref t_solve0 in
   let strata = stratify t in
@@ -486,49 +612,26 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
     | None -> ()
     | Some a ->
       List.iter (fun cr -> cr.cr_arule <- Some (Attr.rule a cr.cr_label)) srules);
-    let recursive r = Hashtbl.find strata r = stratum in
-    (* delta = tuples derived in the previous round, per relation *)
-    let delta : (string, (int array, unit) Hashtbl.t) Hashtbl.t =
-      Hashtbl.create 16
+    let heads =
+      List.sort_uniq
+        (fun a b -> String.compare a.r_name b.r_name)
+        (List.map (fun cr -> cr.cr_head_rel) srules)
     in
-    let next : (string, (int array, unit) Hashtbl.t) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let attempts = ref 0 in
+    let recursive (r : relation) = Hashtbl.find strata r.r_name = stratum in
     let round = ref 0 in
-    let emit cr (r : relation) tup =
-      incr attempts;
-      if !attempts land 0xffff = 0 then Timer.check budget;
-      if insert r tup then begin
-        t.n_derived <- t.n_derived + 1;
-        (match cr.cr_arule with
-        | None -> ()
-        | Some ar -> Attr.rule_tuples ar);
-        let d =
-          match Hashtbl.find_opt next r.r_name with
-          | Some d -> d
-          | None ->
-            let d = Hashtbl.create 64 in
-            Hashtbl.add next r.r_name d;
-            d
-        in
-        Hashtbl.replace d tup ()
-      end
-    in
     (* one rule evaluation = one span, one attribution fire *)
-    let timed cr f =
-      Trace.with_span ~cat:"datalog" ("rule:" ^ cr.cr_label) (fun () ->
-          let t0 = Timer.now () in
+    let timed cr ~delta =
+      Trace.with_span ~cat:"datalog" cr.cr_span (fun () ->
+          let t0 = Timer.now () and scans0 = t.n_scans in
           Fun.protect
             ~finally:(fun () ->
-              let dt = Timer.now () -. t0 in
-              cr.cr_time <- cr.cr_time +. dt;
               match cr.cr_arule with
               | None -> ()
               | Some r ->
                 Attr.rule_fire r;
-                Attr.rule_time r dt)
-            f)
+                Attr.rule_scans r (t.n_scans - scans0);
+                Attr.rule_time r (Timer.now () -. t0))
+            (fun () -> exec t cr (plan cr ~delta) 0))
     in
     let heartbeat () =
       (match progress_s with
@@ -543,18 +646,8 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
         end);
       Trace.counter "datalog" [ ("derived", float_of_int t.n_derived) ]
     in
-    let profile () =
-      if Sys.getenv_opt "CSC_DATALOG_PROFILE" <> None then
-        List.iter
-          (fun cr ->
-            if cr.cr_time > 0.2 then
-              Fmt.epr "[datalog] %6.2fs %8d %s@." cr.cr_time
-                (Hashtbl.length cr.cr_head_rel.r_tuples)
-                cr.cr_label)
-          srules
-    in
     if srules <> [] then begin
-      let derived0 = t.n_derived in
+      let derived0 = t.n_derived and scans0 = t.n_scans in
       let st0 = Timer.now () in
       let st_finish () =
         match attr with
@@ -563,6 +656,7 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
           let r = Attr.rule a (Printf.sprintf "stratum:%d" stratum) in
           Attr.rule_fire r;
           Attr.rule_tuples ~by:(t.n_derived - derived0) r;
+          Attr.rule_scans r (t.n_scans - scans0);
           Attr.rule_time r (Timer.now () -. st0)
       in
       Trace.with_span ~cat:"datalog"
@@ -571,36 +665,33 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
           (* the stratum row is recorded even when the budget expires
              mid-stratum, so timed-out profiles stay meaningful *)
           Fun.protect ~finally:st_finish @@ fun () ->
-          Fun.protect ~finally:profile (fun () ->
-              (* round 0: run every rule of the stratum naively *)
-              List.iter
-                (fun cr ->
-                  timed cr (fun () ->
-                      eval_rule cr ~delta_idx:(-1) ~delta ~emit:(emit cr)))
-                srules;
-              (* semi-naive rounds *)
-              let continue_ = ref (Hashtbl.length next > 0) in
-              while !continue_ do
-                Timer.check budget;
-                incr round;
-                heartbeat ();
-                Hashtbl.reset delta;
-                Hashtbl.iter (fun k v -> Hashtbl.add delta k v) next;
-                Hashtbl.reset next;
-                List.iter
-                  (fun cr ->
-                    List.iteri
-                      (fun i (a : atom) ->
-                        if
-                          (not a.builtin) && (not a.neg) && recursive a.rel
-                          && Hashtbl.mem delta a.rel
-                        then
-                          timed cr (fun () ->
-                              eval_rule cr ~delta_idx:i ~delta ~emit:(emit cr)))
-                      cr.cr_rule.body)
-                  srules;
-                continue_ := Hashtbl.length next > 0
-              done))
+          (* round 0: run every rule of the stratum naively *)
+          List.iter (fun r -> r.r_seen <- r.r_all.v_len) heads;
+          List.iter (fun cr -> timed cr ~delta:(-1)) srules;
+          (* semi-naive rounds: each rule once per body atom whose relation
+             grew in the previous round *)
+          while List.exists (fun r -> r.r_all.v_len > r.r_seen) heads do
+            Timer.check budget;
+            incr round;
+            heartbeat ();
+            List.iter
+              (fun r ->
+                r.r_dlo <- r.r_seen;
+                r.r_dhi <- r.r_all.v_len;
+                r.r_seen <- r.r_dhi)
+              heads;
+            List.iter
+              (fun cr ->
+                Array.iteri
+                  (fun i a ->
+                    match a.ca_target with
+                    | Rel r when (not a.ca_neg) && recursive r && r.r_dhi > r.r_dlo
+                      ->
+                      timed cr ~delta:i
+                    | _ -> ())
+                  cr.cr_body)
+              srules
+          done)
     end
   done
 
@@ -609,16 +700,23 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
 let tuples t name : int array list =
   match Hashtbl.find_opt t.rels name with
   | None -> []
-  | Some r -> Hashtbl.fold (fun tup () acc -> tup :: acc) r.r_tuples []
+  | Some r -> List.init r.r_all.v_len (fun i -> r.r_all.v_data.(i))
 
 let count t name =
   match Hashtbl.find_opt t.rels name with
   | None -> 0
-  | Some r -> Hashtbl.length r.r_tuples
+  | Some r -> r.r_all.v_len
 
 let derived_count t = t.n_derived
+
+(** Candidate tuples scanned by index probes and full scans so far: the
+    join planner's cost, next to {!derived_count}, its yield. *)
+let scan_count t = t.n_scans
 
 let iter_tuples t name f =
   match Hashtbl.find_opt t.rels name with
   | None -> ()
-  | Some r -> Hashtbl.iter (fun tup () -> f tup) r.r_tuples
+  | Some r ->
+    for i = 0 to r.r_all.v_len - 1 do
+      f r.r_all.v_data.(i)
+    done

@@ -190,7 +190,7 @@ type outcome = {
   o_involved : Bits.t option;   (** CSC: methods in cut/shortcut edges *)
   o_shortcuts : int;
   o_snapshot : Snapshot.t option;
-      (** engine metrics; present even on imperative-engine timeouts *)
+      (** engine metrics; present even on timeouts, on either engine *)
   o_profile : Attr.profile option;
       (** cost attribution, present iff [sp_profile] *)
 }
@@ -326,8 +326,8 @@ let run_kept ?preseed (s : spec) (p : Ir.program) : outcome * state option =
   let solver = ref None in
   (* Datalog runs share one attribution table across pre + main phases *)
   let dl_attr = if s.sp_profile then Some (Attr.create ()) else None in
-  (* one solve on either engine; a timeout yields the aborted imperative
-     engine's snapshot (the Datalog engine has none). The imperative solver
+  (* one solve on either engine; a timeout yields the aborted engine's
+     snapshot. The imperative solver
      is built via create/run (not [Solver.analyze]) to keep its handle. *)
   let solve = function
     | Imp (sel, csc) -> (
@@ -359,7 +359,7 @@ let run_kept ?preseed (s : spec) (p : Ir.program) : outcome * state option =
             Dl.run ~budget ?attr:dl_attr ?progress_s:s.sp_progress_s p kind)
       with
       | r -> Ok r
-      | exception Dl.Timeout -> Error None)
+      | exception Dl.Timeout snap -> Error (Some snap))
   in
   let finish ?pre_time ?selected r =
     let involved, shortcuts =

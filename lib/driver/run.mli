@@ -79,8 +79,8 @@ type outcome = {
   o_involved : Bits.t option;  (** CSC: methods in cut/shortcut edges *)
   o_shortcuts : int;
   o_snapshot : Csc_obs.Snapshot.t option;
-      (** structured engine metrics; present even when the imperative engine
-          timed out (the aborted state), [None] only for Datalog timeouts *)
+      (** structured engine metrics; present even when the run timed out
+          (the aborted engine's state, on either engine) *)
   o_profile : Csc_obs.Attr.profile option;
       (** cost attribution (hot methods/pointers/rules), present iff the run
           was started with [sp_profile] and did not time out *)

@@ -14,6 +14,7 @@ type rule = {
   r_name : string;
   mutable r_fires : int;
   mutable r_tuples : int;
+  mutable r_scans : int;
   mutable r_time : float;
 }
 
@@ -97,12 +98,15 @@ let rule t name =
   match Hashtbl.find_opt t.rules name with
   | Some r -> r
   | None ->
-    let r = { r_name = name; r_fires = 0; r_tuples = 0; r_time = 0. } in
+    let r =
+      { r_name = name; r_fires = 0; r_tuples = 0; r_scans = 0; r_time = 0. }
+    in
     Hashtbl.add t.rules name r;
     r
 
 let rule_fire r = r.r_fires <- r.r_fires + 1
 let rule_tuples ?(by = 1) r = r.r_tuples <- r.r_tuples + by
+let rule_scans r n = r.r_scans <- r.r_scans + n
 let rule_time r dt = r.r_time <- r.r_time +. dt
 let pops t = t.t_pops
 let props t = t.t_props
@@ -131,6 +135,7 @@ let merge ~into src =
       let d = rule into name in
       d.r_fires <- d.r_fires + s.r_fires;
       d.r_tuples <- d.r_tuples + s.r_tuples;
+      d.r_scans <- d.r_scans + s.r_scans;
       d.r_time <- d.r_time +. s.r_time)
     src.rules;
   for i = 0 to n_buckets - 1 do
@@ -155,6 +160,7 @@ type rule_entry = {
   re_name : string;
   re_fires : int;
   re_tuples : int;
+  re_scans : int;
   re_time : float;
 }
 
@@ -222,6 +228,7 @@ let render ?(top = 10) t ~engine ~meth_name ~ptr_name : profile =
           re_name = r.r_name;
           re_fires = r.r_fires;
           re_tuples = r.r_tuples;
+          re_scans = r.r_scans;
           re_time = r.r_time;
         }
         :: acc)
@@ -263,6 +270,7 @@ let rule_json (r : rule_entry) : Json.t =
       ("rule", Json.Str r.re_name);
       ("fires", Json.Int r.re_fires);
       ("tuples", Json.Int r.re_tuples);
+      ("scans", Json.Int r.re_scans);
       ("time_s", Json.Float r.re_time);
     ]
 
@@ -307,10 +315,11 @@ let profile_text ?top (p : profile) : string =
   section "hot pointers" p.p_pointers;
   if p.p_rules <> [] then begin
     pf "rules:\n";
-    pf "  %10s %10s %9s  rule\n" "tuples" "fires" "time(s)";
+    pf "  %10s %12s %10s %9s  rule\n" "tuples" "scans" "fires" "time(s)";
     List.iter
       (fun r ->
-        pf "  %10d %10d %9.3f  %s\n" r.re_tuples r.re_fires r.re_time r.re_name)
+        pf "  %10d %12d %10d %9.3f  %s\n" r.re_tuples r.re_scans r.re_fires
+          r.re_time r.re_name)
       (cut p.p_rules)
   end;
   if p.p_hist <> [] then begin

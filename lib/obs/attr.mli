@@ -36,6 +36,9 @@ type rule
 val rule : t -> string -> rule
 val rule_fire : rule -> unit
 val rule_tuples : ?by:int -> rule -> unit
+
+(** Add candidate tuples scanned (Datalog joins; CSC patterns scan none). *)
+val rule_scans : rule -> int -> unit
 val rule_time : rule -> float -> unit
 
 (** {1 Delta-size histogram}
@@ -76,6 +79,7 @@ type rule_entry = {
   re_name : string;
   re_fires : int;
   re_tuples : int;
+  re_scans : int;  (** candidate tuples scanned *)
   re_time : float;
 }
 

@@ -74,6 +74,7 @@ let test_rule_rows_memoized () =
   let r = Attr.rule a "R" in
   Attr.rule_fire r;
   Attr.rule_tuples ~by:5 r;
+  Attr.rule_scans r 7;
   (* a second handle for the same name hits the same row *)
   let r' = Attr.rule a "R" in
   Attr.rule_fire r';
@@ -87,6 +88,7 @@ let test_rule_rows_memoized () =
     Alcotest.(check string) "name" "R" re.Attr.re_name;
     Alcotest.(check int) "fires merged" 2 re.Attr.re_fires;
     Alcotest.(check int) "tuples" 5 re.Attr.re_tuples;
+    Alcotest.(check int) "scans" 7 re.Attr.re_scans;
     Alcotest.(check (float 1e-9)) "time" 0.25 re.Attr.re_time
   | rs -> Alcotest.fail (Printf.sprintf "expected 1 rule row, got %d" (List.length rs))
 
@@ -233,7 +235,17 @@ let test_datalog_rule_attr () =
        pr.Attr.p_rules);
   Alcotest.(check bool) "some tuples attributed" true
     (List.exists (fun (re : Attr.rule_entry) -> re.Attr.re_tuples > 0)
-       pr.Attr.p_rules)
+       pr.Attr.p_rules);
+  Alcotest.(check bool) "some scans attributed" true
+    (List.exists (fun (re : Attr.rule_entry) -> re.Attr.re_scans > 0)
+       pr.Attr.p_rules);
+  (* the scans column reaches both renderings *)
+  Alcotest.(check bool) "text scans column" true
+    (Astring.String.is_infix ~affix:"scans" (Attr.profile_text pr));
+  match Option.bind (Json.member "rules" (Attr.profile_json pr)) Json.get_list with
+  | Some (r :: _) ->
+    Alcotest.(check bool) "json scans member" true (Json.member "scans" r <> None)
+  | _ -> Alcotest.fail "no JSON rule rows"
 
 (* the imperative CSC plugin attributes shortcut firings per pattern *)
 let test_csc_pattern_attr () =

@@ -128,7 +128,23 @@ let test_timeout () =
   let budget = Csc_common.Timer.budget_of_seconds (-1.0) in
   match A.run ~budget p A.Ci with
   | _ -> Alcotest.fail "expected timeout"
-  | exception A.Timeout -> ()
+  | exception A.Timeout _ -> ()
+
+(* a Datalog timeout keeps the aborted engine's snapshot, as the
+   imperative one does *)
+let test_timeout_snapshot () =
+  let module Run = Csc_driver.Run in
+  let p = Csc_workloads.Suite.compile "hsqldb" in
+  let o = Run.run_spec { (Run.spec Run.Doop_ci) with Run.sp_budget_s = Some 0.05 } p in
+  Alcotest.(check bool) "timed out" true o.Run.o_timeout;
+  match o.Run.o_snapshot with
+  | None -> Alcotest.fail "timeout outcome without a snapshot"
+  | Some s -> (
+    match Csc_obs.Snapshot.counter_value s "derived" with
+    | Some d when d > 0 -> ()
+    | d ->
+      Alcotest.failf "derived = %s"
+        (Option.fold ~none:"none" ~some:string_of_int d))
 
 let suite =
   [
@@ -150,5 +166,6 @@ let suite =
         Alcotest.test_case "selective 2obj" `Quick
           test_selective_between_ci_and_2obj;
         Alcotest.test_case "budget timeout" `Quick test_timeout;
+        Alcotest.test_case "timeout keeps snapshot" `Quick test_timeout_snapshot;
       ] );
   ]

@@ -1,5 +1,6 @@
 (** More Datalog engine tests: builtin functors, degenerate relations,
-    join-ordering stress, and cross-engine precision relations. *)
+    join-ordering stress and plan selectivity, body-order independence, and
+    cross-engine precision relations. *)
 
 module E = Csc_datalog.Engine
 open E
@@ -97,6 +98,123 @@ let test_doop_csc_at_most_imperative () =
         Alcotest.fail "doop-csc more precise than imperative csc?")
     Fixtures.all
 
+(* parameter passing, shaped like the Doop rule: the small FormalParam
+   relation has a 4-value column K, so probing it on K alone returns a
+   quarter of it per argument. The planner must probe CallEdge on the site
+   first and FormalParam on (callee, K); the candidates it scans stay a
+   small multiple of the tuples it derives. *)
+let test_join_plan_selectivity () =
+  let t = create () in
+  let callees = 100 and sites = 1000 in
+  for m = 0 to callees - 1 do
+    for k = 0 to 3 do
+      fact t "FormalParam" [ m; k; 10_000 + (4 * m) + k ]
+    done
+  done;
+  for s = 0 to sites - 1 do
+    fact t "CallEdge" [ s; s mod callees ];
+    for k = 0 to 3 do
+      let a = 20_000 + (4 * s) + k in
+      fact t "ArgVar" [ s; k; a ];
+      fact t "Alloc" [ a; a ]
+    done
+  done;
+  (* the allocation rule comes second, so the arguments' points-to tuples
+     reach the parameter rule as a semi-naive delta *)
+  add_rule t
+    (atom "VPT" [ v "P"; v "H" ]
+    <-- [ atom "CallEdge" [ v "S"; v "M" ]; atom "ArgVar" [ v "S"; v "K"; v "A" ];
+          atom "FormalParam" [ v "M"; v "K"; v "P" ]; atom "VPT" [ v "A"; v "H" ] ]);
+  add_rule t (atom "VPT" [ v "A"; v "H" ] <-- [ atom "Alloc" [ v "A"; v "H" ] ]);
+  solve t;
+  let derived = derived_count t and scans = scan_count t in
+  Alcotest.(check int) "derived" (8 * sites) derived;
+  if scans > 4 * derived then
+    Alcotest.failf "%d candidates scanned for %d tuples derived" scans derived
+
+(* a random stratifiable program over a small domain: EDB relations e0/2,
+   e1/2, u0/1; IDB relations p0/2, p1/1, p2/2; rules with up to four
+   positive atoms, optionally a negated EDB atom and a bounded builtin *)
+let random_program rs =
+  let t = create () in
+  add_builtin t "mod5" (fun args -> ((args.(0) * 7) + 3) mod 5);
+  let edb = [| ("e0", 2); ("e1", 2); ("u0", 1) |]
+  and idb = [| ("p0", 2); ("p1", 1); ("p2", 2) |] in
+  Array.iter (fun (r, n) -> ignore (relation t r n)) (Array.append edb idb);
+  Array.iter
+    (fun (r, n) ->
+      for _ = 1 to Random.State.int rs 16 do
+        fact t r (List.init n (fun _ -> Random.State.int rs 4))
+      done)
+    edb;
+  let pick a = a.(Random.State.int rs (Array.length a)) in
+  let pool = [| "a"; "b"; "c"; "d" |] in
+  let rules =
+    List.init (2 + Random.State.int rs 5) (fun _ ->
+        let term () =
+          if Random.State.int rs 8 = 0 then C (Random.State.int rs 4)
+          else V (pick pool)
+        in
+        let positive =
+          List.init (1 + Random.State.int rs 4) (fun _ ->
+              let r, n = pick (Array.concat [ edb; edb; idb ]) in
+              atom r (List.init n (fun _ -> term ())))
+        in
+        let vars =
+          List.concat_map
+            (fun a ->
+              Array.to_list a.args
+              |> List.filter_map (function V x -> Some x | C _ -> None))
+            positive
+          |> List.sort_uniq compare |> Array.of_list
+        in
+        let var_or_const () =
+          if vars = [||] then C (Random.State.int rs 4) else V (pick vars)
+        in
+        let extra, vars =
+          if vars = [||] || Random.State.bool rs then ([], vars)
+          else if Random.State.bool rs then
+            let r, n = pick edb in
+            ([ atom ~neg:true r (List.init n (fun _ -> var_or_const ())) ], vars)
+          else
+            let out = if Random.State.bool rs then V "z" else V (pick vars) in
+            ( [ fn "mod5" [ V (pick vars); out ] ],
+              match out with V "z" -> Array.append vars [| "z" |] | _ -> vars )
+        in
+        let head_rel, n = pick idb in
+        let head =
+          List.init n (fun _ ->
+              if vars = [||] then C (Random.State.int rs 4) else V (pick vars))
+        in
+        atom head_rel head <-- (positive @ extra))
+  in
+  (t, rules)
+
+let shuffle rs l =
+  List.map (fun x -> (Random.State.bits rs, x)) l
+  |> List.sort compare |> List.map snd
+
+let relations t =
+  List.map
+    (fun r -> (r, List.sort compare (tuples t r)))
+    [ "e0"; "e1"; "u0"; "p0"; "p1"; "p2" ]
+
+let prop_body_order_irrelevant =
+  QCheck2.Test.make ~name:"permuted bodies derive the same"
+    ~count:300 ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let solved permute =
+        let rs = Random.State.make [| seed |] in
+        let t, rules = random_program rs in
+        let rs' = Random.State.make [| seed; 1 |] in
+        List.iter
+          (fun r ->
+            add_rule t (if permute then { r with body = shuffle rs' r.body } else r))
+          rules;
+        solve t;
+        (relations t, derived_count t)
+      in
+      solved false = solved true)
+
 let suite =
   [
     ( "datalog.more",
@@ -106,6 +224,9 @@ let suite =
         Alcotest.test_case "builtin interning" `Quick test_builtin_interning;
         Alcotest.test_case "zero arity" `Quick test_zero_arity;
         Alcotest.test_case "join-order stress" `Quick test_join_order_stress;
+        Alcotest.test_case "join plan selectivity" `Quick
+          test_join_plan_selectivity;
+        QCheck_alcotest.to_alcotest prop_body_order_irrelevant;
         Alcotest.test_case "repeated var in atom" `Quick
           test_same_var_twice_in_atom;
         Alcotest.test_case "doop-csc <= imperative csc" `Quick

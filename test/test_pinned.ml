@@ -129,6 +129,45 @@ let test_explain_errors () =
      provenance recorder (imperative analyses only)"
     (error "doop-csc")
 
+(* Datalog outputs, pinned the same way before the engine's join planner
+   was rewritten: (program, analysis) -> MD5 of the [pts_json] dump, MD5
+   of the callgraph DOT with its lines sorted (tuple iteration order may
+   change, the content may not), and the engine's derived-tuple count. *)
+let datalog_pinned =
+  [ (("findbugs", Run.Doop_ci),
+     ("1708df97ecbe9d4f5a8eca3f7219c510", "27e0c8366eb41c6888012920c616a62c",
+      74254));
+    (("findbugs", Run.Doop_csc),
+     ("118ca8748c94940d0baef550b5e3857b", "e56c5d07bf1a9acdd0367f5193e25f85",
+      21388));
+    (("hsqldb", Run.Doop_ci),
+     ("2f175bf66d041145bd7c1cd365e51518", "cda3b447e5f71a656aba8ff240a80c20",
+      476936));
+    (("hsqldb", Run.Doop_csc),
+     ("dac0a64fd8937e2b0fe0cb9ffa289f73", "f95d3de4fb6bda0fdc2501dc5883f54d",
+      227202)) ]
+
+let sorted_lines s =
+  String.split_on_char '\n' s |> List.sort String.compare |> String.concat "\n"
+
+let test_datalog name () =
+  let p = program name in
+  List.iter
+    (fun ((n, a), (pts, dot, derived)) ->
+      if n = name then begin
+        let o = Run.run_spec (Run.spec a) p in
+        let r = Option.get o.Run.o_result in
+        let what = name ^ " " ^ Run.name a in
+        let md5 s = Digest.to_hex (Digest.string s) in
+        Alcotest.(check string) (what ^ " pts") pts
+          (md5 (Json.to_string (Export.pts_json p r)));
+        Alcotest.(check string) (what ^ " dot") dot
+          (md5 (sorted_lines (Export.callgraph_dot p r)));
+        Alcotest.(check (option int)) (what ^ " derived") (Some derived)
+          (Csc_obs.Snapshot.counter_value r.Csc_pta.Solver.r_snapshot "derived")
+      end)
+    datalog_pinned
+
 let suite =
   [ ( "pinned.renders",
       List.map
@@ -138,4 +177,8 @@ let suite =
           (fun name ->
             Alcotest.test_case ("explain " ^ name) `Quick (test_explain name))
           [ "nullbugs.mjava"; "findbugs" ]
-      @ [ Alcotest.test_case "explain errors" `Quick test_explain_errors ] ) ]
+      @ [ Alcotest.test_case "explain errors" `Quick test_explain_errors ] );
+    ( "pinned.datalog",
+      List.map
+        (fun name -> Alcotest.test_case name `Quick (test_datalog name))
+        [ "findbugs"; "hsqldb" ] ) ]
