@@ -62,12 +62,6 @@ type config = {
   quick : bool;         (* --quick: CI-sized grids *)
 }
 
-(* [--jobs N]: domains per imperative solve, whole run (the scaling
-   experiment drives its own per-leg values instead). Precision is identical
-   for every value, so the memo cache needs no jobs key — only wall clock
-   moves, which the gate treats as soft under CI. *)
-let run_jobs = ref 1
-
 (* results are memoized so fig12/table1/table3 don't re-run analyses; the
    budget is part of the key so a re-run under a different budget (e.g. a
    later experiment raising it) can't be served a stale timeout *)
@@ -87,8 +81,7 @@ let outcome ?(collapse = true) cfg pname analysis : Run.outcome =
   let spec =
     { (Run.spec analysis) with
       Run.sp_budget_s = Some budget;
-      sp_collapse = collapse;
-      sp_jobs = !run_jobs }
+      sp_collapse = collapse }
   in
   let key = (pname, Run.spec_name spec, budget) in
   match Hashtbl.find_opt cache key with
@@ -589,8 +582,7 @@ let profile_cells cfg : (string * string * Run.outcome) list =
                   { (Run.spec a) with
                     sp_budget_s = Some cfg.budget;
                     sp_profile = true;
-                    sp_profile_top = 10;
-                    sp_jobs = !run_jobs }
+                    sp_profile_top = 10 }
                   (program pname)
               in
               let o = { o with Run.o_result = None } in
@@ -646,125 +638,6 @@ let profile_json cfg : Json.t =
                  | Some pr -> [ ("profile", Attr.profile_json pr) ]))
              (profile_cells cfg)) ) ]
 
-(* ---------------------------------------------------------- scaling (E15) *)
-
-(* E15 (EXPERIMENTS.md): multicore scaling of the imperative solver. Every
-   (program, analysis) pair is solved once per jobs leg; the four precision
-   metrics are asserted identical across legs inside this experiment — a
-   divergence is a parallel-solver bug and fails the whole bench run, not
-   just the gate. The serialized cells carry the wall clock as [wall_s]
-   (never [time_s]): domain-count timings on shared runners are exactly what
-   the regression gate must not compare, while the precision metrics stay
-   byte-comparable. Own cache: legs are keyed by jobs, which the shared memo
-   cache does not know about. *)
-let scaling_analyses = [ Run.Imp_ci; Run.Imp_csc ]
-
-let scaling_cells_cache :
-    (string * string * int * Run.outcome) list option ref =
-  ref None
-
-let scaling_cells cfg : (string * string * int * Run.outcome) list =
-  match !scaling_cells_cache with
-  | Some cells -> cells
-  | None ->
-    let legs = if cfg.quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
-    (* full mode measures the two largest workloads, where there is enough
-       propagation to amortize round barriers; quick mode reuses the CI
-       programs so the gate has cells to compare *)
-    let programs = if cfg.quick then cfg.programs else [ "soot"; "freecol" ] in
-    let cells =
-      List.concat_map
-        (fun pname ->
-          List.concat_map
-            (fun a ->
-              List.map
-                (fun jobs ->
-                  Fmt.epr "  [%s / %s on %d domain(s)] ...@." pname
-                    (Run.name a) jobs;
-                  let o =
-                    Run.run_spec
-                      { (Run.spec a) with
-                        sp_budget_s = Some cfg.budget;
-                        sp_jobs = jobs }
-                      (program pname)
-                  in
-                  let o = { o with Run.o_result = None } in
-                  Gc.compact ();
-                  (pname, Run.name a, jobs, o))
-                legs)
-            scaling_analyses)
-        programs
-    in
-    (* schedule-independence is the whole contract: every leg must agree
-       with the sequential solve on all four precision metrics *)
-    List.iter
-      (fun (pname, aname, jobs, (o : Run.outcome)) ->
-        match
-          List.find_opt
-            (fun (p, a, j, _) -> p = pname && a = aname && j = 1)
-            cells
-        with
-        | Some (_, _, _, base)
-          when (not o.Run.o_timeout) && not base.Run.o_timeout ->
-          if o.Run.o_metrics <> base.Run.o_metrics then begin
-            Fmt.epr
-              "scaling: FAIL %s/%s precision differs at --jobs %d vs \
-               sequential@."
-              pname aname jobs;
-            exit 1
-          end
-        | _ -> ())
-      cells;
-    scaling_cells_cache := Some cells;
-    cells
-
-let scaling_exp cfg =
-  Fmt.pr "@.=== Extension: multicore scaling of the solver, --jobs N (E15) ===@.";
-  if not Csc_common.Domains_compat.available then
-    Fmt.pr "(sequential build: OCaml < 5, every leg runs on one domain)@.";
-  Fmt.pr "%-11s %-9s %5s %9s %8s %11s %11s@." "program" "analysis" "jobs"
-    "time(s)" "speedup" "#fail-cast" "#call-edge";
-  let base_times = Hashtbl.create 8 in
-  List.iter
-    (fun (pname, aname, jobs, (o : Run.outcome)) ->
-      if jobs = 1 then Hashtbl.replace base_times (pname, aname) o.Run.o_time;
-      let fc, _, _, ce = metric_cells o in
-      let time =
-        if o.Run.o_timeout then Fmt.str ">%.0fs" cfg.budget
-        else Fmt.str "%.2f" o.Run.o_time
-      in
-      let speedup =
-        match Hashtbl.find_opt base_times (pname, aname) with
-        | Some base when (not o.Run.o_timeout) && o.Run.o_time > 0. ->
-          Fmt.str "%.2fx" (base /. o.Run.o_time)
-        | _ -> "-"
-      in
-      Fmt.pr "%-11s %-9s %5d %9s %8s %11s %11s@." pname aname jobs time speedup
-        fc ce)
-    (scaling_cells cfg);
-  Fmt.pr
-    "(precision metrics are asserted identical across every jobs leg; \
-     speedup is wall-clock@. vs the sequential solver on this machine, E15)@."
-
-let scaling_json cfg : Json.t =
-  Json.Obj
-    [ ("experiment", Json.Str "scaling");
-      ( "cells",
-        Json.List
-          (List.map
-             (fun (pname, aname, jobs, (o : Run.outcome)) ->
-               Json.Obj
-                 [ ("program", Json.Str pname);
-                   ("analysis", Json.Str (Fmt.str "%s@j%d" aname jobs));
-                   ("jobs", Json.Int jobs);
-                   ("timeout", Json.Bool o.o_timeout);
-                   ("wall_s", Json.Float o.o_time);
-                   ( "metrics",
-                     match o.o_metrics with
-                     | None -> Json.Null
-                     | Some m -> Report.metrics_json m ) ])
-             (scaling_cells cfg)) ) ]
-
 (* ------------------------------------------------------ incremental (E17) *)
 
 (* E17 (EXPERIMENTS.md): edit latency of the incremental layer vs a
@@ -778,10 +651,8 @@ let scaling_json cfg : Json.t =
    as [fresh_s]/[update_s] (never [time_s]: the regression gate must not
    compare them); the deterministic quantities — the edited revision's
    precision metrics plus the update's mode, dirty-method count and reuse
-   ratio — go under [metrics] and are gate-compared. The reuse statistics
-   are deterministic for a fixed [--jobs]; the committed baseline is
-   [--jobs 1], which is what CI runs. Own cache: update cells are outside
-   the shared memo cache's (program, analysis) model. *)
+   ratio — go under [metrics] and are gate-compared. Own cache: update
+   cells are outside the shared memo cache's (program, analysis) model. *)
 let inc_analyses = [ Run.Imp_ci; Run.Imp_csc ]
 
 type inc_cell = {
@@ -815,11 +686,7 @@ let inc_cells cfg : inc_cell list =
             (fun a ->
               Fmt.epr "  [%s / %s edit] ...@." pname (Run.name a);
               let spec =
-                {
-                  (Run.spec a) with
-                  Run.sp_budget_s = Some cfg.budget;
-                  sp_jobs = !run_jobs;
-                }
+                { (Run.spec a) with Run.sp_budget_s = Some cfg.budget }
               in
               let _, st0 = Run.run_spec_keep spec v0 in
               let st0 =
@@ -1029,8 +896,8 @@ let micro () =
 
 let experiment_names =
   [ "fig12"; "table1"; "table2"; "table3"; "recall"; "ablation"; "kstudy";
-    "extras"; "checks"; "collapse"; "taint"; "profile"; "scaling";
-    "incremental"; "micro"; "custom" ]
+    "extras"; "checks"; "collapse"; "taint"; "profile"; "incremental";
+    "micro"; "custom" ]
 
 (* the (program, analysis) cells each experiment reads. Serializing an
    experiment maps its grid through the memo cache, so the report re-runs
@@ -1069,7 +936,6 @@ let experiment_json cfg exp : Json.t option =
      cells re-run with telemetry on, bypassing the shared memo cache *)
   if exp = "taint" then Some (taint_json cfg)
   else if exp = "profile" then Some (profile_json cfg)
-  else if exp = "scaling" then Some (scaling_json cfg)
   else if exp = "incremental" then Some (incremental_json cfg)
   else
   match grid_of_experiment cfg exp with
@@ -1231,7 +1097,6 @@ let () =
       quick;
     }
   in
-  run_jobs := max 1 (int_of_float (value ~default:1. "--jobs"));
   (match string_value "--analyses" with
   | None -> ()
   | Some csv ->
@@ -1255,8 +1120,8 @@ let () =
       (* cheap (imperative) experiments first so interrupted runs still
          cover every experiment; the Datalog grid (table1/fig12) comes last *)
       [ "table2"; "collapse"; "recall"; "ablation"; "kstudy"; "extras";
-        "checks"; "taint"; "profile"; "scaling"; "incremental"; "micro";
-        "table3"; "table1"; "fig12" ]
+        "checks"; "taint"; "profile"; "incremental"; "micro"; "table3";
+        "table1"; "fig12" ]
     else experiments
   in
   Fmt.pr "cutshortcut bench: programs=[%s] budget=%.0fs doop-budget=%.0fs@."
@@ -1278,7 +1143,6 @@ let () =
       | "collapse" -> collapse_exp cfg
       | "taint" -> taint_exp cfg
       | "profile" -> profile_exp cfg
-      | "scaling" -> scaling_exp cfg
       | "incremental" -> incremental_exp cfg
       | "micro" -> micro ()
       | "custom" -> custom_exp cfg

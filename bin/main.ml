@@ -123,44 +123,30 @@ let progress_arg =
 
 let progress_opt s = if s <= 0. then None else Some s
 
-let jobs_arg =
-  let doc =
-    "Solve imperative analyses on $(docv) domains (sharded bulk-synchronous \
-     solver; results are identical for every value, including 1). 0 = this \
-     machine's recommended domain count. Parallel execution needs an OCaml 5 \
-     build; otherwise the run falls back to one domain with a note."
-  in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let resolve_jobs j =
-  if j = 0 then Csc_common.Domains_compat.recommended () else max 1 j
-
 (* The run-spec flags shared by analyze/check/taint/profile/serve: one
    Cmdliner term, so the flag set cannot drift between subcommands again
-   (--budget/--jobs/--progress used to exist on some and not others). *)
+   (--budget/--progress used to exist on some and not others). *)
 type common = {
   cm_budget : float;
   cm_validate : bool;
   cm_no_collapse : bool;
-  cm_jobs : int;
   cm_progress : float;
   cm_trace : string option;
 }
 
 let common_term =
-  let mk budget validate no_collapse jobs progress trace =
+  let mk budget validate no_collapse progress trace =
     {
       cm_budget = budget;
       cm_validate = validate;
       cm_no_collapse = no_collapse;
-      cm_jobs = jobs;
       cm_progress = progress;
       cm_trace = trace;
     }
   in
   Cmdliner.Term.(
-    const mk $ budget_arg $ validate_arg $ no_collapse_arg $ jobs_arg
-    $ progress_arg $ trace_arg)
+    const mk $ budget_arg $ validate_arg $ no_collapse_arg $ progress_arg
+    $ trace_arg)
 
 let spec_of_common ?(profile = false) ?(profile_top = 25) c analysis =
   {
@@ -171,7 +157,6 @@ let spec_of_common ?(profile = false) ?(profile_top = 25) c analysis =
     sp_profile = profile;
     sp_profile_top = profile_top;
     sp_progress_s = progress_opt c.cm_progress;
-    sp_jobs = resolve_jobs c.cm_jobs;
   }
 
 (* every batch analysis goes through the session cache — same code path as
@@ -699,7 +684,7 @@ let fuzz_cmd =
                    incrementally-updated results to be bit-identical to \
                    from-scratch solves along the whole chain.")
   in
-  let run n seed max_size minimize out inject edits trace jobs =
+  let run n seed max_size minimize out inject edits trace =
     with_trace trace @@ fun () ->
     let cfg =
       {
@@ -711,7 +696,6 @@ let fuzz_cmd =
         out_dir = out;
         inject_unsound = inject;
         progress = true;
-        jobs = resolve_jobs jobs;
         edits;
       }
     in
@@ -752,7 +736,7 @@ let fuzz_cmd =
          "Soundness fuzzing: random programs, interpreter ground truth, the \
           full engine/configuration matrix, delta-debugged counterexamples")
     Term.(const run $ n_arg $ seed_arg $ max_size_arg $ minimize_arg $ out_arg
-          $ inject_arg $ edits_arg $ trace_arg $ jobs_arg)
+          $ inject_arg $ edits_arg $ trace_arg)
 
 (* ------------------------------------------------------- serve / client *)
 

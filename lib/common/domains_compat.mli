@@ -1,50 +1,6 @@
-(** Build-time shim over OCaml 5 Domains.
+(** Build-time shim over OCaml 5 Domains: [Domain.recommended_domain_count]
+    on 5.x, [1] on 4.14. The implementation is chosen by a dune rule on
+    [%{ocaml_version}]. *)
 
-    The parallel solver ({!Csc_pta}) is written against this interface only.
-    On OCaml >= 5 it is backed by a persistent pool of worker Domains with a
-    mutex/condition barrier ([domains_compat_multicore.ml-in]); on 4.14 the
-    serial twin runs every slice in the caller, so the same bulk-synchronous
-    algorithms compile and produce identical results — just without speedup
-    ([domains_compat_serial.ml-in]). The implementation is chosen by a dune
-    rule on [%{ocaml_version}].
-
-    {b Memory-model contract} (what makes the solver's rounds race-free):
-    everything a task writes before returning from its slice is visible to
-    the caller after {!Pool.run} returns, and everything the caller wrote
-    before {!Pool.run} is visible to every slice — the pool's mutex
-    establishes the happens-before edges on 5.x; trivially true serially. *)
-
-(** [true] iff Pool.run can actually execute slices concurrently (OCaml 5
-    build). Callers use this to warn rather than silently run [--jobs N]
-    sequentially on a 4.14 build. *)
-val available : bool
-
-(** Suggested parallelism for this machine: [Domain.recommended_domain_count]
-    on 5.x, [1] on 4.14. *)
+(** Suggested parallelism for this machine. *)
 val recommended : unit -> int
-
-module Pool : sig
-  type t
-
-  (** [create ~jobs] starts [jobs - 1] worker domains (none on 4.14, none
-      when [jobs <= 1]). The caller itself acts as worker [0]. *)
-  val create : jobs:int -> t
-
-  val jobs : t -> int
-
-  (** [run t f] executes [f 0 .. f (jobs-1)], worker [k] running slice [k],
-      and returns when {e all} slices finished (a barrier). The caller runs
-      slice [0]. If any slice raises, the first exception is re-raised after
-      the barrier — no slice is still running when [run] returns. Not
-      reentrant: do not call [run] from inside a slice. *)
-  val run : t -> (int -> unit) -> unit
-
-  (** Terminate and join the worker domains. The pool must not be used
-      afterwards. Idempotent on 4.14; required before process exit on 5.x
-      (joining is also what flushes worker-side effects for tools like
-      coverage). *)
-  val shutdown : t -> unit
-
-  (** [with_pool ~jobs f] = create, run [f], always shutdown. *)
-  val with_pool : jobs:int -> (t -> 'a) -> 'a
-end

@@ -7,8 +7,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let next t =
   let open Int64 in
   t.state <- add t.state 0x9E3779B97F4A7C15L;
@@ -23,18 +21,6 @@ let int t bound =
   Int64.to_int (Int64.rem (Int64.logand (next t) Int64.max_int) (Int64.of_int bound))
 
 let bool t = Int64.logand (next t) 1L = 1L
-
-(* splitmix's defining operation: derive an independent generator from the
-   parent's next output re-mixed with a distinct odd constant, advancing the
-   parent exactly once. Each domain of a parallel run gets its own stream
-   (deterministic in the fork order), so no generator instance is ever
-   shared across domains. *)
-let split t =
-  let open Int64 in
-  let z = next t in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
-  let z = mul (logxor z (shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
-  { state = logxor z (shift_right_logical z 33) }
 
 (** [chance t p] is true with probability [p] (percent, 0-100). *)
 let chance t p = int t 100 < p

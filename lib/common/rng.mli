@@ -3,24 +3,13 @@
     The workload generator must be reproducible across runs and platforms,
     so [Stdlib.Random] is avoided. Same seed, same sequence, everywhere.
 
-    {b Domain safety.} There is no global generator: all state lives in the
-    [t] handle, which callers thread explicitly (the fuzzer derives one
-    generator per program from the campaign seed). A single [t] must not be
-    shared across domains — give each domain its own via {!split} (or an
-    independent {!create}); both are deterministic, so fuzz campaigns and
-    generated workloads replay identically under [--jobs N]. *)
+    There is no global generator: all state lives in the [t] handle, which
+    callers thread explicitly (the fuzzer derives one generator per program
+    from the campaign seed). *)
 
 type t
 
 val create : int -> t
-
-(** Independent copy: same state, same future sequence. *)
-val copy : t -> t
-
-(** [split t] advances [t] once and returns a new generator whose stream is
-    statistically independent of [t]'s remainder (splitmix64's split).
-    Deterministic: same parent state, same child. Use one child per domain. *)
-val split : t -> t
 
 (** Next raw 64-bit output. *)
 val next : t -> int64

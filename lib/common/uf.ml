@@ -39,20 +39,6 @@ let find t i =
     !x
   end
 
-(* read-only find: walks parents without halving, so concurrent readers on
-   other domains never observe a write. Paths stay short because every
-   sequential phase between parallel rounds goes through [find]. *)
-let find_ro t i =
-  if i >= t.n then i
-  else begin
-    let p = t.parent in
-    let x = ref i in
-    while p.(!x) <> !x do
-      x := p.(!x)
-    done;
-    !x
-  end
-
 let union t a b =
   ensure t a;
   ensure t b;

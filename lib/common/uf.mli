@@ -15,13 +15,6 @@ val create : ?capacity:int -> unit -> t
     Ids never unioned are their own representative. *)
 val find : t -> int -> int
 
-(** Like {!find} but strictly read-only (no path halving), so it is safe to
-    call concurrently from several domains while the structure is frozen
-    (i.e. no {!union} in flight). The parallel solver's workers canonicalize
-    edge targets through this during a round; the sequential phases between
-    rounds re-compress paths via {!find}. *)
-val find_ro : t -> int -> int
-
 (** [union t a b] merges the classes of [a] and [b]. Returns
     [Some (rep, absorbed)] where [rep] is the surviving representative and
     [absorbed] the root that lost (union by rank), or [None] when the two

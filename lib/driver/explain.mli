@@ -16,11 +16,11 @@ type fact = {
   x_chain : string list;  (** derivation chain, root first; [[]] if none *)
 }
 
-(** [run s p] solves [p] as requested by [s] (budget, validation, jobs, ...)
-    with provenance on and returns up to [limit] (default 5) explained
-    facts. [var] restricts to variables whose qualified [Class.method.var]
-    name ends with it; without it, application (non-mini-JDK) variables are
-    scanned. [Error] for Datalog/Zipper analyses (no provenance recorder
+(** [run s p] solves [p] as requested by [s] (budget, validation,
+    collapsing, ...) with provenance on and returns up to [limit] (default
+    5) explained facts. [var] restricts to variables whose qualified
+    [Class.method.var] name ends with it; without it, application
+    (non-mini-JDK) variables are scanned. [Error] for Datalog/Zipper analyses (no provenance recorder
     there) and for solver timeouts; with [sp_validate] on, malformed IR
     raises [Failure] exactly as in {!Run.run_spec}. With [sp_collapse] on,
     prints the provenance-disables-collapsing note to stderr. *)

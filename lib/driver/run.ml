@@ -5,7 +5,6 @@
 open Csc_common
 module Ir = Csc_ir.Ir
 module Solver = Csc_pta.Solver
-module Par = Csc_pta.Par
 module Context = Csc_pta.Context
 module Inc = Csc_pta.Inc
 module Csc = Csc_core.Csc
@@ -222,12 +221,12 @@ let spec analysis =
     sp_jobs = 1;
   }
 
-(* progress heartbeats only change stderr cadence, never the outcome, so the
-   session result cache must not fragment on them; [Imp_2obj] is the same
-   run as [Imp_kobj 2] *)
+(* progress heartbeats only change stderr cadence and [sp_jobs] is ignored,
+   so the session result cache must not fragment on either; [Imp_2obj] is
+   the same run as [Imp_kobj 2] *)
 let spec_key s =
   let a = match s.sp_analysis with Imp_2obj -> Imp_kobj 2 | a -> a in
-  { s with sp_analysis = a; sp_progress_s = None }
+  { s with sp_analysis = a; sp_progress_s = None; sp_jobs = 1 }
 
 let spec_name s =
   if s.sp_collapse || is_datalog s.sp_analysis then name s.sp_analysis
@@ -275,34 +274,6 @@ type state = {
   st_csc : Csc.t option;
 }
 
-(* a requested --jobs N that cannot be honoured says so instead of silently
-   running sequentially (the results are identical either way; only the
-   wall-clock expectation differs) *)
-let effective_jobs s =
-  let fallback fmt =
-    Printf.ksprintf
-      (fun why ->
-        Fmt.epr "note: %s@." why;
-        1)
-      fmt
-  in
-  let jobs = max 1 s.sp_jobs in
-  if jobs <= 1 then 1
-  else if not Domains_compat.available then
-    fallback
-      "this build has no multicore runtime (OCaml < 5); --jobs %d runs on a \
-       single domain"
-      jobs
-  else if s.sp_explain then
-    fallback
-      "provenance recording (--explain) is inherently sequential; --jobs %d \
-       runs on a single domain"
-      jobs
-  else if is_datalog s.sp_analysis then
-    fallback "--jobs applies to the imperative engine only; %s runs sequentially"
-      (name s.sp_analysis)
-  else jobs
-
 (** Run one analysis under an optional time budget (seconds). Timeouts are
     reported in the outcome, not raised — like the paper's ">2h" cells.
     [sp_validate] runs {!Csc_ir.Validate.check_exn} first so malformed IR
@@ -314,7 +285,6 @@ let effective_jobs s =
     solve when the run completed without timeout. *)
 let run_kept ?preseed (s : spec) (p : Ir.program) : outcome * state option =
   if s.sp_validate then Csc_ir.Validate.check_exn p;
-  let jobs = effective_jobs s in
   let budget =
     match s.sp_budget_s with
     | Some s -> Timer.budget_of_seconds s
@@ -347,7 +317,7 @@ let run_kept ?preseed (s : spec) (p : Ir.program) : outcome * state option =
       (* incremental preloads enter through the ordinary worklist, after the
          plugin is installed, so every watch and plugin hook replays on them *)
       Option.iter (fun f -> f t) preseed;
-      match Par.run ~jobs t with
+      match Solver.run t with
       | () ->
         solver := Some t;
         Ok (Solver.result t)

@@ -120,24 +120,21 @@ type spec = {
       (** emit a heartbeat line to stderr every that-many seconds of solving
           on either engine *)
   sp_jobs : int;
-      (** solve imperative analyses on that many domains via the sharded
-          bulk-synchronous engine ({!Csc_pta.Par}) — the fixpoint, precision
-          metrics and plugin behaviour are identical to the sequential
-          solver for every value. When [jobs > 1] cannot be honoured — a
-          sequential-only build (OCaml < 5), provenance recording, or a
-          Datalog analysis — the run falls back to one domain and says why
-          on stderr rather than degrading silently. *)
+      (** ignored: every solve runs on one domain. Kept only so that
+          [bench/perf] still compiles unmodified; {!spec_key} resets it, so
+          it never splits the session cache. To be removed with the
+          benchmark's next change. *)
 }
 
 (** [spec a] is the default request for analysis [a]: no budget, no
     validation, no provenance, collapsing on, no profile (top 25), no
-    heartbeat, one domain. *)
+    heartbeat. *)
 val spec : analysis -> spec
 
 (** Cache-key normalization: fields that cannot change the outcome (the
-    [sp_progress_s] stderr cadence) reset to their defaults and [Imp_2obj]
-    becomes [Imp_kobj 2], so a result cache keyed on [spec_key s] is shared
-    across them. *)
+    [sp_progress_s] stderr cadence and the ignored [sp_jobs]) reset to their
+    defaults and [Imp_2obj] becomes [Imp_kobj 2], so a result cache keyed on
+    [spec_key s] is shared across them. *)
 val spec_key : spec -> spec
 
 (** The outcome label of a request ([o_analysis]): the analysis name, plus

@@ -29,7 +29,6 @@ type cfg = {
       (** enable {!Csc_core.Csc.sabotage_drop_shortcuts} for the whole
           campaign — a self-test that the oracle catches a real bug *)
   progress : bool;    (** print a progress line every few hundred programs *)
-  jobs : int;         (** domains per imperative solve (Soundness.check) *)
   edits : int;
       (** when positive, fuzz edit *sessions* instead of single programs:
           each case derives that many successive revisions of a base plan
@@ -47,7 +46,6 @@ let default_cfg =
     max_shrink_checks = 300;
     inject_unsound = false;
     progress = false;
-    jobs = 1;
     edits = 0;
   }
 
@@ -242,7 +240,7 @@ let run_programs (cfg : cfg) : report =
               Registry.incr
                 ~by:(Bits.cardinal dyn.Csc_interp.Interp.dyn_taint_sinks)
                 c_taint_hits;
-              match Soundness.check ~jobs:cfg.jobs p with
+              match Soundness.check p with
               | [] -> ()
               | violations ->
                 Registry.incr c_violating;
@@ -251,7 +249,7 @@ let run_programs (cfg : cfg) : report =
                   "fuzz.violation";
                 let min_source, min_stmts =
                   if cfg.minimize then begin
-                    let oracle q = Soundness.check ~jobs:cfg.jobs q <> [] in
+                    let oracle q = Soundness.check q <> [] in
                     let small, used =
                       minimize ~max_checks:cfg.max_shrink_checks ~oracle plan
                     in
@@ -351,7 +349,7 @@ let run_edits (cfg : cfg) : report =
         | compiled -> (
           Registry.incr ~by:(List.length compiled - 1) c_steps;
           let progs = List.map snd compiled in
-          match Soundness.check_incremental ~jobs:cfg.jobs progs with
+          match Soundness.check_incremental progs with
           | [] -> ()
           | violations ->
             Registry.incr c_violating;
@@ -364,8 +362,7 @@ let run_edits (cfg : cfg) : report =
               try
                 for k = 1 to Array.length parr - 1 do
                   if
-                    Soundness.check_incremental ~jobs:cfg.jobs
-                      [ parr.(k - 1); parr.(k) ]
+                    Soundness.check_incremental [ parr.(k - 1); parr.(k) ]
                     <> []
                   then begin
                     pair := Some (srcs.(k - 1), srcs.(k));

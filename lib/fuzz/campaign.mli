@@ -20,10 +20,6 @@ type cfg = {
       (** enable {!Csc_core.Csc.sabotage_drop_shortcuts} for the whole
           campaign — a self-test that the oracle catches a real bug *)
   progress : bool;    (** print a progress line every few hundred programs *)
-  jobs : int;
-      (** domains per imperative solve (see {!Soundness.check}); campaigns
-          replay identically for any value, so [--jobs N] fuzzing is a
-          scheduling-differential test of the parallel solver *)
   edits : int;
       (** when positive, fuzz edit *sessions* instead of single programs:
           each case derives that many successive revisions of a base plan
@@ -34,7 +30,7 @@ type cfg = {
 }
 
 (** n=100, seed=42, max_size=30, minimize, no corpus, 300 shrink checks,
-    jobs=1, edits=0. *)
+    edits=0. *)
 val default_cfg : cfg
 
 type case = {

@@ -190,8 +190,8 @@ let cross_check p aname bname a b kind : violation list =
     [matrix] (default {!default_matrix}), check dynamic ⊆ static for each,
     and cross-check the pairs that must agree exactly. An empty list means
     the program exposes no bug. [max_steps] bounds the concrete run. *)
-let check ?(matrix = default_matrix) ?(max_steps = 2_000_000) ?(jobs = 1)
-    (p : Ir.program) : violation list =
+let check ?(matrix = default_matrix) ?(max_steps = 2_000_000) (p : Ir.program)
+    : violation list =
   (* dynamic taint tags ride along whenever the program has both a source
      and a sink under the builtin spec (the generator's [Flow] surface) *)
   let taint =
@@ -204,7 +204,7 @@ let check ?(matrix = default_matrix) ?(max_steps = 2_000_000) ?(jobs = 1)
     List.map
       (fun a ->
         let aname = Run.spec_name a in
-        match Run.run_spec { a with Run.sp_jobs = jobs } p with
+        match Run.run_spec a p with
         | { Run.o_result = Some r; _ } -> (a, aname, Ok r)
         | { Run.o_timeout; _ } ->
           ( a,
@@ -268,15 +268,14 @@ let inc_mode_str (info : Csc_pta.Inc.info) =
     [(rev k-1, rev k)] — the state entering step [k] was itself verified
     identical to a fresh solve. *)
 let check_incremental
-    ?(analyses = [ Run.spec Run.Imp_ci; Run.spec Run.Imp_csc ]) ?(jobs = 1)
+    ?(analyses = [ Run.spec Run.Imp_ci; Run.spec Run.Imp_csc ])
     (revs : Ir.program list) : violation list =
   match revs with
   | [] -> []
   | p0 :: rest ->
     List.concat_map
-      (fun a ->
-        let aname = Run.spec_name a in
-        let spec = { a with Run.sp_jobs = jobs } in
+      (fun spec ->
+        let aname = Run.spec_name spec in
         let out = ref [] in
         let crash k e =
           out :=

@@ -42,15 +42,10 @@ val app_stmt_count : Ir.program -> int
 
 (** Run the full oracle on one program; empty list = no bug exposed.
     [matrix] defaults to {!default_matrix}; [max_steps] (default 2M) bounds
-    the concrete run. [jobs] (default 1, overriding each spec's [sp_jobs])
-    solves the imperative analyses on that many domains — the oracle then
-    doubles as a differential check of the parallel solver, since every
-    containment and cross-check must hold regardless of how the fixpoint
-    was scheduled. *)
+    the concrete run. *)
 val check :
   ?matrix:Run.spec list ->
   ?max_steps:int ->
-  ?jobs:int ->
   Ir.program ->
   violation list
 
@@ -71,11 +66,8 @@ val identical :
     revision. Since the state entering a step was itself verified against
     scratch, a mismatch at step [k] pins the failure to the single edit
     [(rev k-1, rev k)]. [analyses] defaults to the specs of [Imp_ci] and
-    [Imp_csc]; [jobs] solves on that many domains, so the oracle also
-    exercises preseeding under the parallel engine. Empty list = no
-    divergence. *)
+    [Imp_csc]. Empty list = no divergence. *)
 val check_incremental :
   ?analyses:Run.spec list ->
-  ?jobs:int ->
   Ir.program list ->
   violation list

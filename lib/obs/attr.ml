@@ -113,39 +113,6 @@ let props t = t.t_props
 let merges t = t.t_merges
 let shortcuts t = t.t_shortcuts
 
-(* fold [src] into [into], summing every table cell. The parallel solver
-   gives each domain a private table and merges them at the end; addition is
-   commutative, and [render]'s total orders make the combined profile
-   deterministic whatever the merge order. *)
-let merge ~into src =
-  let add_rows dst src =
-    Hashtbl.iter
-      (fun id (s : row) ->
-        let d = row dst id in
-        d.k_pops <- d.k_pops + s.k_pops;
-        d.k_props <- d.k_props + s.k_props;
-        d.k_merges <- d.k_merges + s.k_merges;
-        d.k_shortcuts <- d.k_shortcuts + s.k_shortcuts)
-      src
-  in
-  add_rows into.meths src.meths;
-  add_rows into.ptrs src.ptrs;
-  Hashtbl.iter
-    (fun name (s : rule) ->
-      let d = rule into name in
-      d.r_fires <- d.r_fires + s.r_fires;
-      d.r_tuples <- d.r_tuples + s.r_tuples;
-      d.r_scans <- d.r_scans + s.r_scans;
-      d.r_time <- d.r_time +. s.r_time)
-    src.rules;
-  for i = 0 to n_buckets - 1 do
-    into.hist.(i) <- into.hist.(i) + src.hist.(i)
-  done;
-  into.t_pops <- into.t_pops + src.t_pops;
-  into.t_props <- into.t_props + src.t_props;
-  into.t_merges <- into.t_merges + src.t_merges;
-  into.t_shortcuts <- into.t_shortcuts + src.t_shortcuts
-
 (* --------------------------------------------------------- rendered form *)
 
 type entry = {

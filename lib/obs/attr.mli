@@ -58,13 +58,6 @@ val props : t -> int
 val merges : t -> int
 val shortcuts : t -> int
 
-(** [merge ~into src] adds every cell of [src] (method/pointer rows, rules,
-    histogram, totals) into [into]; [src] is left untouched. The parallel
-    solver records into one private table per domain and merges them at the
-    end of the solve — addition commutes and {!render} orders totally, so the
-    combined profile is deterministic regardless of merge order. *)
-val merge : into:t -> t -> unit
-
 (** {1 Rendering} *)
 
 type entry = {

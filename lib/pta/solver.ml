@@ -154,11 +154,6 @@ type t = {
   g_heap : Registry.gauge;          (* peak major-heap words observed *)
   mutable prov : Prov.t option;     (* opt-in derivation recorder *)
   mutable attr : Attr.t option;     (* opt-in cost-attribution tables *)
-  (* heap words held by domains other than the sampling one. [Gc.quick_stat]
-     reports the calling domain only on OCaml 5, so the parallel driver
-     installs an aggregator over its workers' last samples; sequential runs
-     keep the zero default *)
-  mutable extra_heap_words : unit -> int;
   (* [--progress] heartbeat: 0. = off *)
   mutable progress_s : float;
   mutable last_progress : float;
@@ -215,7 +210,6 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) ?(collapse = true)
     g_heap = Registry.gauge reg "heap_words_peak";
     prov = None;
     attr = None;
-    extra_heap_words = (fun () -> 0);
     progress_s = 0.;
     last_progress = 0.;
   }
@@ -309,35 +303,6 @@ let meth_of_ptr t p : int =
   | PVar (_, v) -> (Ir.var t.prog v).v_method
   | PField (o, _) | PArr o -> (Ir.alloc t.prog (obj_alloc t o)).a_method
   | PStatic _ -> -1
-
-(* finalizing avalanche mixer (murmur3 fmix32) so consecutive method ids
-   spread evenly across shards *)
-let mix_int x =
-  let x = x land max_int in
-  let x = x lxor (x lsr 16) in
-  let x = x * 0x85ebca6b land max_int in
-  let x = x lxor (x lsr 13) in
-  let x = x * 0xc2b2ae35 land max_int in
-  x lxor (x lsr 16)
-
-(** Shard owner of pointer [p] under a [jobs]-way partition of the PFG:
-    variables follow their declaring method, heap nodes (field/array
-    pointers) the allocating method, statics their field id. Method-cohesive
-    by construction, so the intra-method copy chains that carry most
-    propagation stay shard-local. Computed on the canonical representative,
-    hence the assignment is a total function that respects union-find
-    collapsing: [shard_of t ~jobs p = shard_of t ~jobs (canon t p)]. *)
-let shard_of t ~jobs p : int =
-  if jobs <= 1 then 0
-  else
-    let key =
-      match Interner.get t.ptrs (canon t p) with
-      | PVar (_, v) -> (Ir.var t.prog v).v_method
-      | PField (o, _) | PArr o ->
-        (Ir.alloc t.prog (obj_alloc t o)).a_method
-      | PStatic fld -> lnot fld
-    in
-    mix_int key mod jobs
 
 (** Object's runtime class, [None] for arrays. *)
 let obj_class t o = Ir.alloc_class t.prog (obj_alloc t o)
@@ -855,8 +820,7 @@ let scc_sweep t =
 
 let sample_heap t =
   let st = Gc.quick_stat () in
-  Registry.set_max t.g_heap
-    (float_of_int (st.Gc.heap_words + t.extra_heap_words ()));
+  Registry.set_max t.g_heap (float_of_int st.Gc.heap_words);
   Trace.sample_gc ();
   (* solver counter series merged into the span stream ([--trace]); a single
      branch inside Trace when tracing is off *)

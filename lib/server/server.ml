@@ -95,6 +95,7 @@ let spec_of_request t req : Run.spec =
       | Error msg -> reject "bad-request" msg)
   in
   {
+    d with
     Run.sp_analysis = analysis;
     sp_budget_s =
       (match float_member "budget_s" req with
@@ -114,7 +115,6 @@ let spec_of_request t req : Run.spec =
       (match float_member "progress_s" req with
       | Some s -> if s <= 0. then None else Some s
       | None -> d.Run.sp_progress_s);
-    sp_jobs = Option.value ~default:d.Run.sp_jobs (int_member "jobs" req);
   }
 
 let program_of_request t req : Ir.program * string =

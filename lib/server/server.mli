@@ -21,7 +21,7 @@
       server-side); alternatively [source] carries inline MiniJava text
       (with an optional [name] for error positions).
     - [analysis]: any spelling {!Csc_driver.Run.analysis_of_string} accepts.
-    - run-spec overrides, all optional: [budget_s], [jobs], [collapse],
+    - run-spec overrides, all optional: [budget_s], [collapse],
       [validate], [profile], [profile_top], [progress_s] — defaults come
       from the spec the server was created with.
     - command-specific: [var] (pt, explain), [limit] (explain),

@@ -1,5 +1,5 @@
-(** Additional unit + property tests for Vec, Interner and parser
-    precedence / disambiguation corners. *)
+(** Additional unit + property tests for Vec, Interner, Domains_compat and
+    parser precedence / disambiguation corners. *)
 
 open Csc_common
 
@@ -180,6 +180,13 @@ let test_error_positions () =
   | exception Csc_lang.Ast.Syntax_error (pos, _) ->
     Alcotest.(check int) "line 3" 3 pos.line
 
+(* ------------------------------------------------------- Domains_compat *)
+
+let test_recommended () =
+  Alcotest.(check bool)
+    "recommended >= 1" true
+    (Domains_compat.recommended () >= 1)
+
 let suite =
   [
     ( "common.vec",
@@ -194,6 +201,10 @@ let suite =
       [
         Alcotest.test_case "roundtrip" `Quick test_interner_roundtrip;
         QCheck_alcotest.to_alcotest prop_interner_dense;
+      ] );
+    ( "common.domains",
+      [
+        Alcotest.test_case "recommended domain count" `Quick test_recommended;
       ] );
     ( "lang.parser",
       [

@@ -20,20 +20,28 @@ let test_deterministic () =
   Alcotest.(check string) "same seed, same source" (render 7) (render 7);
   Alcotest.(check bool) "different seeds differ" true (render 7 <> render 8)
 
+let replay_seeds_clean seeds =
+  List.iter
+    (fun seed ->
+      let plan = Gen.Rand.generate ~seed ~max_size:25 in
+      let p = compile (Gen.Rand.render plan) in
+      match Soundness.check ~max_steps:2_000_000 p with
+      | [] -> ()
+      | vs ->
+        Alcotest.failf "seed %d: %a" seed
+          (Fmt.list ~sep:Fmt.comma Soundness.pp_violation)
+          vs)
+    seeds
+
 let test_generated_programs_compile () =
   (* every generated program must compile, validate, and replay through the
      oracle without a violation — this is the PR-loop slice of the nightly
      campaign *)
-  for seed = 100 to 119 do
-    let plan = Gen.Rand.generate ~seed ~max_size:25 in
-    let p = compile (Gen.Rand.render plan) in
-    match Soundness.check ~max_steps:2_000_000 p with
-    | [] -> ()
-    | vs ->
-      Alcotest.failf "seed %d: %a" seed
-        (Fmt.list ~sep:Fmt.comma Soundness.pp_violation)
-        vs
-  done
+  replay_seeds_clean (List.init 20 (fun i -> 100 + i))
+
+(* the same oracle over the default analysis matrix, on three fixed seeds
+   outside the range above *)
+let test_oracle_matrix_seeds () = replay_seeds_clean [ 7; 99; 4242 ]
 
 (* ------------------------------------------------------------- seed corpus *)
 
@@ -118,6 +126,8 @@ let suite =
         Alcotest.test_case "generator deterministic" `Quick test_deterministic;
         Alcotest.test_case "generated programs compile and replay clean" `Slow
           test_generated_programs_compile;
+        Alcotest.test_case "oracle matrix: seeds 7/99/4242" `Slow
+          test_oracle_matrix_seeds;
         Alcotest.test_case "seed corpus replays clean" `Slow
           test_seed_corpus_replay;
         Alcotest.test_case "seed corpus covers target features" `Quick

@@ -1,6 +1,6 @@
 (** Tests for the analysis-server stack: the analysis-name grammar, the
     session cache (hits, misses, digest keying, LRU eviction), the NDJSON
-    request router, and one fork-based round-trip over a real unix socket. *)
+    request router, and one round-trip over a real unix socket. *)
 
 open Helpers
 module Run = Csc_driver.Run
@@ -334,6 +334,26 @@ let test_protocol_bad_checks () =
   let _ = ok_reply (h (req "check" "")) in
   Alcotest.(check bool) "server still up" false (Server.stopped t)
 
+(* "jobs" is not a request member: a request naming it, even absurdly
+   large, is the same request as one without it, so it must be served from
+   the session cache with the same result *)
+let test_protocol_jobs_ignored () =
+  let t = Server.create () in
+  let h line = Server.handle_line t line in
+  let analyze extra =
+    h
+      (Printf.sprintf
+         "{\"cmd\": \"analyze\", \"program\": \"findbugs\", \"analysis\": \
+          \"csc\"%s}"
+         extra)
+  in
+  let j1 = ok_reply (analyze "") in
+  let j2 = ok_reply (analyze ", \"jobs\": 100000") in
+  Alcotest.(check bool) "served from the cache" true
+    (get_bool (member "cached" j2));
+  let metrics j = Json.to_string (member "metrics" (member "result" j)) in
+  Alcotest.(check string) "same metrics" (metrics j1) (metrics j2)
+
 (* the update command: edits applied server-side, incremental path taken,
    result digest-cached under the new revision *)
 let test_protocol_update () =
@@ -397,9 +417,7 @@ let test_protocol_update () =
 (* ----------------------------------------------------------- unix socket *)
 
 let test_socket_roundtrip () =
-  (* the daemon runs on a thread, not a forked child: the parallel-solver
-     suites have already spawned Domains by the time this test runs, and
-     OCaml 5 forbids fork after that *)
+  (* the daemon runs on a thread of the test process, not a forked child *)
   let socket =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "csc-test-%d.sock" (Unix.getpid ()))
@@ -460,6 +478,8 @@ let suite =
           test_protocol_pt_matches_batch;
         Alcotest.test_case "malformed requests" `Quick test_protocol_errors;
         Alcotest.test_case "unknown checkers" `Quick test_protocol_bad_checks;
+        Alcotest.test_case "jobs member is ignored" `Quick
+          test_protocol_jobs_ignored;
         Alcotest.test_case "update round-trip" `Quick test_protocol_update;
       ] );
     ( "server.socket",
