@@ -9,9 +9,6 @@
     - recall  : §5.1 soundness recall experiment
     - ablation: §5.1 per-pattern precision-impact study
     - checks  : flow-sensitive diagnostics counts per workload, CI vs CSC
-    - collapse: solver cycle collapsing on/off, i.e. [sp_collapse]; its
-                rows are labelled ci/ci+nocollapse and csc/csc+nocollapse
-                (EXPERIMENTS.md E11)
     - taint   : taint-client leak reports on the ground-truth corpus
                 (EXPERIMENTS.md E13)
     - profile : cost attribution vs precision, ci / csc / 2obj
@@ -52,7 +49,6 @@ module Metrics = Csc_clients.Metrics
 module Bits = Csc_common.Bits
 module Csc = Csc_core.Csc
 module Json = Csc_obs.Json
-module Snapshot = Csc_obs.Snapshot
 module Trace = Csc_obs.Trace
 
 type config = {
@@ -76,25 +72,19 @@ let program name =
     Hashtbl.add programs_cache name p;
     p
 
-let outcome ?(collapse = true) cfg pname analysis : Run.outcome =
+let outcome cfg pname analysis : Run.outcome =
   let budget = if Run.is_datalog analysis then cfg.doop_budget else cfg.budget in
-  let spec =
-    { (Run.spec analysis) with
-      Run.sp_budget_s = Some budget;
-      sp_collapse = collapse }
-  in
-  let key = (pname, Run.spec_name spec, budget) in
+  let spec = { (Run.spec analysis) with Run.sp_budget_s = Some budget } in
+  let key = (pname, Run.name analysis, budget) in
   match Hashtbl.find_opt cache key with
   | Some o -> o
   | None ->
-    Fmt.epr "  [%s / %s] ...@." pname (Run.spec_name spec);
+    Fmt.epr "  [%s / %s] ...@." pname (Run.name analysis);
     let o = Run.run_spec spec (program pname) in
     (* keep full results only where a later experiment reads them (recall /
        extras / table3 overlap use CI and CSC); context-sensitive results can
        hold hundreds of MB of per-context tables *)
     let keep_result =
-      collapse
-      &&
       match analysis with
       | Run.Imp_ci | Run.Imp_csc | Run.Doop_ci | Run.Doop_csc -> true
       | _ -> false
@@ -160,8 +150,7 @@ let table1 cfg =
 
 (* [custom --analyses CSV]: an ad-hoc efficiency table over any analyses the
    grammar accepts (e.g. --analyses csc,kobj:3,doop:csc). Parsed with
-   Run.analysis_of_string so bench, the CLI and the server agree on names;
-   cycle collapsing is not an analysis, the collapse experiment covers it. *)
+   Run.analysis_of_string so bench, the CLI and the server agree on names. *)
 let custom_analyses : Run.analysis list ref = ref []
 
 let custom_exp cfg =
@@ -396,43 +385,6 @@ let checks cfg =
               (List.length ds) (count "null-deref") (count "fail-cast")
               (count "poly-call") (count "dead-store"))
         [ Run.Imp_ci; Run.Imp_csc ];
-      Fmt.pr "@.")
-    cfg.programs
-
-(* --------------------------------------------------------- collapse (E11) *)
-
-(* Not in the paper: the solver's online cycle collapsing + coalescing
-   worklist, on vs off (EXPERIMENTS.md E11). Results are identical by
-   construction — the differential test suite asserts it — so the table is
-   about the work saved: propagation volume, worklist pressure and the
-   collapsing counters themselves. *)
-let collapse_specs =
-  List.concat_map
-    (fun a -> [ Run.spec a; { (Run.spec a) with Run.sp_collapse = false } ])
-    [ Run.Imp_ci; Run.Imp_csc ]
-
-let collapse_exp cfg =
-  Fmt.pr "@.=== Extension: online cycle collapsing on/off (E11) ===@.";
-  Fmt.pr "%-11s %-16s %9s %12s %12s %12s %9s %9s@." "program" "analysis"
-    "time(s)" "propagated" "wl-pushes" "coalesced" "cycles" "merged";
-  List.iter
-    (fun pname ->
-      List.iter
-        (fun (s : Run.spec) ->
-          let a = s.sp_analysis in
-          let o = outcome ~collapse:s.sp_collapse cfg pname a in
-          let c name =
-            match o.Run.o_snapshot with
-            | Some s -> (
-              match Snapshot.counter_value s name with
-              | Some v -> string_of_int v
-              | None -> "-")
-            | None -> "-"
-          in
-          Fmt.pr "%-11s %-16s %9s %12s %12s %12s %9s %9s@." pname o.o_analysis
-            (time_cell cfg a o) (c "propagated") (c "wl_pushes")
-            (c "wl_coalesced") (c "cycles_collapsed") (c "ptrs_merged"))
-        collapse_specs;
       Fmt.pr "@.")
     cfg.programs
 
@@ -896,18 +848,15 @@ let micro () =
 
 let experiment_names =
   [ "fig12"; "table1"; "table2"; "table3"; "recall"; "ablation"; "kstudy";
-    "extras"; "checks"; "collapse"; "taint"; "profile"; "incremental";
+    "extras"; "checks"; "taint"; "profile"; "incremental";
     "micro"; "custom" ]
 
 (* the (program, analysis) cells each experiment reads. Serializing an
    experiment maps its grid through the memo cache, so the report re-runs
    nothing. micro has no analysis grid and is not serialized. *)
-let grid_of_experiment cfg exp : (string * Run.spec) list =
-  let cross_specs programs specs =
-    List.concat_map (fun p -> List.map (fun s -> (p, s)) specs) programs
-  in
+let grid_of_experiment cfg exp : (string * Run.analysis) list =
   let cross programs analyses =
-    cross_specs programs (List.map Run.spec analyses)
+    List.concat_map (fun p -> List.map (fun a -> (p, a)) analyses) programs
   in
   match exp with
   | "table2" -> cross cfg.programs table2_analyses
@@ -927,7 +876,6 @@ let grid_of_experiment cfg exp : (string * Run.spec) list =
     cross (kstudy_programs cfg)
       [ Run.Imp_ci; Run.Imp_kobj 1; Run.Imp_kobj 2; Run.Imp_kobj 3; Run.Imp_csc ]
   | "extras" | "checks" -> cross cfg.programs [ Run.Imp_ci; Run.Imp_csc ]
-  | "collapse" -> cross_specs cfg.programs collapse_specs
   | "custom" -> cross cfg.programs !custom_analyses
   | _ -> []
 
@@ -943,10 +891,7 @@ let experiment_json cfg exp : Json.t option =
   | grid ->
     Some
       (Report.experiment_json ~name:exp
-         (List.map
-            (fun (p, (s : Run.spec)) ->
-              (p, outcome ~collapse:s.sp_collapse cfg p s.sp_analysis))
-            grid))
+         (List.map (fun (p, a) -> (p, outcome cfg p a)) grid))
 
 (* --------------------------------------------------------- regression gate *)
 
@@ -1119,7 +1064,7 @@ let () =
     if experiments = [] || List.mem "all" experiments then
       (* cheap (imperative) experiments first so interrupted runs still
          cover every experiment; the Datalog grid (table1/fig12) comes last *)
-      [ "table2"; "collapse"; "recall"; "ablation"; "kstudy"; "extras";
+      [ "table2"; "recall"; "ablation"; "kstudy"; "extras";
         "checks"; "taint"; "profile"; "incremental"; "micro"; "table3";
         "table1"; "fig12" ]
     else experiments
@@ -1140,7 +1085,6 @@ let () =
       | "kstudy" -> kstudy cfg
       | "extras" -> extras cfg
       | "checks" -> checks cfg
-      | "collapse" -> collapse_exp cfg
       | "taint" -> taint_exp cfg
       | "profile" -> profile_exp cfg
       | "incremental" -> incremental_exp cfg

@@ -92,14 +92,6 @@ let trace_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
-let no_collapse_arg =
-  let doc =
-    "Disable the solver's online cycle collapsing (escape hatch; results are \
-     identical, only slower). Imperative outcomes are then labelled \
-     NAME+nocollapse."
-  in
-  Arg.(value & flag & info [ "no-collapse" ] ~doc)
-
 let with_trace trace f =
   match trace with
   | None -> f ()
@@ -129,31 +121,27 @@ let progress_opt s = if s <= 0. then None else Some s
 type common = {
   cm_budget : float;
   cm_validate : bool;
-  cm_no_collapse : bool;
   cm_progress : float;
   cm_trace : string option;
 }
 
 let common_term =
-  let mk budget validate no_collapse progress trace =
+  let mk budget validate progress trace =
     {
       cm_budget = budget;
       cm_validate = validate;
-      cm_no_collapse = no_collapse;
       cm_progress = progress;
       cm_trace = trace;
     }
   in
   Cmdliner.Term.(
-    const mk $ budget_arg $ validate_arg $ no_collapse_arg $ progress_arg
-    $ trace_arg)
+    const mk $ budget_arg $ validate_arg $ progress_arg $ trace_arg)
 
 let spec_of_common ?(profile = false) ?(profile_top = 25) c analysis =
   {
     (Run.spec analysis) with
     Run.sp_budget_s = budget_opt c.cm_budget;
     sp_validate = c.cm_validate;
-    sp_collapse = not c.cm_no_collapse;
     sp_profile = profile;
     sp_profile_top = profile_top;
     sp_progress_s = progress_opt c.cm_progress;

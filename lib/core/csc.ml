@@ -235,8 +235,6 @@ and add_load_pattern t (m : Ir.method_id) pat =
 (* ---------------------------------------------------------- subscriptions *)
 
 and add_sub t (base_ptr : int) (s : sub) =
-  (* key on the representative so merged base pointers keep firing *)
-  let base_ptr = Solver.canon t.solver base_ptr in
   if not (Hashtbl.mem t.sub_seen (base_ptr, s)) then begin
     Hashtbl.add t.sub_seen (base_ptr, s) ();
     (get_list t.subs base_ptr) := s :: !(get_list t.subs base_ptr);
@@ -253,12 +251,7 @@ and fire_sub t (s : sub) (objs : Bits.t) =
             ~dst:(Solver.ptr_field t.solver ~obj:o ~fld)
         | Sub_load { fld; to_ptr; tag } ->
           let src = Solver.ptr_field t.solver ~obj:o ~fld in
-          (* [tagged] keys stay canonical (see [on_merge]); [on_edge] looks
-             them up with the representative ids the solver hands it *)
-          if tag then
-            Hashtbl.replace t.tagged
-              (Solver.canon t.solver src, Solver.canon t.solver to_ptr)
-              ();
+          if tag then Hashtbl.replace t.tagged (src, to_ptr) ();
           shortcut t t.c_sc_load ~src ~dst:to_ptr)
     objs
 
@@ -301,7 +294,6 @@ let relay_seed t (m : Ir.method_id) (o : int) =
 (* ------------------------------------------------------ container pattern *)
 
 let pt_h_of t ptr =
-  let ptr = Solver.canon t.solver ptr in
   match Hashtbl.find_opt t.pt_h ptr with
   | Some b -> b
   | None ->
@@ -331,7 +323,6 @@ and add_target t host cat (tgt_ptr : int) =
    PropHost follows PFG edges except Transfer-return edges; TransferHost and
    the Source/Target registration are driven by roles. *)
 and add_hosts t (ptr : int) (delta : Bits.t) =
-  let ptr = Solver.canon t.solver ptr in
   let cur = pt_h_of t ptr in
   match Bits.union_into ~into:cur delta with
   | None -> ()
@@ -378,75 +369,10 @@ let apply_lflow t (site : Ir.call_id) (callee : Ir.method_id) =
   | _ -> ()
 
 let add_role t (recv_ptr : int) (role : role) =
-  let recv_ptr = Solver.canon t.solver recv_ptr in
   if not (Hashtbl.mem t.role_seen (recv_ptr, role)) then begin
     Hashtbl.add t.role_seen (recv_ptr, role) ();
     (get_list t.roles recv_ptr) := role :: !(get_list t.roles recv_ptr);
     apply_role t role (pt_h_of t recv_ptr)
-  end
-
-(* ------------------------------------------------------------ collapsing *)
-
-(* The solver merged pointer [other] into representative [rep]: migrate every
-   pointer-keyed table. Cut return variables are pinned (see [on_reachable]),
-   so [ret_ptr_owner] and [retload_pats] keys can never be absorbed and need
-   no handling here. The solver re-delivers the merged points-to union (and
-   we re-deliver the merged host union below), so migrated subscriptions and
-   roles observe everything at least once. *)
-let on_merge t ~rep ~other =
-  (* field-pattern subscriptions *)
-  (match Hashtbl.find_opt t.subs other with
-  | Some l ->
-    Hashtbl.remove t.subs other;
-    List.iter
-      (fun s ->
-        if not (Hashtbl.mem t.sub_seen (rep, s)) then begin
-          Hashtbl.add t.sub_seen (rep, s) ();
-          get_list t.subs rep := s :: !(get_list t.subs rep)
-        end)
-      !l
-  | None -> ());
-  (* returnLoad-tagged edges: rewrite endpoints to stay canonical *)
-  let stale =
-    Hashtbl.fold
-      (fun (a, b) () acc ->
-        if a = other || b = other then (a, b) :: acc else acc)
-      t.tagged []
-  in
-  List.iter
-    (fun (a, b) ->
-      Hashtbl.remove t.tagged (a, b);
-      let a = if a = other then rep else a in
-      let b = if b = other then rep else b in
-      Hashtbl.replace t.tagged (a, b) ())
-    stale;
-  (* container roles *)
-  (match Hashtbl.find_opt t.roles other with
-  | Some l ->
-    Hashtbl.remove t.roles other;
-    List.iter
-      (fun r ->
-        if not (Hashtbl.mem t.role_seen (rep, r)) then begin
-          Hashtbl.add t.role_seen (rep, r) ();
-          get_list t.roles rep := r :: !(get_list t.roles rep)
-        end)
-      !l
-  | None -> ());
-  (* host sets: rebuild the representative's from the union and re-deliver,
-     so merged roles and merged successors observe every host *)
-  if t.cfg.container_pattern then begin
-    let u = Bits.create () in
-    (match Hashtbl.find_opt t.pt_h rep with
-    | Some b ->
-      Bits.union_quiet ~into:u b;
-      Hashtbl.remove t.pt_h rep
-    | None -> ());
-    (match Hashtbl.find_opt t.pt_h other with
-    | Some b ->
-      Bits.union_quiet ~into:u b;
-      Hashtbl.remove t.pt_h other
-    | None -> ());
-    if not (Bits.is_empty u) then add_hosts t rep u
   end
 
 (* --------------------------------------------------------------- events *)
@@ -460,10 +386,7 @@ let on_reachable t (mid : Ir.method_id) =
     if Bits.mem t.cut_load mid then begin
       ignore (Bits.add t.involved mid);
       let rv = Option.get m.m_ret_var in
-      let rp = Solver.canon t.solver (ptr_var t rv) in
-      (* the relay classification in [on_edge] keys on this exact pointer;
-         pin it so cycle collapsing never absorbs it into another node *)
-      Solver.pin t.solver rp;
+      let rp = ptr_var t rv in
       Hashtbl.replace t.ret_ptr_owner rp mid;
       List.iter
         (fun (k, fld) ->
@@ -719,7 +642,6 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
       pl_on_call_edge = on_call_edge t;
       pl_on_new_pts = on_new_pts t;
       pl_on_edge = (fun ~src e -> on_edge t ~src e);
-      pl_on_merge = (fun ~rep ~other -> on_merge t ~rep ~other);
       pl_is_cut_store = (fun ~base ~fld ~rhs -> is_cut_store t ~base ~fld ~rhs);
       pl_is_cut_return = is_cut_return t;
     },

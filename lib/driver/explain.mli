@@ -4,9 +4,9 @@
     server share one implementation. The solve goes through the driver's one
     path ({!Run.run_spec_solver} with provenance recording on), which hands
     back the live solver the provenance recorder lives in. It is
-    deliberately not cached by [Session]: provenance recording disables
-    cycle collapsing, so an explained solve is never the solve you want to
-    keep resident. *)
+    deliberately not cached by [Session]: an explained solve carries its
+    provenance recorder, which is never the solve you want to keep
+    resident. *)
 
 module Ir = Csc_ir.Ir
 
@@ -16,14 +16,13 @@ type fact = {
   x_chain : string list;  (** derivation chain, root first; [[]] if none *)
 }
 
-(** [run s p] solves [p] as requested by [s] (budget, validation,
-    collapsing, ...) with provenance on and returns up to [limit] (default
+(** [run s p] solves [p] as requested by [s] (budget, validation, ...) with
+    provenance on and returns up to [limit] (default
     5) explained facts. [var] restricts to variables whose qualified
     [Class.method.var] name ends with it; without it, application
     (non-mini-JDK) variables are scanned. [Error] for Datalog/Zipper analyses (no provenance recorder
     there) and for solver timeouts; with [sp_validate] on, malformed IR
-    raises [Failure] exactly as in {!Run.run_spec}. With [sp_collapse] on,
-    prints the provenance-disables-collapsing note to stderr. *)
+    raises [Failure] exactly as in {!Run.run_spec}. *)
 val run :
   ?var:string ->
   ?limit:int ->

@@ -163,16 +163,9 @@ let rec analysis_of_string (s : string) : (analysis, string) result =
   match List.assoc_opt s fixed_names with
   | Some a -> Ok a
   | None -> (
-    match (after_prefix s "doop:", after_prefix s "no-collapse:") with
-    | Some rest, _ -> analysis_of_string ("doop-" ^ rest)
-    | None, Some _ ->
-      Error
-        (Printf.sprintf
-           "%S: cycle collapsing is a run switch, not an analysis; use \
-            --no-collapse on the command line or \"collapse\": false in a \
-            server request"
-           s)
-    | None, None -> (
+    match after_prefix s "doop:" with
+    | Some rest -> analysis_of_string ("doop-" ^ rest)
+    | None -> (
       match List.find_map family k_families with
       | Some r -> r
       | None -> Error (Printf.sprintf "unknown analysis %S; %s" s grammar_help)))
@@ -201,7 +194,6 @@ type spec = {
   sp_budget_s : float option;
   sp_validate : bool;
   sp_explain : bool;
-  sp_collapse : bool;
   sp_profile : bool;
   sp_profile_top : int;
   sp_progress_s : float option;
@@ -214,7 +206,6 @@ let spec analysis =
     sp_budget_s = None;
     sp_validate = false;
     sp_explain = false;
-    sp_collapse = true;
     sp_profile = false;
     sp_profile_top = 25;
     sp_progress_s = None;
@@ -228,13 +219,9 @@ let spec_key s =
   let a = match s.sp_analysis with Imp_2obj -> Imp_kobj 2 | a -> a in
   { s with sp_analysis = a; sp_progress_s = None; sp_jobs = 1 }
 
-let spec_name s =
-  if s.sp_collapse || is_datalog s.sp_analysis then name s.sp_analysis
-  else name s.sp_analysis ^ "+nocollapse"
-
 let timeout_outcome ?snapshot s elapsed =
   {
-    o_analysis = spec_name s;
+    o_analysis = name s.sp_analysis;
     o_timeout = true;
     o_time = elapsed;
     o_pre_time = 0.;
@@ -301,11 +288,8 @@ let run_kept ?preseed (s : spec) (p : Ir.program) : outcome * state option =
      is built via create/run (not [Solver.analyze]) to keep its handle. *)
   let solve = function
     | Imp (sel, csc) -> (
-      let t = Solver.create ~budget ~sel ~collapse:s.sp_collapse p in
-      if s.sp_explain && Solver.enable_provenance t then
-        Fmt.epr
-          "note: provenance recording (--explain) disables online cycle \
-           collapsing for this run; expect a slower solve@.";
+      let t = Solver.create ~budget ~sel p in
+      if s.sp_explain then Solver.enable_provenance t;
       if s.sp_profile then Solver.enable_attr t;
       Option.iter (Solver.set_progress t) s.sp_progress_s;
       Option.iter

@@ -10,8 +10,7 @@ module Metrics = Csc_clients.Metrics
 
 (** The analyses of the paper's evaluation plus extensions. [Imp_*] run on
     the imperative engine (Tai-e analog, Table 2), [Doop_*] on the Datalog
-    engine (Doop analog, Table 1). Cycle collapsing is not an analysis: it
-    is the {!spec} field [sp_collapse]. *)
+    engine (Doop analog, Table 1). *)
 type analysis =
   | Imp_ci
   | Imp_csc
@@ -49,11 +48,9 @@ val analysis_names : string list
                                                           2type, zipper-e)
     v}
 
-    [Error msg] describes the failure and restates the grammar; a
-    ["no-collapse:"] prefix is refused with a pointer to the [--no-collapse]
-    flag and the server's ["collapse": false]. The parse is compatible with
-    {!name}: [analysis_of_string (name a)] succeeds for every [a], with the
-    same name and the same {!plan_name}. *)
+    [Error msg] describes the failure and restates the grammar. The parse is
+    compatible with {!name}: [analysis_of_string (name a)] succeeds for
+    every [a], with the same name and the same {!plan_name}. *)
 val analysis_of_string : string -> (analysis, string) result
 
 (** The decoded execution plan of an analysis, rendered: engine, context
@@ -106,10 +103,6 @@ type spec = {
       (** record points-to provenance on the imperative engine (adds a
           [prov_records] counter to the snapshot); no effect on Doop
           analyses *)
-  sp_collapse : bool;
-      (** the imperative solver's online cycle collapsing —
-          semantics-preserving, so results only differ in speed. Off, an
-          imperative outcome is labelled [<name>+nocollapse]. *)
   sp_profile : bool;
       (** cost attribution into [o_profile]: per-method/per-pointer
           propagation on the imperative engine (for Zipper, the main
@@ -127,8 +120,7 @@ type spec = {
 }
 
 (** [spec a] is the default request for analysis [a]: no budget, no
-    validation, no provenance, collapsing on, no profile (top 25), no
-    heartbeat. *)
+    validation, no provenance, no profile (top 25), no heartbeat. *)
 val spec : analysis -> spec
 
 (** Cache-key normalization: fields that cannot change the outcome (the
@@ -136,10 +128,6 @@ val spec : analysis -> spec
     defaults and [Imp_2obj] becomes [Imp_kobj 2], so a result cache keyed on
     [spec_key s] is shared across them. *)
 val spec_key : spec -> spec
-
-(** The outcome label of a request ([o_analysis]): the analysis name, plus
-    ["+nocollapse"] for an imperative run with [sp_collapse = false]. *)
-val spec_name : spec -> string
 
 (** Run one analysis as described by the request record. *)
 val run_spec : spec -> Ir.program -> outcome

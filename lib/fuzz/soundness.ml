@@ -7,7 +7,7 @@
     runtime errors are still valid lower bounds) and checks that containment
     for every engine/configuration in {!default_matrix}; on top it
     cross-checks results that must agree exactly — the imperative vs. the
-    Datalog context-insensitive baseline, and cycle collapsing on vs. off. *)
+    Datalog context-insensitive baseline. *)
 
 open Csc_common
 module Ir = Csc_ir.Ir
@@ -26,7 +26,6 @@ type kind =
   | Unsound_cast   (** cast failed at runtime but not in [may_fail_casts] *)
   | Unsound_taint  (** dynamic sink hit missing from the static leak report *)
   | Engine_mismatch    (** imperative and Datalog CI results differ *)
-  | Collapse_mismatch  (** cycle collapsing changed an observable result *)
   | Incremental_mismatch
       (** updating a solved state over an edit differs from a fresh solve *)
   | Analysis_crash     (** an analysis raised or timed out on a tiny program *)
@@ -38,7 +37,6 @@ let kind_name = function
   | Unsound_cast -> "unsound-cast"
   | Unsound_taint -> "unsound-taint"
   | Engine_mismatch -> "engine-mismatch"
-  | Collapse_mismatch -> "collapse-mismatch"
   | Incremental_mismatch -> "incremental-mismatch"
   | Analysis_crash -> "analysis-crash"
 
@@ -51,17 +49,12 @@ type violation = {
 let pp_violation ppf v =
   Fmt.pf ppf "[%s] %s: %s" (kind_name v.v_kind) v.v_analysis v.v_detail
 
-let no_collapse a = { (Run.spec a) with Run.sp_collapse = false }
-
 (** The engine/configuration matrix every generated program is checked
-    against: imperative and Datalog engines, CSC off and on, and (for the
-    imperative engine) cycle collapsing off and on. *)
+    against: imperative and Datalog engines, CSC off and on. *)
 let default_matrix : Run.spec list =
   [
     Run.spec Run.Imp_ci;
     Run.spec Run.Imp_csc;
-    no_collapse Run.Imp_ci;
-    no_collapse Run.Imp_csc;
     Run.spec Run.Doop_ci;
     Run.spec Run.Doop_csc;
   ]
@@ -203,7 +196,7 @@ let check ?(matrix = default_matrix) ?(max_steps = 2_000_000) (p : Ir.program)
   let results =
     List.map
       (fun a ->
-        let aname = Run.spec_name a in
+        let aname = Run.name a.Run.sp_analysis in
         match Run.run_spec a p with
         | { Run.o_result = Some r; _ } -> (a, aname, Ok r)
         | { Run.o_timeout; _ } ->
@@ -242,16 +235,14 @@ let check ?(matrix = default_matrix) ?(max_steps = 2_000_000) (p : Ir.program)
         else None)
       results
   in
-  let pair a b kind =
-    match (find a, find b) with
+  let engines =
+    match (find (Run.spec Run.Imp_ci), find (Run.spec Run.Doop_ci)) with
     | Some ra, Some rb ->
-      cross_check p (Run.spec_name a) (Run.spec_name b) ra rb kind
+      cross_check p (Run.name Run.Imp_ci) (Run.name Run.Doop_ci) ra rb
+        Engine_mismatch
     | _ -> []
   in
-  violations
-  @ pair (Run.spec Run.Imp_ci) (Run.spec Run.Doop_ci) Engine_mismatch
-  @ pair (Run.spec Run.Imp_ci) (no_collapse Run.Imp_ci) Collapse_mismatch
-  @ pair (Run.spec Run.Imp_csc) (no_collapse Run.Imp_csc) Collapse_mismatch
+  violations @ engines
 
 (* ---- incremental oracle: update ≡ fresh solve, bit for bit ---- *)
 
@@ -275,7 +266,7 @@ let check_incremental
   | p0 :: rest ->
     List.concat_map
       (fun spec ->
-        let aname = Run.spec_name spec in
+        let aname = Run.name spec.Run.sp_analysis in
         let out = ref [] in
         let crash k e =
           out :=

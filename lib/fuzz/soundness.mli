@@ -4,8 +4,8 @@
     valid lower bounds), then checks dynamic ⊆ static — reachable methods,
     call edges, per-variable points-to sets, failing casts, and taint sink
     hits vs. the static leak report — for every engine/configuration in
-    {!default_matrix}, plus exact-agreement cross-checks (imperative vs.
-    Datalog CI, cycle collapsing on vs. off). *)
+    {!default_matrix}, plus an exact-agreement cross-check (imperative vs.
+    Datalog CI). *)
 
 module Ir = Csc_ir.Ir
 module Run = Csc_driver.Run
@@ -18,7 +18,6 @@ type kind =
   | Unsound_cast   (** cast failed at runtime but not in [may_fail_casts] *)
   | Unsound_taint  (** dynamic sink hit missing from the static leak report *)
   | Engine_mismatch    (** imperative and Datalog CI results differ *)
-  | Collapse_mismatch  (** cycle collapsing changed an observable result *)
   | Incremental_mismatch
       (** updating a solved state over an edit differs from a fresh solve *)
   | Analysis_crash     (** an analysis raised or timed out on a tiny program *)
@@ -33,7 +32,7 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-(** Imperative × Datalog × CSC on/off × collapse on/off. *)
+(** Imperative × Datalog × CSC on/off. *)
 val default_matrix : Run.spec list
 
 (** IR statements in application (non-JDK) methods — the size metric for
@@ -52,7 +51,7 @@ val check :
 (** Exact equality of two results on the same program — reachable methods,
     call edges and every variable's points-to set; [None] means identical,
     [Some detail] names the first difference. This is the comparison behind
-    the engine/collapse cross-checks and {!check_incremental}. *)
+    the engine cross-check and {!check_incremental}. *)
 val identical :
   Ir.program ->
   Csc_pta.Solver.result ->

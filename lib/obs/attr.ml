@@ -6,7 +6,6 @@
 type row = {
   mutable k_pops : int;
   mutable k_props : int;
-  mutable k_merges : int;
   mutable k_shortcuts : int;
 }
 
@@ -27,7 +26,6 @@ type t = {
   hist : int array;  (* delta-cardinality histogram, log2 buckets *)
   mutable t_pops : int;
   mutable t_props : int;
-  mutable t_merges : int;
   mutable t_shortcuts : int;
 }
 
@@ -39,7 +37,6 @@ let create () =
     hist = Array.make n_buckets 0;
     t_pops = 0;
     t_props = 0;
-    t_merges = 0;
     t_shortcuts = 0;
   }
 
@@ -64,7 +61,7 @@ let row tbl id =
   match Hashtbl.find_opt tbl id with
   | Some r -> r
   | None ->
-    let r = { k_pops = 0; k_props = 0; k_merges = 0; k_shortcuts = 0 } in
+    let r = { k_pops = 0; k_props = 0; k_shortcuts = 0 } in
     Hashtbl.add tbl id r;
     r
 
@@ -79,13 +76,6 @@ let observe_pop t ~meth ~ptr ~delta =
   let p = row t.ptrs ptr in
   p.k_pops <- p.k_pops + 1;
   p.k_props <- p.k_props + delta
-
-let observe_merge t ~meth ~ptr ~absorbed =
-  t.t_merges <- t.t_merges + absorbed;
-  let m = row t.meths meth in
-  m.k_merges <- m.k_merges + absorbed;
-  let p = row t.ptrs ptr in
-  p.k_merges <- p.k_merges + absorbed
 
 let observe_shortcut t ~meth ~ptr =
   t.t_shortcuts <- t.t_shortcuts + 1;
@@ -110,7 +100,6 @@ let rule_scans r n = r.r_scans <- r.r_scans + n
 let rule_time r dt = r.r_time <- r.r_time +. dt
 let pops t = t.t_pops
 let props t = t.t_props
-let merges t = t.t_merges
 let shortcuts t = t.t_shortcuts
 
 (* --------------------------------------------------------- rendered form *)
@@ -119,7 +108,6 @@ type entry = {
   e_name : string;
   e_pops : int;
   e_props : int;
-  e_merges : int;
   e_shortcuts : int;
 }
 
@@ -139,7 +127,6 @@ type profile = {
   p_hist : (string * int) list;
   p_pops : int;
   p_props : int;
-  p_merges : int;
   p_shortcuts : int;
 }
 
@@ -157,10 +144,7 @@ let entry_compare a b =
   match compare b.e_props a.e_props with
   | 0 -> (
     match compare b.e_pops a.e_pops with
-    | 0 -> (
-      match compare b.e_merges a.e_merges with
-      | 0 -> String.compare a.e_name b.e_name
-      | c -> c)
+    | 0 -> String.compare a.e_name b.e_name
     | c -> c)
   | c -> c
 
@@ -180,7 +164,6 @@ let render ?(top = 10) t ~engine ~meth_name ~ptr_name : profile =
           e_name = name_of id;
           e_pops = r.k_pops;
           e_props = r.k_props;
-          e_merges = r.k_merges;
           e_shortcuts = r.k_shortcuts;
         }
         :: acc)
@@ -217,7 +200,6 @@ let render ?(top = 10) t ~engine ~meth_name ~ptr_name : profile =
     p_hist = !hist;
     p_pops = t.t_pops;
     p_props = t.t_props;
-    p_merges = t.t_merges;
     p_shortcuts = t.t_shortcuts;
   }
 
@@ -227,7 +209,6 @@ let entry_json (e : entry) : Json.t =
       ("name", Json.Str e.e_name);
       ("pops", Json.Int e.e_pops);
       ("props", Json.Int e.e_props);
-      ("merges", Json.Int e.e_merges);
       ("shortcuts", Json.Int e.e_shortcuts);
     ]
 
@@ -250,7 +231,6 @@ let profile_json (p : profile) : Json.t =
           [
             ("pops", Json.Int p.p_pops);
             ("props", Json.Int p.p_props);
-            ("merges", Json.Int p.p_merges);
             ("shortcuts", Json.Int p.p_shortcuts);
           ] );
       ("methods", Json.List (List.map entry_json p.p_methods));
@@ -265,16 +245,15 @@ let profile_text ?top (p : profile) : string =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "engine: %s\n" p.p_engine;
-  pf "totals: pops=%d props=%d merges=%d shortcuts=%d\n" p.p_pops p.p_props
-    p.p_merges p.p_shortcuts;
+  pf "totals: pops=%d props=%d shortcuts=%d\n" p.p_pops p.p_props
+    p.p_shortcuts;
   let section title xs =
     if xs <> [] then begin
       pf "%s:\n" title;
-      pf "  %10s %10s %8s %9s  name\n" "props" "pops" "merges" "shortcuts";
+      pf "  %10s %10s %9s  name\n" "props" "pops" "shortcuts";
       List.iter
         (fun e ->
-          pf "  %10d %10d %8d %9d  %s\n" e.e_props e.e_pops e.e_merges
-            e.e_shortcuts e.e_name)
+          pf "  %10d %10d %9d  %s\n" e.e_props e.e_pops e.e_shortcuts e.e_name)
         (cut xs)
     end
   in

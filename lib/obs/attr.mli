@@ -3,7 +3,7 @@
     Global counters ({!Registry}) say *how much* work a run did; this layer
     says *where* — per method, per pointer, and per rule. Engines that hold a
     [t option] record every worklist pop (with its delta cardinality),
-    union-find merge, shortcut firing, and rule evaluation into int-keyed
+    shortcut firing, and rule evaluation into int-keyed
     mutable rows; a disabled engine pays one [None] branch per site and a
     profiled one no allocation after the first touch of a key.
 
@@ -21,10 +21,6 @@ val create : unit -> t
 (** One worklist pop of pointer [ptr] (owned by method [meth], [-1] for
     statics) whose coalesced delta carried [delta] objects. *)
 val observe_pop : t -> meth:int -> ptr:int -> delta:int -> unit
-
-(** A union-find collapse into representative [ptr]: [absorbed] pointers were
-    merged away. *)
-val observe_merge : t -> meth:int -> ptr:int -> absorbed:int -> unit
 
 (** A CSC shortcut edge was installed with target [ptr]. *)
 val observe_shortcut : t -> meth:int -> ptr:int -> unit
@@ -55,7 +51,6 @@ val bucket_label : int -> string
 
 val pops : t -> int
 val props : t -> int
-val merges : t -> int
 val shortcuts : t -> int
 
 (** {1 Rendering} *)
@@ -64,7 +59,6 @@ type entry = {
   e_name : string;
   e_pops : int;
   e_props : int;
-  e_merges : int;
   e_shortcuts : int;
 }
 
@@ -84,13 +78,12 @@ type profile = {
   p_hist : (string * int) list;  (** (bucket label, pop count), ascending *)
   p_pops : int;
   p_props : int;
-  p_merges : int;
   p_shortcuts : int;
 }
 
 (** Resolve ids through [meth_name]/[ptr_name] and keep the [top] hottest
     rows of each table (default 10). Ordering is total (props desc, pops
-    desc, merges desc, name asc; rules: tuples desc, fires desc, name asc),
+    desc, name asc; rules: tuples desc, fires desc, name asc),
     so the result is deterministic for a deterministic run. *)
 val render :
   ?top:int ->

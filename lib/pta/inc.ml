@@ -31,13 +31,7 @@
       and plugin subscriptions replay over it exactly as over derived
       facts. The subsequent run re-derives everything retracted and reaches
       the same fixpoint a from-scratch solve would — the
-      [Soundness.check_incremental] oracle asserts bit-identity.
-
-    Union-find interaction: dirtiness is tracked on canonical
-    representatives, so one dirty member retracts its whole collapsed class
-    (over-dirtying is always sound); clean absorbed members are
-    transplanted individually with their representative's set, which at the
-    old fixpoint is exactly each member's own set. *)
+      [Soundness.check_incremental] oracle asserts bit-identity. *)
 
 open Csc_common
 module Ir = Csc_ir.Ir
@@ -610,10 +604,7 @@ let plan ?(k_percent = 20) ?classify_old ?classify_new ?(hook : hook option)
           old.S.objs;
         let dirtyp = Bits.create () in
         let q = Queue.create () in
-        let mark p =
-          let p = S.canon old p in
-          if Bits.add dirtyp p then Queue.push p q
-        in
+        let mark p = if Bits.add dirtyp p then Queue.push p q in
         let mark_var v =
           match Hashtbl.find_opt var_ptrs v with
           | Some l -> List.iter mark l
@@ -695,7 +686,7 @@ let plan ?(k_percent = 20) ?classify_old ?classify_new ?(hook : hook option)
           while !again do
             incr rounds;
             h
-              ~dirty_ptr:(fun p -> Bits.mem dirtyp (S.canon old p))
+              ~dirty_ptr:(Bits.mem dirtyp)
               ~dirty_obj:(fun o -> Bits.mem dobj o)
               ~dirty_meth:(fun m -> Bits.mem dm m)
               ~mark;
@@ -716,7 +707,7 @@ let plan ?(k_percent = 20) ?classify_old ?classify_new ?(hook : hook option)
         let clean_recv_pts (r : Ir.var_id) : Bits.t option =
           (* receiver pointer of an *old* site, if provably unchanged *)
           match Interner.find_opt old.S.ptrs (S.PVar (0, r)) with
-          | Some rp when not (Bits.mem dirtyp (S.canon old rp)) ->
+          | Some rp when not (Bits.mem dirtyp rp) ->
             Some (S.pts old rp)
           | _ -> None
         in
@@ -814,29 +805,21 @@ let plan ?(k_percent = 20) ?classify_old ?classify_new ?(hook : hook option)
             Hashtbl.add obj_tr o r;
             r
         in
-        (* representative set -> translated set, memoized (clean absorbed
-           members all transplant their representative's set) *)
-        let set_tr : (int, Bits.t) Hashtbl.t = Hashtbl.create 1024 in
-        let tr_set rep =
-          match Hashtbl.find_opt set_tr rep with
-          | Some s -> s
-          | None ->
-            let out = Bits.create () in
-            Bits.iter
-              (fun o ->
-                let o' = tr_obj o in
-                if o' >= 0 then ignore (Bits.add out o'))
-              (Vec.get old.S.pts rep);
-            Hashtbl.add set_tr rep out;
-            out
+        let tr_set pid =
+          let out = Bits.create () in
+          Bits.iter
+            (fun o ->
+              let o' = tr_obj o in
+              if o' >= 0 then ignore (Bits.add out o'))
+            (Vec.get old.S.pts pid);
+          out
         in
         let preloaded = ref 0 and total = ref 0 in
         Interner.iteri
           (fun pid desc ->
-            let rep = S.canon old pid in
-            let sz = Bits.cardinal (Vec.get old.S.pts rep) in
+            let sz = Bits.cardinal (Vec.get old.S.pts pid) in
             total := !total + sz;
-            if sz > 0 && not (Bits.mem dirtyp rep) then begin
+            if sz > 0 && not (Bits.mem dirtyp pid) then begin
               let dst =
                 match desc with
                 | S.PVar (_, v) ->
@@ -861,7 +844,7 @@ let plan ?(k_percent = 20) ?classify_old ?classify_new ?(hook : hook option)
               in
               match dst with
               | Some dp ->
-                let s = tr_set rep in
+                let s = tr_set pid in
                 preloaded := !preloaded + Bits.cardinal s;
                 S.seed ~why:"inc" nt dp s
               | None -> ()

@@ -8,22 +8,8 @@
     (cutting = refusing edges before they are added, shortcutting = adding
     extra edges), exactly as in Figure 7 of the paper.
 
-    The propagation core runs three cooperating optimizations (DESIGN.md S8):
+    The propagation core runs two optimizations (DESIGN.md S15):
 
-    - {b Online cycle collapsing.} PFG cycles made only of unfiltered
-      {!KNormal} edges are semantic equivalence classes: at fixpoint every
-      member holds the same points-to set. A union-find ({!Csc_common.Uf})
-      merges such cycles online into one representative whose
-      pts/succs/watches are the union of the members'; every later lookup is
-      redirected through [find]. Cycles are found two ways: lazily, when a
-      propagation along a collapsible edge turns out fully redundant (the
-      classic LCD trigger), and by a periodic Tarjan sweep over the whole
-      graph. Filtered (cast) edges, return edges and shortcut edges are never
-      collapsed across — their endpoints are not equivalent. When a class is
-      merged the united set re-enters the worklist as one delta against an
-      emptied representative, so every merged watch, successor and plugin
-      subscription observes exactly the union (idempotent for whatever it
-      had already seen).
     - {b Coalescing worklist.} Instead of a FIFO of [(ptr, delta)] pairs, a
       per-pointer pending-delta table plus a dirty set: N pushes to the same
       pointer merge into one entry processed once per round. FIFO order of
@@ -67,12 +53,8 @@ type plugin = {
   pl_on_call_edge : Ir.call_id -> Ir.method_id -> unit;
       (** a (site, callee) call edge appeared (first time, any context) *)
   pl_on_new_pts : int -> Bits.t -> unit;
-      (** pointer id (always a representative), delta of newly added objects *)
-  pl_on_edge : src:int -> edge -> unit;
-      (** a PFG edge was added; [src] and [e_dst] are representatives *)
-  pl_on_merge : rep:int -> other:int -> unit;
-      (** cycle collapsing absorbed pointer [other] into representative
-          [rep]; plugins keeping pointer-keyed state must migrate it *)
+      (** pointer id, delta of newly added objects *)
+  pl_on_edge : src:int -> edge -> unit;  (** a PFG edge was added *)
   pl_is_cut_store : base:Ir.var_id -> fld:Ir.field_id -> rhs:Ir.var_id -> bool;
       (** [cutStores]: refuse the store edges of this statement *)
   pl_is_cut_return : Ir.method_id -> bool;
@@ -86,7 +68,6 @@ let no_plugin : plugin =
     pl_on_call_edge = (fun _ _ -> ());
     pl_on_new_pts = (fun _ _ -> ());
     pl_on_edge = (fun ~src:_ _ -> ());
-    pl_on_merge = (fun ~rep:_ ~other:_ -> ());
     pl_is_cut_store = (fun ~base:_ ~fld:_ ~rhs:_ -> false);
     pl_is_cut_return = (fun _ -> false);
   }
@@ -107,16 +88,12 @@ type t = {
   sel : Context.t;
   mutable plugin : plugin;
   budget : Timer.budget;
-  mutable collapse : bool;  (* online cycle collapsing enabled? *)
   n_methods : int;          (* key-packing radix for (ctx, method) pairs *)
   (* interners *)
   ctxs : int list Interner.t;
   objs : (int * Ir.alloc_id) Interner.t;  (* (hctx, site) *)
   ptrs : ptr_desc Interner.t;
-  (* union-find over pointer ids; absorbed ids redirect to representatives *)
-  uf : Uf.t;
-  pinned : Bits.t;  (* pointers excluded from collapsing (see {!pin}) *)
-  (* per-pointer tables (indexed by representative) *)
+  (* per-pointer tables *)
   pts : Bits.t Vec.t;
   succs : edge list Vec.t;
   edge_seen : (int, unit) Hashtbl.t;  (* packed (src lsl 31) lor dst *)
@@ -129,9 +106,6 @@ type t = {
   wl : int Queue.t;
   empty_pending : Bits.t;
   mutable spare : Bits.t list;
-  (* cycle collapsing state *)
-  mutable pending_collapse : int list list;  (* classes found mid-iteration *)
-  lcd_done : (int, unit) Hashtbl.t;  (* packed (dst lsl 31) lor src tried *)
   (* reachability / call graph (packed-int keys) *)
   reached : (int, unit) Hashtbl.t;   (* ctx * n_methods + mid *)
   reached_methods : Bits.t;
@@ -148,8 +122,6 @@ type t = {
   c_reach_ctx : Registry.counter;   (* (ctx, method) pairs *)
   c_wl_pushes : Registry.counter;   (* non-empty worklist pushes *)
   c_wl_coalesced : Registry.counter;(* pushes merged into a pending entry *)
-  c_cycles : Registry.counter;      (* cycles collapsed *)
-  c_merged : Registry.counter;      (* pointer nodes merged away *)
   g_time : Registry.gauge;
   g_heap : Registry.gauge;          (* peak major-heap words observed *)
   mutable prov : Prov.t option;     (* opt-in derivation recorder *)
@@ -165,8 +137,8 @@ let log_src = Logs.Src.create "csc.solver" ~doc:"pointer analysis solver"
 
 module Log = (val Logs.src_log log_src)
 
-let create ?(budget = Timer.no_budget) ?(sel = Context.ci) ?(collapse = true)
-    (prog : Ir.program) : t =
+let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
+    : t =
   let reg = Registry.create () in
   let empty_pending = Bits.create ~capacity:1 () in
   {
@@ -174,13 +146,10 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) ?(collapse = true)
     sel;
     plugin = no_plugin;
     budget;
-    collapse;
     n_methods = Array.length prog.methods;
     ctxs = Interner.create [];
     objs = Interner.create (-1, -1);
     ptrs = Interner.create (PStatic (-1));
-    uf = Uf.create ();
-    pinned = Bits.create ();
     pts = Vec.create (Bits.create ());
     succs = Vec.create [];
     edge_seen = Hashtbl.create 4096;
@@ -190,8 +159,6 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) ?(collapse = true)
     wl = Queue.create ();
     empty_pending;
     spare = [];
-    pending_collapse = [];
-    lcd_done = Hashtbl.create 256;
     reached = Hashtbl.create 256;
     reached_methods = Bits.create ();
     call_edges = Hashtbl.create 1024;
@@ -204,8 +171,6 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) ?(collapse = true)
     c_reach_ctx = Registry.counter reg "ctx_methods";
     c_wl_pushes = Registry.counter reg "wl_pushes";
     c_wl_coalesced = Registry.counter reg "wl_coalesced";
-    c_cycles = Registry.counter reg "cycles_collapsed";
-    c_merged = Registry.counter reg "ptrs_merged";
     g_time = Registry.gauge reg "time_s";
     g_heap = Registry.gauge reg "heap_words_peak";
     prov = None;
@@ -217,21 +182,11 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) ?(collapse = true)
 let set_plugin t p = t.plugin <- p
 
 (** Start recording derivations. Must be called before {!run} to get complete
-    chains; idempotent. Disables online cycle collapsing: derivation chains
-    are reported in terms of original (pre-merge) pointer names, which only
-    the uncollapsed graph preserves exactly. Returns [true] iff this call
-    just turned collapsing off — callers surface that to the user instead of
-    silently running slower. [max_records] caps the recorder's memory
-    (default 1M facts; overflow counts into the [prov_dropped] counter of
+    chains; idempotent. [max_records] caps the recorder's memory (default 1M
+    facts; overflow counts into the [prov_dropped] counter of
     {!snapshot}). *)
 let enable_provenance ?(max_records = 1_000_000) t =
-  if t.prov = None then begin
-    t.prov <- Some (Prov.create ~max_records ());
-    let was_collapsing = t.collapse in
-    t.collapse <- false;
-    was_collapsing
-  end
-  else false
+  if t.prov = None then t.prov <- Some (Prov.create ~max_records ())
 
 let provenance t = t.prov
 
@@ -277,19 +232,8 @@ let ptr_field t ~obj ~fld = intern_ptr t (PField (obj, fld))
 let ptr_arr t ~obj = intern_ptr t (PArr obj)
 let ptr_static t ~fld = intern_ptr t (PStatic fld)
 
-(** Representative of [p]'s collapsed class ([p] itself when uncollapsed).
-    Every pointer-keyed query below redirects through this, so callers may
-    freely hold stale ids. *)
-let canon t p = Uf.find t.uf p
-
-(** Exclude [p] from cycle collapsing from now on. Plugins pin pointers whose
-    exact identity is semantically load-bearing — e.g. Cut-Shortcut's cut
-    return variables, whose in-edge relay classification keys on the precise
-    destination pointer. *)
-let pin t p = ignore (Bits.add t.pinned (canon t p))
-
-let pts t p = Vec.get t.pts (canon t p)
-let succs t p = Vec.get t.succs (canon t p)
+let pts t p = Vec.get t.pts p
+let succs t p = Vec.get t.succs p
 let ptr_desc t p = Interner.get t.ptrs p
 
 let intern_obj t ~hctx ~site : int = Interner.intern t.objs (hctx, site)
@@ -321,8 +265,7 @@ let filter_delta t (filter : Ir.typ option) (delta : Bits.t) : Bits.t =
 
 (* ------------------------------------------------- coalescing worklist *)
 
-(* pending slot of [p] (a representative), materializing it from the spare
-   list on first use *)
+(* pending slot of [p], materializing it from the spare list on first use *)
 let pending_slot t p =
   let slot = Vec.get t.pending p in
   if slot != t.empty_pending then slot
@@ -347,10 +290,8 @@ let mark_dirty t p =
 
 let wl_push t p (objs : Bits.t) =
   if not (Bits.is_empty objs) then begin
-    let p = canon t p in
     (* fully redundant pushes never enqueue (the fast subset early-exits on
-       the first fresh word); keeps merge re-deliveries and repeat receiver
-       seeds off the queue *)
+       the first fresh word); keeps repeat receiver seeds off the queue *)
     if not (Bits.subset objs (Vec.get t.pts p)) then begin
       Registry.incr t.c_wl_pushes;
       Bits.union_quiet ~into:(pending_slot t p) objs;
@@ -360,7 +301,6 @@ let wl_push t p (objs : Bits.t) =
 
 (* single-object push: the coalescing table makes this allocation-free *)
 let wl_push1 t p o =
-  let p = canon t p in
   if not (Bits.mem (Vec.get t.pts p) o) then begin
     Registry.incr t.c_wl_pushes;
     ignore (Bits.add (pending_slot t p) o);
@@ -382,10 +322,8 @@ let prov_flow t ~src ~dst kind (objs : Bits.t) =
     Bits.iter (fun o -> Prov.record_flow pr ~ptr:dst ~obj:o ~src ~via) objs
 
 (** Add an edge src->dst to the PFG; existing points-to facts of [src] flow
-    immediately. No-op if the edge exists (endpoints compared as
-    representatives). *)
+    immediately. No-op if the edge exists. *)
 let add_edge ?(kind = KNormal) ?filter t ~src ~dst =
-  let src = canon t src and dst = canon t dst in
   if src <> dst then begin
     let key = (src lsl 31) lor dst in
     if not (Hashtbl.mem t.edge_seen key) then begin
@@ -420,87 +358,9 @@ let seed1 ?(why = "seed") t p o =
   | Some pr -> Prov.record_seed pr ~ptr:p ~obj:o ~label:why);
   wl_push1 t p o
 
-(* ----------------------------------------------------- cycle collapsing *)
-
-(* only unfiltered normal edges connect pointers that are equivalent at
-   fixpoint; casts filter, and return/shortcut edges carry plugin semantics
-   (cut classification, transfer-return host exclusion) *)
-let collapsible (e : edge) = e.e_kind = KNormal && e.e_filter = None
-
-(* recycle a drained pending slot *)
-let recycle_pending t p =
-  let pnd = Vec.get t.pending p in
-  if pnd != t.empty_pending then begin
-    Vec.set t.pending p t.empty_pending;
-    Bits.clear pnd;
-    t.spare <- pnd :: t.spare
-  end
-
-(* bounded DFS over collapsible edges searching a path [from ->* target];
-   used by lazy cycle detection (the [target -> from] edge exists) *)
-let find_cycle t ~from ~target : int list option =
-  let visited = Hashtbl.create 64 in
-  let parent = Hashtbl.create 64 in
-  let budget = ref 256 in
-  let stack = ref [ from ] in
-  Hashtbl.add visited from ();
-  let found = ref false in
-  while (not !found) && !stack <> [] && !budget > 0 do
-    decr budget;
-    match !stack with
-    | [] -> ()
-    | n :: rest ->
-      stack := rest;
-      List.iter
-        (fun e ->
-          if (not !found) && collapsible e then begin
-            let d = canon t e.e_dst in
-            if d = target then begin
-              Hashtbl.replace parent target n;
-              found := true
-            end
-            else if
-              d <> n
-              && (not (Hashtbl.mem visited d))
-              && not (Bits.mem t.pinned d)
-            then begin
-              Hashtbl.add visited d ();
-              Hashtbl.replace parent d n;
-              stack := d :: !stack
-            end
-          end)
-        (Vec.get t.succs n)
-  done;
-  if not !found then None
-  else begin
-    let rec walk acc n =
-      if n = from then n :: acc else walk (n :: acc) (Hashtbl.find parent n)
-    in
-    Some (walk [] target)
-  end
-
-(* lazy cycle detection: a fully redundant propagation along a collapsible
-   edge src->dst suggests dst ->* src; try (once per edge) to find it.
-   Collapsing is deferred to the top of the main loop so it never runs while
-   a delta is mid-processing. *)
-let try_lcd t ~src ~dst =
-  let key = (dst lsl 31) lor src in
-  if not (Hashtbl.mem t.lcd_done key) then begin
-    Hashtbl.add t.lcd_done key ();
-    match find_cycle t ~from:dst ~target:src with
-    | Some path -> t.pending_collapse <- path :: t.pending_collapse
-    | None -> ()
-  end
-
-(** Collapsed classes of size [>= 2] as [(representative, members)] pairs —
-    the provenance-facing representative→members mapping. *)
-let collapse_classes t : (int * int list) list =
-  Uf.members t.uf ~universe:(Vec.length t.pts)
-
 (* --------------------------------------------------- reachable methods *)
 
 let add_watch t p w =
-  let p = canon t p in
   Vec.set t.watches p (w :: Vec.get t.watches p)
 
 let rec add_reachable t ~ctx ~(mid : Ir.method_id) =
@@ -673,149 +533,6 @@ and add_call_edge t ~caller_ctx ~site ~callee_ctx ~callee ~recv_obj =
   | Some o, Some this -> seed1 ~why:"receiver" t (ptr_var t ~ctx:callee_ctx this) o
   | _ -> ()
 
-(* ------------------------------------------ cycle collapsing, part two *)
-
-(** Merge the class [nodes] (a cycle of collapsible edges) into one
-    representative. At fixpoint every member of such a cycle holds the same
-    points-to set, so the representative takes the union of the members'
-    sets, out-edges and watches — and the union is immediately re-delivered
-    to every merged successor, watch and plugin subscription, so each
-    observes the whole set at least once (idempotent for whatever it had
-    already seen from its own member). Called only between worklist pops,
-    never while a delta is mid-processing. *)
-let collapse_class t (nodes : int list) =
-  let members = List.sort_uniq compare (List.map (canon t) nodes) in
-  match members with
-  | [] | [ _ ] -> ()
-  | _ when List.exists (fun m -> Bits.mem t.pinned m) members -> ()
-  | first :: rest ->
-    Registry.incr t.c_cycles;
-    Registry.incr ~by:(List.length rest) t.c_merged;
-    let rep =
-      List.fold_left
-        (fun r n ->
-          match Uf.union t.uf r n with Some (rep, _) -> rep | None -> r)
-        first rest
-    in
-    (match t.attr with
-    | None -> ()
-    | Some a ->
-      Attr.observe_merge a ~meth:(meth_of_ptr t rep) ~ptr:rep
-        ~absorbed:(List.length rest));
-    (* union of the members' points-to sets, and of their pending deltas *)
-    let u = Bits.create () in
-    let pend = Bits.create () in
-    let succs_acc = ref [] and watches_acc = ref [] in
-    List.iter
-      (fun m ->
-        Bits.union_quiet ~into:u (Vec.get t.pts m);
-        Bits.union_quiet ~into:pend (Vec.get t.pending m);
-        succs_acc := Vec.get t.succs m :: !succs_acc;
-        watches_acc := Vec.get t.watches m :: !watches_acc;
-        recycle_pending t m;
-        Bits.remove t.dirty m;
-        (* absorbed slots are never read again (queries canonicalize) *)
-        if m <> rep then begin
-          Vec.set t.pts m t.empty_pending;
-          Vec.set t.succs m [];
-          Vec.set t.watches m []
-        end)
-      members;
-    Vec.set t.pts rep u;
-    (* merged out-edges; edges that now point inside the class are no-ops *)
-    let merged_succs =
-      List.concat !succs_acc |> List.filter (fun e -> canon t e.e_dst <> rep)
-    in
-    Vec.set t.succs rep merged_succs;
-    List.iter
-      (fun e -> Hashtbl.replace t.edge_seen ((rep lsl 31) lor canon t e.e_dst) ())
-      merged_succs;
-    Vec.set t.watches rep (List.concat !watches_acc);
-    (* plugins migrate their pointer-keyed state before the re-delivery *)
-    List.iter
-      (fun m -> if m <> rep then t.plugin.pl_on_merge ~rep ~other:m)
-      members;
-    (* re-deliver the union as one delta; not counted into [propagated] —
-       these objects are already in the representative's set, the delivery
-       only re-runs the subscribers *)
-    if not (Bits.is_empty u) then begin
-      List.iter
-        (fun e ->
-          let dst = canon t e.e_dst in
-          if dst <> rep then wl_push t dst (filter_delta t e.e_filter u))
-        merged_succs;
-      List.iter (fun w -> process_watch t w u) (Vec.get t.watches rep);
-      t.plugin.pl_on_new_pts rep u
-    end;
-    (* undelivered deltas go back through the worklist *)
-    wl_push t rep pend
-
-(* periodic Tarjan sweep (iterative) over the collapsible subgraph; catches
-   cycles the lazy trigger misses. Runs between worklist pops, and pops each
-   SCC's members off the Tarjan stack before collapsing them, so the merges
-   are safe to execute immediately. *)
-let scc_sweep t =
-  let n = Vec.length t.pts in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let s = ref [] in
-  let next = ref 0 in
-  let frames = ref [] in
-  let push_node v =
-    index.(v) <- !next;
-    low.(v) <- !next;
-    incr next;
-    s := v :: !s;
-    on_stack.(v) <- true;
-    frames := (v, ref (Vec.get t.succs v)) :: !frames
-  in
-  for root = 0 to n - 1 do
-    if
-      index.(root) = -1
-      && Uf.find t.uf root = root
-      && not (Bits.mem t.pinned root)
-    then begin
-      push_node root;
-      while !frames <> [] do
-        match !frames with
-        | [] -> ()
-        | (v, es) :: rest -> (
-          match !es with
-          | e :: tl ->
-            es := tl;
-            if collapsible e then begin
-              let w = canon t e.e_dst in
-              if w <> v && w < n && not (Bits.mem t.pinned w) then begin
-                if index.(w) = -1 then push_node w
-                else if on_stack.(w) then low.(v) <- min low.(v) index.(w)
-              end
-            end
-          | [] ->
-            frames := rest;
-            (match rest with
-            | (u, _) :: _ -> low.(u) <- min low.(u) low.(v)
-            | [] -> ());
-            if low.(v) = index.(v) then begin
-              let comp = ref [] in
-              let brk = ref false in
-              while not !brk do
-                match !s with
-                | w :: tl ->
-                  s := tl;
-                  on_stack.(w) <- false;
-                  comp := w :: !comp;
-                  if w = v then brk := true
-                | [] -> brk := true
-              done;
-              match !comp with
-              | _ :: _ :: _ -> collapse_class t !comp
-              | _ -> ()
-            end)
-      done
-    end
-  done
-
 (* ------------------------------------------------------------ main loop *)
 
 let sample_heap t =
@@ -854,68 +571,38 @@ let run_loop (t : t) : unit =
   (try
      Timer.check t.budget;
      add_reachable t ~ctx:entry_ctx ~mid:t.prog.main;
-     while (not (Queue.is_empty t.wl)) || t.pending_collapse <> [] do
+     while not (Queue.is_empty t.wl) do
        incr iter;
        if !iter land 255 = 0 then begin
          Timer.check t.budget;
          if t.progress_s > 0. then maybe_progress t ~t0 ~iter:!iter;
-         if !iter land 4095 = 0 then sample_heap t;
-         if t.collapse && !iter land 65535 = 0 then scc_sweep t
+         if !iter land 4095 = 0 then sample_heap t
        end;
-       (* cycles found during the previous pop's propagation collapse here,
-          between pops, so no delta is ever mid-processing during a merge
-          (the loop condition keeps running for collapses found on the last
-          pop — the LCD trigger is a fully redundant propagation, which is
-          often the final one) *)
-       if t.pending_collapse <> [] then begin
-         let cs = t.pending_collapse in
-         t.pending_collapse <- [];
-         List.iter (collapse_class t) cs
-       end;
-       (* the queue may be empty here when only trailing collapses remained *)
-       if not (Queue.is_empty t.wl) then begin
-         let p = Queue.pop t.wl in
-         (* a stale entry when p was absorbed or already drained this round *)
-         if Bits.mem t.dirty p then begin
-           Bits.remove t.dirty p;
-           let objs = Vec.get t.pending p in
-           Vec.set t.pending p t.empty_pending;
-           let cur = Vec.get t.pts p in
-           (match Bits.union_into ~into:cur objs with
-           | None -> ()
-           | Some delta ->
-             let dn = Bits.cardinal delta in
-             Registry.incr ~by:dn t.c_prop;
-             (match t.attr with
-             | None -> ()
-             | Some a ->
-               Attr.observe_pop a ~meth:(meth_of_ptr t p) ~ptr:p ~delta:dn);
-             (* flow along PFG edges *)
-             List.iter
-               (fun e ->
-                 let dst = canon t e.e_dst in
-                 if dst <> p then begin
-                   let d = filter_delta t e.e_filter delta in
-                   prov_flow t ~src:p ~dst e.e_kind d;
-                   wl_push t dst d;
-                   (* fully redundant flow along a collapsible edge: the LCD
-                      trigger (subset early-exits on the first fresh word) *)
-                   if
-                     t.collapse && collapsible e
-                     && (not (Bits.is_empty d))
-                     && (not (Bits.mem t.pinned p))
-                     && (not (Bits.mem t.pinned dst))
-                     && Bits.subset d (Vec.get t.pts dst)
-                   then try_lcd t ~src:p ~dst
-                 end)
-               (Vec.get t.succs p);
-             (* statement watches *)
-             List.iter (fun w -> process_watch t w delta) (Vec.get t.watches p);
-             t.plugin.pl_on_new_pts p delta);
-           Bits.clear objs;
-           t.spare <- objs :: t.spare
-         end
-       end
+       let p = Queue.pop t.wl in
+       Bits.remove t.dirty p;
+       let objs = Vec.get t.pending p in
+       Vec.set t.pending p t.empty_pending;
+       let cur = Vec.get t.pts p in
+       (match Bits.union_into ~into:cur objs with
+       | None -> ()
+       | Some delta ->
+         let dn = Bits.cardinal delta in
+         Registry.incr ~by:dn t.c_prop;
+         (match t.attr with
+         | None -> ()
+         | Some a -> Attr.observe_pop a ~meth:(meth_of_ptr t p) ~ptr:p ~delta:dn);
+         (* flow along PFG edges *)
+         List.iter
+           (fun e ->
+             let d = filter_delta t e.e_filter delta in
+             prov_flow t ~src:p ~dst:e.e_dst e.e_kind d;
+             wl_push t e.e_dst d)
+           (Vec.get t.succs p);
+         (* statement watches *)
+         List.iter (fun w -> process_watch t w delta) (Vec.get t.watches p);
+         t.plugin.pl_on_new_pts p delta);
+       Bits.clear objs;
+       t.spare <- objs :: t.spare
      done
    with Timer.Out_of_budget ->
      Registry.set t.g_time (Timer.now () -. t0);
@@ -930,13 +617,12 @@ let run_loop (t : t) : unit =
   Registry.set t.g_time (Timer.now () -. t0);
   sample_heap t;
   Log.info (fun m ->
-      m "%s+%s: done in %.3fs (%d methods, %d ptrs, %d pfg edges, %d props, %d cycles collapsed / %d ptrs merged)"
+      m "%s+%s: done in %.3fs (%d methods, %d ptrs, %d pfg edges, %d props)"
         t.sel.sel_name t.plugin.pl_name
         (Registry.gauge_value t.g_time)
         (Bits.cardinal t.reached_methods)
         (Registry.value t.c_ptrs) (Registry.value t.c_edges)
-        (Registry.value t.c_prop) (Registry.value t.c_cycles)
-        (Registry.value t.c_merged))
+        (Registry.value t.c_prop))
 
 let run (t : t) : unit =
   Trace.with_span ~cat:"solver"
@@ -1059,8 +745,8 @@ let profile ?top (t : t) : Attr.profile option =
          ~ptr_name:(ptr_to_string t))
 
 (** Run an analysis end to end. Raises {!Timeout} if the budget expires. *)
-let analyze ?budget ?sel ?collapse ?plugin_of (prog : Ir.program) : t =
-  let t = create ?budget ?sel ?collapse prog in
+let analyze ?budget ?sel ?plugin_of (prog : Ir.program) : t =
+  let t = create ?budget ?sel prog in
   (match plugin_of with Some f -> set_plugin t (f t) | None -> ());
   run t;
   t

@@ -98,14 +98,16 @@ let spec_of_request t req : Run.spec =
     d with
     Run.sp_analysis = analysis;
     sp_budget_s =
-      (match float_member "budget_s" req with
-      | Some b -> if b <= 0. then None else Some b
-      | None -> d.Run.sp_budget_s);
+      (* a request may lower the server's budget, never lift it *)
+      (match (float_member "budget_s" req, d.Run.sp_budget_s) with
+      | Some b, _ when not (b > 0.) ->
+        rejectf "bad-request" "\"budget_s\" must be positive, got %g" b
+      | Some b, Some db -> Some (Float.min b db)
+      | Some b, None -> Some b
+      | None, db -> db);
     sp_validate =
       Option.value ~default:d.Run.sp_validate (bool_member "validate" req);
     sp_explain = false;
-    sp_collapse =
-      Option.value ~default:d.Run.sp_collapse (bool_member "collapse" req);
     sp_profile =
       Option.value ~default:d.Run.sp_profile (bool_member "profile" req);
     sp_profile_top =
@@ -240,8 +242,8 @@ let handle_taint t req =
             ("diagnostics", Csc_checks.Diagnostic.json_list p ds) ] ) ]
 
 let handle_explain t req =
-  (* provenance needs the live solver handle and disables collapsing, so
-     this command bypasses the session result cache on purpose *)
+  (* provenance needs the live solver handle, so this command bypasses the
+     session result cache on purpose *)
   let spec = spec_of_request t req in
   let p, _ = program_of_request t req in
   let limit = Option.value ~default:5 (int_member "limit" req) in

@@ -21,9 +21,10 @@
       server-side); alternatively [source] carries inline MiniJava text
       (with an optional [name] for error positions).
     - [analysis]: any spelling {!Csc_driver.Run.analysis_of_string} accepts.
-    - run-spec overrides, all optional: [budget_s], [collapse],
-      [validate], [profile], [profile_top], [progress_s] — defaults come
-      from the spec the server was created with.
+    - run-spec overrides, all optional: [budget_s], [validate], [profile],
+      [profile_top], [progress_s] — defaults come from the spec the server
+      was created with. [budget_s] must be positive and can only lower the
+      server's budget: the solve runs under the smaller of the two.
     - command-specific: [var] (pt, explain), [limit] (explain),
       [include_jdk] (pt, callgraph, check, taint), [checks] (check, a list
       of checker names), [spec] (taint, a JSON taint-spec path), [top]

@@ -1,7 +1,7 @@
 (** Cost-attribution layer coverage: histogram bucket laws, counter
     monotonicity observed from inside a solve, the disabled path's
-    zero-allocation guarantee, profile rendering determinism, the provenance
-    memory cap, and the enable_provenance/collapse interaction. *)
+    zero-allocation guarantee, profile rendering determinism, and the
+    provenance memory cap. *)
 
 open Helpers
 module Attr = Csc_obs.Attr
@@ -47,11 +47,9 @@ let test_observe_totals () =
   Attr.observe_pop a ~meth:1 ~ptr:10 ~delta:3;
   Attr.observe_pop a ~meth:1 ~ptr:11 ~delta:1;
   Attr.observe_pop a ~meth:2 ~ptr:12 ~delta:64;
-  Attr.observe_merge a ~meth:1 ~ptr:10 ~absorbed:4;
   Attr.observe_shortcut a ~meth:2 ~ptr:12;
   Alcotest.(check int) "pops" 3 (Attr.pops a);
   Alcotest.(check int) "props" 68 (Attr.props a);
-  Alcotest.(check int) "merges" 4 (Attr.merges a);
   Alcotest.(check int) "shortcuts" 1 (Attr.shortcuts a);
   let p =
     Attr.render a ~engine:"test" ~meth_name:string_of_int
@@ -95,7 +93,7 @@ let test_rule_rows_memoized () =
 (* ------------------------------------------------------- monotonicity *)
 
 (* attribution totals only ever move up, observed from inside the run via a
-   plugin callback — merges and collapses must never make them regress *)
+   plugin callback *)
 let prop_attr_monotone =
   QCheck2.Test.make ~name:"attribution totals are monotone during solving"
     ~count:5
@@ -111,26 +109,23 @@ let prop_attr_monotone =
         | None -> QCheck2.Test.fail_report "enable_attr did not install a table"
       in
       let ok = ref true in
-      let last = ref (0, 0, 0, 0) in
+      let last = ref (0, 0, 0) in
       let probe =
         {
           Solver.no_plugin with
           Solver.pl_name = "probe";
           pl_on_new_pts =
             (fun _ _ ->
-              let cur =
-                (Attr.pops a, Attr.props a, Attr.merges a, Attr.shortcuts a)
-              in
-              let w, x, y, z = !last and w', x', y', z' = cur in
-              if w' < w || x' < x || y' < y || z' < z then ok := false;
+              let cur = (Attr.pops a, Attr.props a, Attr.shortcuts a) in
+              let w, x, z = !last and w', x', z' = cur in
+              if w' < w || x' < x || z' < z then ok := false;
               last := cur);
         }
       in
       Solver.set_plugin t probe;
       Solver.run t;
-      let w, x, y, z = !last in
-      !ok && Attr.pops a >= w && Attr.props a >= x && Attr.merges a >= y
-      && Attr.shortcuts a >= z
+      let w, x, z = !last in
+      !ok && Attr.pops a >= w && Attr.props a >= x && Attr.shortcuts a >= z
       (* the run did real work and the table saw it *)
       && Attr.pops a > 0 && Attr.props a > 0)
 
@@ -277,7 +272,7 @@ let test_provenance_cap () =
 let test_provenance_cap_in_solver () =
   let p = compile Fixtures.carton in
   let t = Solver.create p in
-  ignore (Solver.enable_provenance ~max_records:5 t : bool);
+  Solver.enable_provenance ~max_records:5 t;
   Solver.run t;
   let pr =
     match Solver.provenance t with
@@ -296,21 +291,6 @@ let test_provenance_cap_in_solver () =
     Alcotest.fail
       (Printf.sprintf "prov_dropped missing or zero (%s)"
          (match v with None -> "absent" | Some n -> string_of_int n))
-
-(* ------------------------------------------- provenance vs collapsing *)
-
-let test_enable_provenance_reports_collapse () =
-  let p = compile Fixtures.carton in
-  (* collapsing was on: enabling provenance turns it off and says so *)
-  let t = Solver.create p in
-  Alcotest.(check bool) "disables collapsing" true
-    (Solver.enable_provenance t);
-  (* a second call changes nothing *)
-  Alcotest.(check bool) "idempotent" false (Solver.enable_provenance t);
-  (* collapsing already off: nothing to disable *)
-  let t' = Solver.create ~collapse:false p in
-  Alcotest.(check bool) "no-op when collapse already off" false
-    (Solver.enable_provenance t')
 
 let suite =
   [
@@ -339,7 +319,5 @@ let suite =
           test_provenance_cap;
         Alcotest.test_case "cap surfaces in solver snapshot" `Quick
           test_provenance_cap_in_solver;
-        Alcotest.test_case "enable_provenance reports collapse change" `Quick
-          test_enable_provenance_reports_collapse;
       ] );
   ]

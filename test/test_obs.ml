@@ -307,7 +307,7 @@ let test_trace_file_valid () =
 let test_provenance_chains () =
   let p = compile Fixtures.carton in
   let t = Solver.create p in
-  ignore (Solver.enable_provenance t : bool);
+  Solver.enable_provenance t;
   Solver.run t;
   let pr =
     match Solver.provenance t with

@@ -85,14 +85,7 @@ let test_grammar_errors () =
   in
   List.iter
     (fun s -> ignore (bad s))
-    [ "bogus"; "kobj:0"; "kobj:x"; "0obj"; "doop:bogus" ];
-  (* collapsing is a run switch; the refusal names both of its spellings *)
-  let e = bad "no-collapse:csc" in
-  List.iter
-    (fun affix ->
-      Alcotest.(check bool) ("error names " ^ affix) true
-        (Astring.String.is_infix ~affix e))
-    [ "--no-collapse"; "\"collapse\": false" ]
+    [ "bogus"; "kobj:0"; "kobj:x"; "0obj"; "doop:bogus" ]
 
 (* the parent's hand-written tables, kept as the reference the decoded plan
    must reproduce *)
@@ -144,16 +137,6 @@ let prop_plan_names_distinct =
       (Run.plan_name a = Run.plan_name b) = (Run.name a = Run.name b))
 
 (* ---------------------------------------------------------------- session *)
-
-let test_collapse_off_label () =
-  let p = compile Fixtures.carton in
-  let on = Run.run_spec (Run.spec Run.Imp_csc) p in
-  let off =
-    Run.run_spec { (Run.spec Run.Imp_csc) with Run.sp_collapse = false } p
-  in
-  Alcotest.(check string) "collapse on" "csc" on.Run.o_analysis;
-  Alcotest.(check string) "collapse off" "csc+nocollapse" off.Run.o_analysis;
-  Alcotest.(check bool) "same metrics" true (on.Run.o_metrics = off.Run.o_metrics)
 
 let test_session_hit_miss () =
   let s = Session.create () in
@@ -354,6 +337,45 @@ let test_protocol_jobs_ignored () =
   let metrics j = Json.to_string (member "metrics" (member "result" j)) in
   Alcotest.(check string) "same metrics" (metrics j1) (metrics j2)
 
+(* "collapse" is not a request member: naming it changes nothing, so the
+   request is answered from the cache entry of the plain one *)
+let test_protocol_collapse_ignored () =
+  let t = Server.create () in
+  let h line = Server.handle_line t line in
+  let j1 = ok_reply (h (req "analyze" "")) in
+  let j2 = ok_reply (h (req "analyze" "\"collapse\": false")) in
+  Alcotest.(check bool) "served from the cache" true
+    (get_bool (member "cached" j2));
+  Alcotest.(check string) "plain label" "csc"
+    (get_str (member "analysis" (member "result" j2)));
+  let metrics j = Json.to_string (member "metrics" (member "result" j)) in
+  Alcotest.(check string) "same metrics" (metrics j1) (metrics j2)
+
+(* a request may lower the server's budget but never remove or raise it:
+   a non-positive budget is refused, a larger one runs under the default *)
+let test_protocol_budget_capped () =
+  let defaults = { (Run.spec Run.Imp_csc) with Run.sp_budget_s = Some 60. } in
+  let t = Server.create ~defaults () in
+  let h line = Server.handle_line t line in
+  List.iter
+    (fun b ->
+      let j =
+        error_reply ~code:"bad-request" (h (req "analyze" ("\"budget_s\": " ^ b)))
+      in
+      Alcotest.(check bool) ("names budget_s: " ^ b) true
+        (Astring.String.is_infix ~affix:"budget_s"
+           (get_str (member "message" (member "error" j)))))
+    [ "0"; "-1" ];
+  let j = ok_reply (h (req "analyze" "")) in
+  Alcotest.(check bool) "default budget is a miss" false
+    (get_bool (member "cached" j));
+  let j = ok_reply (h (req "analyze" "\"budget_s\": 1e9")) in
+  Alcotest.(check bool) "a larger budget hits the default entry" true
+    (get_bool (member "cached" j));
+  let j = ok_reply (h (req "analyze" "\"budget_s\": 30")) in
+  Alcotest.(check bool) "a smaller budget is its own entry" false
+    (get_bool (member "cached" j))
+
 (* the update command: edits applied server-side, incremental path taken,
    result digest-cached under the new revision *)
 let test_protocol_update () =
@@ -463,8 +485,6 @@ let suite =
       ] );
     ( "server.session",
       [
-        Alcotest.test_case "collapse off is labelled" `Quick
-          test_collapse_off_label;
         Alcotest.test_case "hit/miss accounting" `Quick test_session_hit_miss;
         Alcotest.test_case "digest keying" `Quick test_session_digest_change;
         Alcotest.test_case "LRU eviction under a tiny bound" `Quick
@@ -480,6 +500,10 @@ let suite =
         Alcotest.test_case "unknown checkers" `Quick test_protocol_bad_checks;
         Alcotest.test_case "jobs member is ignored" `Quick
           test_protocol_jobs_ignored;
+        Alcotest.test_case "collapse member is ignored" `Quick
+          test_protocol_collapse_ignored;
+        Alcotest.test_case "budget_s only lowers the budget" `Quick
+          test_protocol_budget_capped;
         Alcotest.test_case "update round-trip" `Quick test_protocol_update;
       ] );
     ( "server.socket",
