@@ -13,8 +13,6 @@
                 (EXPERIMENTS.md E13)
     - profile : cost attribution vs precision, ci / csc / 2obj
                 (EXPERIMENTS.md E14)
-    - incremental : edit latency of the incremental layer vs from-scratch
-                (EXPERIMENTS.md E17)
     - micro   : Bechamel micro-benchmarks of the substrates
     - custom  : an efficiency table over [--analyses CSV], any names the
                 analysis grammar accepts (e.g. csc,kobj:3,doop:csc)
@@ -590,184 +588,6 @@ let profile_json cfg : Json.t =
                  | Some pr -> [ ("profile", Attr.profile_json pr) ]))
              (profile_cells cfg)) ) ]
 
-(* ------------------------------------------------------ incremental (E17) *)
-
-(* E17 (EXPERIMENTS.md): edit latency of the incremental layer vs a
-   from-scratch solve. For each (program, analysis) the base revision v0 is
-   solved keeping state, then a reproducible single-method edit
-   (v1 = [Suite.source_variant _ 1]) is analyzed twice — from scratch and
-   through [Run.update] — and the update is hard-asserted to reproduce the
-   scratch precision metrics. Edit-path independence is asserted too:
-   reaching v1 directly and via a detour through v2 must agree on every
-   precision metric, else the whole bench run fails. Wall clocks serialize
-   as [fresh_s]/[update_s] (never [time_s]: the regression gate must not
-   compare them); the deterministic quantities — the edited revision's
-   precision metrics plus the update's mode, dirty-method count and reuse
-   ratio — go under [metrics] and are gate-compared. Own cache: update
-   cells are outside the shared memo cache's (program, analysis) model. *)
-let inc_analyses = [ Run.Imp_ci; Run.Imp_csc ]
-
-type inc_cell = {
-  ic_program : string;
-  ic_analysis : string;
-  ic_fresh : Run.outcome;   (* v1 solved from scratch *)
-  ic_update : Run.outcome;  (* v1 reached incrementally from v0's state *)
-  ic_info : Csc_pta.Inc.info;
-}
-
-let inc_cells_cache : inc_cell list option ref = ref None
-
-let inc_cells cfg : inc_cell list =
-  match !inc_cells_cache with
-  | Some cells -> cells
-  | None ->
-    (* full mode measures the two largest workloads — the programs where
-       edit latency matters; quick mode reuses the CI trio so the gate has
-       cells to compare *)
-    let programs = if cfg.quick then cfg.programs else [ "soot"; "columba" ] in
-    let variant name v =
-      Csc_lang.Frontend.compile_string (Suite.source_variant name v)
-    in
-    let cells =
-      List.concat_map
-        (fun pname ->
-          let v0 = variant pname 0
-          and v1 = variant pname 1
-          and v2 = variant pname 2 in
-          List.map
-            (fun a ->
-              Fmt.epr "  [%s / %s edit] ...@." pname (Run.name a);
-              let spec =
-                { (Run.spec a) with Run.sp_budget_s = Some cfg.budget }
-              in
-              let _, st0 = Run.run_spec_keep spec v0 in
-              let st0 =
-                match st0 with
-                | Some st -> st
-                | None ->
-                  Fmt.epr "incremental: %s/%s base solve retained no state@."
-                    pname (Run.name a);
-                  exit 1
-              in
-              let fresh = Run.run_spec spec v1 in
-              let upd, _, info = Run.update spec ~prev:st0 v1 in
-              (* exactness: the update must land on scratch's metrics *)
-              if
-                (not fresh.Run.o_timeout)
-                && (not upd.Run.o_timeout)
-                && upd.Run.o_metrics <> fresh.Run.o_metrics
-              then begin
-                Fmt.epr "incremental: FAIL %s/%s update differs from scratch@."
-                  pname (Run.name a);
-                exit 1
-              end;
-              (* edit-path independence: v0 -> v2 -> v1 must agree with the
-                 direct edit v0 -> v1 on every precision metric *)
-              let o2, st2, _ = Run.update spec ~prev:st0 v2 in
-              (match st2 with
-              | Some st2 when not o2.Run.o_timeout ->
-                let detour, _, _ = Run.update spec ~prev:st2 v1 in
-                if
-                  (not detour.Run.o_timeout)
-                  && detour.Run.o_metrics <> upd.Run.o_metrics
-                then begin
-                  Fmt.epr
-                    "incremental: FAIL %s/%s precision depends on the edit \
-                     path@."
-                    pname (Run.name a);
-                  exit 1
-                end
-              | _ -> ());
-              Gc.compact ();
-              {
-                ic_program = pname;
-                ic_analysis = Run.name a;
-                ic_fresh = fresh;
-                ic_update = upd;
-                ic_info = info;
-              })
-            inc_analyses)
-        programs
-    in
-    inc_cells_cache := Some cells;
-    cells
-
-let incremental_exp cfg =
-  Fmt.pr
-    "@.=== Extension: incremental update latency after one edit (E17) ===@.";
-  Fmt.pr "%-11s %-9s %9s %10s %8s %6s %7s@." "program" "analysis" "fresh(s)"
-    "update(s)" "speedup" "dirty" "reuse";
-  List.iter
-    (fun c ->
-      let speedup =
-        if (not c.ic_update.Run.o_timeout) && c.ic_update.Run.o_time > 0. then
-          Fmt.str "%.1fx" (c.ic_fresh.Run.o_time /. c.ic_update.Run.o_time)
-        else "-"
-      in
-      Fmt.pr "%-11s %-9s %9.3f %10.3f %8s %6d %6.1f%%@." c.ic_program
-        c.ic_analysis c.ic_fresh.Run.o_time c.ic_update.Run.o_time speedup
-        c.ic_info.Csc_pta.Inc.i_dirty_methods
-        (100. *. c.ic_info.Csc_pta.Inc.i_reuse);
-      (* the acceptance target: a single-method edit under 25% of scratch.
-         Soft — wall clock on shared runners is advisory — and only
-         meaningful on the full-size workloads; on the --quick trio the
-         constant diff/preseed overhead dominates a sub-100ms solve *)
-      if
-        (not cfg.quick)
-        && (not c.ic_update.Run.o_timeout)
-        && c.ic_update.Run.o_time > 0.25 *. c.ic_fresh.Run.o_time
-      then
-        Fmt.epr
-          "incremental: warn %s/%s update %.3fs exceeds 25%% of scratch %.3fs \
-           (soft)@."
-          c.ic_program c.ic_analysis c.ic_update.Run.o_time
-          c.ic_fresh.Run.o_time)
-    (inc_cells cfg);
-  Fmt.pr
-    "(update = scratch asserted on every cell; reaching the same revision \
-     along two edit@. paths is asserted metric-identical, E17)@."
-
-let incremental_json cfg : Json.t =
-  Json.Obj
-    [ ("experiment", Json.Str "incremental");
-      ( "cells",
-        Json.List
-          (List.map
-             (fun c ->
-               let precision =
-                 match c.ic_update.Run.o_metrics with
-                 | None -> []
-                 | Some m -> (
-                   match Report.metrics_json m with
-                   | Json.Obj l -> l
-                   | j -> [ ("precision", j) ])
-               in
-               Json.Obj
-                 [ ("program", Json.Str c.ic_program);
-                   ("analysis", Json.Str c.ic_analysis);
-                   ( "timeout",
-                     Json.Bool
-                       (c.ic_fresh.Run.o_timeout || c.ic_update.Run.o_timeout)
-                   );
-                   ("fresh_s", Json.Float c.ic_fresh.Run.o_time);
-                   ("update_s", Json.Float c.ic_update.Run.o_time);
-                   ( "metrics",
-                     Json.Obj
-                       (precision
-                       @ [ ( "mode",
-                             Json.Str
-                               (match c.ic_info.Csc_pta.Inc.i_mode with
-                               | `Incremental -> "incremental"
-                               | `Fresh -> "fresh") );
-                           ( "dirty_methods",
-                             Json.Int c.ic_info.Csc_pta.Inc.i_dirty_methods );
-                           ( "reuse_pct",
-                             Json.Float
-                               (Float.round
-                                  (100_000. *. c.ic_info.Csc_pta.Inc.i_reuse)
-                               /. 1000.) ) ]) ) ])
-             (inc_cells cfg)) ) ]
-
 (* ------------------------------------------------------------------ micro *)
 
 let micro () =
@@ -848,8 +668,7 @@ let micro () =
 
 let experiment_names =
   [ "fig12"; "table1"; "table2"; "table3"; "recall"; "ablation"; "kstudy";
-    "extras"; "checks"; "taint"; "profile"; "incremental";
-    "micro"; "custom" ]
+    "extras"; "checks"; "taint"; "profile"; "micro"; "custom" ]
 
 (* the (program, analysis) cells each experiment reads. Serializing an
    experiment maps its grid through the memo cache, so the report re-runs
@@ -884,7 +703,6 @@ let experiment_json cfg exp : Json.t option =
      cells re-run with telemetry on, bypassing the shared memo cache *)
   if exp = "taint" then Some (taint_json cfg)
   else if exp = "profile" then Some (profile_json cfg)
-  else if exp = "incremental" then Some (incremental_json cfg)
   else
   match grid_of_experiment cfg exp with
   | [] -> None
@@ -1065,7 +883,7 @@ let () =
       (* cheap (imperative) experiments first so interrupted runs still
          cover every experiment; the Datalog grid (table1/fig12) comes last *)
       [ "table2"; "recall"; "ablation"; "kstudy"; "extras";
-        "checks"; "taint"; "profile"; "incremental"; "micro"; "table3";
+        "checks"; "taint"; "profile"; "micro"; "table3";
         "table1"; "fig12" ]
     else experiments
   in
@@ -1087,7 +905,6 @@ let () =
       | "checks" -> checks cfg
       | "taint" -> taint_exp cfg
       | "profile" -> profile_exp cfg
-      | "incremental" -> incremental_exp cfg
       | "micro" -> micro ()
       | "custom" -> custom_exp cfg
       | _ -> ());

@@ -664,15 +664,7 @@ let fuzz_cmd =
                    is expected to FAIL."
              ~docs:Cmdliner.Manpage.s_none)
   in
-  let edits_arg =
-    Arg.(value & opt int 0
-         & info [ "edits" ] ~docv:"STEPS"
-             ~doc:"Fuzz edit sessions instead of single programs: derive \
-                   $(docv) successive revisions per case and require \
-                   incrementally-updated results to be bit-identical to \
-                   from-scratch solves along the whole chain.")
-  in
-  let run n seed max_size minimize out inject edits trace =
+  let run n seed max_size minimize out inject trace =
     with_trace trace @@ fun () ->
     let cfg =
       {
@@ -684,14 +676,12 @@ let fuzz_cmd =
         out_dir = out;
         inject_unsound = inject;
         progress = true;
-        edits;
       }
     in
     let r = Campaign.run cfg in
-    Fmt.pr "fuzz: %d %s, %d violating, %d generator errors, %d halted \
+    Fmt.pr "fuzz: %d programs, %d violating, %d generator errors, %d halted \
             traces (%.1f progs/s, %.1fs)@."
       r.Campaign.r_total
-      (if edits > 0 then "edit sessions" else "programs")
       (List.length r.Campaign.r_failed)
       r.Campaign.r_gen_errors r.Campaign.r_halted r.Campaign.r_progs_per_s
       r.Campaign.r_elapsed;
@@ -702,15 +692,10 @@ let fuzz_cmd =
         List.iter
           (fun v -> Fmt.pr "  %a@." Soundness.pp_violation v)
           c.Campaign.c_violations;
-        (match (c.Campaign.c_min_source, c.Campaign.c_min_app_stmts) with
+        match (c.Campaign.c_min_source, c.Campaign.c_min_app_stmts) with
         | Some src, Some stmts ->
           Fmt.pr "  minimized to %d app IR statements:@.%s@." stmts src
-        | _ -> ());
-        match c.Campaign.c_edit_pair with
-        | Some _ ->
-          Fmt.pr "  pinned to a single edit (see case_%d.rev0/.rev1.mjava)@."
-            c.Campaign.c_seed
-        | None -> ())
+        | _ -> ())
       r.Campaign.r_failed;
     if r.Campaign.r_failed <> [] then begin
       Fmt.epr "fuzz: FAILED (%d violating program(s))@."
@@ -724,7 +709,7 @@ let fuzz_cmd =
          "Soundness fuzzing: random programs, interpreter ground truth, the \
           full engine/configuration matrix, delta-debugged counterexamples")
     Term.(const run $ n_arg $ seed_arg $ max_size_arg $ minimize_arg $ out_arg
-          $ inject_arg $ edits_arg $ trace_arg)
+          $ inject_arg $ trace_arg)
 
 (* ------------------------------------------------------- serve / client *)
 

@@ -653,224 +653,3 @@ let plugin ?config (solver : Solver.t) : Solver.plugin =
 let involved_methods t = t.involved
 let shortcut_count t = t.n_shortcuts
 let cut_store_count t = t.n_cut_stores
-
-(* ------------------------------------------------ incremental interface *)
-
-let cat_code = function
-  | Spec.Coll_val -> "cv"
-  | Spec.Map_key -> "mk"
-  | Spec.Map_val -> "mv"
-
-(** Name-based summary of every CSC-relevant *static* property of a method:
-    cut-set membership, per-method temp-store/temp-load patterns, local-flow
-    sources, container roles and the returnLoadEdge whitelists. Two matched
-    methods that classify identically are governed by identical cut/shortcut
-    rules, so {!Csc_pta.Inc} may keep their derived facts; a classification
-    change (e.g. an added override shifting the CHA closure of
-    {!Static.load_info}) demotes the method to dirty even when its body
-    fingerprint is unchanged. The encoding uses names and per-method
-    positional site indices only — never ids — so it is stable across
-    recompilation of an edited source. *)
-let classifier ?(config = default_config) (p : Ir.program) :
-    Ir.method_id -> string =
-  let spec = Spec.of_program p in
-  let li =
-    if config.field_pattern then Static.load_info p
-    else
-      Static.
-        { li_pats = Hashtbl.create 1; li_cut = Bits.create ();
-          li_static_ok = Hashtbl.create 1; li_site_ok = Hashtbl.create 1 }
-  in
-  let cut_load = Bits.copy li.Static.li_cut in
-  if config.container_pattern then begin
-    Hashtbl.iter (fun m _ -> Bits.remove cut_load m) spec.Spec.exits;
-    Bits.iter (fun m -> Bits.remove cut_load m) spec.Spec.transfers
-  end;
-  let fname f =
-    let fl = Ir.field p f in
-    Ir.class_name p fl.Ir.f_class ^ "." ^ fl.Ir.f_name
-  in
-  let static_ok : (Ir.method_id, string list) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun (m, f) () ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt static_ok m) in
-      Hashtbl.replace static_ok m (fname f :: cur))
-    li.Static.li_static_ok;
-  (* per-method positional index of every call site *)
-  let site_pos = Hashtbl.create 64 in
-  let counts = Hashtbl.create 64 in
-  Array.iter
-    (fun (cs : Ir.call_site) ->
-      let m = cs.Ir.cs_method in
-      let k = Option.value ~default:0 (Hashtbl.find_opt counts m) in
-      Hashtbl.replace counts m (k + 1);
-      Hashtbl.replace site_pos cs.Ir.cs_id (m, k))
-    p.Ir.calls;
-  let site_ok : (Ir.method_id, string list) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun (c, f) () ->
-      match Hashtbl.find_opt site_pos c with
-      | Some (m, k) ->
-        let cur = Option.value ~default:[] (Hashtbl.find_opt site_ok m) in
-        Hashtbl.replace site_ok m (Printf.sprintf "%d:%s" k (fname f) :: cur)
-      | None -> ())
-    li.Static.li_site_ok;
-  fun (m : Ir.method_id) ->
-    let me = Ir.metho p m in
-    let b = Buffer.create 128 in
-    let add tag items =
-      match items with
-      | [] -> ()
-      | l ->
-        Buffer.add_string b tag;
-        Buffer.add_char b '=';
-        Buffer.add_string b (String.concat "," (List.sort compare l));
-        Buffer.add_char b ';'
-    in
-    if config.field_pattern then begin
-      if Bits.mem cut_load m then Buffer.add_string b "cut;";
-      add "pat"
-        (List.map
-           (fun (k, f) -> Printf.sprintf "%d:%s" k (fname f))
-           (Option.value ~default:[] (Hashtbl.find_opt li.Static.li_pats m)));
-      add "st"
-        (List.map
-           (fun (k1, f, k2) -> Printf.sprintf "%d:%s:%d" k1 (fname f) k2)
-           (Static.store_patterns p me));
-      add "sok" (Option.value ~default:[] (Hashtbl.find_opt static_ok m));
-      add "kok" (Option.value ~default:[] (Hashtbl.find_opt site_ok m))
-    end;
-    (if config.local_flow then
-       match Static.local_flow_sources p me with
-       | Some srcs -> add "lf" (List.map string_of_int srcs)
-       | None -> ());
-    if config.container_pattern then begin
-      add "en"
-        (List.map
-           (fun (k, c) -> Printf.sprintf "%d:%s" k (cat_code c))
-           (Spec.entrance_roles spec m));
-      (match Spec.exit_category spec m with
-      | Some c -> Buffer.add_string b ("ex=" ^ cat_code c ^ ";")
-      | None -> ());
-      if Spec.is_transfer spec m then Buffer.add_string b "tr;"
-    end;
-    Buffer.contents b
-
-(** Incremental-retraction hook ({!Csc_pta.Inc.hook}) over a solved handle.
-    Flow *through* shortcut edges is already covered by [Inc]'s generic edge
-    rule — shortcuts are ordinary [KShortcut] PFG edges in [succs] — so this
-    hook only marks pointers whose facts rest on a *classification* that may
-    be stale after the edit: pattern-propagation chains (DIRTYPAT),
-    store/load subscriptions, relay classification of cut return variables,
-    local-flow shortcuts and container host bookkeeping. *)
-let inc_hook (t : t) : Csc_pta.Inc.hook =
- fun ~dirty_ptr ~dirty_obj ~dirty_meth ~mark ->
-  let s = t.solver in
-  let ptr_of_var v = Interner.find_opt s.Solver.ptrs (Solver.PVar (t.ci, v)) in
-  (* DIRTYPAT: M's propagated patterns (and the subscriptions they placed)
-     may differ if some call edge from M reaches a pattern-bearing callee
-     that is edited, pattern-dirty itself, or reached through a dirty edge
-     (edited calling method / dirty receiver set). *)
-  let has_pats m =
-    Hashtbl.mem t.store_pats m || Hashtbl.mem t.load_pats m
-    || Bits.mem t.cut_load m
-  in
-  let edge_dirty site =
-    let cs = Ir.call t.prog site in
-    dirty_meth cs.Ir.cs_method
-    || (match cs.Ir.cs_recv with
-       | Some r -> (
-         match ptr_of_var r with Some p -> dirty_ptr p | None -> false)
-       | None -> false)
-  in
-  let dpat = Bits.create () in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun callee sites ->
-        let callee_stale =
-          Bits.mem dpat callee || (has_pats callee && dirty_meth callee)
-        in
-        List.iter
-          (fun site ->
-            let caller = (Ir.call t.prog site).Ir.cs_method in
-            if
-              (not (Bits.mem dpat caller))
-              && (callee_stale || (has_pats callee && edge_dirty site))
-            then begin
-              ignore (Bits.add dpat caller);
-              changed := true
-            end)
-          !sites)
-      t.callers
-  done;
-  let meth_stale m = Bits.mem dpat m || dirty_meth m in
-  (* subscriptions: a stale base invalidates what its subs wrote *)
-  Hashtbl.iter
-    (fun base subs ->
-      if
-        dirty_ptr base
-        || (match method_of_ptr t base with
-           | Some m -> meth_stale m
-           | None -> false)
-      then
-        List.iter
-          (function
-            | Sub_store { fld; from_ptr = _ } ->
-              Bits.iter
-                (fun o ->
-                  if Solver.obj_class s o <> None then
-                    match
-                      Interner.find_opt s.Solver.ptrs (Solver.PField (o, fld))
-                    with
-                    | Some p -> mark p
-                    | None -> ())
-                (Solver.pts s base)
-            | Sub_load { to_ptr; _ } -> mark to_ptr)
-          !subs)
-    t.subs;
-  (* RelayEdge: stale classification inputs of a cut return variable taint
-     every call-site LHS it relays into *)
-  Hashtbl.iter
-    (fun rp m ->
-      let stale =
-        meth_stale m || dirty_ptr rp
-        || (match Hashtbl.find_opt t.retload_pats rp with
-           | Some pats -> List.exists (fun (bp, _) -> dirty_ptr bp) !pats
-           | None -> false)
-      in
-      if stale then
-        match Hashtbl.find_opt t.relays m with
-        | Some rl -> List.iter mark rl.rl_lhs
-        | None -> ())
-    t.ret_ptr_owner;
-  (* local flow: the cut/shortcut decision reads the callee body, so an
-     edited callee taints the LHS at every one of its call sites *)
-  if t.cfg.local_flow then
-    Bits.iter
-      (fun m ->
-        if dirty_meth m then
-          match Hashtbl.find_opt t.callers m with
-          | Some sites ->
-            List.iter
-              (fun site ->
-                match (Ir.call t.prog site).Ir.cs_lhs with
-                | Some lhs -> (
-                  match ptr_of_var lhs with Some p -> mark p | None -> ())
-                | None -> ())
-              !sites
-          | None -> ())
-      t.cut_lflow;
-  (* containers: hosts whose pt_H bookkeeping flowed through dirty pointers
-     (or which are dirty objects themselves) taint their target pointers *)
-  if t.cfg.container_pattern then begin
-    let dhosts = Bits.create () in
-    Hashtbl.iter
-      (fun p hs -> if dirty_ptr p then Bits.union_quiet ~into:dhosts hs)
-      t.pt_h;
-    Hashtbl.iter
-      (fun (h, _cat) ptrs ->
-        if Bits.mem dhosts h || dirty_obj h then List.iter mark !ptrs)
-      t.targets
-  end

@@ -6,7 +6,6 @@ open Csc_common
 module Ir = Csc_ir.Ir
 module Solver = Csc_pta.Solver
 module Context = Csc_pta.Context
-module Inc = Csc_pta.Inc
 module Csc = Csc_core.Csc
 module Metrics = Csc_clients.Metrics
 module Dl = Csc_datalog.Analysis
@@ -253,24 +252,14 @@ let of_result ?(pre_time = 0.) ?selected ?involved ?(shortcuts = 0) s p
     o_shortcuts = shortcuts;
   }
 
-(** Retained engine state of a completed run, for {!update}: the program,
-    the (finished) solver and, for CSC analyses, the plugin handle. *)
-type state = {
-  st_prog : Ir.program;
-  st_solver : Solver.t;
-  st_csc : Csc.t option;
-}
-
 (** Run one analysis under an optional time budget (seconds). Timeouts are
     reported in the outcome, not raised — like the paper's ">2h" cells.
     [sp_validate] runs {!Csc_ir.Validate.check_exn} first so malformed IR
     fails fast instead of silently corrupting analysis results.
 
-    [preseed] is applied to the created imperative solver after plugin
-    installation and before solving (the incremental engine's fact
-    transplant). Also returns the retained {!state} of the last imperative
-    solve when the run completed without timeout. *)
-let run_kept ?preseed (s : spec) (p : Ir.program) : outcome * state option =
+    Also returns the finished solver of the last imperative solve when the
+    run completed without timeout. *)
+let run_kept (s : spec) (p : Ir.program) : outcome * Solver.t option =
   if s.sp_validate then Csc_ir.Validate.check_exn p;
   let budget =
     match s.sp_budget_s with
@@ -298,9 +287,6 @@ let run_kept ?preseed (s : spec) (p : Ir.program) : outcome * state option =
           csc_handle := Some h;
           Solver.set_plugin t pl)
         csc;
-      (* incremental preloads enter through the ordinary worklist, after the
-         plugin is installed, so every watch and plugin hook replays on them *)
-      Option.iter (fun f -> f t) preseed;
       match Solver.run t with
       | () ->
         solver := Some t;
@@ -324,9 +310,7 @@ let run_kept ?preseed (s : spec) (p : Ir.program) : outcome * state option =
     let o = of_result ?pre_time ?selected ?involved ~shortcuts s p r (elapsed ()) in
     let top = s.sp_profile_top in
     match (!solver, dl_attr) with
-    | Some t, _ ->
-      ( { o with o_profile = Solver.profile ~top t },
-        Some { st_prog = p; st_solver = t; st_csc = !csc_handle } )
+    | Some t, _ -> ({ o with o_profile = Solver.profile ~top t }, Some t)
     | None, Some a ->
       let prof =
         Attr.render ~top a ~engine:"datalog" ~meth_name:string_of_int
@@ -359,57 +343,7 @@ let run_spec_solver (s : spec) (p : Ir.program) =
   | Solve (Dl _) | Zipper (Dl _, _) -> Error `Datalog
   | Zipper (Imp _, _) -> Error `Staged
   | Solve (Imp _) ->
-    let o, st = run_kept s p in
-    Ok (o, Option.map (fun st -> st.st_solver) st)
-
-(* ------------------------------------------------------------ incremental *)
-
-(** Analyses the incremental engine supports: the context-insensitive lattice
-    (CI and the CSC family). Context-sensitive analyses fall back to a fresh
-    solve ({!Inc.plan} re-checks this). *)
-let inc_supported a =
-  match plan a with Solve (Imp (sel, _)) -> sel == Context.ci | _ -> false
-
-let csc_config_of a =
-  match plan a with Solve (Imp (_, c)) -> c | _ -> None
-
-(** Like {!run_spec}, but also return the retained engine {!state} when the
-    analysis supports incremental updates and the run completed. *)
-let run_spec_keep (s : spec) (p : Ir.program) : outcome * state option =
-  if inc_supported s.sp_analysis then run_kept s p else (run_spec s p, None)
-
-(** [update s ~prev p] analyzes [p] — the edited successor of [prev]'s
-    program — reusing [prev]'s solved state where the edit provably cannot
-    have changed it (see {!Csc_pta.Inc}). Falls back to a fresh solve (and
-    says why in the returned info) whenever reuse is unsupported or not
-    worthwhile; either way the outcome is bit-identical to [run_spec s p]. *)
-let update (s : spec) ~(prev : state) (p : Ir.program) :
-    outcome * state option * Inc.info =
-  let fallback reason =
-    let o, st = run_spec_keep s p in
-    (o, st, Inc.fresh_info reason)
-  in
-  if not (inc_supported s.sp_analysis) then
-    fallback ("analysis " ^ name s.sp_analysis ^ " has no incremental mode")
-  else
-    let config = csc_config_of s.sp_analysis in
-    if (config = None) <> (prev.st_csc = None) then
-      fallback "retained state is for a different analysis"
-    else
-      let classify_old, classify_new, hook =
-        match (config, prev.st_csc) with
-        | Some c, Some h ->
-          ( Some (Csc.classifier ~config:c prev.st_prog),
-            Some (Csc.classifier ~config:c p),
-            Some (Csc.inc_hook h) )
-        | _ -> (None, None, None)
-      in
-      match Inc.plan ?classify_old ?classify_new ?hook ~old:prev.st_solver p with
-      | Inc.Fallback reason -> fallback reason
-      | Inc.Preseed (pre, info) ->
-        let o, st = run_kept ~preseed:pre s p in
-        Option.iter (fun st -> Inc.record st.st_solver.Solver.reg info) st;
-        (o, st, info)
+    Ok (run_kept s p)
 
 (* ------------------------------------------------------------- recall *)
 

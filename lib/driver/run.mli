@@ -141,27 +141,6 @@ val run_spec_solver :
   Ir.program ->
   (outcome * Solver.t option, [ `Staged | `Datalog ]) result
 
-(** Retained engine state of a completed run (program, solved solver, CSC
-    plugin handle) — the anchor for {!update}. *)
-type state
-
-(** Analyses the incremental engine supports: CI and the CSC family. *)
-val inc_supported : analysis -> bool
-
-(** Like {!run_spec}, but also return the retained {!state} when
-    [inc_supported] holds and the run completed without timeout. *)
-val run_spec_keep : spec -> Ir.program -> outcome * state option
-
-(** [update s ~prev p] analyzes [p] — an edited successor of [prev]'s
-    program — reusing [prev]'s solved facts where the edit provably cannot
-    have invalidated them ({!Csc_pta.Inc}: method-level diff, dirtiness
-    closure over the old PFG, worklist preseeding). Falls back to a fresh
-    solve when reuse is unsupported or not worthwhile; either way the
-    outcome is bit-identical to [run_spec s p], and the returned info says
-    which path ran and how much was reused. *)
-val update :
-  spec -> prev:state -> Ir.program -> outcome * state option * Csc_pta.Inc.info
-
 type recall_report = {
   rc_analysis : string;
   rc_methods : float;

@@ -30,11 +30,6 @@ type res_entry = {
 type t = {
   progs : (string, prog_entry) Hashtbl.t;
   results : (string * Run.spec, res_entry) Hashtbl.t;
-  (* retained engine state of the most recent solve of a supported analysis:
-     (source digest, normalized spec, state). One anchor only — a solver is
-     far larger than a cached outcome, so we keep exactly the one an editing
-     session extends; a non-matching [update] falls back to a fresh solve. *)
-  mutable anchor : (string * Run.spec * Run.state) option;
   max_mem_bytes : int;
   mutable tick : int;
   mutable bytes : int;
@@ -55,7 +50,6 @@ let create ?(max_mem_bytes = 1 lsl 30) ?registry () =
   {
     progs = Hashtbl.create 16;
     results = Hashtbl.create 32;
-    anchor = None;
     max_mem_bytes;
     tick = 0;
     bytes = 0;
@@ -183,11 +177,6 @@ let cache_result t key o =
   evict_results t;
   publish t
 
-let set_anchor t ~digest key st =
-  match st with
-  | Some st -> t.anchor <- Some (digest, snd key, st)
-  | None -> ()
-
 let outcome t ~digest (spec : Run.spec) (p : Ir.program) :
     Run.outcome * bool =
   let key = (digest, Run.spec_key spec) in
@@ -200,8 +189,7 @@ let outcome t ~digest (spec : Run.spec) (p : Ir.program) :
   | None ->
     t.misses <- t.misses + 1;
     bump t.c_misses;
-    let o, st = Run.run_spec_keep spec p in
-    set_anchor t ~digest key st;
+    let o = Run.run_spec spec p in
     cache_result t key o;
     (o, false)
 
@@ -220,48 +208,22 @@ let update t ~digest ?source ?(edits = []) (spec : Run.spec) :
   | None -> Error (Printf.sprintf "unknown program digest %S" digest)
   | Some base -> (
     base.pe_tick <- next_tick t;
-    let src_r =
+    let src =
       match source with
       | Some s -> Ok s
       | None -> Csc_pta.Inc.apply_edits base.pe_src edits
     in
-    match src_r with
+    match Result.bind src (load_source t ~name:"<update>") with
     | Error e -> Error e
-    | Ok src -> (
-      match load_source t ~name:"<update>" src with
-      | Error e -> Error e
-      | Ok (p, up_digest) -> (
-        let key = (up_digest, Run.spec_key spec) in
-        match Hashtbl.find_opt t.results key with
-        | Some e ->
-          e.re_tick <- next_tick t;
-          t.hits <- t.hits + 1;
-          bump t.c_hits;
-          Ok
-            {
-              up_outcome = e.re_outcome;
-              up_digest;
-              up_info = Csc_pta.Inc.fresh_info "cached outcome";
-              up_cached = true;
-            }
-        | None ->
-          t.misses <- t.misses + 1;
-          bump t.c_misses;
-          let o, st, info =
-            match t.anchor with
-            | Some (ad, akey, prev)
-              when ad = digest && akey = Run.spec_key spec ->
-              Run.update spec ~prev p
-            | Some _ ->
-              let o, st = Run.run_spec_keep spec p in
-              (o, st, Csc_pta.Inc.fresh_info "anchor is for another program")
-            | None ->
-              let o, st = Run.run_spec_keep spec p in
-              (o, st, Csc_pta.Inc.fresh_info "no retained state")
-          in
-          set_anchor t ~digest:up_digest key st;
-          cache_result t key o;
-          Ok { up_outcome = o; up_digest; up_info = info; up_cached = false })))
+    | Ok (p, up_digest) ->
+      let o, cached = outcome t ~digest:up_digest spec p in
+      Ok
+        {
+          up_outcome = o;
+          up_digest;
+          up_info = Csc_pta.Inc.fresh_info;
+          up_cached = cached;
+        })
 
 (* ---------------------------------------------------------- introspection *)
 

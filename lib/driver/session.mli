@@ -46,31 +46,29 @@ val load : t -> string -> (Ir.program * string, string) result
 (** [outcome t ~digest spec p] returns the cached outcome for
     [(digest, Run.spec_key spec)], solving (and caching) on a miss. The
     boolean is [true] on a cache hit. Timeout outcomes are cached too — the
-    budget is part of the key.
-
-    A miss on an incrementally-supported analysis ({!Run.inc_supported})
-    also retains the solved engine state as the session's single *anchor*,
-    the base that {!update} extends. *)
+    budget is part of the key. *)
 val outcome : t -> digest:string -> Run.spec -> Ir.program -> Run.outcome * bool
 
-(** {2 Incremental updates} *)
+(** {2 Edited revisions} *)
 
 type update_result = {
   up_outcome : Run.outcome;
   up_digest : string;  (** digest of the edited program *)
-  up_info : Csc_pta.Inc.info;  (** which path ran, and reuse statistics *)
+  up_info : Csc_pta.Inc.info;
+      (** always {!Csc_pta.Inc.fresh_info}. Kept only so that [bench/perf]
+          still compiles unmodified; to be removed with the benchmark's next
+          change. *)
   up_cached : bool;  (** the edited program's outcome was already cached *)
 }
 
 (** [update t ~digest spec ~edits] analyzes an edited revision of the cached
     program [digest]: the new source is [?source] when given, else the base
-    source with [edits] applied ({!Csc_pta.Inc.apply_edits}). When the
-    session's anchor is that exact [(digest, spec)] solve, the analysis runs
-    incrementally ({!Run.update}); otherwise it falls back to a fresh solve.
-    Either way the outcome is bit-identical to a from-scratch [outcome] call
-    on the edited source, it is cached under the new digest, and the anchor
-    moves to the new revision (so edit chains stay incremental). [Error]s:
-    unknown digest, unappliable edit, compile failure. *)
+    source with [edits] applied ({!Csc_pta.Inc.apply_edits}). The new source
+    compiles through the program cache and solves through {!outcome}, so the
+    answer is the one an [outcome] call on the edited source gives, cached
+    under the new digest, and an update back to an already-solved revision
+    is a cache hit. [Error]s: unknown digest, unappliable edit, compile
+    failure. *)
 val update :
   t ->
   digest:string ->

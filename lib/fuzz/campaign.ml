@@ -29,11 +29,6 @@ type cfg = {
       (** enable {!Csc_core.Csc.sabotage_drop_shortcuts} for the whole
           campaign — a self-test that the oracle catches a real bug *)
   progress : bool;    (** print a progress line every few hundred programs *)
-  edits : int;
-      (** when positive, fuzz edit *sessions* instead of single programs:
-          each case derives that many successive revisions of a base plan
-          ({!Gen.Edit.sequence}) and runs {!Soundness.check_incremental}
-          over the chain *)
 }
 
 let default_cfg =
@@ -46,7 +41,6 @@ let default_cfg =
     max_shrink_checks = 300;
     inject_unsound = false;
     progress = false;
-    edits = 0;
   }
 
 type case = {
@@ -57,8 +51,6 @@ type case = {
   c_min_app_stmts : int option;   (** app IR statements of the minimized program *)
   c_planted_leaks : int;      (** taint chains planted by the generator *)
   c_planted_sanitized : int;  (** sanitized chains planted by the generator *)
-  c_edit_pair : (string * string) option;
-      (** edit campaigns: the minimal failing consecutive revision pair *)
 }
 
 type report = {
@@ -153,7 +145,6 @@ let case_meta (c : case) : Json.t =
         match c.c_min_app_stmts with Some n -> Json.Int n | None -> Json.Null );
       ("planted_leaks", Json.Int c.c_planted_leaks);
       ("planted_sanitized", Json.Int c.c_planted_sanitized);
-      ("edit_pair", Json.Bool (c.c_edit_pair <> None));
     ]
 
 let write_case dir (c : case) =
@@ -162,17 +153,11 @@ let write_case dir (c : case) =
   write_file (base ^ ".mjava")
     (Option.value ~default:c.c_source c.c_min_source);
   if c.c_min_source <> None then write_file (base ^ ".orig.mjava") c.c_source;
-  (match c.c_edit_pair with
-  | Some (prev, next) ->
-    (* the two-revision replay: analyze rev0, update to rev1, compare *)
-    write_file (base ^ ".rev0.mjava") prev;
-    write_file (base ^ ".rev1.mjava") next
-  | None -> ());
   write_file (base ^ ".json") (Json.to_string ~pretty:true (case_meta c))
 
 (* ---- the campaign itself ---- *)
 
-let run_programs (cfg : cfg) : report =
+let run (cfg : cfg) : report =
   let reg = Registry.create () in
   let c_programs = Registry.counter reg "fuzz_programs" in
   let c_violating = Registry.counter reg "fuzz_violating_programs" in
@@ -220,7 +205,6 @@ let run_programs (cfg : cfg) : report =
                   c_min_app_stmts = None;
                   c_planted_leaks = Gen.Rand.planted_leaks plan;
                   c_planted_sanitized = Gen.Rand.planted_sanitized plan;
-                  c_edit_pair = None;
                 }
                 :: !failed
             | src, p -> (
@@ -270,8 +254,7 @@ let run_programs (cfg : cfg) : report =
                     c_min_app_stmts = min_stmts;
                     c_planted_leaks = Gen.Rand.planted_leaks plan;
                     c_planted_sanitized = Gen.Rand.planted_sanitized plan;
-                    c_edit_pair = None;
-                  }
+                    }
                 in
                 Option.iter (fun dir -> write_case dir case) cfg.out_dir;
                 failed := case :: !failed));
@@ -291,117 +274,3 @@ let run_programs (cfg : cfg) : report =
         r_progs_per_s = pps;
         r_snapshot = Registry.snapshot reg;
       })
-
-(* ---- edit-session campaign (cfg.edits > 0) ---- *)
-
-(** Fuzz the incremental engine: per case, derive [cfg.edits] successive
-    revisions of a random base plan and require {!Soundness.check_incremental}
-    to find updated results bit-identical to from-scratch solves along the
-    whole chain. On failure, scan consecutive revision pairs for one that
-    fails on its own — since every chain step is verified against scratch,
-    the failing edit is almost always reproducible as a 2-revision session —
-    and record it as the minimal counterexample. *)
-let run_edits (cfg : cfg) : report =
-  let reg = Registry.create () in
-  let c_sessions = Registry.counter reg "fuzz_edit_sessions" in
-  let c_steps = Registry.counter reg "fuzz_edit_steps" in
-  let c_violating = Registry.counter reg "fuzz_violating_programs" in
-  let c_violations = Registry.counter reg "fuzz_violations" in
-  let c_gen_errors = Registry.counter reg "fuzz_gen_errors" in
-  let c_pair = Registry.counter reg "fuzz_edit_pair_cases" in
-  let g_pps = Registry.gauge reg "fuzz_progs_per_s" in
-  let master = Rng.create cfg.seed in
-  let failed = ref [] in
-  let t0 = Timer.now () in
-  for i = 0 to cfg.n - 1 do
-    let seed = Int64.to_int (Rng.next master) land 0x3FFFFFFF in
-    Trace.with_span ~cat:"fuzz"
-      ~args:[ ("seed", Json.Int seed) ]
-      "fuzz.edit-session"
-      (fun () ->
-        Registry.incr c_sessions;
-        let base = Gen.Rand.generate ~seed ~max_size:cfg.max_size in
-        let plans =
-          base :: Gen.Edit.sequence ~seed:(seed lxor 0x5EED) ~steps:cfg.edits base
-        in
-        match List.map compile_plan plans with
-        | exception e ->
-          Registry.incr c_gen_errors;
-          failed :=
-            {
-              c_seed = seed;
-              c_violations =
-                [
-                  {
-                    Soundness.v_kind = Soundness.Analysis_crash;
-                    v_analysis = "frontend";
-                    v_detail = Printexc.to_string e;
-                  };
-                ];
-              c_source = Gen.Rand.render base;
-              c_min_source = None;
-              c_min_app_stmts = None;
-              c_planted_leaks = Gen.Rand.planted_leaks base;
-              c_planted_sanitized = Gen.Rand.planted_sanitized base;
-              c_edit_pair = None;
-            }
-            :: !failed
-        | compiled -> (
-          Registry.incr ~by:(List.length compiled - 1) c_steps;
-          let progs = List.map snd compiled in
-          match Soundness.check_incremental progs with
-          | [] -> ()
-          | violations ->
-            Registry.incr c_violating;
-            Registry.incr ~by:(List.length violations) c_violations;
-            Trace.instant ~args:[ ("seed", Json.Int seed) ] "fuzz.violation";
-            let srcs = Array.of_list (List.map fst compiled) in
-            let parr = Array.of_list progs in
-            let pair = ref None in
-            if cfg.minimize then begin
-              try
-                for k = 1 to Array.length parr - 1 do
-                  if
-                    Soundness.check_incremental [ parr.(k - 1); parr.(k) ]
-                    <> []
-                  then begin
-                    pair := Some (srcs.(k - 1), srcs.(k));
-                    raise Exit
-                  end
-                done
-              with Exit -> ()
-            end;
-            if !pair <> None then Registry.incr c_pair;
-            let case =
-              {
-                c_seed = seed;
-                c_violations = violations;
-                c_source = srcs.(0);
-                c_min_source = None;
-                c_min_app_stmts = None;
-                c_planted_leaks = Gen.Rand.planted_leaks base;
-                c_planted_sanitized = Gen.Rand.planted_sanitized base;
-                c_edit_pair = !pair;
-              }
-            in
-            Option.iter (fun dir -> write_case dir case) cfg.out_dir;
-            failed := case :: !failed));
-    if cfg.progress && (i + 1) mod 50 = 0 then
-      Fmt.epr "[fuzz] %d/%d edit sessions, %d violating@." (i + 1) cfg.n
-        (Registry.value c_violating)
-  done;
-  let elapsed = Timer.now () -. t0 in
-  let pps = if elapsed > 0. then float cfg.n /. elapsed else 0. in
-  Registry.set g_pps pps;
-  {
-    r_total = cfg.n;
-    r_failed = List.rev !failed;
-    r_gen_errors = Registry.value c_gen_errors;
-    r_halted = 0;
-    r_elapsed = elapsed;
-    r_progs_per_s = pps;
-    r_snapshot = Registry.snapshot reg;
-  }
-
-let run (cfg : cfg) : report =
-  if cfg.edits > 0 then run_edits cfg else run_programs cfg

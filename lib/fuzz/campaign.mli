@@ -20,17 +20,9 @@ type cfg = {
       (** enable {!Csc_core.Csc.sabotage_drop_shortcuts} for the whole
           campaign — a self-test that the oracle catches a real bug *)
   progress : bool;    (** print a progress line every few hundred programs *)
-  edits : int;
-      (** when positive, fuzz edit *sessions* instead of single programs:
-          each case derives that many successive revisions of a base plan
-          ({!Gen.Edit.sequence}) and runs {!Soundness.check_incremental}
-          over the chain, requiring every incrementally-updated result to be
-          bit-identical to a from-scratch solve. Counterexamples are pinned
-          to a failing consecutive revision pair when possible. *)
 }
 
-(** n=100, seed=42, max_size=30, minimize, no corpus, 300 shrink checks,
-    edits=0. *)
+(** n=100, seed=42, max_size=30, minimize, no corpus, 300 shrink checks. *)
 val default_cfg : cfg
 
 type case = {
@@ -41,9 +33,6 @@ type case = {
   c_min_app_stmts : int option;
   c_planted_leaks : int;      (** taint chains planted by the generator *)
   c_planted_sanitized : int;  (** sanitized chains planted by the generator *)
-  c_edit_pair : (string * string) option;
-      (** edit campaigns: the minimal failing consecutive revision pair,
-          written to the corpus as [case_<seed>.rev0.mjava] / [.rev1.mjava] *)
 }
 
 type report = {

@@ -26,8 +26,6 @@ type kind =
   | Unsound_cast   (** cast failed at runtime but not in [may_fail_casts] *)
   | Unsound_taint  (** dynamic sink hit missing from the static leak report *)
   | Engine_mismatch    (** imperative and Datalog CI results differ *)
-  | Incremental_mismatch
-      (** updating a solved state over an edit differs from a fresh solve *)
   | Analysis_crash     (** an analysis raised or timed out on a tiny program *)
 
 let kind_name = function
@@ -37,7 +35,6 @@ let kind_name = function
   | Unsound_cast -> "unsound-cast"
   | Unsound_taint -> "unsound-taint"
   | Engine_mismatch -> "engine-mismatch"
-  | Incremental_mismatch -> "incremental-mismatch"
   | Analysis_crash -> "analysis-crash"
 
 type violation = {
@@ -243,76 +240,3 @@ let check ?(matrix = default_matrix) ?(max_steps = 2_000_000) (p : Ir.program)
     | _ -> []
   in
   violations @ engines
-
-(* ---- incremental oracle: update ≡ fresh solve, bit for bit ---- *)
-
-let inc_mode_str (info : Csc_pta.Inc.info) =
-  match info.Csc_pta.Inc.i_mode with
-  | `Incremental -> "incremental"
-  | `Fresh -> "fresh: " ^ info.Csc_pta.Inc.i_reason
-
-(** Walk a chain of program revisions, carrying the incremental engine's
-    retained state across each edit, and require the updated result to be
-    bit-identical ({!identical}) to a from-scratch solve of the same
-    revision. Because every step is checked against scratch, a reported
-    mismatch at step [k] pins the failure to the single edit
-    [(rev k-1, rev k)] — the state entering step [k] was itself verified
-    identical to a fresh solve. *)
-let check_incremental
-    ?(analyses = [ Run.spec Run.Imp_ci; Run.spec Run.Imp_csc ])
-    (revs : Ir.program list) : violation list =
-  match revs with
-  | [] -> []
-  | p0 :: rest ->
-    List.concat_map
-      (fun spec ->
-        let aname = Run.name spec.Run.sp_analysis in
-        let out = ref [] in
-        let crash k e =
-          out :=
-            {
-              v_kind = Analysis_crash;
-              v_analysis = aname;
-              v_detail = Fmt.str "rev %d: %s" k e;
-            }
-            :: !out
-        in
-        let st = ref None in
-        (match Run.run_spec_keep spec p0 with
-        | _, (Some _ as s) -> st := s
-        | _, None -> crash 0 "retained no state (timeout or unsupported)"
-        | exception e -> crash 0 (Printexc.to_string e));
-        List.iteri
-          (fun i p ->
-            let k = i + 1 in
-            let step () =
-              match !st with
-              | Some prev -> Run.update spec ~prev p
-              | None ->
-                let o, s = Run.run_spec_keep spec p in
-                (o, s, Csc_pta.Inc.fresh_info "no retained state")
-            in
-            match step () with
-            | exception e ->
-              st := None;
-              crash k (Printexc.to_string e)
-            | o, s, info -> (
-              st := s;
-              let fresh = Run.run_spec spec p in
-              match (o.Run.o_result, fresh.Run.o_result) with
-              | Some ri, Some rf -> (
-                match identical p ri rf with
-                | None -> ()
-                | Some detail ->
-                  out :=
-                    {
-                      v_kind = Incremental_mismatch;
-                      v_analysis = aname;
-                      v_detail =
-                        Fmt.str "rev %d (%s): %s" k (inc_mode_str info) detail;
-                    }
-                    :: !out)
-              | _ -> crash k "a solve produced no result"))
-          rest;
-        List.rev !out)
-      analyses

@@ -18,8 +18,6 @@ type kind =
   | Unsound_cast   (** cast failed at runtime but not in [may_fail_casts] *)
   | Unsound_taint  (** dynamic sink hit missing from the static leak report *)
   | Engine_mismatch    (** imperative and Datalog CI results differ *)
-  | Incremental_mismatch
-      (** updating a solved state over an edit differs from a fresh solve *)
   | Analysis_crash     (** an analysis raised or timed out on a tiny program *)
 
 val kind_name : kind -> string
@@ -51,22 +49,9 @@ val check :
 (** Exact equality of two results on the same program — reachable methods,
     call edges and every variable's points-to set; [None] means identical,
     [Some detail] names the first difference. This is the comparison behind
-    the engine cross-check and {!check_incremental}. *)
+    the engine cross-check. *)
 val identical :
   Ir.program ->
   Csc_pta.Solver.result ->
   Csc_pta.Solver.result ->
   string option
-
-(** The incremental oracle: walk a chain of program revisions (each the
-    edited successor of the previous), carry the incremental engine's
-    retained state across every step ({!Run.update}), and require each
-    updated result to be bit-identical to a from-scratch solve of the same
-    revision. Since the state entering a step was itself verified against
-    scratch, a mismatch at step [k] pins the failure to the single edit
-    [(rev k-1, rev k)]. [analyses] defaults to the specs of [Imp_ci] and
-    [Imp_csc]. Empty list = no divergence. *)
-val check_incremental :
-  ?analyses:Run.spec list ->
-  Ir.program list ->
-  violation list

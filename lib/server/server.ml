@@ -349,7 +349,6 @@ let handle_update t req =
       [ ( "result",
           Json.Obj
             [ ("digest", Json.Str u.Session.up_digest);
-              ("inc", Json.Obj (Csc_pta.Inc.info_json u.Session.up_info));
               ("outcome", Report.outcome_json u.Session.up_outcome) ] ) ]
 
 let handle_stats t req =

@@ -31,19 +31,18 @@
       (profile).
     - [id]: any JSON value, echoed verbatim in the reply.
 
-    [update] analyzes an edited revision of an already-loaded program,
-    incrementally when the server's retained state anchors on it
+    [update] analyzes an edited revision of an already-loaded program
     ({!Csc_driver.Session.update}): [digest] (required) names the base
     program (every [analyze] reply carries the program's [digest] beside
     [result]), and either [edits] — an array of
     [{"op": "replace", "class": C, "method": M, "body": "<statements>"}] /
     [{"op": "add", "class": C, "src": "..."}] /
     [{"op": "remove", "class": C, "method": M}] objects applied in order to
-    the base source — or [source], the full edited text. The result carries
-    the new revision's [digest] (the base for subsequent updates), an [inc]
-    block ([mode] "incremental"/"fresh", [reason], dirty/preload/reuse
-    statistics) and the ordinary analyze [outcome]; the outcome is
-    bit-identical to a from-scratch [analyze] of the edited source.
+    the base source — or [source], the full edited text. The edited text
+    compiles through the program cache and solves through the result cache,
+    like an [analyze] of it: the result carries the new revision's [digest]
+    (the base for subsequent updates) and the ordinary analyze [outcome],
+    and [cached] is true when that revision was already solved.
 
     Replies are versioned envelopes: [{"schema": 1, "id": ..., "ok": true,
     "cmd": ..., "cached": ..., "result": {...}}] on success — [cached] is

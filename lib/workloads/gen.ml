@@ -300,8 +300,8 @@ let emit_mesh ctx =
    revision of a shape program (see [generate ?variant]). Keyed only by the
    variant integer and consuming no RNG draws, so every other method of the
    variant-k rendering is byte-identical to the variant-0 one — exactly a
-   single-method body edit, which is what the incremental engine (lib/pta
-   Inc) and bench E17 want to measure. *)
+   single-method body edit, the one the edit workload of [bench/perf]
+   sends as [update] requests. *)
 let emit_variant_stmts ctx =
   let v = ctx.variant in
   let s = ctx.shape in
@@ -1365,105 +1365,4 @@ module Rand = struct
     in
     nested (fun x -> x) p.p_stmts;
     List.rev !out
-end
-
-(* ================================================================== *)
-(* Seeded edit-sequence generator over [Rand] plans, for the          *)
-(* incremental-analysis fuzz oracle (Soundness.check_incremental).    *)
-(* Each step applies one mutation to the previous plan; every         *)
-(* resulting plan is well-formed (defs still precede uses), so the    *)
-(* oracle can compile each revision and compare the incremental       *)
-(* update against a from-scratch solve. Mutations deliberately mix    *)
-(* semantics-preserving moves (swapping independent statements,       *)
-(* duplicating a side-effecting write) with semantics-changing ones   *)
-(* (dropping a def-use cone, changing the rounds bound).              *)
-(* ================================================================== *)
-
-module Edit = struct
-  open Rand
-
-  (* uses of a statement including its nested body (variables are globally
-     numbered and defined exactly once, so there is no shadowing) *)
-  let rec deep_uses s =
-    uses s
-    @ (match body_of s with
-      | Some b -> List.concat_map deep_uses b
-      | None -> [])
-
-  (* semantics-preserving: swap two adjacent independent top-level
-     statements (the second must not read what the first defines) *)
-  let swap_adjacent rng (p : plan) =
-    let arr = Array.of_list p.p_stmts in
-    let n = Array.length arr in
-    let ok i =
-      let d = defs arr.(i) in
-      List.for_all (fun v -> not (List.mem v d)) (deep_uses arr.(i + 1))
-    in
-    let cands = ref [] in
-    for i = 0 to n - 2 do
-      if ok i then cands := i :: !cands
-    done;
-    match !cands with
-    | [] -> None
-    | cs ->
-      let i = List.nth cs (Rng.int rng (List.length cs)) in
-      let t = arr.(i) in
-      arr.(i) <- arr.(i + 1);
-      arr.(i + 1) <- t;
-      Some { p with p_stmts = Array.to_list arr }
-
-  (* analysis-neutral growth: duplicate a side-effecting statement
-     (re-running a store or container write defines no new variable) *)
-  let duplicate rng (p : plan) =
-    let dup = function
-      | PSet _ | PListAdd _ | PMapPut _ | PArrStore _ -> true
-      | _ -> false
-    in
-    let idxs = ref [] in
-    List.iteri (fun i s -> if dup s then idxs := i :: !idxs) p.p_stmts;
-    match !idxs with
-    | [] -> None
-    | cs ->
-      let i = List.nth cs (Rng.int rng (List.length cs)) in
-      let stmts =
-        List.concat
-          (List.mapi (fun j s -> if j = i then [ s; s ] else [ s ]) p.p_stmts)
-      in
-      Some { p with p_stmts = stmts }
-
-  (* semantics-changing: a different rounds bound (dynamic schedule change) *)
-  let bump_rounds rng (p : plan) =
-    let r = 1 + Rng.int rng 4 in
-    if r = p.p_rounds then None else Some { p with p_rounds = r }
-
-  (* semantics-changing: remove a random statement together with its
-     def-use cascade (delegates to the shrinker, whose candidates are
-     well-formed by construction) *)
-  let drop rng (p : plan) =
-    match shrink_candidates p with
-    | [] -> None
-    | cs -> Some (List.nth cs (Rng.int rng (List.length cs)))
-
-  let step rng (p : plan) : plan =
-    let ops = [| drop; duplicate; swap_adjacent; bump_rounds |] in
-    let n = Array.length ops in
-    let k = Rng.int rng n in
-    let rec try_from i =
-      if i = n then p (* nothing applicable: edit-to-same-program *)
-      else
-        match ops.((k + i) mod n) rng p with
-        | Some p' -> p'
-        | None -> try_from (i + 1)
-    in
-    try_from 0
-
-  let sequence ~seed ~steps (p : Rand.plan) : Rand.plan list =
-    let rng = Rng.create seed in
-    let rec go acc p n =
-      if n = 0 then List.rev acc
-      else
-        let p' = step rng p in
-        go (p' :: acc) p' (n - 1)
-    in
-    go [] p (max 0 steps)
 end

@@ -32,8 +32,10 @@ val small_shape : shape
 (** Generate a full MiniJava program (the frontend prepends the JDK).
     [variant > 0] appends fixed, variant-keyed statements to the body of
     [Driver0.op0_0] without consuming RNG draws, so two variants of the same
-    shape differ in exactly that one method body — a single-method edit for
-    the incremental engine and bench E17. *)
+    shape differ in exactly that one method body — a single-method edit.
+    Kept only for [bench/perf]'s edit workload (via
+    {!Suite.source_variant}); to be removed with the benchmark's next
+    change. *)
 val generate : ?variant:int -> shape -> string
 
 (** Randomized, type-correct program generation for the soundness fuzzer.
@@ -81,16 +83,4 @@ module Rand : sig
       rounds-loop collapse, top-level chunk removal, then single-statement
       removal anywhere in the tree. Every candidate is well-formed. *)
   val shrink_candidates : plan -> plan list
-end
-
-(** Seeded edit-sequence generator over [Rand] plans, for the incremental
-    fuzz oracle. Each step applies one random mutation — swapping adjacent
-    independent statements or duplicating a side-effecting write
-    (semantics-preserving), dropping a statement with its def-use cascade or
-    changing the rounds bound (semantics-changing) — and every resulting
-    plan is again well-formed. *)
-module Edit : sig
-  (** [sequence ~seed ~steps p] returns the [steps] successive revisions of
-      [p] (each derived from the previous one). Deterministic in [seed]. *)
-  val sequence : seed:int -> steps:int -> Rand.plan -> Rand.plan list
 end

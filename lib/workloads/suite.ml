@@ -50,8 +50,9 @@ let shape_of name =
 let source name = Gen.generate (shape_of name)
 
 (** An "edited" revision of a suite program: identical except for the body
-    of [Driver0.op0_0] (see [Gen.generate ?variant]). Used by bench E17 and
-    the incremental-smoke CI lane as a reproducible single-method edit. *)
+    of [Driver0.op0_0] (see [Gen.generate ?variant]). Kept only for
+    [bench/perf]'s edit workload; to be removed with the benchmark's next
+    change. *)
 let source_variant name variant = Gen.generate ~variant (shape_of name)
 
 (** Compile a suite program (with the mini-JDK). *)

@@ -19,7 +19,9 @@ val source : string -> string
 
 (** [source_variant name v] is [source name] with fixed variant-[v] keyed
     statements appended to the body of [Driver0.op0_0] — a reproducible
-    single-method edit (identical to [source name] when [v = 0]). *)
+    single-method edit (identical to [source name] when [v = 0]). Kept only
+    for [bench/perf]'s edit workload; to be removed with the benchmark's
+    next change. *)
 val source_variant : string -> int -> string
 
 (** Compile a suite program (with the mini-JDK). *)

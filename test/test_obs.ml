@@ -244,6 +244,17 @@ let test_timer_expiry () =
   Alcotest.check_raises "expired budget raises" Timer.Out_of_budget (fun () ->
       Timer.check b)
 
+let test_timer_heap_cap_is_relative () =
+  (* the heap already exceeds this budget's cap when it is created (as it
+     does after an earlier solve aborted at the cap: the major heap does not
+     shrink), yet the budget must only count growth from here *)
+  let max_gb = 1e-6 in
+  Alcotest.(check bool) "heap already past the cap" true
+    (float (Gc.quick_stat ()).Gc.heap_words *. float (Sys.word_size / 8)
+    > max_gb *. 1024. *. 1024. *. 1024.);
+  let b = Timer.budget_of_seconds ~max_gb 3600. in
+  Timer.check b
+
 let test_timeout_outcome_snapshot () =
   (* the solver timeout path must flag the outcome AND still deliver a
      well-formed snapshot of the aborted state *)
@@ -423,6 +434,8 @@ let suite =
       [
         Alcotest.test_case "no_budget never expires" `Quick test_timer_no_budget;
         Alcotest.test_case "budget expiry raises" `Quick test_timer_expiry;
+        Alcotest.test_case "heap cap counts growth from creation" `Quick
+          test_timer_heap_cap_is_relative;
         Alcotest.test_case "timeout outcome keeps snapshot" `Quick
           test_timeout_outcome_snapshot;
       ] );

@@ -95,10 +95,6 @@ let ref_is_datalog = function
     true
   | _ -> false
 
-let ref_inc_supported = function
-  | Run.Imp_ci | Run.Imp_csc | Run.Imp_csc_cfg _ -> true
-  | _ -> false
-
 (* every analysis value: all constructors, k in 1..4, all 8 CSC configs *)
 let gen_analysis =
   let open QCheck2.Gen in
@@ -125,8 +121,7 @@ let prop_grammar_plan =
       | Ok a' ->
         Run.name a' = Run.name a
         && Run.plan_name a' = Run.plan_name a
-        && Run.is_datalog a = ref_is_datalog a
-        && Run.inc_supported a = ref_inc_supported a)
+        && Run.is_datalog a = ref_is_datalog a)
 
 let prop_plan_names_distinct =
   QCheck2.Test.make ~name:"analyses share a plan iff they share a name"
@@ -376,8 +371,8 @@ let test_protocol_budget_capped () =
   Alcotest.(check bool) "a smaller budget is its own entry" false
     (get_bool (member "cached" j))
 
-(* the update command: edits applied server-side, incremental path taken,
-   result digest-cached under the new revision *)
+(* the update command: edits applied server-side, the edited revision
+   compiled and solved through the session caches under its own digest *)
 let test_protocol_update () =
   let t = Server.create () in
   let h line = Server.handle_line t line in
@@ -393,9 +388,10 @@ let test_protocol_update () =
       d b
   in
   let j = ok_reply (h (upd digest body)) in
+  Alcotest.(check bool) "a new revision is a miss" false
+    (get_bool (member "cached" j));
   let res = member "result" j in
-  Alcotest.(check string) "incremental path" "incremental"
-    (get_str (member "mode" (member "inc" res)));
+  Alcotest.(check bool) "no inc block" true (Json.member "inc" res = None);
   let d2 = get_str (member "digest" res) in
   Alcotest.(check bool) "digest moved" true (d2 <> digest);
   (* a fresh analyze of the edited source must land on the same digest and
@@ -414,11 +410,20 @@ let test_protocol_update () =
   Alcotest.(check string) "same outcome"
     (Json.to_string (member "result" j'))
     (Json.to_string (member "outcome" res));
-  (* the anchor follows the chain: a second (different) edit is
-     incremental again *)
+  (* a chained update from the new revision to a third one *)
   let j = ok_reply (h (upd d2 "Item r = this.item; return r;")) in
-  Alcotest.(check string) "chained update incremental" "incremental"
-    (get_str (member "mode" (member "inc" (member "result" j))));
+  let d3 = get_str (member "digest" (member "result" j)) in
+  Alcotest.(check bool) "chained update solves its revision" true
+    (d3 <> d2 && d3 <> digest && not (get_bool (member "cached" j)));
+  (* editing back to an already-solved revision answers from the cache *)
+  let j = ok_reply (h (upd d3 body)) in
+  Alcotest.(check string) "back to the second revision" d2
+    (get_str (member "digest" (member "result" j)));
+  Alcotest.(check bool) "already-solved revision is cached" true
+    (get_bool (member "cached" j));
+  Alcotest.(check string) "cached outcome unchanged"
+    (Json.to_string (member "outcome" res))
+    (Json.to_string (member "outcome" (member "result" j)));
   (* malformed updates *)
   let _ = error_reply ~code:"bad-request" (h "{\"cmd\": \"update\"}") in
   let _ =
