@@ -362,6 +362,12 @@ let exit_fail_on fail_on (ds : Csc_checks.Diagnostic.t list) =
         ds
     then exit 1
 
+(* check/taint: a timed-out analysis has no answer, so a CI gate must not
+   pass on it, with or without --fail-on *)
+let exit_timeout analysis (o : Run.outcome) =
+  Fmt.epr "analysis %s timed out after %.1fs@." analysis o.o_time;
+  exit 1
+
 let check_cmd =
   let analysis =
     let doc =
@@ -401,7 +407,7 @@ let check_cmd =
              ("outcomes", Json.List [ Report.outcome_json o ]) ]);
       Fmt.epr "profile written to %s@." file);
     match o.Run.o_result with
-    | None -> Fmt.epr "analysis %s timed out after %.1fs@." analysis o.Run.o_time
+    | None -> exit_timeout analysis o
     | Some r ->
       let checks = if checks = [] then None else Some checks in
       let ds = Csc_checks.Checks.run_all ?checks ~include_jdk p r in
@@ -471,17 +477,7 @@ let profile_cmd =
           [ ("program", Json.Str spec);
             ( "profiles",
               Json.List
-                (List.map
-                   (fun (a, (o : Run.outcome)) ->
-                     Json.Obj
-                       [ ("analysis", Json.Str a);
-                         ("timeout", Json.Bool o.o_timeout);
-                         ("time_s", Json.Float o.o_time);
-                         ( "profile",
-                           match o.o_profile with
-                           | None -> Json.Null
-                           | Some pr -> Attr.profile_json pr ) ])
-                   outcomes) ) ]
+                (List.map (fun (_, o) -> Report.profile_json o) outcomes) ) ]
       in
       match out with
       | Some file ->
@@ -551,7 +547,7 @@ let taint_cmd =
       run_cached (spec_of_common common (analysis_of_string analysis)) p digest
     in
     match o.Run.o_result with
-    | None -> Fmt.epr "analysis %s timed out after %.1fs@." analysis o.Run.o_time
+    | None -> exit_timeout analysis o
     | Some r ->
       let res = Csc_taint.Taint.analyze ~spec:tspec p r in
       let ds = Csc_taint.Taint.diagnostics ~include_jdk p res in

@@ -104,8 +104,6 @@ type t = {
   targets : (int * Spec.category, int list ref) Hashtbl.t;
   (* ---- statistics ---- *)
   involved : Bits.t;  (* methods touched by cut or shortcut edges *)
-  mutable n_shortcuts : int;
-  mutable n_cut_stores : int;
   (* per-rule counters in the solver's registry: which pattern fired *)
   c_sc_store : Registry.counter;
   c_sc_load : Registry.counter;
@@ -158,7 +156,6 @@ let sabotage_drop_shortcuts = ref false
     rule that emitted it. *)
 let shortcut ?filter t rule ~src ~dst =
   if src <> dst && not (!sabotage_drop_shortcuts && rule == t.c_sc_store) then begin
-    t.n_shortcuts <- t.n_shortcuts + 1;
     Registry.incr rule;
     (match Solver.attr t.solver with
     | None -> ()
@@ -548,8 +545,7 @@ let is_cut_store t ~base ~fld ~rhs : bool =
   t.cfg.field_pattern
   && Static.is_cut_store t.prog ~base ~rhs
   &&
-  (t.n_cut_stores <- t.n_cut_stores + 1;
-   Registry.incr t.c_cut_stores;
+  (Registry.incr t.c_cut_stores;
    ignore (Bits.add t.involved (Ir.var t.prog base).v_method);
    true)
 
@@ -599,8 +595,6 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
       sources = Hashtbl.create 256;
       targets = Hashtbl.create 256;
       involved = Bits.create ();
-      n_shortcuts = 0;
-      n_cut_stores = 0;
       c_sc_store =
         Registry.counter solver.Solver.reg
           ~labels:[ ("pattern", "store") ]
@@ -651,5 +645,10 @@ let plugin ?config (solver : Solver.t) : Solver.plugin =
   fst (plugin_with_handle ?config solver)
 
 let involved_methods t = t.involved
-let shortcut_count t = t.n_shortcuts
-let cut_store_count t = t.n_cut_stores
+let shortcut_count t =
+  List.fold_left
+    (fun n c -> n + Registry.value c)
+    0
+    [ t.c_sc_store; t.c_sc_load; t.c_sc_relay; t.c_sc_container; t.c_sc_lflow ]
+
+let cut_store_count t = Registry.value t.c_cut_stores

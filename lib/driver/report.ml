@@ -33,6 +33,13 @@ let outcome_json (o : Run.outcome) : Json.t =
   | None -> Obj base
   | Some p -> Obj (base @ [ ("profile", Csc_obs.Attr.profile_json p) ])
 
+let profile_json (o : Run.outcome) : Json.t =
+  Obj
+    [ ("analysis", Json.Str o.o_analysis);
+      ("timeout", Json.Bool o.o_timeout);
+      ("time_s", Json.Float o.o_time);
+      ("profile", opt Csc_obs.Attr.profile_json o.o_profile) ]
+
 (** One experiment: its name plus the (program, analysis) cells it ran.
     The schema envelope lives on the experiment document, not on every
     cell, so cells drop the member {!outcome_json} adds. *)
@@ -44,11 +51,8 @@ let cell_json ~program (o : Run.outcome) : Json.t =
       :: List.filter (fun (k, _) -> k <> "schema") fields)
   | j -> j
 
-let experiment_json ~name (cells : (string * Run.outcome) list) : Json.t =
-  Json.with_schema
-    [ ("experiment", Json.Str name);
-      ("cells", Json.List (List.map (fun (p, o) -> cell_json ~program:p o) cells))
-    ]
+let experiment_json ~name (cells : Json.t list) : Json.t =
+  Json.with_schema [ ("experiment", Json.Str name); ("cells", Json.List cells) ]
 
 let write_file path (j : Json.t) =
   let oc = open_out path in

@@ -13,13 +13,19 @@ val metrics_json : Metrics.t -> Json.t
     as its first field so clients can detect format drift. *)
 val outcome_json : Run.outcome -> Json.t
 
+(** One profiled run, as the CLI's [profile --json] entries and the
+    server's [profile] reply both render it:
+    [{"analysis", "timeout", "time_s", "profile"}], with the canonical
+    analysis name and a [null] profile on timeout. *)
+val profile_json : Run.outcome -> Json.t
+
 (** {!outcome_json} with a ["program"] field prepended and the schema member
     dropped (the enclosing experiment document carries it once). *)
 val cell_json : program:string -> Run.outcome -> Json.t
 
-(** [{"schema": 1, "experiment": name, "cells": [...]}] over
-    (program, outcome) pairs. *)
-val experiment_json : name:string -> (string * Run.outcome) list -> Json.t
+(** [{"schema": 1, "experiment": name, "cells": [...]}] over cell objects
+    ({!cell_json}, or an experiment's own cell shape). *)
+val experiment_json : name:string -> Json.t list -> Json.t
 
 (** Write pretty-printed JSON plus a trailing newline. *)
 val write_file : string -> Json.t -> unit

@@ -33,38 +33,28 @@ type t = {
   max_mem_bytes : int;
   mutable tick : int;
   mutable bytes : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  (* optional mirrors into an obs registry (the server's stats surface) *)
-  c_hits : Registry.counter option;
-  c_misses : Registry.counter option;
-  c_evictions : Registry.counter option;
-  g_entries : Registry.gauge option;
-  g_bytes : Registry.gauge option;
+  (* the counters live in an obs registry (the server's stats surface, or
+     the session's own) and the accessors read them back *)
+  c_hits : Registry.counter;
+  c_misses : Registry.counter;
+  c_evictions : Registry.counter;
+  g_entries : Registry.gauge;
+  g_bytes : Registry.gauge;
 }
 
-let create ?(max_mem_bytes = 1 lsl 30) ?registry () =
-  let counter name = Option.map (fun r -> Registry.counter r name) registry in
-  let gauge name = Option.map (fun r -> Registry.gauge r name) registry in
+let create ?(max_mem_bytes = 1 lsl 30) ?(registry = Registry.create ()) () =
   {
     progs = Hashtbl.create 16;
     results = Hashtbl.create 32;
     max_mem_bytes;
     tick = 0;
     bytes = 0;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    c_hits = counter "session_cache_hits";
-    c_misses = counter "session_cache_misses";
-    c_evictions = counter "session_cache_evictions";
-    g_entries = gauge "session_cache_entries";
-    g_bytes = gauge "session_cache_bytes";
+    c_hits = Registry.counter registry "session_cache_hits";
+    c_misses = Registry.counter registry "session_cache_misses";
+    c_evictions = Registry.counter registry "session_cache_evictions";
+    g_entries = Registry.gauge registry "session_cache_entries";
+    g_bytes = Registry.gauge registry "session_cache_bytes";
   }
-
-let bump c = Option.iter (fun c -> Registry.incr c) c
-let set g v = Option.iter (fun g -> Registry.set g (float_of_int v)) g
 
 let next_tick t =
   t.tick <- t.tick + 1;
@@ -105,31 +95,10 @@ let load_source t ~name (src : string) : (Ir.program * string, string) result =
     | exception e -> Error (Printexc.to_string e))
 
 let load t (spec : string) : (Ir.program * string, string) result =
-  if List.mem spec Csc_workloads.Suite.names then begin
-    (* suite programs compile with the mini-JDK like compile_string does;
-       keying on the rendered source keeps one digest space for both *)
-    let src = Csc_workloads.Suite.source spec in
-    let digest = digest_of_source src in
-    match Hashtbl.find_opt t.progs digest with
-    | Some e ->
-      e.pe_tick <- next_tick t;
-      Ok (e.pe_prog, digest)
-    | None ->
-      let p = Csc_workloads.Suite.compile spec in
-      Hashtbl.replace t.progs digest
-        { pe_prog = p; pe_src = src; pe_tick = next_tick t };
-      evict_programs t;
-      Ok (p, digest)
-  end
-  else if Sys.file_exists spec then begin
-    let ic = open_in_bin spec in
-    let src =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    load_source t ~name:spec src
-  end
+  if List.mem spec Csc_workloads.Suite.names then
+    load_source t ~name:spec (Csc_workloads.Suite.source spec)
+  else if Sys.file_exists spec then
+    load_source t ~name:spec (In_channel.with_open_bin spec In_channel.input_all)
   else
     Error
       (Printf.sprintf "unknown program %S (not a suite name or a file)" spec)
@@ -137,9 +106,10 @@ let load t (spec : string) : (Ir.program * string, string) result =
 (* ------------------------------------------------------------ result cache *)
 
 let entry_bytes (o : Run.outcome) : int =
-  (* [reachable_words] follows the closures in the outcome (r_pt captures
-     the solver), so this measures real residency; sharing across entries
-     makes it an over-estimate, which only evicts sooner *)
+  (* [reachable_words] follows the closures in the outcome ([r_pt]
+     captures the projected points-to table, not the solver), so this
+     measures real residency; sharing across entries makes it an
+     over-estimate, which only evicts sooner *)
   Obj.reachable_words (Obj.repr o) * word_bytes
 
 let evict_results t =
@@ -160,14 +130,13 @@ let evict_results t =
     | Some (k, b, _) ->
       Hashtbl.remove t.results k;
       t.bytes <- t.bytes - b;
-      t.evictions <- t.evictions + 1;
-      bump t.c_evictions
+      Registry.incr t.c_evictions
     | None -> continue := false
   done
 
 let publish t =
-  set t.g_entries (Hashtbl.length t.results);
-  set t.g_bytes t.bytes
+  Registry.set t.g_entries (float_of_int (Hashtbl.length t.results));
+  Registry.set t.g_bytes (float_of_int t.bytes)
 
 let cache_result t key o =
   let b = entry_bytes o in
@@ -183,12 +152,10 @@ let outcome t ~digest (spec : Run.spec) (p : Ir.program) :
   match Hashtbl.find_opt t.results key with
   | Some e ->
     e.re_tick <- next_tick t;
-    t.hits <- t.hits + 1;
-    bump t.c_hits;
+    Registry.incr t.c_hits;
     (e.re_outcome, true)
   | None ->
-    t.misses <- t.misses + 1;
-    bump t.c_misses;
+    Registry.incr t.c_misses;
     let o = Run.run_spec spec p in
     cache_result t key o;
     (o, false)
@@ -227,9 +194,9 @@ let update t ~digest ?source ?(edits = []) (spec : Run.spec) :
 
 (* ---------------------------------------------------------- introspection *)
 
-let hits t = t.hits
-let misses t = t.misses
-let evictions t = t.evictions
+let hits t = Registry.value t.c_hits
+let misses t = Registry.value t.c_misses
+let evictions t = Registry.value t.c_evictions
 let entries t = Hashtbl.length t.results
 let programs t = Hashtbl.length t.progs
 let bytes_used t = t.bytes
@@ -237,9 +204,9 @@ let max_bytes t = t.max_mem_bytes
 
 let stats_json t : Json.t =
   Obj
-    [ ("hits", Json.Int t.hits);
-      ("misses", Json.Int t.misses);
-      ("evictions", Json.Int t.evictions);
+    [ ("hits", Json.Int (hits t));
+      ("misses", Json.Int (misses t));
+      ("evictions", Json.Int (evictions t));
       ("entries", Json.Int (entries t));
       ("programs", Json.Int (programs t));
       ("bytes", Json.Int t.bytes);

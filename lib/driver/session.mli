@@ -26,9 +26,9 @@ module Json = Csc_obs.Json
 type t
 
 (** [create ()] with [max_mem_bytes] bounding the result cache (default
-    1 GiB). [registry] mirrors the session counters (hits, misses,
-    evictions, entries, bytes) into an observability registry so they show
-    up in snapshots. *)
+    1 GiB). The session counters (hits, misses, evictions, entries, bytes)
+    live in [registry], so they show up in its snapshots; without one the
+    session keeps a private registry. *)
 val create : ?max_mem_bytes:int -> ?registry:Csc_obs.Registry.t -> unit -> t
 
 (** Hex MD5 of a source text — the program-cache key. *)

@@ -282,16 +282,7 @@ let handle_profile t req =
   in
   let p, digest = program_of_request t req in
   let o, cached = Session.outcome t.sess ~digest spec p in
-  ok_reply ~req ~cached
-    [ ( "result",
-        Json.Obj
-          [ ("analysis", Json.Str o.Run.o_analysis);
-            ("timeout", Json.Bool o.Run.o_timeout);
-            ("time_s", Json.Float o.Run.o_time);
-            ( "profile",
-              match o.Run.o_profile with
-              | None -> Json.Null
-              | Some pr -> Csc_obs.Attr.profile_json pr ) ] ) ]
+  ok_reply ~req ~cached [ ("result", Report.profile_json o) ]
 
 let handle_update t req =
   let spec = spec_of_request t req in

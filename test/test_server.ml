@@ -191,6 +191,36 @@ let test_session_eviction () =
   Alcotest.(check bool) "at least one entry kept" true (Session.entries s >= 1);
   Alcotest.(check bool) "bounded" true (Session.entries s <= 2)
 
+let test_session_suite_load () =
+  (* a suite name and its rendered source are one program entry *)
+  let s = Session.create () in
+  let p1, d1 = Result.get_ok (Session.load s "findbugs") in
+  let p2, d2 =
+    Result.get_ok
+      (Session.load_source s ~name:"findbugs"
+         (Csc_workloads.Suite.source "findbugs"))
+  in
+  Alcotest.(check string) "one digest" d1 d2;
+  Alcotest.(check bool) "one compiled program" true (p1 == p2);
+  Alcotest.(check int) "one program entry" 1 (Session.programs s)
+
+let test_session_registry () =
+  (* the accessors read the counters of the registry the session was given *)
+  let reg = Csc_obs.Registry.create () in
+  let s = Session.create ~registry:reg () in
+  let p, digest = Result.get_ok (Session.load_source s ~name:"t" Fixtures.carton) in
+  let spec = Run.spec Run.Imp_csc in
+  ignore (Session.outcome s ~digest spec p);
+  ignore (Session.outcome s ~digest spec p);
+  let value name =
+    Csc_obs.Registry.value (Csc_obs.Registry.counter reg name)
+  in
+  Alcotest.(check int) "hits" 1 (Session.hits s);
+  Alcotest.(check int) "registry hits" (Session.hits s)
+    (value "session_cache_hits");
+  Alcotest.(check int) "registry misses" (Session.misses s)
+    (value "session_cache_misses")
+
 (* ----------------------------------------------------------------- router *)
 
 let test_protocol_all_commands () =
@@ -252,6 +282,34 @@ let test_protocol_pt_matches_batch () =
          (Option.get o.Run.o_result))
   in
   Alcotest.(check string) "batch and server agree" batch_vars server_vars
+
+let test_protocol_profile_canonical_name () =
+  (* the CLI's profile --json entry (Report.profile_json of a session
+     outcome) and the server's profile reply name the analysis canonically,
+     whatever spelling the user typed *)
+  let a = Result.get_ok (Run.analysis_of_string "kobj:2") in
+  let s = Session.create () in
+  let p, digest = Result.get_ok (Session.load_source s ~name:"t" Fixtures.carton) in
+  let o, _ =
+    Session.outcome s ~digest { (Run.spec a) with Run.sp_profile = true } p
+  in
+  let cli = Csc_driver.Report.profile_json o in
+  let t = Server.create () in
+  let server =
+    member "result"
+      (ok_reply
+         (Server.handle_line t
+            (Printf.sprintf
+               "{\"cmd\": \"profile\", \"source\": %S, \"analysis\": \"kobj:2\"}"
+               Fixtures.carton)))
+  in
+  List.iter
+    (fun (path, j) ->
+      Alcotest.(check string) (path ^ " analysis") "2obj"
+        (get_str (member "analysis" j));
+      Alcotest.(check bool) (path ^ " profile present") true
+        (member "profile" j <> Json.Null))
+    [ ("cli", cli); ("server", server) ]
 
 let test_protocol_errors () =
   let t = Server.create () in
@@ -494,6 +552,10 @@ let suite =
         Alcotest.test_case "digest keying" `Quick test_session_digest_change;
         Alcotest.test_case "LRU eviction under a tiny bound" `Quick
           test_session_eviction;
+        Alcotest.test_case "suite name and source share an entry" `Quick
+          test_session_suite_load;
+        Alcotest.test_case "counters live in the registry" `Quick
+          test_session_registry;
       ] );
     ( "server.protocol",
       [
@@ -501,6 +563,8 @@ let suite =
           test_protocol_all_commands;
         Alcotest.test_case "pt matches the batch CLI" `Quick
           test_protocol_pt_matches_batch;
+        Alcotest.test_case "profile names the analysis canonically" `Quick
+          test_protocol_profile_canonical_name;
         Alcotest.test_case "malformed requests" `Quick test_protocol_errors;
         Alcotest.test_case "unknown checkers" `Quick test_protocol_bad_checks;
         Alcotest.test_case "jobs member is ignored" `Quick
