@@ -75,7 +75,7 @@ let grid ?(profiled = false) programs cols =
     match Session.load session spec with
     | Ok (prog, digest) ->
       { name = Filename.remove_extension (Filename.basename spec); prog; digest }
-    | Error e -> failwith e
+    | Error (`Not_found e | `Compile e) -> failwith e
   in
   { rows = List.map row programs; cols; profiled }
 

@@ -13,45 +13,41 @@
     - [serve]     : resident analysis server on a unix socket
     - [client]    : send one JSON request to a running server
 
-    [--trace FILE] on the analysis commands records a Chrome trace_event
+    The analysis subcommands ([analyze]/[explain]/[check]/[profile]/
+    [taint]/[recall]/[callgraph]/[pts]) take the same run-spec flags
+    ([--budget], [--validate], [--progress], [--trace]; [serve] takes them
+    too, as its defaults). [--trace FILE] records a Chrome trace_event
     timeline of the phases (open in chrome://tracing or Perfetto).
 
-    The batch analysis subcommands ([analyze]/[check]/[taint]/[profile]/
-    [callgraph]/[pts]) and the server share one code path: a
-    {!Csc_driver.Run.spec} built from the command's flags, executed through
-    a {!Csc_driver.Session} — batch mode simply uses a session that lives
-    for one process. *)
+    Every batch subcommand and the server share one request path,
+    {!Csc_server.Query}: a {!Csc_driver.Run.spec} built from the command's
+    flags, executed through a {!Csc_driver.Session} — batch mode simply uses
+    a session that lives for one process. A request [Query] refuses prints
+    one [cutshortcut: <message>] line on stderr and exits 1 for a timeout, 2
+    otherwise. *)
 
 module Ir = Csc_ir.Ir
 module Run = Csc_driver.Run
-module Session = Csc_driver.Session
 module Report = Csc_driver.Report
+module Query = Csc_server.Query
 module Suite = Csc_workloads.Suite
 module Snapshot = Csc_obs.Snapshot
 module Trace = Csc_obs.Trace
 module Attr = Csc_obs.Attr
 module Json = Csc_obs.Json
+module Diagnostic = Csc_checks.Diagnostic
 module Campaign = Csc_fuzz.Campaign
 module Soundness = Csc_fuzz.Soundness
 
 (* the process-lifetime session: batch subcommands run every analysis
    through it, so repeated (program, spec) pairs in one invocation are
    solved once — the same cache the server keeps across requests *)
-let session = lazy (Session.create ())
+let session = lazy (Csc_driver.Session.create ())
 
-let load_program_d (spec : string) : Ir.program * string =
-  match Session.load (Lazy.force session) spec with
-  | Ok pd -> pd
-  | Error msg -> Fmt.failwith "%s" msg
+let program name = Query.program (Lazy.force session) name
 
-let load_program (spec : string) : Ir.program = fst (load_program_d spec)
-
-let analysis_of_string s =
-  match Run.analysis_of_string s with
-  | Ok a -> a
-  | Error msg -> Fmt.failwith "%s" msg
-
-let all_analysis_names = Run.analysis_names
+let all_or analyses =
+  if List.mem "all" analyses then Run.analysis_names else analyses
 
 let print_outcome (o : Run.outcome) =
   if o.o_timeout then
@@ -76,10 +72,9 @@ let program_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM" ~doc)
 
 let budget_arg =
-  let doc = "Per-analysis time budget in seconds (0 = unlimited)." in
+  let doc = "Per-analysis time budget in seconds (0 = no deadline; the 4 GB \
+             heap cap still applies)." in
   Arg.(value & opt float 60.0 & info [ "budget" ] ~doc)
-
-let budget_opt b = if b <= 0. then None else Some b
 
 let validate_arg =
   let doc = "Validate the lowered IR before analyzing (fail fast on malformed IR)." in
@@ -99,13 +94,6 @@ let with_trace trace f =
     Trace.start ~file;
     Fun.protect ~finally:Trace.finish f
 
-let profile_file_arg =
-  let doc =
-    "Collect cost attribution (hot methods, pointers, rules) during the run \
-     and write the profile report as JSON to $(docv)."
-  in
-  Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE" ~doc)
-
 let progress_arg =
   let doc =
     "Print a heartbeat line to stderr every $(docv) seconds of solving \
@@ -113,9 +101,9 @@ let progress_arg =
   in
   Arg.(value & opt float 0. & info [ "progress" ] ~docv:"SECS" ~doc)
 
-let progress_opt s = if s <= 0. then None else Some s
+let positive s = if s <= 0. then None else Some s
 
-(* The run-spec flags shared by analyze/check/taint/profile/serve: one
+(* The run-spec flags shared by every analysis subcommand and serve: one
    Cmdliner term, so the flag set cannot drift between subcommands again
    (--budget/--progress used to exist on some and not others). *)
 type common = {
@@ -140,24 +128,32 @@ let common_term =
 let spec_of_common ?(profile = false) ?(profile_top = 25) c analysis =
   {
     (Run.spec analysis) with
-    Run.sp_budget_s = budget_opt c.cm_budget;
+    Run.sp_budget_s = positive c.cm_budget;
     sp_validate = c.cm_validate;
     sp_profile = profile;
     sp_profile_top = profile_top;
-    sp_progress_s = progress_opt c.cm_progress;
+    sp_progress_s = positive c.cm_progress;
   }
 
 (* every batch analysis goes through the session cache — same code path as
    the server *)
-let run_cached (spec : Run.spec) (p : Ir.program) (digest : string) :
-    Run.outcome =
-  fst (Session.outcome (Lazy.force session) ~digest spec p)
+let outcome ?profile ?profile_top c analysis pd =
+  fst
+    (Query.outcome (Lazy.force session)
+       (spec_of_common ?profile ?profile_top c analysis)
+       pd)
+
+(* the outcome and its answer; a timed-out analysis has none, so a CI gate
+   must not pass on it *)
+let answer c analysis pd =
+  let o = outcome c analysis pd in
+  (o, Query.result o)
 
 (* check/taint --json: diagnostics under the versioned envelope, keeping
    Diagnostic.render_json's deterministic one-object-per-line body *)
 let print_diagnostics_json p ds =
   Printf.printf "{\"schema\":%d,\n\"diagnostics\": %s}\n" Json.schema_version
-    (String.trim (Csc_checks.Diagnostic.render_json p ds))
+    (String.trim (Diagnostic.render_json p ds))
 
 let list_cmd =
   let run () =
@@ -196,10 +192,9 @@ let gen_cmd =
       print_string
         (Csc_workloads.Gen.Rand.render
            (Csc_workloads.Gen.Rand.generate ~seed ~max_size))
-    | None, Some name -> print_string (Suite.source name)
+    | None, Some name -> print_string (Query.workload name)
     | None, None ->
-      Fmt.epr "gen: need a suite workload name or --rand SEED@.";
-      exit 2
+      Query.reject "bad-request" "gen: need a suite workload name or --rand SEED"
   in
   Cmd.v (Cmd.info "gen" ~doc:"Print a generated workload's source")
     Term.(const run $ opt_program_arg $ rand_arg $ size_arg)
@@ -208,8 +203,8 @@ let run_cmd =
   let quiet =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress program output.")
   in
-  let run spec quiet =
-    let p = load_program spec in
+  let run name quiet =
+    let p, _ = program name in
     let o = Csc_interp.Interp.run p in
     if not quiet then List.iter print_endline o.output;
     Fmt.pr "; %d steps, %d methods reached dynamically, %d dynamic call edges@."
@@ -221,74 +216,37 @@ let run_cmd =
     Term.(const run $ program_arg $ quiet)
 
 let dump_ir_cmd =
-  let run spec =
-    let p = load_program spec in
-    Fmt.pr "%a@." Ir.pp_program p
-  in
+  let run name = Fmt.pr "%a@." Ir.pp_program (fst (program name)) in
   Cmd.v (Cmd.info "dump-ir" ~doc:"Print the lowered IR")
     Term.(const run $ program_arg)
 
+(* the single analysis behind explain/check/taint/callgraph/pts *)
+let analysis_arg ~doc =
+  Arg.(value & opt string "csc" & info [ "analysis"; "a" ] ~doc)
+
+let analyses_arg ~doc =
+  let doc =
+    Printf.sprintf "%s (repeatable). One of: %s, or 'all'." doc
+      (String.concat ", " Run.analysis_names)
+  in
+  Arg.(value & opt_all string [ "ci"; "csc" ] & info [ "analysis"; "a" ] ~doc)
+
 let analyze_cmd =
-  let analyses =
-    let doc =
-      Printf.sprintf "Analyses to run (repeatable). One of: %s, or 'all'."
-        (String.concat ", " all_analysis_names)
-    in
-    Arg.(value & opt_all string [ "ci"; "csc" ] & info [ "analysis"; "a" ] ~doc)
-  in
-  let explain =
-    Arg.(value & flag
-         & info [ "explain" ]
-             ~doc:
-               "Record points-to provenance (imperative engine; adds a \
-                prov_records counter to the snapshot).")
-  in
-  let run spec analyses explain profile common =
+  let run name analyses common =
     with_trace common.cm_trace @@ fun () ->
-    let p, digest = load_program_d spec in
-    let s = Ir.stats p in
-    Fmt.pr "program: %s (%a)@." spec Ir.pp_stats s;
-    let analyses =
-      if List.mem "all" analyses then all_analysis_names else analyses
-    in
-    let outcomes =
-      List.map
-        (fun a ->
-          let rspec =
-            {
-              (spec_of_common ~profile:(profile <> None) common
-                 (analysis_of_string a))
-              with
-              Run.sp_explain = explain;
-            }
-          in
-          let o = run_cached rspec p digest in
-          print_outcome o;
-          o)
-        analyses
-    in
-    match profile with
-    | None -> ()
-    | Some file ->
-      Report.write_file file
-        (Json.with_schema
-           [ ("program", Json.Str spec);
-             ("outcomes", Json.List (List.map Report.outcome_json outcomes)) ]);
-      Fmt.pr "profile written to %s@." file
+    let analyses = List.map Query.analysis (all_or analyses) in
+    let ((p, _) as pd) = program name in
+    Fmt.pr "program: %s (%a)@." name Ir.pp_stats (Ir.stats p);
+    List.iter (fun a -> print_outcome (outcome common a pd)) analyses
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run pointer analyses and print time + metrics")
-    Term.(const run $ program_arg $ analyses $ explain $ profile_file_arg
+    Term.(const run $ program_arg $ analyses_arg ~doc:"Analyses to run"
           $ common_term)
 
 (* --------------------------------------------------------------- explain *)
 
 let explain_cmd =
-  let analysis =
-    Arg.(value & opt string "csc"
-         & info [ "analysis"; "a" ]
-             ~doc:"Imperative analysis to explain under (ci, csc, 2obj, ...).")
-  in
   let var =
     Arg.(value & opt (some string) None
          & info [ "var" ] ~docv:"NAME"
@@ -300,21 +258,15 @@ let explain_cmd =
     Arg.(value & opt int 5
          & info [ "limit" ] ~doc:"Maximum number of facts explained.")
   in
-  let run spec analysis var limit budget trace =
-    with_trace trace @@ fun () ->
-    let p = load_program spec in
-    match
-      Csc_driver.Explain.run ?var ~limit
-        { (Run.spec (analysis_of_string analysis)) with
-          Run.sp_budget_s = budget_opt budget }
-        p
-    with
-    | Error msg -> Fmt.failwith "%s" msg
-    | Ok [] ->
+  let run name analysis var limit common =
+    with_trace common.cm_trace @@ fun () ->
+    let spec = spec_of_common common (Query.analysis analysis) in
+    match Query.explain ?var ~limit spec (fst (program name)) with
+    | [] ->
       Fmt.pr "no points-to facts matched%a@."
         Fmt.(option (fmt " variable %S"))
         var
-    | Ok facts ->
+    | facts ->
       List.iter
         (fun (f : Csc_driver.Explain.fact) ->
           Fmt.pr "why %s -> %s:@." f.x_ptr f.x_obj;
@@ -329,52 +281,40 @@ let explain_cmd =
        ~doc:
          "Explain points-to facts: print the derivation chain (provenance) \
           of why a variable points to an object")
-    Term.(const run $ program_arg $ analysis $ var $ limit $ budget_arg
-          $ trace_arg)
+    Term.(const run $ program_arg
+          $ analysis_arg
+              ~doc:"Imperative analysis to explain under (ci, csc, 2obj, ...)."
+          $ var $ limit $ common_term)
 
 (* --fail-on SEVERITY: the checkers as a CI gate *)
-let severity_of_string s =
-  match s with
-  | "error" -> Csc_checks.Diagnostic.Error
-  | "warning" -> Csc_checks.Diagnostic.Warning
-  | "info" -> Csc_checks.Diagnostic.Info
-  | _ -> Fmt.invalid_arg "unknown severity %S (error, warning, info)" s
-
 let fail_on_arg =
+  let severities =
+    Diagnostic.[ ("error", Error); ("warning", Warning); ("info", Info) ]
+  in
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (enum severities)) None
     & info [ "fail-on" ] ~docv:"SEVERITY"
         ~doc:
           "Exit with code 1 if any diagnostic at $(docv) (error, warning, \
            info) or a more severe level is present — the checkers as a CI \
            gate.")
 
-let exit_fail_on fail_on (ds : Csc_checks.Diagnostic.t list) =
+let exit_fail_on fail_on (ds : Diagnostic.t list) =
   match fail_on with
-  | None -> ()
-  | Some s ->
-    let rank = Csc_checks.Diagnostic.severity_rank (severity_of_string s) in
-    if
-      List.exists
-        (fun (d : Csc_checks.Diagnostic.t) ->
-          Csc_checks.Diagnostic.severity_rank d.d_severity <= rank)
-        ds
-    then exit 1
+  | Some sev
+    when List.exists
+           (fun (d : Diagnostic.t) ->
+             Diagnostic.severity_rank d.d_severity
+             <= Diagnostic.severity_rank sev)
+           ds ->
+    exit 1
+  | _ -> ()
 
-(* check/taint: a timed-out analysis has no answer, so a CI gate must not
-   pass on it, with or without --fail-on *)
-let exit_timeout analysis (o : Run.outcome) =
-  Fmt.epr "analysis %s timed out after %.1fs@." analysis o.o_time;
-  exit 1
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as JSON.")
 
 let check_cmd =
-  let analysis =
-    let doc =
-      "Analysis backing the checkers (precision = fewer false alarms)."
-    in
-    Arg.(value & opt string "csc" & info [ "analysis"; "a" ] ~doc)
-  in
   let checks =
     let doc =
       Printf.sprintf "Checkers to run (repeatable). One of: %s. Default: all."
@@ -382,65 +322,42 @@ let check_cmd =
     in
     Arg.(value & opt_all string [] & info [ "check"; "c" ] ~doc)
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as JSON.")
-  in
   let include_jdk =
     Arg.(value & flag
          & info [ "include-jdk" ] ~doc:"Report diagnostics in mini-JDK code too.")
   in
-  let run spec analysis checks json include_jdk fail_on profile common =
+  let run name analysis checks json include_jdk fail_on common =
     with_trace common.cm_trace @@ fun () ->
-    let p, digest = load_program_d spec in
-    let o =
-      run_cached
-        (spec_of_common ~profile:(profile <> None) common
-           (analysis_of_string analysis))
-        p digest
+    let checks =
+      if checks = [] then None else Some (List.map Query.checker checks)
     in
-    (match profile with
-    | None -> ()
-    | Some file ->
-      Report.write_file file
-        (Json.with_schema
-           [ ("program", Json.Str spec);
-             ("outcomes", Json.List [ Report.outcome_json o ]) ]);
-      Fmt.epr "profile written to %s@." file);
-    match o.Run.o_result with
-    | None -> exit_timeout analysis o
-    | Some r ->
-      let checks = if checks = [] then None else Some checks in
-      let ds = Csc_checks.Checks.run_all ?checks ~include_jdk p r in
-      if json then print_diagnostics_json p ds
-      else begin
-        List.iter
-          (fun d -> Fmt.pr "%a@." (Csc_checks.Diagnostic.pp_text p) d)
-          ds;
-        Fmt.pr "%d diagnostic(s) under %s:" (List.length ds) o.Run.o_analysis;
-        List.iter
-          (fun (c, n) -> Fmt.pr " %s=%d" c n)
-          (Csc_checks.Checks.count_by_check ds);
-        Fmt.pr "@."
-      end;
-      exit_fail_on fail_on ds
+    let analysis = Query.analysis analysis in
+    let ((p, _) as pd) = program name in
+    let o, r = answer common analysis pd in
+    let ds = Csc_checks.Checks.run_all ?checks ~include_jdk p r in
+    if json then print_diagnostics_json p ds
+    else begin
+      List.iter (fun d -> Fmt.pr "%a@." (Diagnostic.pp_text p) d) ds;
+      Fmt.pr "%d diagnostic(s) under %s:" (List.length ds) o.Run.o_analysis;
+      List.iter
+        (fun (c, n) -> Fmt.pr " %s=%d" c n)
+        (Csc_checks.Checks.count_by_check ds);
+      Fmt.pr "@."
+    end;
+    exit_fail_on fail_on ds
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Run the flow-sensitive checkers (null-deref, fail-cast, poly-call, \
           dead-store) backed by a pointer analysis")
-    Term.(const run $ program_arg $ analysis $ checks $ json $ include_jdk
-          $ fail_on_arg $ profile_file_arg $ common_term)
+    Term.(const run $ program_arg
+          $ analysis_arg
+              ~doc:"Analysis backing the checkers (precision = fewer false \
+                    alarms)."
+          $ checks $ json_arg $ include_jdk $ fail_on_arg $ common_term)
 
 let profile_cmd =
-  let analyses =
-    let doc =
-      Printf.sprintf
-        "Analyses to profile (repeatable). One of: %s, or 'all'."
-        (String.concat ", " all_analysis_names)
-    in
-    Arg.(value & opt_all string [ "ci"; "csc" ] & info [ "analysis"; "a" ] ~doc)
-  in
   let top =
     Arg.(value & opt int 10
          & info [ "top" ] ~docv:"N"
@@ -455,26 +372,22 @@ let profile_cmd =
              ~doc:"Write the JSON report to $(docv) instead of stdout \
                    (implies --json).")
   in
-  let run spec analyses top json out common =
+  let run name analyses top json out common =
     with_trace common.cm_trace @@ fun () ->
-    let p, digest = load_program_d spec in
     let analyses =
-      if List.mem "all" analyses then all_analysis_names else analyses
+      List.map (fun a -> (a, Query.analysis a)) (all_or analyses)
     in
+    let pd = program name in
     let outcomes =
       List.map
-        (fun a ->
-          ( a,
-            run_cached
-              (spec_of_common ~profile:true ~profile_top:top common
-                 (analysis_of_string a))
-              p digest ))
+        (fun (a, analysis) ->
+          (a, outcome ~profile:true ~profile_top:top common analysis pd))
         analyses
     in
     if json || out <> None then begin
       let doc =
         Json.with_schema
-          [ ("program", Json.Str spec);
+          [ ("program", Json.Str name);
             ( "profiles",
               Json.List
                 (List.map (fun (_, o) -> Report.profile_json o) outcomes) ) ]
@@ -503,16 +416,10 @@ let profile_cmd =
        ~doc:
          "Cost attribution: run analyses with solver telemetry enabled and \
           report the hot methods, pointers and rules driving solve time")
-    Term.(const run $ program_arg $ analyses $ top $ json $ out $ common_term)
+    Term.(const run $ program_arg $ analyses_arg ~doc:"Analyses to profile"
+          $ top $ json $ out $ common_term)
 
 let taint_cmd =
-  let analysis =
-    let doc =
-      "Analysis backing the taint propagation (a more precise analysis \
-       reports fewer spurious leaks)."
-    in
-    Arg.(value & opt string "csc" & info [ "analysis"; "a" ] ~doc)
-  in
   let spec_file =
     Arg.(
       value
@@ -523,94 +430,76 @@ let taint_cmd =
              \"sanitizers\" lists of Class.method patterns (* globs). \
              Default: the builtin Flow/Request/Db/Sanitizer table.")
   in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit diagnostics as JSON.")
-  in
   let include_jdk =
     Arg.(value & flag
          & info [ "include-jdk" ] ~doc:"Report leaks in mini-JDK code too.")
   in
-  let run spec analysis spec_file json include_jdk fail_on common =
+  let run name analysis spec_file json include_jdk fail_on common =
     with_trace common.cm_trace @@ fun () ->
-    let tspec =
-      match spec_file with
-      | None -> Csc_taint.Taint_spec.builtin
-      | Some f -> (
-        match Csc_taint.Taint_spec.load f with
-        | Ok s -> s
-        | Error e ->
-          Fmt.epr "cannot load taint spec %s: %s@." f e;
-          exit 2)
-    in
-    let p, digest = load_program_d spec in
-    let o =
-      run_cached (spec_of_common common (analysis_of_string analysis)) p digest
-    in
-    match o.Run.o_result with
-    | None -> exit_timeout analysis o
-    | Some r ->
-      let res = Csc_taint.Taint.analyze ~spec:tspec p r in
-      let ds = Csc_taint.Taint.diagnostics ~include_jdk p res in
-      if json then print_diagnostics_json p ds
-      else begin
-        List.iter
-          (fun d -> Fmt.pr "%a@." (Csc_checks.Diagnostic.pp_text p) d)
-          ds;
-        Fmt.pr "%d leak(s) under %s, %d tainted object(s)@." (List.length ds)
-          o.Run.o_analysis
-          (Csc_common.Bits.cardinal res.Csc_taint.Taint.t_tainted_objs)
-      end;
-      exit_fail_on fail_on ds
+    let tspec = Query.taint_spec spec_file in
+    let analysis = Query.analysis analysis in
+    let ((p, _) as pd) = program name in
+    let o, r = answer common analysis pd in
+    let res = Csc_taint.Taint.analyze ~spec:tspec p r in
+    let ds = Csc_taint.Taint.diagnostics ~include_jdk p res in
+    if json then print_diagnostics_json p ds
+    else begin
+      List.iter (fun d -> Fmt.pr "%a@." (Diagnostic.pp_text p) d) ds;
+      Fmt.pr "%d leak(s) under %s, %d tainted object(s)@." (List.length ds)
+        o.Run.o_analysis
+        (Csc_common.Bits.cardinal res.Csc_taint.Taint.t_tainted_objs)
+    end;
+    exit_fail_on fail_on ds
   in
   Cmd.v
     (Cmd.info "taint"
        ~doc:
          "Source→sink taint analysis over the PTA call graph: report call \
           sites where a tainted value may reach a sink")
-    Term.(const run $ program_arg $ analysis $ spec_file $ json $ include_jdk
-          $ fail_on_arg $ common_term)
+    Term.(const run $ program_arg
+          $ analysis_arg
+              ~doc:"Analysis backing the taint propagation (a more precise \
+                    analysis reports fewer spurious leaks)."
+          $ spec_file $ json_arg $ include_jdk $ fail_on_arg $ common_term)
 
 let callgraph_cmd =
-  let analysis =
-    Arg.(value & opt string "csc" & info [ "analysis"; "a" ] ~doc:"Analysis to use.")
-  in
   let include_jdk =
     Arg.(value & flag & info [ "include-jdk" ] ~doc:"Keep mini-JDK methods.")
   in
-  let run spec analysis include_jdk =
-    let p, digest = load_program_d spec in
-    let o = run_cached (Run.spec (analysis_of_string analysis)) p digest in
-    match o.o_result with
-    | None -> Fmt.epr "analysis timed out@."
-    | Some r -> print_string (Csc_driver.Export.callgraph_dot ~include_jdk p r)
+  let run name analysis include_jdk common =
+    with_trace common.cm_trace @@ fun () ->
+    let analysis = Query.analysis analysis in
+    let ((p, _) as pd) = program name in
+    let _, r = answer common analysis pd in
+    print_string (Csc_driver.Export.callgraph_dot ~include_jdk p r)
   in
   Cmd.v
     (Cmd.info "callgraph" ~doc:"Emit the call graph as Graphviz DOT on stdout")
-    Term.(const run $ program_arg $ analysis $ include_jdk)
+    Term.(const run $ program_arg $ analysis_arg ~doc:"Analysis to use."
+          $ include_jdk $ common_term)
 
 let pts_cmd =
-  let analysis =
-    Arg.(value & opt string "csc" & info [ "analysis"; "a" ] ~doc:"Analysis to use.")
-  in
   let meth =
     Arg.(value & opt (some string) None
          & info [ "method"; "m" ] ~doc:"Restrict to one method, e.g. Main.main.")
   in
-  let run spec analysis meth =
-    let p, digest = load_program_d spec in
-    let o = run_cached (Run.spec (analysis_of_string analysis)) p digest in
-    match o.o_result with
-    | None -> Fmt.epr "analysis timed out@."
-    | Some r -> Csc_driver.Export.pts_dump ?method_filter:meth p r Fmt.stdout
+  let run name analysis meth common =
+    with_trace common.cm_trace @@ fun () ->
+    let analysis = Query.analysis analysis in
+    let ((p, _) as pd) = program name in
+    let _, r = answer common analysis pd in
+    Csc_driver.Export.pts_dump ?method_filter:meth p r Fmt.stdout
   in
   Cmd.v (Cmd.info "pts" ~doc:"Dump points-to sets")
-    Term.(const run $ program_arg $ analysis $ meth)
+    Term.(const run $ program_arg $ analysis_arg ~doc:"Analysis to use." $ meth
+          $ common_term)
 
 let recall_cmd =
-  let run spec budget =
-    let p = load_program spec in
+  let run name common =
+    with_trace common.cm_trace @@ fun () ->
+    let p, _ = program name in
     let reports =
-      Run.recall ?budget_s:(budget_opt budget) p
+      Run.recall ~base:(spec_of_common common Run.Imp_ci) p
         [ Run.Imp_ci; Run.Imp_csc; Run.Imp_kobj 2; Run.Doop_csc ]
     in
     Fmt.pr "%-14s %10s %10s@." "analysis" "methods" "edges";
@@ -622,7 +511,7 @@ let recall_cmd =
   in
   Cmd.v
     (Cmd.info "recall" ~doc:"Recall experiment: dynamic vs static coverage")
-    Term.(const run $ program_arg $ budget_arg)
+    Term.(const run $ program_arg $ common_term)
 
 let fuzz_cmd =
   let n_arg =
@@ -729,7 +618,7 @@ let serve_cmd =
   in
   let run socket max_mem analysis common =
     with_trace common.cm_trace @@ fun () ->
-    let defaults = spec_of_common common (analysis_of_string analysis) in
+    let defaults = spec_of_common common (Query.analysis analysis) in
     let t =
       Csc_server.Server.create
         ~max_mem_bytes:(max_mem * 1024 * 1024)
@@ -804,4 +693,16 @@ let main_cmd =
 let argv =
   Array.map (fun a -> if a = "--n" then "-n" else a) Sys.argv
 
-let () = exit (Cmd.eval ~argv main_cmd)
+(* a refused request is one stderr line, not an uncaught exception *)
+let () =
+  match Cmd.eval ~catch:false ~argv main_cmd with
+  | code -> exit code
+  | exception e -> (
+    match Query.refusal e with
+    | Some (code, msg) ->
+      Fmt.epr "cutshortcut: %s@." msg;
+      exit (if code = "timeout" then 1 else 2)
+    | None ->
+      Fmt.epr "cutshortcut: internal error, uncaught exception:@.%s@."
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error)

@@ -78,14 +78,3 @@ let render_json (p : Ir.program) (ds : t list) : string =
     (List.sort_uniq compare ds);
   Buffer.add_string buf "\n]\n";
   Buffer.contents buf
-
-(** Count per (check, severity), sorted by check name. *)
-let summary (ds : t list) : (string * severity * int) list =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun d ->
-      let k = (d.d_check, d.d_severity) in
-      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-    ds;
-  Hashtbl.fold (fun (c, s) n acc -> (c, s, n) :: acc) tbl []
-  |> List.sort Stdlib.compare

@@ -23,13 +23,13 @@ type budget = {
 
 let no_budget = { deadline = None; max_heap_words = None }
 
-(** [budget_of_seconds ?max_gb s]: expires [s] seconds from now or when the
-    OCaml major heap grows more than [max_gb] (default 4.0) gigabytes past
-    its size now. *)
-let budget_of_seconds ?(max_gb = 4.0) s =
+(** [budget ?max_gb s]: expires [s] seconds from now ([None]: never) or
+    when the OCaml major heap grows more than [max_gb] (default 4.0)
+    gigabytes past its size now. *)
+let budget ?(max_gb = 4.0) s =
   let cap = int_of_float (max_gb *. 1024. *. 1024. *. 1024. /. float (Sys.word_size / 8)) in
   {
-    deadline = Some (now () +. s);
+    deadline = Option.map (fun s -> now () +. s) s;
     max_heap_words = Some ((Gc.quick_stat ()).heap_words + cap);
   }
 

@@ -14,12 +14,14 @@ type budget
 (** Never expires. *)
 val no_budget : budget
 
-(** Expires [s] seconds from now, or as soon as the OCaml major heap grows
-    more than [max_gb] (default 4.0) gigabytes past its size at creation —
-    analyses that exhaust memory count as unscalable, like the paper's ">2h"
-    entries. Measuring growth keeps one over-cap solve from aborting every
-    later solve in the process (the heap does not shrink after it). *)
-val budget_of_seconds : ?max_gb:float -> float -> budget
+(** [budget ?max_gb s] expires [s] seconds from now ([None]: no deadline),
+    or as soon as the OCaml major heap grows more than [max_gb] (default
+    4.0) gigabytes past its size at creation — analyses that exhaust memory
+    count as unscalable, like the paper's ">2h" entries. The heap cap holds
+    with or without a deadline. Measuring growth keeps one over-cap solve
+    from aborting every later solve in the process (the heap does not
+    shrink after it). *)
+val budget : ?max_gb:float -> float option -> budget
 
 exception Out_of_budget
 

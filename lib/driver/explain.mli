@@ -1,12 +1,12 @@
 (** "Why does x point to o": provenance-backed derivation chains.
 
     Hoisted out of the CLI so the [explain] subcommand and the analysis
-    server share one implementation. The solve goes through the driver's one
-    path ({!Run.run_spec_solver} with provenance recording on), which hands
-    back the live solver the provenance recorder lives in. It is
-    deliberately not cached by [Session]: an explained solve carries its
-    provenance recorder, which is never the solve you want to keep
-    resident. *)
+    server share one implementation. The solve that feeds it is
+    {!Run.run_spec_solver}, which records provenance and hands back the live
+    solver the recorder lives in; the refusals (Datalog, Zipper^e, timeout)
+    are [Csc_server.Query.explain]'s. It is deliberately not cached by
+    [Session]: an explained solve carries its provenance recorder, which is
+    never the solve you want to keep resident. *)
 
 module Ir = Csc_ir.Ir
 
@@ -16,16 +16,8 @@ type fact = {
   x_chain : string list;  (** derivation chain, root first; [[]] if none *)
 }
 
-(** [run s p] solves [p] as requested by [s] (budget, validation, ...) with
-    provenance on and returns up to [limit] (default
-    5) explained facts. [var] restricts to variables whose qualified
-    [Class.method.var] name ends with it; without it, application
-    (non-mini-JDK) variables are scanned. [Error] for Datalog/Zipper analyses (no provenance recorder
-    there) and for solver timeouts; with [sp_validate] on, malformed IR
-    raises [Failure] exactly as in {!Run.run_spec}. *)
-val run :
-  ?var:string ->
-  ?limit:int ->
-  Run.spec ->
-  Ir.program ->
-  (fact list, string) result
+(** [facts p t] explains up to [limit] (default 5) points-to facts of the
+    finished solver [t] over [p]. [var] restricts to variables whose
+    qualified [Class.method.var] name ends with it; without it, application
+    (non-mini-JDK) variables are scanned. *)
+val facts : ?var:string -> ?limit:int -> Ir.program -> Csc_pta.Solver.t -> fact list

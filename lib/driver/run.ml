@@ -192,7 +192,6 @@ type spec = {
   sp_analysis : analysis;
   sp_budget_s : float option;
   sp_validate : bool;
-  sp_explain : bool;
   sp_profile : bool;
   sp_profile_top : int;
   sp_progress_s : float option;
@@ -204,7 +203,6 @@ let spec analysis =
     sp_analysis = analysis;
     sp_budget_s = None;
     sp_validate = false;
-    sp_explain = false;
     sp_profile = false;
     sp_profile_top = 25;
     sp_progress_s = None;
@@ -258,14 +256,11 @@ let of_result ?(pre_time = 0.) ?selected ?involved ?(shortcuts = 0) s p
     fails fast instead of silently corrupting analysis results.
 
     Also returns the finished solver of the last imperative solve when the
-    run completed without timeout. *)
-let run_kept (s : spec) (p : Ir.program) : outcome * Solver.t option =
+    run completed without timeout; [provenance] records derivations in it. *)
+let run_kept ?(provenance = false) (s : spec) (p : Ir.program) :
+    outcome * Solver.t option =
   if s.sp_validate then Csc_ir.Validate.check_exn p;
-  let budget =
-    match s.sp_budget_s with
-    | Some s -> Timer.budget_of_seconds s
-    | None -> Timer.no_budget
-  in
+  let budget = Timer.budget s.sp_budget_s in
   let t0 = Timer.now () in
   let elapsed () = Timer.now () -. t0 in
   let csc_handle = ref None in
@@ -278,7 +273,7 @@ let run_kept (s : spec) (p : Ir.program) : outcome * Solver.t option =
   let solve = function
     | Imp (sel, csc) -> (
       let t = Solver.create ~budget ~sel p in
-      if s.sp_explain then Solver.enable_provenance t;
+      if provenance then Solver.enable_provenance t;
       if s.sp_profile then Solver.enable_attr t;
       Option.iter (Solver.set_progress t) s.sp_progress_s;
       Option.iter
@@ -342,8 +337,7 @@ let run_spec_solver (s : spec) (p : Ir.program) =
   match plan s.sp_analysis with
   | Solve (Dl _) | Zipper (Dl _, _) -> Error `Datalog
   | Zipper (Imp _, _) -> Error `Staged
-  | Solve (Imp _) ->
-    Ok (run_kept s p)
+  | Solve (Imp _) -> Ok (run_kept ~provenance:true s p)
 
 (* ------------------------------------------------------------- recall *)
 
@@ -355,12 +349,12 @@ type recall_report = {
 
 (** The §5.1 recall experiment: execute the program, then check how much of
     the dynamic behaviour each analysis over-approximates. *)
-let recall ?budget_s ?(max_steps = 50_000_000) (p : Ir.program)
+let recall ?(base = spec Imp_ci) ?(max_steps = 50_000_000) (p : Ir.program)
     (analyses : analysis list) : recall_report list =
   let dyn = Csc_interp.Interp.run ~max_steps p in
   List.filter_map
     (fun a ->
-      match (run_spec { (spec a) with sp_budget_s = budget_s } p).o_result with
+      match (run_spec { base with sp_analysis = a } p).o_result with
       | None -> None
       | Some r ->
         let rc =

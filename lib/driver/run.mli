@@ -92,17 +92,14 @@ type outcome = {
 type spec = {
   sp_analysis : analysis;
   sp_budget_s : float option;
-      (** wall-clock budget in seconds, [None] = unlimited (a 4 GB heap cap
-          applies too). Timeouts are reported in the outcome, not raised —
-          like the paper's ">2h" cells. *)
+      (** wall-clock budget in seconds, [None] = no deadline. Either way a
+          4 GB heap cap applies ({!Csc_common.Timer.budget}): a solve whose
+          heap grows past it times out. Timeouts are reported in the
+          outcome, not raised — like the paper's ">2h" cells. *)
   sp_validate : bool;
       (** run {!Csc_ir.Validate.check_exn} first, so malformed IR fails fast
           (raising [Failure]) instead of corrupting analysis results; the
           test suite keeps it always on *)
-  sp_explain : bool;
-      (** record points-to provenance on the imperative engine (adds a
-          [prov_records] counter to the snapshot); no effect on Doop
-          analyses *)
   sp_profile : bool;
       (** cost attribution into [o_profile]: per-method/per-pointer
           propagation on the imperative engine (for Zipper, the main
@@ -120,7 +117,7 @@ type spec = {
 }
 
 (** [spec a] is the default request for analysis [a]: no budget, no
-    validation, no provenance, no profile (top 25), no heartbeat. *)
+    validation, no profile (top 25), no heartbeat. *)
 val spec : analysis -> spec
 
 (** Cache-key normalization: fields that cannot change the outcome (the
@@ -132,9 +129,9 @@ val spec_key : spec -> spec
 (** Run one analysis as described by the request record. *)
 val run_spec : spec -> Ir.program -> outcome
 
-(** {!run_spec} on an analysis with a single imperative solve, also
-    returning the finished solver ([None] on timeout) so callers can query
-    engine state such as provenance. [Error `Staged] for Zipper^e (two
+(** {!run_spec} on an analysis with a single imperative solve, with
+    points-to provenance recorded, also returning the finished solver
+    ([None] on timeout) so callers can query that provenance. [Error `Staged] for Zipper^e (two
     solves) and [Error `Datalog] for the Datalog engine, before any work. *)
 val run_spec_solver :
   spec ->
@@ -148,9 +145,11 @@ type recall_report = {
 }
 
 (** The §5.1 recall experiment: execute the program, then score how much of
-    the dynamic behaviour each analysis over-approximates (1.0 = all). *)
+    the dynamic behaviour each analysis over-approximates (1.0 = all). Each
+    analysis runs under [base] (default [spec Imp_ci]) with its
+    [sp_analysis] replaced; timed-out analyses are left out. *)
 val recall :
-  ?budget_s:float ->
+  ?base:spec ->
   ?max_steps:int ->
   Ir.program ->
   analysis list ->

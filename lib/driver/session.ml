@@ -92,16 +92,25 @@ let load_source t ~name (src : string) : (Ir.program * string, string) result =
         { pe_prog = p; pe_src = src; pe_tick = next_tick t };
       evict_programs t;
       Ok (p, digest)
+    | exception
+        ( Csc_lang.Ast.Syntax_error (pos, msg)
+        | Csc_lang.Ast.Semantic_error (pos, msg) ) ->
+      Error (Printf.sprintf "%s:%d:%d: %s" name pos.line pos.col msg)
     | exception e -> Error (Printexc.to_string e))
 
-let load t (spec : string) : (Ir.program * string, string) result =
+let load t (spec : string) =
+  let compile src = Result.map_error (fun m -> `Compile m) (load_source t ~name:spec src) in
   if List.mem spec Csc_workloads.Suite.names then
-    load_source t ~name:spec (Csc_workloads.Suite.source spec)
+    compile (Csc_workloads.Suite.source spec)
   else if Sys.file_exists spec then
-    load_source t ~name:spec (In_channel.with_open_bin spec In_channel.input_all)
+    match In_channel.with_open_bin spec In_channel.input_all with
+    | src -> compile src
+    | exception Sys_error e ->
+      Error (`Not_found (Printf.sprintf "cannot read program %S: %s" spec e))
   else
     Error
-      (Printf.sprintf "unknown program %S (not a suite name or a file)" spec)
+      (`Not_found
+        (Printf.sprintf "unknown program %S (not a suite name or a file)" spec))
 
 (* ------------------------------------------------------------ result cache *)
 

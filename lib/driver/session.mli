@@ -35,13 +35,19 @@ val create : ?max_mem_bytes:int -> ?registry:Csc_obs.Registry.t -> unit -> t
 val digest_of_source : string -> string
 
 (** Compile [source] (cached by digest). [name] is used in error positions
-    only. [Error] carries the compiler's message. *)
+    only. [Error] carries the compiler's message; a syntax or semantic
+    error reads [<name>:<line>:<col>: <message>]. *)
 val load_source :
   t -> name:string -> string -> (Ir.program * string, string) result
 
 (** Resolve [spec] as a workload-suite name, else as a path to a [.mjava]
-    file, and compile through the program cache. *)
-val load : t -> string -> (Ir.program * string, string) result
+    file, and compile through the program cache. [`Not_found] when [spec]
+    is neither, or names a path that cannot be read (a directory, say);
+    [`Compile] carries {!load_source}'s message. *)
+val load :
+  t ->
+  string ->
+  (Ir.program * string, [ `Not_found of string | `Compile of string ]) result
 
 (** [outcome t ~digest spec p] returns the cached outcome for
     [(digest, Run.spec_key spec)], solving (and caching) on a miss. The

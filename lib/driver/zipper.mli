@@ -16,15 +16,6 @@ type selection = {
   n_dropped : int;     (** dropped as scalability threats *)
 }
 
-(** Parameter-derived variables of a method (params closed under copies,
-    casts and loads) — the intra-procedural stand-in for Zipper's object
-    flow graph. Exposed for tests. *)
-val derived_vars : Ir.program -> Ir.metho -> (Ir.var_id, unit) Hashtbl.t
-
-val has_wrapped_flow : Ir.program -> Ir.metho -> bool
-val has_unwrapped_flow : Ir.program -> Ir.metho -> bool
-val has_direct_flow : Ir.program -> Ir.metho -> bool
-
 (** Select methods from a CI pre-analysis result. [cap_fraction] (default
     0.05) bounds any single method's share of the total points-to volume. *)
 val select :

@@ -9,7 +9,7 @@
 
     The raw tables are keyed by opaque engine ids; {!render} resolves them to
     names and produces an immutable, deterministically-ordered {!profile}
-    for text/JSON output ([profile] subcommand, [--profile FILE],
+    for text/JSON output ([profile] subcommand and server command,
     [bench --json] embedding). *)
 
 type t

@@ -2,7 +2,6 @@ type reason = Seed of { label : string } | Flow of { src : int; via : string }
 
 type t = {
   pts : (int * int, reason) Hashtbl.t;  (* (ptr, obj) -> first derivation *)
-  calls : (int * int, int option) Hashtbl.t;  (* (site, callee) -> receiver *)
   max_records : int;
   mutable dropped : int;
 }
@@ -10,12 +9,11 @@ type t = {
 let create ?(max_records = max_int) () =
   {
     pts = Hashtbl.create 4096;
-    calls = Hashtbl.create 256;
     max_records = (if max_records < 0 then 0 else max_records);
     dropped = 0;
   }
 
-let full t = Hashtbl.length t.pts + Hashtbl.length t.calls >= t.max_records
+let full t = Hashtbl.length t.pts >= t.max_records
 
 let record_seed t ~ptr ~obj ~label =
   if not (Hashtbl.mem t.pts (ptr, obj)) then
@@ -27,13 +25,7 @@ let record_flow t ~ptr ~obj ~src ~via =
     if full t then t.dropped <- t.dropped + 1
     else Hashtbl.add t.pts (ptr, obj) (Flow { src; via })
 
-let record_call t ~site ~callee ~recv =
-  if not (Hashtbl.mem t.calls (site, callee)) then
-    if full t then t.dropped <- t.dropped + 1
-    else Hashtbl.add t.calls (site, callee) recv
-
 let reason t ~ptr ~obj = Hashtbl.find_opt t.pts (ptr, obj)
-let call_reason t ~site ~callee = Hashtbl.find_opt t.calls (site, callee)
 
 let chain ?(limit = 64) t ~ptr ~obj : (int * reason) list =
   let visited = Hashtbl.create 16 in
@@ -49,8 +41,5 @@ let chain ?(limit = 64) t ~ptr ~obj : (int * reason) list =
   in
   go [] ptr 0
 
-let iter_calls t f =
-  Hashtbl.iter (fun (site, callee) recv -> f ~site ~callee ~recv) t.calls
-
-let size t = Hashtbl.length t.pts + Hashtbl.length t.calls
+let size t = Hashtbl.length t.pts
 let dropped t = t.dropped

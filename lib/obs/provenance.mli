@@ -1,8 +1,7 @@
 (** A first-derivation recorder for fixpoint engines.
 
-    The solver (opt-in, [--explain]) records, for every points-to fact
-    [(ptr, obj)] and call edge [(site, callee)], the event that first derived
-    it. Because facts only enter the engine through recorded events and the
+    The solver (opt-in, for the [explain] command) records, for every
+    points-to fact [(ptr, obj)], the event that first derived it. Because facts only enter the engine through recorded events and the
     first record wins, following {!reason} parents always terminates in a
     {!reason.Seed}, giving a (worklist-order, hence near-shortest) derivation
     chain — the "why does [x] point to [o]" answer Doop and Tai-e users get
@@ -32,22 +31,14 @@ val record_seed : t -> ptr:int -> obj:int -> label:string -> unit
 
 val record_flow : t -> ptr:int -> obj:int -> src:int -> via:string -> unit
 
-(** First deriving receiver for a call edge ([recv = None] for static
-    calls). *)
-val record_call : t -> site:int -> callee:int -> recv:int option -> unit
-
 val reason : t -> ptr:int -> obj:int -> reason option
-val call_reason : t -> site:int -> callee:int -> int option option
 
 (** Derivation chain from [(ptr, obj)] back to its seed: the queried pointer
     first. Empty if the fact was never recorded; truncated at [limit]
     (default 64) or on a (theoretically impossible) cycle. *)
 val chain : ?limit:int -> t -> ptr:int -> obj:int -> (int * reason) list
 
-(** All recorded call edges, unordered: (site, callee, receiver). *)
-val iter_calls : t -> (site:int -> callee:int -> recv:int option -> unit) -> unit
-
-(** Number of recorded facts (points-to + call edges). *)
+(** Number of recorded points-to facts. *)
 val size : t -> int
 
 (** Number of facts refused because the [max_records] bound was hit. *)

@@ -133,10 +133,6 @@ type t = {
 
 exception Timeout
 
-let log_src = Logs.Src.create "csc.solver" ~doc:"pointer analysis solver"
-
-module Log = (val Logs.src_log log_src)
-
 let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     : t =
   let reg = Registry.create () in
@@ -503,9 +499,6 @@ and add_call_edge t ~caller_ctx ~site ~callee_ctx ~callee ~recv_obj =
     Registry.incr t.c_call_edges;
     if not (Hashtbl.mem t.call_edges_proj sc) then begin
       Hashtbl.add t.call_edges_proj sc ();
-      (match t.prov with
-      | None -> ()
-      | Some pr -> Prov.record_call pr ~site ~callee ~recv:recv_obj);
       t.plugin.pl_on_call_edge site callee
     end;
     add_reachable t ~ctx:callee_ctx ~mid:callee;
@@ -607,22 +600,9 @@ let run_loop (t : t) : unit =
    with Timer.Out_of_budget ->
      Registry.set t.g_time (Timer.now () -. t0);
      sample_heap t;
-     Log.info (fun m ->
-         m "%s+%s: out of budget after %.1fs (%d ctx-methods, %d edges)"
-           t.sel.sel_name t.plugin.pl_name
-           (Registry.gauge_value t.g_time)
-           (Registry.value t.c_reach_ctx)
-           (Registry.value t.c_edges));
      raise Timeout);
   Registry.set t.g_time (Timer.now () -. t0);
-  sample_heap t;
-  Log.info (fun m ->
-      m "%s+%s: done in %.3fs (%d methods, %d ptrs, %d pfg edges, %d props)"
-        t.sel.sel_name t.plugin.pl_name
-        (Registry.gauge_value t.g_time)
-        (Bits.cardinal t.reached_methods)
-        (Registry.value t.c_ptrs) (Registry.value t.c_edges)
-        (Registry.value t.c_prop))
+  sample_heap t
 
 let run (t : t) : unit =
   Trace.with_span ~cat:"solver"

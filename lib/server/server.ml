@@ -1,5 +1,8 @@
 (** Request router + accept loop of the resident analysis server. The
-    interface documents the wire protocol; everything here is mechanism.
+    interface documents the wire protocol; everything here is mechanism:
+    JSON decoding, reply rendering, the router and the accept loop. The
+    steps from a decoded request to an answer are {!Query}'s, shared with
+    the batch CLI.
 
     Every handler goes through the same three steps — build a {!Run.spec}
     from the request (server defaults underneath), resolve the program
@@ -16,7 +19,6 @@ module Session = Csc_driver.Session
 module Report = Csc_driver.Report
 module Export = Csc_driver.Export
 module Explain = Csc_driver.Explain
-module Ir = Csc_ir.Ir
 
 type t = {
   sess : Session.t;
@@ -71,10 +73,8 @@ let error_reply ?req ~code msg =
        (id_field req
        @ [ ("ok", Json.Bool false); ("error", Json.error ~code msg) ]))
 
-exception Reject of string * string  (* code, message *)
-
-let reject code msg = raise (Reject (code, msg))
-let rejectf code fmt = Printf.ksprintf (reject code) fmt
+let reject = Query.reject
+let rejectf = Query.rejectf
 
 (* ------------------------------------------------------- request decoding *)
 
@@ -86,17 +86,11 @@ let float_member k req = Option.bind (Json.member k req) Json.get_float
 (* server defaults overridden by whatever the request names *)
 let spec_of_request t req : Run.spec =
   let d = t.defaults in
-  let analysis =
-    match str_member "analysis" req with
-    | None -> d.Run.sp_analysis
-    | Some s -> (
-      match Run.analysis_of_string s with
-      | Ok a -> a
-      | Error msg -> reject "bad-request" msg)
-  in
   {
     d with
-    Run.sp_analysis = analysis;
+    Run.sp_analysis =
+      Option.fold ~none:d.Run.sp_analysis ~some:Query.analysis
+        (str_member "analysis" req);
     sp_budget_s =
       (* a request may lower the server's budget, never lift it *)
       (match (float_member "budget_s" req, d.Run.sp_budget_s) with
@@ -107,7 +101,6 @@ let spec_of_request t req : Run.spec =
       | None, db -> db);
     sp_validate =
       Option.value ~default:d.Run.sp_validate (bool_member "validate" req);
-    sp_explain = false;
     sp_profile =
       Option.value ~default:d.Run.sp_profile (bool_member "profile" req);
     sp_profile_top =
@@ -119,51 +112,37 @@ let spec_of_request t req : Run.spec =
       | None -> d.Run.sp_progress_s);
   }
 
-let program_of_request t req : Ir.program * string =
+let program_of_request t req =
   match (str_member "program" req, str_member "source" req) with
   | Some _, Some _ ->
     reject "bad-request" "give either \"program\" or \"source\", not both"
   | None, None ->
     reject "bad-request" "missing \"program\" (suite name or .mjava path) or \
                           inline \"source\""
-  | Some spec, None -> (
-    match Session.load t.sess spec with
-    | Ok pd -> pd
-    | Error msg -> reject "not-found" msg)
-  | None, Some src -> (
-    let name = Option.value ~default:"<inline>" (str_member "name" req) in
-    match Session.load_source t.sess ~name src with
-    | Ok pd -> pd
-    | Error msg -> reject "compile" msg)
+  | Some name, None -> Query.program t.sess name
+  | None, Some source ->
+    Query.program t.sess ~source
+      (Option.value ~default:"<inline>" (str_member "name" req))
 
-(* commands that need a solved state: fetch through the cache and insist
-   the solve finished *)
-let solved t req : Run.spec * Ir.program * Run.outcome * bool =
-  let spec = spec_of_request t req in
+(* the program, its digest, and its outcome under [spec] through the cache;
+   the spec is decoded first, so a bad analysis is refused before any
+   compile *)
+let solve t req spec =
   let p, digest = program_of_request t req in
-  let o, cached = Session.outcome t.sess ~digest spec p in
-  (spec, p, o, cached)
-
-let result_of (o : Run.outcome) =
-  match o.Run.o_result with
-  | Some r -> r
-  | None ->
-    rejectf "timeout" "analysis %s timed out after %.1fs" o.Run.o_analysis
-      o.Run.o_time
+  let o, cached = Query.outcome t.sess spec (p, digest) in
+  (p, digest, o, cached)
 
 (* ---------------------------------------------------------------- handlers *)
 
 let handle_analyze t req =
-  let spec = spec_of_request t req in
-  let p, digest = program_of_request t req in
-  let o, cached = Session.outcome t.sess ~digest spec p in
+  let _, digest, o, cached = solve t req (spec_of_request t req) in
   (* the digest is the handle [update] requests use to name this program *)
   ok_reply ~req ~cached
     [ ("digest", Json.Str digest); ("result", Report.outcome_json o) ]
 
 let handle_pt t req =
-  let _, p, o, cached = solved t req in
-  let r = result_of o in
+  let p, _, o, cached = solve t req (spec_of_request t req) in
+  let r = Query.result o in
   let include_jdk = Option.value ~default:false (bool_member "include_jdk" req) in
   let vars = Export.pts_json ?var:(str_member "var" req) ~include_jdk p r in
   ok_reply ~req ~cached
@@ -172,8 +151,8 @@ let handle_pt t req =
           [ ("analysis", Json.Str o.Run.o_analysis); ("vars", vars) ] ) ]
 
 let handle_callgraph t req =
-  let _, p, o, cached = solved t req in
-  let r = result_of o in
+  let p, _, o, cached = solve t req (spec_of_request t req) in
+  let r = Query.result o in
   let include_jdk = Option.value ~default:false (bool_member "include_jdk" req) in
   ok_reply ~req ~cached
     [ ( "result",
@@ -195,18 +174,15 @@ let checks_of_request req : string list option =
       (List.map
          (fun j ->
            match Json.get_string j with
-           | Some n when Csc_checks.Checks.by_name n <> None -> n
-           | Some n ->
-             rejectf "bad-request" "unknown checker %S (available: %s)" n
-               (String.concat ", " Csc_checks.Checks.names)
+           | Some n -> Query.checker n
            | None -> bad ())
          l)
   | Some _ -> bad ()
 
 let handle_check t req =
   let checks = checks_of_request req in
-  let _, p, o, cached = solved t req in
-  let r = result_of o in
+  let p, _, o, cached = solve t req (spec_of_request t req) in
+  let r = Query.result o in
   let include_jdk = Option.value ~default:false (bool_member "include_jdk" req) in
   let ds = Csc_checks.Checks.run_all ?checks ~include_jdk p r in
   ok_reply ~req ~cached
@@ -217,16 +193,9 @@ let handle_check t req =
             ("diagnostics", Csc_checks.Diagnostic.json_list p ds) ] ) ]
 
 let handle_taint t req =
-  let tspec =
-    match str_member "spec" req with
-    | None -> Csc_taint.Taint_spec.builtin
-    | Some f -> (
-      match Csc_taint.Taint_spec.load f with
-      | Ok s -> s
-      | Error e -> rejectf "not-found" "cannot load taint spec %s: %s" f e)
-  in
-  let _, p, o, cached = solved t req in
-  let r = result_of o in
+  let tspec = Query.taint_spec (str_member "spec" req) in
+  let p, _, o, cached = solve t req (spec_of_request t req) in
+  let r = Query.result o in
   let include_jdk = Option.value ~default:false (bool_member "include_jdk" req) in
   let res = Csc_taint.Taint.analyze ~spec:tspec p r in
   let ds = Csc_taint.Taint.diagnostics ~include_jdk p res in
@@ -247,28 +216,23 @@ let handle_explain t req =
   let spec = spec_of_request t req in
   let p, _ = program_of_request t req in
   let limit = Option.value ~default:5 (int_member "limit" req) in
-  match
-    Explain.run ?var:(str_member "var" req) ~limit spec p
-  with
-  | Error msg -> reject "bad-request" msg
-  | Ok facts ->
-    ok_reply ~req
-      [ ( "result",
-          Json.Obj
-            [ ("analysis", Json.Str (Run.name spec.Run.sp_analysis));
-              ( "facts",
-                Json.List
-                  (List.map
-                     (fun (f : Explain.fact) ->
-                       Json.Obj
-                         [ ("ptr", Json.Str f.Explain.x_ptr);
-                           ("obj", Json.Str f.Explain.x_obj);
-                           ( "chain",
-                             Json.List
-                               (List.map
-                                  (fun l -> Json.Str l)
-                                  f.Explain.x_chain) ) ])
-                     facts) ) ] ) ]
+  let facts = Query.explain ?var:(str_member "var" req) ~limit spec p in
+  ok_reply ~req
+    [ ( "result",
+        Json.Obj
+          [ ("analysis", Json.Str (Run.name spec.Run.sp_analysis));
+            ( "facts",
+              Json.List
+                (List.map
+                   (fun (f : Explain.fact) ->
+                     Json.Obj
+                       [ ("ptr", Json.Str f.Explain.x_ptr);
+                         ("obj", Json.Str f.Explain.x_obj);
+                         ( "chain",
+                           Json.List
+                             (List.map (fun l -> Json.Str l) f.Explain.x_chain)
+                         ) ])
+                   facts) ) ] ) ]
 
 let handle_profile t req =
   let spec = spec_of_request t req in
@@ -280,8 +244,7 @@ let handle_profile t req =
         Option.value ~default:spec.Run.sp_profile_top (int_member "top" req);
     }
   in
-  let p, digest = program_of_request t req in
-  let o, cached = Session.outcome t.sess ~digest spec p in
+  let _, _, o, cached = solve t req spec in
   ok_reply ~req ~cached [ ("result", Report.profile_json o) ]
 
 let handle_update t req =
@@ -388,13 +351,14 @@ let handle_line t (line : string) : string =
         Registry.incr
           (Registry.counter t.reg ~labels:[ ("cmd", cmd) ] "server_requests");
         try dispatch t req cmd with
-        | Reject (code, msg) -> error_reply ~req ~code msg
-        | Failure msg -> error_reply ~req ~code:"bad-request" msg
-        | e ->
-          (* last resort: a handler bug answers this request, it must not
-             end the accept loop *)
-          Registry.incr (Registry.counter t.reg "server_internal_errors");
-          error_reply ~req ~code:"internal" (Printexc.to_string e)))
+        | e -> (
+          match Query.refusal e with
+          | Some (code, msg) -> error_reply ~req ~code msg
+          | None ->
+            (* last resort: a handler bug answers this request, it must not
+               end the accept loop *)
+            Registry.incr (Registry.counter t.reg "server_internal_errors");
+            error_reply ~req ~code:"internal" (Printexc.to_string e))))
   in
   Registry.observe t.lat (Unix.gettimeofday () -. t0);
   Registry.set t.g_inflight 0.;

@@ -48,10 +48,12 @@
     "cmd": ..., "cached": ..., "result": {...}}] on success — [cached] is
     present on session-backed commands and true when the answer came from
     the result cache — and [{"schema": 1, "id": ..., "ok": false, "error":
-    {"code": ..., "message": ...}}] on failure (codes: [parse],
-    [bad-request], [unknown-cmd], [not-found], [compile], [timeout], and
-    [internal] for an exception no handler anticipated; those also count
-    in the [server_internal_errors] counter).
+    {"code": ..., "message": ...}}] on failure. The codes [bad-request],
+    [not-found], [compile] and [timeout] are {!Query}'s refusals, the same
+    ones the batch CLI prints; the server adds [parse] (the line is not
+    JSON), [bad-request] for malformed members, [unknown-cmd], and
+    [internal] for an exception no handler anticipated (those also count in
+    the [server_internal_errors] counter).
 
     {2 Concurrency model}
 

@@ -125,7 +125,7 @@ let test_selective_between_ci_and_2obj () =
 
 let test_timeout () =
   let p = compile Fixtures.containers in
-  let budget = Csc_common.Timer.budget_of_seconds (-1.0) in
+  let budget = Csc_common.Timer.budget (Some (-1.0)) in
   match A.run ~budget p A.Ci with
   | _ -> Alcotest.fail "expected timeout"
   | exception A.Timeout _ -> ()

@@ -137,7 +137,7 @@ let test_explain_validates () =
   let batch = failure (fun () -> Run.run_spec s corrupted) in
   Alcotest.(check bool) "run_spec refuses the program" true (batch <> None);
   Alcotest.(check (option string)) "explain fails the same way" batch
-    (failure (fun () -> Csc_driver.Explain.run s corrupted))
+    (failure (fun () -> Csc_server.Query.explain ~limit:5 s corrupted))
 
 let suite =
   [

@@ -235,7 +235,7 @@ let test_timer_no_budget () =
   done
 
 let test_timer_expiry () =
-  let b = Timer.budget_of_seconds 1e-9 in
+  let b = Timer.budget (Some 1e-9) in
   (* spin past the (essentially immediate) deadline, then the check raises *)
   let t0 = Timer.now () in
   while Timer.now () -. t0 < 0.01 do
@@ -252,8 +252,21 @@ let test_timer_heap_cap_is_relative () =
   Alcotest.(check bool) "heap already past the cap" true
     (float (Gc.quick_stat ()).Gc.heap_words *. float (Sys.word_size / 8)
     > max_gb *. 1024. *. 1024. *. 1024.);
-  let b = Timer.budget_of_seconds ~max_gb 3600. in
+  let b = Timer.budget ~max_gb (Some 3600.) in
   Timer.check b
+
+let test_timer_heap_cap_without_deadline () =
+  (* no deadline drops only the deadline: growing the major heap past a
+     1 MB cap must still raise (64 x 800 KB bounds the test's own growth) *)
+  let b = Timer.budget ~max_gb:1e-3 None in
+  let keep = ref [] in
+  Alcotest.check_raises "heap growth past the cap raises" Timer.Out_of_budget
+    (fun () ->
+      for _ = 1 to 64 do
+        keep := Array.make 100_000 0 :: !keep;
+        Timer.check b
+      done);
+  ignore (Sys.opaque_identity !keep)
 
 let test_timeout_outcome_snapshot () =
   (* the solver timeout path must flag the outcome AND still deliver a
@@ -436,6 +449,8 @@ let suite =
         Alcotest.test_case "budget expiry raises" `Quick test_timer_expiry;
         Alcotest.test_case "heap cap counts growth from creation" `Quick
           test_timer_heap_cap_is_relative;
+        Alcotest.test_case "heap cap holds without a deadline" `Quick
+          test_timer_heap_cap_without_deadline;
         Alcotest.test_case "timeout outcome keeps snapshot" `Quick
           test_timeout_outcome_snapshot;
       ] );

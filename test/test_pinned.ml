@@ -98,28 +98,25 @@ let render_facts facts =
 let explain ?var a p =
   match Run.analysis_of_string a with
   | Error e -> Alcotest.fail e
-  | Ok a -> Explain.run ?var ~limit:5 (Run.spec a) p
+  | Ok a -> Csc_server.Query.explain ?var ~limit:5 (Run.spec a) p
 
 let test_explain name () =
   let p = program name in
   List.iter
     (fun ((n, a, var), md5) ->
       if n = name then
-        match explain ?var a p with
-        | Error e -> Alcotest.failf "%s %s: %s" name a e
-        | Ok facts ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s %s %s" name a (Option.value ~default:"-" var))
-            md5
-            (Digest.to_hex (Digest.string (render_facts facts))))
+        Alcotest.(check string)
+          (Printf.sprintf "%s %s %s" name a (Option.value ~default:"-" var))
+          md5
+          (Digest.to_hex (Digest.string (render_facts (explain ?var a p)))))
     explain_pinned
 
 let test_explain_errors () =
   let p = program "nullbugs.mjava" in
   let error a =
     match explain a p with
-    | Ok _ -> Alcotest.failf "explain under %s should fail" a
-    | Error e -> e
+    | _ -> Alcotest.failf "explain under %s should fail" a
+    | exception Csc_server.Query.Reject ("bad-request", e) -> e
   in
   Alcotest.(check string) "zipper-e"
     "explain: zipper-e is two staged solves; explain its base instead"

@@ -326,10 +326,39 @@ let test_protocol_errors () =
     error_reply ~code:"not-found"
       (h "{\"cmd\": \"analyze\", \"program\": \"no-such-program\"}")
   in
-  let _ =
+  let j =
     error_reply ~code:"compile"
       (h "{\"cmd\": \"analyze\", \"source\": \"class { woops\"}")
   in
+  (* a compile error keeps its position: <name>:<line>:<col>: <message> *)
+  Alcotest.(check bool) "compile message has a position" true
+    (Astring.String.is_prefix ~affix:"<inline>:1:7: "
+       (get_str (member "message" (member "error" j))));
+  (* a path that exists but cannot be read is not-found, not internal *)
+  let _ =
+    error_reply ~code:"not-found"
+      (h
+         (Printf.sprintf "{\"cmd\": \"analyze\", \"program\": %S}"
+            Filename.current_dir_name))
+  in
+  let _ =
+    error_reply ~code:"not-found"
+      (h (req "taint" "\"spec\": \"no-such-spec.json\""))
+  in
+  List.iter
+    (fun a ->
+      ignore
+        (error_reply ~code:"bad-request"
+           (h
+              (Printf.sprintf
+                 "{\"cmd\": \"explain\", \"source\": %S, \"analysis\": %S}"
+                 Fixtures.carton a))))
+    [ "doop-ci"; "zipper-e" ];
+  (* a solve out of budget answers timeout on every result-bearing command *)
+  List.iter
+    (fun cmd ->
+      ignore (error_reply ~code:"timeout" (h (req cmd "\"budget_s\": 1e-9"))))
+    [ "pt"; "callgraph"; "check"; "taint" ];
   let j =
     error_reply ~code:"bad-request"
       (h

@@ -225,7 +225,7 @@ let test_cs_refines_ci () =
 
 let test_budget_timeout () =
   let p = compile Fixtures.containers in
-  let budget = Csc_common.Timer.budget_of_seconds (-1.0) in
+  let budget = Csc_common.Timer.budget (Some (-1.0)) in
   match Csc_pta.Solver.analyze ~budget p with
   | _ -> Alcotest.fail "expected timeout"
   | exception Csc_pta.Solver.Timeout -> ()
