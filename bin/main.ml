@@ -15,9 +15,9 @@
 
     The analysis subcommands ([analyze]/[explain]/[check]/[profile]/
     [taint]/[recall]/[callgraph]/[pts]) take the same run-spec flags
-    ([--budget], [--validate], [--progress], [--trace]; [serve] takes them
-    too, as its defaults). [--trace FILE] records a Chrome trace_event
-    timeline of the phases (open in chrome://tracing or Perfetto).
+    ([--budget], [--progress], [--trace]; [serve] takes them too, as its
+    defaults). [--trace FILE] records a Chrome trace_event timeline of the
+    phases (open in chrome://tracing or Perfetto).
 
     Every batch subcommand and the server share one request path,
     {!Csc_server.Query}: a {!Csc_driver.Run.spec} built from the command's
@@ -76,10 +76,6 @@ let budget_arg =
              heap cap still applies)." in
   Arg.(value & opt float 60.0 & info [ "budget" ] ~doc)
 
-let validate_arg =
-  let doc = "Validate the lowered IR before analyzing (fail fast on malformed IR)." in
-  Arg.(value & flag & info [ "validate" ] ~doc)
-
 let trace_arg =
   let doc =
     "Record a Chrome trace_event timeline of the run to $(docv) (open in \
@@ -108,28 +104,20 @@ let positive s = if s <= 0. then None else Some s
    (--budget/--progress used to exist on some and not others). *)
 type common = {
   cm_budget : float;
-  cm_validate : bool;
   cm_progress : float;
   cm_trace : string option;
 }
 
 let common_term =
-  let mk budget validate progress trace =
-    {
-      cm_budget = budget;
-      cm_validate = validate;
-      cm_progress = progress;
-      cm_trace = trace;
-    }
+  let mk budget progress trace =
+    { cm_budget = budget; cm_progress = progress; cm_trace = trace }
   in
-  Cmdliner.Term.(
-    const mk $ budget_arg $ validate_arg $ progress_arg $ trace_arg)
+  Cmdliner.Term.(const mk $ budget_arg $ progress_arg $ trace_arg)
 
 let spec_of_common ?(profile = false) ?(profile_top = 25) c analysis =
   {
     (Run.spec analysis) with
     Run.sp_budget_s = positive c.cm_budget;
-    sp_validate = c.cm_validate;
     sp_profile = profile;
     sp_profile_top = profile_top;
     sp_progress_s = positive c.cm_progress;

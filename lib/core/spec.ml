@@ -14,10 +14,6 @@ module Ir = Csc_ir.Ir
     map. Shortcuts only connect Sources and Targets of the same category. *)
 type category = Coll_val | Map_key | Map_val
 
-let pp_category ppf c =
-  Fmt.string ppf
-    (match c with Coll_val -> "coll" | Map_key -> "key" | Map_val -> "val")
-
 type t = {
   entrances : (Ir.method_id, (int * category) list) Hashtbl.t;
       (** method -> (parameter index (1-based, 0 = this), category) *)

@@ -13,8 +13,6 @@ module Ir = Csc_ir.Ir
     map. Shortcuts only connect Sources and Targets of equal category. *)
 type category = Coll_val | Map_key | Map_val
 
-val pp_category : Format.formatter -> category -> unit
-
 type t = {
   entrances : (Ir.method_id, (int * category) list) Hashtbl.t;
       (** method -> (parameter index, category); index 0 is [this] *)

@@ -191,7 +191,6 @@ type outcome = {
 type spec = {
   sp_analysis : analysis;
   sp_budget_s : float option;
-  sp_validate : bool;
   sp_profile : bool;
   sp_profile_top : int;
   sp_progress_s : float option;
@@ -202,7 +201,6 @@ let spec analysis =
   {
     sp_analysis = analysis;
     sp_budget_s = None;
-    sp_validate = false;
     sp_profile = false;
     sp_profile_top = 25;
     sp_progress_s = None;
@@ -252,14 +250,11 @@ let of_result ?(pre_time = 0.) ?selected ?involved ?(shortcuts = 0) s p
 
 (** Run one analysis under an optional time budget (seconds). Timeouts are
     reported in the outcome, not raised — like the paper's ">2h" cells.
-    [sp_validate] runs {!Csc_ir.Validate.check_exn} first so malformed IR
-    fails fast instead of silently corrupting analysis results.
 
     Also returns the finished solver of the last imperative solve when the
     run completed without timeout; [provenance] records derivations in it. *)
 let run_kept ?(provenance = false) (s : spec) (p : Ir.program) :
     outcome * Solver.t option =
-  if s.sp_validate then Csc_ir.Validate.check_exn p;
   let budget = Timer.budget s.sp_budget_s in
   let t0 = Timer.now () in
   let elapsed () = Timer.now () -. t0 in

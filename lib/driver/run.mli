@@ -96,10 +96,6 @@ type spec = {
           4 GB heap cap applies ({!Csc_common.Timer.budget}): a solve whose
           heap grows past it times out. Timeouts are reported in the
           outcome, not raised — like the paper's ">2h" cells. *)
-  sp_validate : bool;
-      (** run {!Csc_ir.Validate.check_exn} first, so malformed IR fails fast
-          (raising [Failure]) instead of corrupting analysis results; the
-          test suite keeps it always on *)
   sp_profile : bool;
       (** cost attribution into [o_profile]: per-method/per-pointer
           propagation on the imperative engine (for Zipper, the main
@@ -117,7 +113,7 @@ type spec = {
 }
 
 (** [spec a] is the default request for analysis [a]: no budget, no
-    validation, no profile (top 25), no heartbeat. *)
+    profile (top 25), no heartbeat. *)
 val spec : analysis -> spec
 
 (** Cache-key normalization: fields that cannot change the outcome (the

@@ -87,11 +87,20 @@ let load_source t ~name (src : string) : (Ir.program * string, string) result =
     Ok (e.pe_prog, digest)
   | None -> (
     match Csc_lang.Frontend.compile_string ~name src with
-    | p ->
-      Hashtbl.replace t.progs digest
-        { pe_prog = p; pe_src = src; pe_tick = next_tick t };
-      evict_programs t;
-      Ok (p, digest)
+    | p -> (
+      match
+        Csc_obs.Trace.with_span ~cat:"ir" "validate" (fun () ->
+            Csc_ir.Validate.check p)
+      with
+      | [] ->
+        Hashtbl.replace t.progs digest
+          { pe_prog = p; pe_src = src; pe_tick = next_tick t };
+        evict_programs t;
+        Ok (p, digest)
+      | errs ->
+        Error
+          (Printf.sprintf "%s: malformed IR: %s" name (String.concat "; " errs))
+      )
     | exception
         ( Csc_lang.Ast.Syntax_error (pos, msg)
         | Csc_lang.Ast.Semantic_error (pos, msg) ) ->
@@ -187,7 +196,7 @@ let update t ~digest ?source ?(edits = []) (spec : Run.spec) :
     let src =
       match source with
       | Some s -> Ok s
-      | None -> Csc_pta.Inc.apply_edits base.pe_src edits
+      | None -> Csc_lang.Edit.apply base.pe_src edits
     in
     match Result.bind src (load_source t ~name:"<update>") with
     | Error e -> Error e
@@ -208,8 +217,6 @@ let misses t = Registry.value t.c_misses
 let evictions t = Registry.value t.c_evictions
 let entries t = Hashtbl.length t.results
 let programs t = Hashtbl.length t.progs
-let bytes_used t = t.bytes
-let max_bytes t = t.max_mem_bytes
 
 let stats_json t : Json.t =
   Obj

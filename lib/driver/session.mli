@@ -34,9 +34,11 @@ val create : ?max_mem_bytes:int -> ?registry:Csc_obs.Registry.t -> unit -> t
 (** Hex MD5 of a source text — the program-cache key. *)
 val digest_of_source : string -> string
 
-(** Compile [source] (cached by digest). [name] is used in error positions
-    only. [Error] carries the compiler's message; a syntax or semantic
-    error reads [<name>:<line>:<col>: <message>]. *)
+(** Compile [source] and check the lowered IR with
+    {!Csc_ir.Validate.check}, once per digest: the program cache keeps only
+    programs that pass both. [name] is used in error messages only. [Error]
+    carries the compiler's message, which for a syntax or semantic error
+    reads [<name>:<line>:<col>: <message>], or the validator's findings. *)
 val load_source :
   t -> name:string -> string -> (Ir.program * string, string) result
 
@@ -69,7 +71,7 @@ type update_result = {
 
 (** [update t ~digest spec ~edits] analyzes an edited revision of the cached
     program [digest]: the new source is [?source] when given, else the base
-    source with [edits] applied ({!Csc_pta.Inc.apply_edits}). The new source
+    source with [edits] applied ({!Csc_lang.Edit.apply}). The new source
     compiles through the program cache and solves through {!outcome}, so the
     answer is the one an [outcome] call on the edited source gives, cached
     under the new digest, and an update back to an already-solved revision
@@ -79,7 +81,7 @@ val update :
   t ->
   digest:string ->
   ?source:string ->
-  ?edits:Csc_pta.Inc.edit list ->
+  ?edits:Csc_lang.Edit.t list ->
   Run.spec ->
   (update_result, string) result
 
@@ -93,11 +95,6 @@ val evictions : t -> int
 val entries : t -> int
 
 val programs : t -> int
-
-(** Estimated resident bytes of the result cache, and its bound. *)
-val bytes_used : t -> int
-
-val max_bytes : t -> int
 
 (** The session block of the server's [stats] reply:
     [{"hits": _, "misses": _, "evictions": _, "entries": _, "programs": _,

@@ -12,7 +12,11 @@ type token =
   | PUNCT of string    (* { } ( ) [ ] ; , . = == != < <= > >= + - * / % && || ! *)
   | EOF
 
-type loc_token = { tok : token; pos : Ast.pos }
+type loc_token = {
+  tok : token;
+  pos : Ast.pos;
+  off : int;  (** byte offset of the token's first character *)
+}
 
 let keywords =
   [ "class"; "extends"; "new"; "return"; "if"; "else"; "while"; "for";
@@ -28,8 +32,9 @@ let tokenize (src : string) : loc_token array =
   let toks = ref [] in
   let line = ref 1 and bol = ref 0 in
   let pos i = Ast.{ line = !line; col = i - !bol + 1 } in
-  let emit p t = toks := { tok = t; pos = p } :: !toks in
   let i = ref 0 in
+  (* every token is emitted before [i] moves past its first character *)
+  let emit t = toks := { tok = t; pos = pos !i; off = !i } :: !toks in
   let err p fmt = Ast.syntax_error p fmt in
   while !i < n do
     let c = src.[!i] in
@@ -62,14 +67,14 @@ let tokenize (src : string) : loc_token array =
     else if is_digit c then begin
       let j = ref !i in
       while !j < n && is_digit src.[!j] do incr j done;
-      emit p (INT (int_of_string (String.sub src !i (!j - !i))));
+      emit (INT (int_of_string (String.sub src !i (!j - !i))));
       i := !j
     end
     else if is_ident_start c then begin
       let j = ref !i in
       while !j < n && is_ident_char src.[!j] do incr j done;
       let s = String.sub src !i (!j - !i) in
-      emit p (if List.mem s keywords then KW s else IDENT s);
+      emit (if List.mem s keywords then KW s else IDENT s);
       i := !j
     end
     else if c = '"' then begin
@@ -90,7 +95,7 @@ let tokenize (src : string) : loc_token array =
         end
       done;
       if !j >= n then err p "unterminated string literal";
-      emit p (STRING (Buffer.contents buf));
+      emit (STRING (Buffer.contents buf));
       i := !j + 1
     end
     else begin
@@ -99,16 +104,16 @@ let tokenize (src : string) : loc_token array =
       in
       match two with
       | "==" | "!=" | "<=" | ">=" | "&&" | "||" ->
-        emit p (PUNCT two);
+        emit (PUNCT two);
         i := !i + 2
       | _ ->
         (match c with
         | '{' | '}' | '(' | ')' | '[' | ']' | ';' | ',' | '.' | '=' | '<'
         | '>' | '+' | '-' | '*' | '/' | '%' | '!' ->
-          emit p (PUNCT (String.make 1 c));
+          emit (PUNCT (String.make 1 c));
           incr i
         | _ -> err p "unexpected character %C" c)
     end
   done;
-  emit (pos !i) EOF;
+  emit EOF;
   Array.of_list (List.rev !toks)

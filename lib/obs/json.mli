@@ -3,8 +3,7 @@
     The repo deliberately carries no external JSON dependency; this module is
     the single JSON substrate shared by metric snapshots, trace files, bench
     reports and the diagnostics of [csc_checks]-style clients. The printer
-    emits floats so that they re-parse to the identical IEEE value, which is
-    what makes [Snapshot.of_json (Snapshot.to_json s) = s] hold exactly. *)
+    emits floats so that they re-parse to the identical IEEE value. *)
 
 type t =
   | Null

@@ -25,7 +25,6 @@ let of_metrics (ms : metric list) : t =
   { sn_metrics = List.stable_sort (fun a b -> compare (metric_key a) (metric_key b)) ms }
 
 let metrics t = t.sn_metrics
-let is_empty t = t.sn_metrics = []
 
 let with_counter t name value =
   of_metrics (Counter { name; labels = []; value } :: t.sn_metrics)
@@ -83,58 +82,6 @@ let metric_json (m : metric) : Json.t =
 let to_json t : Json.t =
   Json.Obj [ ("metrics", Json.List (List.map metric_json t.sn_metrics)) ]
 
-let metric_of_json (j : Json.t) : (metric, string) result =
-  let ( let* ) = Result.bind in
-  let req name conv =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "metric: missing or bad %S" name)
-  in
-  let labels =
-    match Json.member "labels" j with
-    | Some (Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.get_string v))
-        kvs
-    | _ -> []
-  in
-  let* kind = req "type" Json.get_string in
-  let* name = req "name" Json.get_string in
-  match kind with
-  | "counter" ->
-    let* value = req "value" Json.get_int in
-    Ok (Counter { name; labels; value })
-  | "gauge" ->
-    let* value = req "value" Json.get_float in
-    Ok (Gauge { name; labels; value })
-  | "histogram" ->
-    let* bounds = req "bounds" Json.get_list in
-    let* counts = req "counts" Json.get_list in
-    let* sum = req "sum" Json.get_float in
-    let* count = req "count" Json.get_int in
-    let floats l = List.filter_map Json.get_float l in
-    let ints l = List.filter_map Json.get_int l in
-    Ok
-      (Histogram
-         { name; labels; bounds = floats bounds; counts = ints counts; sum; count })
-  | k -> Error ("unknown metric type " ^ k)
-
-let of_json (j : Json.t) : (t, string) result =
-  match Json.member "metrics" j with
-  | Some (Json.List ms) ->
-    let rec go acc = function
-      | [] -> Ok { sn_metrics = List.rev acc }
-      | m :: rest -> (
-        match metric_of_json m with
-        | Ok m -> go (m :: acc) rest
-        | Error e -> Error e)
-    in
-    go [] ms
-  | _ -> Error "snapshot: missing \"metrics\" array"
-
-let of_json_exn j =
-  match of_json j with Ok t -> t | Error e -> failwith ("Snapshot.of_json: " ^ e)
-
 (* ------------------------------------------------------------------ text *)
 
 let label_str labels =
@@ -159,25 +106,3 @@ let metric_line (m : metric) : string =
     Printf.sprintf "%s%s=%d/%s" name (label_str labels) count (float_str sum)
 
 let to_line t = String.concat " " (List.map metric_line t.sn_metrics)
-
-let to_text t =
-  let rows =
-    List.map
-      (fun m ->
-        let k = metric_name m ^ label_str (metric_labels m) in
-        let v =
-          match m with
-          | Counter { value; _ } -> string_of_int value
-          | Gauge { value; _ } -> float_str value
-          | Histogram { sum; count; _ } ->
-            Printf.sprintf "count=%d sum=%s" count (float_str sum)
-        in
-        (k, v))
-      t.sn_metrics
-  in
-  let w = List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 rows in
-  String.concat "\n"
-    (List.map (fun (k, v) -> Printf.sprintf "%-*s %s" w k v) rows)
-
-let equal a b = a = b
-let pp ppf t = Format.pp_print_string ppf (to_line t)

@@ -2,8 +2,7 @@
 
     Snapshots replace the preformatted one-line stat strings the engines used
     to carry: every consumer (CLI, bench JSON, tests, trace args) reads typed
-    metrics instead of re-parsing text. [of_json (to_json s) = s] holds
-    exactly for snapshots built from finite floats. *)
+    metrics instead of re-parsing text. *)
 
 type metric =
   | Counter of { name : string; labels : (string * string) list; value : int }
@@ -20,14 +19,12 @@ type metric =
 type t
 
 val metric_name : metric -> string
-val metric_labels : metric -> (string * string) list
 
 (** Build a snapshot; metrics are ordered by (name, labels) so renderings
     and comparisons are deterministic. *)
 val of_metrics : metric list -> t
 
 val metrics : t -> metric list
-val is_empty : t -> bool
 
 (** Append a counter (used for registry-external facts, e.g. the provenance
     record count). *)
@@ -40,14 +37,6 @@ val counter_value : ?labels:(string * string) list -> t -> string -> int option
 val gauge_value : ?labels:(string * string) list -> t -> string -> float option
 
 val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
-val of_json_exn : Json.t -> t
-
-(** One metric per line, aligned — for verbose/text reports. *)
-val to_text : t -> string
 
 (** Compact [name=value name{k=v}=value ...] single line — for CLI output. *)
 val to_line : t -> string
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

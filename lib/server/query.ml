@@ -12,7 +12,6 @@ let rejectf code fmt = Printf.ksprintf (reject code) fmt
 
 let refusal = function
   | Reject (code, msg) -> Some (code, msg)
-  | Failure msg -> Some ("bad-request", msg)
   | _ -> None
 
 let program sess ?source name =

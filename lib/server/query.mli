@@ -8,7 +8,8 @@
     - [bad-request]: the request is malformed (an unknown analysis or
       checker, an analysis [explain] cannot serve);
     - [not-found]: no such program or taint-spec file, or it cannot be read;
-    - [compile]: the program does not compile; the message reads
+    - [compile]: the program does not compile, or its lowered IR fails
+      {!Csc_ir.Validate.check}; a compiler message reads
       [<name>:<line>:<col>: <message>];
     - [timeout]: the solve ran out of budget (its deadline or heap cap).
 
@@ -25,8 +26,7 @@ exception Reject of string * string  (** code, message *)
 val reject : string -> string -> 'a
 val rejectf : string -> ('a, unit, string, 'b) format4 -> 'a
 
-(** The [(code, message)] an exception answers with: a {!Reject}'s own, and
-    [Failure] (a malformed program under [validate]) as [bad-request].
+(** The [(code, message)] an exception answers with: a {!Reject}'s own.
     [None] for anything else, which is a bug. *)
 val refusal : exn -> (string * string) option
 

@@ -99,13 +99,6 @@ let spec_of_request t req : Run.spec =
       | Some b, Some db -> Some (Float.min b db)
       | Some b, None -> Some b
       | None, db -> db);
-    sp_validate =
-      Option.value ~default:d.Run.sp_validate (bool_member "validate" req);
-    sp_profile =
-      Option.value ~default:d.Run.sp_profile (bool_member "profile" req);
-    sp_profile_top =
-      Option.value ~default:d.Run.sp_profile_top
-        (int_member "profile_top" req);
     sp_progress_s =
       (match float_member "progress_s" req with
       | Some s -> if s <= 0. then None else Some s
@@ -271,17 +264,17 @@ let handle_update t req =
                in
                match Option.bind (Json.member "op" e) Json.get_string with
                | Some "replace" ->
-                 Csc_pta.Inc.Replace_method
+                 Csc_lang.Edit.Replace_method
                    {
                      cls = field "class";
                      meth = field "method";
                      body = field "body";
                    }
                | Some "add" ->
-                 Csc_pta.Inc.Add_method
+                 Csc_lang.Edit.Add_method
                    { cls = field "class"; meth_src = field "src" }
                | Some "remove" ->
-                 Csc_pta.Inc.Remove_method
+                 Csc_lang.Edit.Remove_method
                    { cls = field "class"; meth = field "method" }
                | Some op ->
                  rejectf "bad-request"

@@ -21,10 +21,11 @@
       server-side); alternatively [source] carries inline MiniJava text
       (with an optional [name] for error positions).
     - [analysis]: any spelling {!Csc_driver.Run.analysis_of_string} accepts.
-    - run-spec overrides, all optional: [budget_s], [validate], [profile],
-      [profile_top], [progress_s] — defaults come from the spec the server
-      was created with. [budget_s] must be positive and can only lower the
-      server's budget: the solve runs under the smaller of the two.
+    - run-spec overrides, both optional: [budget_s] and [progress_s] —
+      defaults come from the spec the server was created with. [budget_s]
+      must be positive and can only lower the server's budget: the solve
+      runs under the smaller of the two. A profile is asked for with the
+      [profile] command.
     - command-specific: [var] (pt, explain), [limit] (explain),
       [include_jdk] (pt, callgraph, check, taint), [checks] (check, a list
       of checker names), [spec] (taint, a JSON taint-spec path), [top]
@@ -38,11 +39,16 @@
     [{"op": "replace", "class": C, "method": M, "body": "<statements>"}] /
     [{"op": "add", "class": C, "src": "..."}] /
     [{"op": "remove", "class": C, "method": M}] objects applied in order to
-    the base source — or [source], the full edited text. The edited text
-    compiles through the program cache and solves through the result cache,
-    like an [analyze] of it: the result carries the new revision's [digest]
-    (the base for subsequent updates) and the ordinary analyze [outcome],
-    and [cached] is true when that revision was already solved.
+    the base source ({!Csc_lang.Edit.apply}, which finds classes, methods
+    and braces on the compiler's own tokens) — or [source], the full edited
+    text. The edited text compiles through the program cache and solves
+    through the result cache, like an [analyze] of it: the result carries
+    the new revision's [digest] (the base for subsequent updates) and the
+    ordinary analyze [outcome], and [cached] is true when that revision was
+    already solved. A replace puts ["\n" ^ body ^ "\n  "] between the
+    method's braces; an add puts ["  " ^ src ^ "\n"] before the class's
+    closing brace; a remove cuts from the method's first token to its
+    closing brace.
 
     Replies are versioned envelopes: [{"schema": 1, "id": ..., "ok": true,
     "cmd": ..., "cached": ..., "result": {...}}] on success — [cached] is

@@ -159,7 +159,7 @@ let test_disabled_path_no_alloc () =
 
 let profile_of_run analysis =
   let p = compile Fixtures.carton in
-  let s = { (Run.spec analysis) with sp_validate = true; sp_profile = true } in
+  let s = { (Run.spec analysis) with sp_profile = true } in
   match (Run.run_spec s p).Run.o_profile with
   | Some pr -> pr
   | None -> Alcotest.fail "profiled run produced no profile"
@@ -204,10 +204,7 @@ let test_profile_top_trims () =
   let p = compile Fixtures.carton in
   let o =
     Run.run_spec
-      { (Run.spec Run.Imp_ci) with
-        sp_validate = true;
-        sp_profile = true;
-        sp_profile_top = 1 }
+      { (Run.spec Run.Imp_ci) with sp_profile = true; sp_profile_top = 1 }
       p
   in
   match o.Run.o_profile with

@@ -125,20 +125,6 @@ let test_workload_end_to_end () =
       (mc.call_edge <= mi.call_edge)
   | _ -> Alcotest.fail "timeout on hsqldb"
 
-(* the validator bad-main corruption: setItem is neither static nor
-   parameterless *)
-let test_explain_validates () =
-  let p = compile Fixtures.carton in
-  let corrupted =
-    { p with Ir.main = (find_method p "Carton.setItem").Ir.m_id }
-  in
-  let s = { (Run.spec Run.Imp_csc) with Run.sp_validate = true } in
-  let failure f = match f () with _ -> None | exception Failure m -> Some m in
-  let batch = failure (fun () -> Run.run_spec s corrupted) in
-  Alcotest.(check bool) "run_spec refuses the program" true (batch <> None);
-  Alcotest.(check (option string)) "explain fails the same way" batch
-    (failure (fun () -> Csc_server.Query.explain ~limit:5 s corrupted))
-
 let suite =
   [
     ( "driver.zipper",
@@ -158,8 +144,6 @@ let suite =
         Alcotest.test_case "recall API" `Quick test_recall_api;
         Alcotest.test_case "overlap" `Quick test_overlap;
         Alcotest.test_case "csc outcome extras" `Quick test_csc_outcome_extras;
-        Alcotest.test_case "explain honours validate" `Quick
-          test_explain_validates;
         Alcotest.test_case "workload end-to-end" `Slow test_workload_end_to_end;
       ] );
   ]

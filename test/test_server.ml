@@ -485,8 +485,8 @@ let test_protocol_update () =
      be served from the result cache with the very same outcome *)
   let edited =
     match
-      Csc_pta.Inc.apply_edits Fixtures.carton
-        [ Csc_pta.Inc.Replace_method { cls = "Carton"; meth = "getItem"; body } ]
+      Csc_lang.Edit.apply Fixtures.carton
+        [ Csc_lang.Edit.Replace_method { cls = "Carton"; meth = "getItem"; body } ]
     with
     | Ok s -> s
     | Error e -> Alcotest.fail e
