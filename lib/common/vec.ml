@@ -66,6 +66,7 @@ let exists p t =
   go 0
 
 let to_list t = List.rev (fold (fun acc x -> x :: acc) [] t)
+let to_array t = Array.sub t.data 0 t.len
 let of_list dummy l =
   let t = create dummy in
   List.iter (push t) l;

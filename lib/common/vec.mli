@@ -28,6 +28,7 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
+val to_array : 'a t -> 'a array
 val of_list : 'a -> 'a list -> 'a t
 val clear : 'a t -> unit
 val pop : 'a t -> 'a option

@@ -8,19 +8,19 @@ type t =
   | Add_method of { cls : string; meth_src : string }
   | Remove_method of { cls : string; meth : string }
 
-(* index of the first [s] punctuation token at or after [i] *)
-let rec next_punct toks s i =
+(* index of the first [t] token at or after [i] *)
+let rec next_tok toks t i =
   match toks.(i).tok with
-  | PUNCT p when p = s -> Some i
   | EOF -> None
-  | _ -> next_punct toks s (i + 1)
+  | u when u = t -> Some i
+  | _ -> next_tok toks t (i + 1)
 
 (* index of the '}' matching the '{' at [i] *)
 let matching toks i =
   let rec go depth j =
     match toks.(j).tok with
-    | PUNCT "{" -> go (depth + 1) (j + 1)
-    | PUNCT "}" -> if depth = 1 then Some j else go (depth - 1) (j + 1)
+    | LBRACE -> go (depth + 1) (j + 1)
+    | RBRACE -> if depth = 1 then Some j else go (depth - 1) (j + 1)
     | EOF -> None
     | _ -> go depth (j + 1)
   in
@@ -31,8 +31,8 @@ let find_class toks cls =
   let rec go i =
     match toks.(i).tok with
     | EOF -> None
-    | KW "class" when toks.(i + 1).tok = IDENT cls ->
-      Option.bind (next_punct toks "{" (i + 2)) (fun o ->
+    | CLASS when toks.(i + 1).tok = IDENT cls ->
+      Option.bind (next_tok toks LBRACE (i + 2)) (fun o ->
           Option.map (fun c -> (o, c)) (matching toks o))
     | _ -> go (i + 1)
   in
@@ -45,12 +45,12 @@ let find_method toks (o, c) meth =
     if i >= c then None
     else
       match toks.(i).tok with
-      | PUNCT "{" -> go (i + 1) (depth + 1) start
-      | PUNCT "}" -> go (i + 1) (depth - 1) (if depth = 1 then i + 1 else start)
-      | PUNCT ";" when depth = 0 -> go (i + 1) depth (i + 1)
-      | IDENT m when depth = 0 && m = meth && toks.(i + 1).tok = PUNCT "(" -> (
-        match next_punct toks ")" (i + 1) with
-        | Some r when r + 1 < c && toks.(r + 1).tok = PUNCT "{" ->
+      | LBRACE -> go (i + 1) (depth + 1) start
+      | RBRACE -> go (i + 1) (depth - 1) (if depth = 1 then i + 1 else start)
+      | SEMI when depth = 0 -> go (i + 1) depth (i + 1)
+      | IDENT m when depth = 0 && m = meth && toks.(i + 1).tok = LPAREN -> (
+        match next_tok toks RPAREN (i + 1) with
+        | Some r when r + 1 < c && toks.(r + 1).tok = LBRACE ->
           Option.map (fun e -> (start, r + 1, e)) (matching toks (r + 1))
         | _ -> go (i + 1) depth start)
       | _ -> go (i + 1) depth start

@@ -17,8 +17,10 @@ type class_info = {
   ci_id : int;
   ci_decl : A.class_decl option;        (* None for synthesized Object *)
   mutable ci_super : int option;
-  mutable ci_fields : (string * Ir.field_id) list;  (* declared *)
-  mutable ci_methods : (string * Ir.method_id) list; (* declared, incl <init> *)
+  mutable ci_fields : Ir.field_id list;  (* declared, in reverse order *)
+  mutable ci_methods : Ir.method_id list;  (* declared, incl <init>, reversed *)
+  field_ids : (string, Ir.field_id) Hashtbl.t;  (* declared, by name *)
+  method_ids : (string, Ir.method_id) Hashtbl.t;
 }
 
 type t = {
@@ -78,7 +80,8 @@ let add_class t (decl : A.class_decl option) name : class_info =
       "duplicate class %s" name;
   let ci =
     { ci_id = n_classes t; ci_decl = decl; ci_super = None;
-      ci_fields = []; ci_methods = [] }
+      ci_fields = []; ci_methods = []; field_ids = Hashtbl.create 8;
+      method_ids = Hashtbl.create 8 }
   in
   Hashtbl.add t.class_by_name name ci;
   Hashtbl.add t.class_by_id ci.ci_id ci;
@@ -104,23 +107,15 @@ let rec conv_ty t pos : A.ty -> Ir.typ = function
   | A.Ty_class c -> Tclass (find_class t pos c).ci_id
   | A.Ty_array e -> Tarray (conv_ty t pos e)
 
-let rec lookup_field t (cid : int) name : Ir.field_id option =
+(* [name] in the [table] of class [cid] or of its nearest superclass *)
+let rec lookup table t (cid : int) name =
   let ci = class_info_by_id t cid in
-  match List.assoc_opt name ci.ci_fields with
-  | Some f -> Some f
-  | None -> (
-    match ci.ci_super with
-    | Some s -> lookup_field t s name
-    | None -> None)
+  match Hashtbl.find_opt (table ci) name with
+  | Some _ as found -> found
+  | None -> Option.bind ci.ci_super (fun s -> lookup table t s name)
 
-let rec lookup_method t (cid : int) name : Ir.method_id option =
-  let ci = class_info_by_id t cid in
-  match List.assoc_opt name ci.ci_methods with
-  | Some m -> Some m
-  | None -> (
-    match ci.ci_super with
-    | Some s -> lookup_method t s name
-    | None -> None)
+let lookup_field = lookup (fun ci -> ci.field_ids)
+let lookup_method = lookup (fun ci -> ci.method_ids)
 
 (* --------------------------------------------------------- declarations *)
 
@@ -167,15 +162,16 @@ let declare_members t (prog : A.program) =
         (fun (m : A.member) ->
           match m with
           | A.M_field { mf_static; mf_ty; mf_name; mf_pos } ->
-            if List.mem_assoc mf_name ci.ci_fields then
+            if Hashtbl.mem ci.field_ids mf_name then
               A.semantic_error mf_pos "duplicate field %s.%s" c.cd_name mf_name;
             let f_id = Vec.length t.fields in
             Vec.push t.fields
               { f_id; f_class = ci.ci_id; f_name = mf_name;
                 f_ty = conv_ty t mf_pos mf_ty; f_static = mf_static };
-            ci.ci_fields <- (mf_name, f_id) :: ci.ci_fields
+            Hashtbl.add ci.field_ids mf_name f_id;
+            ci.ci_fields <- f_id :: ci.ci_fields
           | A.M_method { mm_static; mm_ret; mm_name; mm_params; mm_pos; _ } ->
-            if List.mem_assoc mm_name ci.ci_methods then
+            if Hashtbl.mem ci.method_ids mm_name then
               A.semantic_error mm_pos "duplicate method %s.%s" c.cd_name mm_name;
             let m_id = Vec.length t.methods in
             let ret_ty = conv_ty t mm_pos mm_ret in
@@ -196,7 +192,8 @@ let declare_members t (prog : A.program) =
               { m_id; m_class = ci.ci_id; m_name = mm_name; m_static = mm_static;
                 m_this = this; m_params = Array.of_list params;
                 m_ret_ty = ret_ty; m_ret_var = None; m_body = [||] };
-            ci.ci_methods <- (mm_name, m_id) :: ci.ci_methods;
+            Hashtbl.add ci.method_ids mm_name m_id;
+            ci.ci_methods <- m_id :: ci.ci_methods;
             if mm_static && mm_name = "main" then begin
               match t.main with
               | Some _ -> A.semantic_error mm_pos "duplicate main method"
@@ -211,35 +208,45 @@ type env = {
   t : t;
   meth : Ir.metho;
   cls : class_info;
-  mutable scopes : (string * Ir.var_id) list list;
-  buf : Ir.stmt Vec.t;
+  locals : (string, Ir.var_id * int) Hashtbl.t;  (* innermost, with depth *)
+  mutable scopes : string list list;  (* names bound per scope, innermost first *)
+  mutable buf : Ir.stmt Vec.t;
   mutable tmp_count : int;
 }
 
 let push_scope env = env.scopes <- [] :: env.scopes
-let pop_scope env = env.scopes <- List.tl env.scopes
+
+let pop_scope env =
+  List.iter (Hashtbl.remove env.locals) (List.hd env.scopes);
+  env.scopes <- List.tl env.scopes
+
+let bind env name v =
+  Hashtbl.add env.locals name (v, List.length env.scopes);
+  env.scopes <- (name :: List.hd env.scopes) :: List.tl env.scopes
 
 let declare_local env pos name ty =
-  (match env.scopes with
-  | scope :: _ when List.mem_assoc name scope ->
+  (match Hashtbl.find_opt env.locals name with
+  | Some (_, depth) when depth = List.length env.scopes ->
     A.semantic_error pos "duplicate local variable %s" name
   | _ -> ());
   let v = fresh_var env.t ~method_id:env.meth.m_id ~name ~ty ~kind:`Local in
-  env.scopes <- ((name, v) :: List.hd env.scopes) :: List.tl env.scopes;
+  bind env name v;
   v
 
 let lookup_var env name : Ir.var_id option =
-  let rec go = function
-    | [] -> None
-    | scope :: rest -> (
-      match List.assoc_opt name scope with
-      | Some v -> Some v
-      | None -> go rest)
-  in
-  go env.scopes
+  Option.map fst (Hashtbl.find_opt env.locals name)
+
+(* run [f] with a fresh statement buffer, returning what it emitted *)
+let lower_into env f =
+  let outer = env.buf in
+  env.buf <- Vec.create Ir.Nop;
+  let r = f () in
+  let stmts = Vec.to_array env.buf in
+  env.buf <- outer;
+  (r, stmts)
 
 let fresh_temp env ty : Ir.var_id =
-  let name = Printf.sprintf "$t%d" env.tmp_count in
+  let name = "$t" ^ string_of_int env.tmp_count in
   env.tmp_count <- env.tmp_count + 1;
   fresh_var env.t ~method_id:env.meth.m_id ~name ~ty ~kind:`Temp
 
@@ -574,25 +581,16 @@ let rec lower_stmt env (s : A.stmt) : unit =
   | A.While (cond, body) ->
     (* the condition is lowered into its own buffer so the interpreter can
        re-evaluate it at each iteration *)
-    let saved = Vec.to_list env.buf in
-    Vec.clear env.buf;
-    let c = lower_expr env cond in
-    let cond_pre = Array.of_list (Vec.to_list env.buf) in
-    Vec.clear env.buf;
-    List.iter (Vec.push env.buf) saved;
+    let c, cond_pre = lower_into env (fun () -> lower_expr env cond) in
     let body_a = lower_block env body in
     emit env (While { cond = c; cond_pre; body = body_a })
 
 and lower_block env (body : A.stmt list) : Ir.stmt array =
-  let saved = Vec.to_list env.buf in
-  Vec.clear env.buf;
-  push_scope env;
-  List.iter (lower_stmt env) body;
-  pop_scope env;
-  let out = Array.of_list (Vec.to_list env.buf) in
-  Vec.clear env.buf;
-  List.iter (Vec.push env.buf) saved;
-  out
+  snd
+    (lower_into env (fun () ->
+         push_scope env;
+         List.iter (lower_stmt env) body;
+         pop_scope env))
 
 (* single-return funnelling *)
 
@@ -627,20 +625,18 @@ let lower_method t (ci : class_info) (mid : Ir.method_id) (decl : A.member) : un
   | A.M_method { mm_body; mm_params; _ } ->
     let meth = Vec.get t.methods mid in
     let env =
-      { t; meth; cls = ci; scopes = [ [] ]; buf = Vec.create Ir.Nop;
-        tmp_count = 0 }
+      { t; meth; cls = ci; locals = Hashtbl.create 16; scopes = [ [] ];
+        buf = Vec.create Ir.Nop; tmp_count = 0 }
     in
-    (* params are pre-declared vars; bring them into scope *)
-    let scope =
-      List.map2
-        (fun (_, name) v -> (name, v))
-        mm_params
-        (Array.to_list meth.m_params)
-    in
-    env.scopes <- [ scope ];
+    (* params are pre-declared vars; bring them into scope, binding in
+       reverse so that a repeated name resolves to its first param *)
+    List.iter2
+      (fun (_, name) v -> bind env name v)
+      (List.rev mm_params)
+      (List.rev (Array.to_list meth.m_params));
     push_scope env;
     List.iter (lower_stmt env) mm_body;
-    let body = Array.of_list (Vec.to_list env.buf) in
+    let body = Vec.to_array env.buf in
     let ret_var, body =
       if meth.m_ret_ty = Tvoid then (None, body)
       else
@@ -667,15 +663,15 @@ let finish t : Ir.program =
              c_name =
                (match ci.ci_decl with Some d -> d.cd_name | None -> "Object");
              c_super = ci.ci_super;
-             c_fields = List.rev_map snd ci.ci_fields;
-             c_methods = List.rev_map snd ci.ci_methods;
+             c_fields = List.rev ci.ci_fields;
+             c_methods = List.rev ci.ci_methods;
            })
          t.class_list)
   in
   Array.sort (fun (a : Ir.klass) b -> compare a.c_id b.c_id) classes;
-  let methods = Array.of_list (Vec.to_list t.methods) in
-  let vars = Array.of_list (Vec.to_list t.vars) in
-  let fields = Array.of_list (Vec.to_list t.fields) in
+  let methods = Vec.to_array t.methods in
+  let vars = Vec.to_array t.vars in
+  let fields = Vec.to_array t.fields in
   let nclasses = Array.length classes in
   (* vtables *)
   let vtables = Array.init nclasses (fun _ -> Hashtbl.create 8) in
@@ -732,9 +728,9 @@ let finish t : Ir.program =
     fields;
     methods;
     vars;
-    allocs = Array.of_list (Vec.to_list t.allocs);
-    calls = Array.of_list (Vec.to_list t.calls);
-    casts = Array.of_list (Vec.to_list t.casts);
+    allocs = Vec.to_array t.allocs;
+    calls = Vec.to_array t.calls;
+    casts = Vec.to_array t.casts;
     main;
     object_cls;
     string_cls;
@@ -743,26 +739,27 @@ let finish t : Ir.program =
     subtypes;
   }
 
-(** Compile a list of (unit-name, source) pairs into one program. *)
+(** Compile a list of (unit-name, source) pairs into one program. Each
+    phase is a ["frontend"] trace span; lexing has no span of its own,
+    because the parser pulls tokens as it goes, so [parse] covers both. *)
 let compile (sources : (string * string) list) : Ir.program =
+  let span name f = Csc_obs.Trace.with_span ~cat:"frontend" name f in
   let asts =
-    List.concat_map (fun (_name, src) -> Parser.parse_program src) sources
+    span "parse" (fun () ->
+        List.concat_map (fun (_name, src) -> Parser.parse_program src) sources)
   in
   let t = create () in
-  declare_classes t asts;
-  declare_members t asts;
-  List.iter
-    (fun (c : A.class_decl) ->
-      let ci = Hashtbl.find t.class_by_name c.cd_name in
-      (* pair declared methods with their ids, in declaration order *)
-      let mids =
-        List.filter
-          (fun (_, mid) -> (Vec.get t.methods mid).Ir.m_class = ci.ci_id)
-          (List.rev ci.ci_methods)
-      in
-      let decls =
-        List.filter (function A.M_method _ -> true | _ -> false) c.cd_members
-      in
-      List.iter2 (fun (_, mid) d -> lower_method t ci mid d) mids decls)
-    asts;
-  finish t
+  span "declare" (fun () ->
+      declare_classes t asts;
+      declare_members t asts);
+  span "lower" (fun () ->
+      List.iter
+        (fun (c : A.class_decl) ->
+          let ci = Hashtbl.find t.class_by_name c.cd_name in
+          (* pair declared methods with their ids, in declaration order *)
+          let decls =
+            List.filter (function A.M_method _ -> true | _ -> false) c.cd_members
+          in
+          List.iter2 (lower_method t ci) (List.rev ci.ci_methods) decls)
+        asts);
+  span "finish" (fun () -> finish t)

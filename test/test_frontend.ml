@@ -30,8 +30,8 @@ let test_lexer_basic () =
   in
   Alcotest.(check int) "token count" 8 (List.length kinds);
   match kinds with
-  | KW "class" :: IDENT "A" :: PUNCT "{" :: KW "int" :: IDENT "x"
-    :: PUNCT ";" :: PUNCT "}" :: EOF :: _ ->
+  | CLASS :: IDENT "A" :: LBRACE :: INT_KW :: IDENT "x" :: SEMI :: RBRACE
+    :: EOF :: _ ->
     ()
   | _ -> Alcotest.fail "unexpected token stream"
 
@@ -40,9 +40,11 @@ let test_lexer_two_char_ops () =
   let puncts =
     Array.to_list toks
     |> List.filter_map (fun (t : Csc_lang.Lexer.loc_token) ->
-           match t.tok with Csc_lang.Lexer.PUNCT p -> Some p | _ -> None)
+           match t.tok with
+           | Csc_lang.Lexer.IDENT _ | EOF -> None
+           | tok -> Some (Csc_lang.Lexer.describe tok))
   in
-  Alcotest.(check (list string)) "ops" [ "<="; "=="; "&&" ] puncts
+  Alcotest.(check (list string)) "ops" [ {|"<="|}; {|"=="|}; {|"&&"|} ] puncts
 
 let test_lexer_string_escape () =
   let toks = Csc_lang.Lexer.tokenize {|"a\nb"|} in
@@ -54,6 +56,93 @@ let test_lexer_error () =
   Alcotest.check_raises "bad char"
     (Csc_lang.Ast.Syntax_error ({ line = 1; col = 1 }, "unexpected character '#'"))
     (fun () -> ignore (Csc_lang.Lexer.tokenize "#"))
+
+let test_lexer_pull_equals_tokenize () =
+  (* [tokenize] is [next] drained; every token's byte offset agrees with
+     its line and column *)
+  let src = Csc_workloads.Suite.source "findbugs" in
+  let toks = Csc_lang.Lexer.tokenize src in
+  let lx = Csc_lang.Lexer.create src in
+  let line = ref 1 and bol = ref 0 and last = ref 0 in
+  Array.iteri
+    (fun k (t : Csc_lang.Lexer.loc_token) ->
+      if Csc_lang.Lexer.next lx <> t then Alcotest.failf "token %d differs" k;
+      for i = !last to t.off - 1 do
+        if src.[i] = '\n' then begin
+          incr line;
+          bol := i + 1
+        end
+      done;
+      last := t.off;
+      if t.pos <> { line = !line; col = t.off - !bol + 1 } then
+        Alcotest.failf "token %d at byte %d: pos %d:%d" k t.off t.pos.line t.pos.col)
+    toks;
+  Alcotest.(check bool) "EOF forever" true
+    ((Csc_lang.Lexer.next lx).tok = EOF && (Csc_lang.Lexer.next lx).tok = EOF)
+
+let test_parse_deep_cast () =
+  (* the cast test looks 20 tokens ahead, past the parser's initial window *)
+  let src =
+    "class Main { static void main() { Object x = null;\n\
+    \  Object y = (int[][][][][][][][]) x; } }"
+  in
+  match Csc_lang.Parser.parse_program src with
+  | [ { cd_members =
+          [ M_method { mm_body = [ _; { s = Decl (_, "y", Some e); _ } ]; _ } ];
+        _ } ] -> (
+    let rec dims = function Csc_lang.Ast.Ty_array t -> 1 + dims t | _ -> 0 in
+    match e.e with
+    | Cast ((Ty_array _ as ty), { e = Var "x"; _ }) ->
+      Alcotest.(check int) "dims" 8 (dims ty)
+    | _ -> Alcotest.fail "not a cast of x")
+  | _ -> Alcotest.fail "unexpected program shape"
+
+let test_errors_in_source_order () =
+  (* a syntax error on line 2 is reported before a bad character on line 9:
+     the parser pulls tokens, so the file is not lexed to the end first *)
+  let src =
+    "class Main {\n  static void main() { int x = ; }\n}\n\n\n\n\n\n\
+     class B { # }\n"
+  in
+  Alcotest.check_raises "line 2"
+    (Csc_lang.Ast.Syntax_error
+       ({ line = 2; col = 32 }, "expected an expression but found \";\""))
+    (fun () -> ignore (Csc_lang.Parser.parse_program src))
+
+let test_local_scopes () =
+  (* an inner block may shadow an outer local or a parameter; the outer one
+     is visible again after the block; a redeclaration in one scope is an
+     error *)
+  let p =
+    compile
+      {|
+class Main {
+  static int f(int a) {
+    int x = a;
+    { int x = 5; int a = x; }
+    return x;
+  }
+  static void main() { int r = f(1); }
+}
+|}
+  in
+  let f = find_method p "Main.f" in
+  (match f.m_ret_var with
+  | Some v -> Alcotest.(check string) "outer x returned" "x" (Ir.var_name p v)
+  | None -> Alcotest.fail "f should return a var");
+  let xs =
+    Array.to_list p.vars
+    |> List.filter (fun (v : Ir.var) -> v.v_method = f.m_id && v.v_name = "x")
+  in
+  Alcotest.(check int) "two x" 2 (List.length xs);
+  Alcotest.(check bool) "returns the first x" true
+    (f.m_ret_var = Some (List.hd xs).v_id);
+  Alcotest.check_raises "duplicate"
+    (Csc_lang.Ast.Semantic_error
+       ({ line = 1; col = 46 }, "duplicate local variable x"))
+    (fun () ->
+      ignore
+        (compile "class Main { static void main() { int x = 1; int x = 2; } }"))
 
 let test_parse_carton () =
   let p = compile Fixtures.carton in
@@ -213,10 +302,16 @@ let suite =
         Alcotest.test_case "two-char operators" `Quick test_lexer_two_char_ops;
         Alcotest.test_case "string escapes" `Quick test_lexer_string_escape;
         Alcotest.test_case "lex error" `Quick test_lexer_error;
+        Alcotest.test_case "tokenize drains next" `Quick
+          test_lexer_pull_equals_tokenize;
+        Alcotest.test_case "deep cast lookahead" `Quick test_parse_deep_cast;
+        Alcotest.test_case "errors in source order" `Quick
+          test_errors_in_source_order;
       ] );
     ( "lang.frontend",
       [
         Alcotest.test_case "carton compiles" `Quick test_parse_carton;
+        Alcotest.test_case "local scopes" `Quick test_local_scopes;
         Alcotest.test_case "store lowering is direct" `Quick test_store_lowering;
         Alcotest.test_case "def counts" `Quick test_def_counts;
         Alcotest.test_case "multi-return funnel" `Quick test_multi_return_funnel;

@@ -165,6 +165,62 @@ let test_datalog name () =
       end)
     datalog_pinned
 
+(* The frontend's output, pinned before the lexer became a pull lexer and
+   the resolver's member lists became hash tables: MD5 of
+   [Ir.pp_program] for every suite program and sample program. The
+   digests were recorded on the commit before that rewrite; compiling must
+   keep every byte. *)
+let frontend_pinned =
+  [ ("hsqldb", "cb642bbccd6617a696e4410b6f24b920");
+    ("findbugs", "b83b031f02264c75f67a838c700af3b2");
+    ("eclipse", "47d5be1605ac54c02cd255dac9fcb925");
+    ("jedit", "71a5f0f5a37f73d159ed2a0d737b0e7f");
+    ("jython", "15edb420427e3a9a9c84b0261ef07fb6");
+    ("freecol", "7c541bb79542e33943a34cd722f05b5a");
+    ("briss", "032b315dd99e3e949c52cdf6d3e3d4fa");
+    ("soot", "7e6b160f7953d3440cbc62f6bed9dab7");
+    ("columba", "77d32d2d365640db2ddd8dc12fe1f3f1");
+    ("gruntspud", "da8022ef17dfc612d2fa7de639bcefcd");
+    ("nullbugs.mjava", "630d5b226f5fa9f60499c9700f64b216");
+    ("plugins.mjava", "846661804f2073e1989cb419930e09c8") ]
+
+let test_frontend name () =
+  Alcotest.(check string) name (List.assoc name frontend_pinned)
+    (Digest.to_hex (Digest.string (Fmt.str "%a" Ir.pp_program (program name))))
+
+(* Malformed inputs and the exact [Syntax_error] each raises, recorded on
+   the same commit: (what, source, line, col, message). *)
+let frontend_errors =
+  [ ("bad character",
+     "class Main {\n  static void main() {\n    int x = 1 # 2;\n  }\n}\n",
+     3, 15, "unexpected character '#'");
+    ("unterminated string",
+     "class Main {\n  static void main() {\n    String s = \"abc;\n  }\n}\n",
+     3, 16, "unterminated string literal");
+    ("unterminated comment",
+     "class Main {\n  /* never closed\n  static void main() { }\n}\n",
+     2, 3, "unterminated comment");
+    ("missing semicolon",
+     "class Main {\n  static void main() {\n    int x = 1\n  }\n}\n",
+     4, 3, "expected \";\" but found \"}\"");
+    ("missing brace at EOF",
+     "class Main {\n  static void main() {\n  }\n",
+     4, 1, "expected a type but found end of input");
+    ("malformed cast",
+     "class Main {\n  static void main() {\n    Object o = (Object[) x;\n  }\n}\n",
+     3, 24, "expected an expression but found \")\"") ]
+
+let test_frontend_errors () =
+  let got (what, src, _, _, _) =
+    match Csc_lang.Parser.parse_program src with
+    | _ -> Alcotest.failf "%s: parsed" what
+    | exception Csc_lang.Ast.Syntax_error (pos, m) -> (what, pos.line, pos.col, m)
+  in
+  let show (what, line, col, m) = Printf.sprintf "%s: %d:%d: %s" what line col m in
+  Alcotest.(check (list string)) "errors"
+    (List.map (fun (w, _, l, c, m) -> show (w, l, c, m)) frontend_errors)
+    (List.map (fun e -> show (got e)) frontend_errors)
+
 let suite =
   [ ( "pinned.renders",
       List.map
@@ -178,4 +234,9 @@ let suite =
     ( "pinned.datalog",
       List.map
         (fun name -> Alcotest.test_case name `Quick (test_datalog name))
-        [ "findbugs"; "hsqldb" ] ) ]
+        [ "findbugs"; "hsqldb" ] );
+    ( "pinned.frontend",
+      List.map
+        (fun (name, _) -> Alcotest.test_case name `Quick (test_frontend name))
+        frontend_pinned
+      @ [ Alcotest.test_case "syntax errors" `Quick test_frontend_errors ] ) ]
