@@ -247,6 +247,11 @@ let ablation cfg g =
     ]
   in
   let metrics r a = (cell cfg g r a).o_metrics in
+  let variants =
+    (("none (ci)", Run.Imp_ci)
+     :: List.map (fun (n, v) -> (n, Run.Imp_csc_cfg v)) ablation_variants)
+    @ [ ("all (csc)", Run.Imp_csc) ]
+  in
   (* the programs where both CI and full CSC finished *)
   let base =
     List.filter_map
@@ -258,17 +263,18 @@ let ablation cfg g =
   in
   Fmt.pr "%-11s" "pattern";
   List.iter (fun (cname, _) -> Fmt.pr " %11s" cname) clients;
-  Fmt.pr "@.";
-  (* average over programs of (CI - variant) / (CI - full CSC) *)
+  Fmt.pr " %9s@." "solve(s)";
+  (* average over programs of (CI - variant) / (CI - full CSC), and the
+     variant's solve time summed over the same programs *)
   List.iter
-    (fun (vname, v) ->
+    (fun (vname, a) ->
       Fmt.pr "%-11s" vname;
       List.iter
         (fun (_, f) ->
           let sum =
             List.fold_left
               (fun acc (r, ci, full) ->
-                match metrics r (Run.Imp_csc_cfg v) with
+                match metrics r a with
                 | Some mv when f ci - f full > 0 ->
                   acc +. (float (f ci - f mv) /. float (f ci - f full))
                 | _ -> acc)
@@ -276,12 +282,16 @@ let ablation cfg g =
           in
           Fmt.pr " %10.1f%%" (100. *. sum /. float (max 1 (List.length base))))
         clients;
-      Fmt.pr "@.")
-    ablation_variants;
+      let time =
+        List.fold_left (fun acc (r, _, _) -> acc +. (cell cfg g r a).o_time) 0. base
+      in
+      Fmt.pr " %9.2f@." time)
+    variants;
   Fmt.pr
     "(share of the CI->CSC improvement each pattern achieves alone, averaged \
      over programs;@. the three shares need not sum to 100%%: patterns \
-     reinforce each other, §5.1)@."
+     reinforce each other, §5.1; solve(s) sums the solve times of those \
+     programs)@."
 
 (* ----------------------------------------------------------- extensions *)
 

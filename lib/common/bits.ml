@@ -103,6 +103,15 @@ let iter_diff f src excl =
     done
   done
 
+(* set bits of a word (Kernighan: one step per set bit) *)
+let popcount x =
+  let x = ref x and n = ref 0 in
+  while !x <> 0 do
+    incr n;
+    x := !x land (!x - 1)
+  done;
+  !n
+
 let fold f t acc =
   let acc = ref acc in
   iter (fun i -> acc := f i !acc) t;
@@ -149,17 +158,12 @@ let union_into ~into src =
     let fresh = s land lnot d in
     if fresh <> 0 then begin
       into.words.(w) <- d lor fresh;
-      let x = ref fresh in
-      let cnt = ref 0 in
-      while !x <> 0 do
-        incr cnt;
-        x := !x land (!x - 1)
-      done;
-      into.card <- into.card + !cnt;
+      let cnt = popcount fresh in
+      into.card <- into.card + cnt;
       let dl = get_delta () in
       ensure dl ((w + 1) * word_bits - 1);
       dl.words.(w) <- fresh;
-      dl.card <- dl.card + !cnt
+      dl.card <- dl.card + cnt
     end
   done;
   !delta
@@ -175,15 +179,19 @@ let union_quiet ~into src =
     let fresh = s land lnot d in
     if fresh <> 0 then begin
       into.words.(w) <- d lor fresh;
-      let x = ref fresh in
-      let cnt = ref 0 in
-      while !x <> 0 do
-        incr cnt;
-        x := !x land (!x - 1)
-      done;
-      into.card <- into.card + !cnt
+      into.card <- into.card + popcount fresh
     end
   done
+
+let inter a b =
+  let n = min (Array.length a.words) (Array.length b.words) in
+  let words = Array.make (max n 1) 0 and card = ref 0 in
+  for w = 0 to n - 1 do
+    let x = a.words.(w) land b.words.(w) in
+    words.(w) <- x;
+    card := !card + popcount x
+  done;
+  { words; card = !card }
 
 let inter_nonempty a b =
   let n = min (Array.length a.words) (Array.length b.words) in

@@ -49,6 +49,9 @@ val union_into : into:t -> t -> t option
     materializing a delta. (No allocation beyond growing [into].) *)
 val union_quiet : into:t -> t -> unit
 
+(** [inter a b] is a fresh set of the elements in both. *)
+val inter : t -> t -> t
+
 (** Do the two sets share an element? (No allocation.) *)
 val inter_nonempty : t -> t -> bool
 

@@ -83,27 +83,39 @@ type t = {
   li : Static.load_info;
   cut_load : Bits.t;  (* li_cut minus container exits/transfers *)
   cut_lflow : Bits.t;
-  lflow_srcs : (Ir.method_id, int list) Hashtbl.t;
+  lflow_srcs : int list Inttbl.t;  (* method -> source parameter indices *)
+  (* ---- objects, sorted once as the solver interns them ---- *)
+  mutable n_sorted : int;  (* objects [0, n_sorted) are sorted *)
+  host_objs : Bits.t;      (* instances of host classes *)
+  array_objs : Bits.t;     (* arrays: they have no fields *)
   (* ---- field pattern dynamic state ---- *)
-  store_pats : (Ir.method_id, (int * Ir.field_id * int) list ref) Hashtbl.t;
-  load_pats : (Ir.method_id, (int * Ir.field_id) list ref) Hashtbl.t;
-  callers : (Ir.method_id, Ir.call_id list ref) Hashtbl.t;
-  subs : (int, sub list ref) Hashtbl.t;  (* base ptr -> subscriptions *)
+  store_pats : (int * Ir.field_id * int) list ref Inttbl.t;  (* by method *)
+  load_pats : (int * Ir.field_id) list ref Inttbl.t;         (* by method *)
+  callers : Ir.call_id list ref Inttbl.t;                    (* by method *)
+  subs : sub list ref Inttbl.t;  (* base ptr -> subscriptions *)
   sub_seen : (int * sub, unit) Hashtbl.t;
   (* returnLoadEdges classification *)
-  retload_pats : (int, (int * Ir.field_id) list ref) Hashtbl.t;
+  retload_pats : (int * Ir.field_id) list ref Inttbl.t;
       (* cut ret-var ptr -> (base ptr, field): in-method load edges *)
-  tagged : (int * int, unit) Hashtbl.t;  (* plugin-added returnLoad edges *)
-  relays : (Ir.method_id, relay) Hashtbl.t;
-  ret_ptr_owner : (int, Ir.method_id) Hashtbl.t;  (* m_ret ptr -> cut-load m *)
+  tagged : unit Inttbl.t;
+      (* plugin-added returnLoad edges, keyed (src lsl 31) lor dst *)
+  relays : relay Inttbl.t;  (* by cut-load method *)
+  ret_ptr_owner : Ir.method_id Inttbl.t;  (* m_ret ptr -> cut-load m *)
   (* ---- container pattern dynamic state ---- *)
-  pt_h : (int, Bits.t) Hashtbl.t;  (* ptr -> host objects *)
-  roles : (int, role list ref) Hashtbl.t;  (* receiver ptr -> roles *)
+  pt_h : Bits.t Vec.t;  (* ptr -> host objects; [no_hosts] until the first *)
+  no_hosts : Bits.t;    (* shared empty sentinel, compared physically *)
+  roles : role list ref Inttbl.t;  (* receiver ptr -> roles *)
   role_seen : (int * role, unit) Hashtbl.t;
-  sources : (int * Spec.category, int list ref) Hashtbl.t;  (* host -> srcs *)
-  targets : (int * Spec.category, int list ref) Hashtbl.t;
+  (* Source/Target pointers per (host, category), keyed by [host_cat];
+     the lists keep emission order, the [_seen] sets (keyed
+     (host_cat lsl 31) lor ptr) answer membership *)
+  sources : int list ref Inttbl.t;
+  targets : int list ref Inttbl.t;
+  sources_seen : unit Inttbl.t;
+  targets_seen : unit Inttbl.t;
   (* ---- statistics ---- *)
-  involved : Bits.t;  (* methods touched by cut or shortcut edges *)
+  involved : Bits.t;  (* methods touched by cuts and propagated patterns *)
+  sc_ends : Bits.t;   (* endpoint pointers of shortcut edges *)
   (* per-rule counters in the solver's registry: which pattern fired *)
   c_sc_store : Registry.counter;
   c_sc_load : Registry.counter;
@@ -119,11 +131,11 @@ type t = {
 (* ----------------------------------------------------------- small utils *)
 
 let get_list tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r
-  | None ->
+  match Inttbl.find tbl key with
+  | r -> r
+  | exception Not_found ->
     let r = ref [] in
-    Hashtbl.add tbl key r;
+    Inttbl.add tbl key r;
     r
 
 let ptr_var t v = Solver.ptr_var t.solver ~ctx:t.ci v
@@ -141,10 +153,15 @@ let method_of_ptr t (ptr : int) : Ir.method_id option =
     Some (Ir.alloc t.prog (Solver.obj_alloc t.solver o)).a_method
   | PStatic _ -> None
 
-let mark_involved t ptr =
-  match method_of_ptr t ptr with
-  | Some m -> ignore (Bits.add t.involved m)
-  | None -> ()
+(* sort the objects the solver interned since the last call *)
+let sort_objs t =
+  let n = Solver.n_objs t.solver in
+  for o = t.n_sorted to n - 1 do
+    match Solver.obj_class t.solver o with
+    | None -> ignore (Bits.add t.array_objs o)
+    | Some c -> if Spec.is_host_class t.spec c then ignore (Bits.add t.host_objs o)
+  done;
+  t.n_sorted <- n
 
 (** Fault-injection hook for the soundness fuzzer: when set, store-pattern
     shortcut edges are silently dropped while the matching cuts still apply —
@@ -168,8 +185,8 @@ let shortcut ?filter t rule ~src ~dst =
         | None -> Registry.counter_name rule
       in
       Attr.rule_fire (Attr.rule a ("csc:" ^ pat)));
-    mark_involved t src;
-    mark_involved t dst;
+    ignore (Bits.add t.sc_ends src);
+    ignore (Bits.add t.sc_ends dst);
     Solver.add_edge ~kind:Solver.KShortcut ?filter t.solver ~src ~dst
   end
 
@@ -239,16 +256,17 @@ and add_sub t (base_ptr : int) (s : sub) =
   end
 
 and fire_sub t (s : sub) (objs : Bits.t) =
+  sort_objs t;
   Bits.iter
     (fun o ->
-      if Solver.obj_class t.solver o <> None then
+      if not (Bits.mem t.array_objs o) then
         match s with
         | Sub_store { fld; from_ptr } ->
           shortcut t t.c_sc_store ~src:from_ptr
             ~dst:(Solver.ptr_field t.solver ~obj:o ~fld)
         | Sub_load { fld; to_ptr; tag } ->
           let src = Solver.ptr_field t.solver ~obj:o ~fld in
-          if tag then Hashtbl.replace t.tagged (src, to_ptr) ();
+          if tag then Inttbl.replace t.tagged ((src lsl 31) lor to_ptr) ();
           shortcut t t.c_sc_load ~src ~dst:to_ptr)
     objs
 
@@ -259,11 +277,11 @@ and fire_sub t (s : sub) (objs : Bits.t) =
    directly into the return variable are forwarded as seeds. *)
 
 let relay_of t (m : Ir.method_id) : relay =
-  match Hashtbl.find_opt t.relays m with
+  match Inttbl.find_opt t.relays m with
   | Some r -> r
   | None ->
     let r = { rl_in_edges = []; rl_lhs = []; rl_seeds = Bits.create () } in
-    Hashtbl.add t.relays m r;
+    Inttbl.add t.relays m r;
     r
 
 let relay_in_edge t (m : Ir.method_id) ~(src : int) ~(filter : Ir.typ option) =
@@ -290,42 +308,56 @@ let relay_seed t (m : Ir.method_id) (o : int) =
 
 (* ------------------------------------------------------ container pattern *)
 
-let pt_h_of t ptr =
-  match Hashtbl.find_opt t.pt_h ptr with
-  | Some b -> b
-  | None ->
+(* host objects of [ptr]; the shared empty sentinel if it has none yet *)
+let pt_h_of t ptr = Vec.get_or t.pt_h ptr
+
+(* [ptr]'s own host set, materialized for writing *)
+let pt_h_slot t ptr =
+  let b = Vec.get_or t.pt_h ptr in
+  if b != t.no_hosts then b
+  else begin
     let b = Bits.create () in
-    Hashtbl.add t.pt_h ptr b;
+    Vec.set_grow t.pt_h ptr b;
     b
+  end
+
+let host_cat host (cat : Spec.category) =
+  (host lsl 2) lor match cat with Coll_val -> 0 | Map_key -> 1 | Map_val -> 2
 
 let rec add_source t host cat (src_ptr : int) =
-  let srcs = get_list t.sources (host, cat) in
-  if not (List.mem src_ptr !srcs) then begin
+  let hc = host_cat host cat in
+  let key = (hc lsl 31) lor src_ptr in
+  if not (Inttbl.mem t.sources_seen key) then begin
+    Inttbl.add t.sources_seen key ();
+    let srcs = get_list t.sources hc in
     srcs := src_ptr :: !srcs;
     List.iter
       (fun tgt -> shortcut t t.c_sc_container ~src:src_ptr ~dst:tgt)
-      !(get_list t.targets (host, cat))
+      !(get_list t.targets hc)
   end
 
 and add_target t host cat (tgt_ptr : int) =
-  let tgts = get_list t.targets (host, cat) in
-  if not (List.mem tgt_ptr !tgts) then begin
+  let hc = host_cat host cat in
+  let key = (hc lsl 31) lor tgt_ptr in
+  if not (Inttbl.mem t.targets_seen key) then begin
+    Inttbl.add t.targets_seen key ();
+    let tgts = get_list t.targets hc in
     tgts := tgt_ptr :: !tgts;
     List.iter
       (fun src -> shortcut t t.c_sc_container ~src ~dst:tgt_ptr)
-      !(get_list t.sources (host, cat))
+      !(get_list t.sources hc)
   end
 
 (* host propagation: ColHost/MapHost seeds arrive via [on_new_pts];
    PropHost follows PFG edges except Transfer-return edges; TransferHost and
    the Source/Target registration are driven by roles. *)
 and add_hosts t (ptr : int) (delta : Bits.t) =
-  let cur = pt_h_of t ptr in
+  let cur = pt_h_slot t ptr in
   match Bits.union_into ~into:cur delta with
   | None -> ()
   | Some fresh ->
     (* roles on this pointer as a receiver *)
-    (match Hashtbl.find_opt t.roles ptr with
+    (match Inttbl.find_opt t.roles ptr with
     | Some roles ->
       List.iter (fun role -> apply_role t role fresh) !roles
     | None -> ());
@@ -353,7 +385,7 @@ and apply_role t (role : role) (hosts : Bits.t) =
 
 let apply_lflow t (site : Ir.call_id) (callee : Ir.method_id) =
   let cs = Ir.call t.prog site in
-  match (cs.cs_lhs, Hashtbl.find_opt t.lflow_srcs callee) with
+  match (cs.cs_lhs, Inttbl.find_opt t.lflow_srcs callee) with
   | Some lhs, Some srcs ->
     let lhs_ptr = ptr_var t lhs in
     List.iter
@@ -384,7 +416,7 @@ let on_reachable t (mid : Ir.method_id) =
       ignore (Bits.add t.involved mid);
       let rv = Option.get m.m_ret_var in
       let rp = ptr_var t rv in
-      Hashtbl.replace t.ret_ptr_owner rp mid;
+      Inttbl.replace t.ret_ptr_owner rp mid;
       List.iter
         (fun (k, fld) ->
           (* classify the in-method load edges o.f -> rv as returnLoads,
@@ -418,7 +450,7 @@ let on_reachable t (mid : Ir.method_id) =
     match Static.local_flow_sources t.prog m with
     | Some srcs ->
       ignore (Bits.add t.cut_lflow mid);
-      Hashtbl.replace t.lflow_srcs mid srcs;
+      Inttbl.replace t.lflow_srcs mid srcs;
       ignore (Bits.add t.involved mid);
       (* the first call edge fires before the method is processed *)
       List.iter (fun site -> apply_lflow t site mid) !(get_list t.callers mid)
@@ -469,28 +501,14 @@ let on_call_edge t (site : Ir.call_id) (callee : Ir.method_id) =
 
 let on_new_pts t (ptr : int) (delta : Bits.t) =
   (* subscriptions of the field patterns *)
-  (match Hashtbl.find_opt t.subs ptr with
-  | Some subs -> List.iter (fun s -> fire_sub t s delta) !subs
-  | None -> ());
+  (match Inttbl.find t.subs ptr with
+  | subs -> List.iter (fun s -> fire_sub t s delta) !subs
+  | exception Not_found -> ());
   (* ColHost / MapHost: container objects flowing anywhere become hosts *)
   if t.cfg.container_pattern then begin
-    let hosts = ref None in
-    Bits.iter
-      (fun o ->
-        match Solver.obj_class t.solver o with
-        | Some c when Spec.is_host_class t.spec c ->
-          let b =
-            match !hosts with
-            | Some b -> b
-            | None ->
-              let b = Bits.create () in
-              hosts := Some b;
-              b
-          in
-          ignore (Bits.add b o)
-        | _ -> ())
-      delta;
-    match !hosts with Some b -> add_hosts t ptr b | None -> ()
+    sort_objs t;
+    if Bits.inter_nonempty delta t.host_objs then
+      add_hosts t ptr (Bits.inter delta t.host_objs)
   end
 
 let on_edge t ~(src : int) (e : Solver.edge) =
@@ -503,15 +521,15 @@ let on_edge t ~(src : int) (e : Solver.edge) =
        if not (Bits.is_empty hosts) then add_hosts t e.e_dst (Bits.copy hosts));
   (* RelayEdge: classify in-edges of cut return variables *)
   if t.cfg.field_pattern then begin
-    match Hashtbl.find_opt t.ret_ptr_owner e.e_dst with
+    match Inttbl.find_opt t.ret_ptr_owner e.e_dst with
     | None -> ()
     | Some m ->
       let is_return_load =
-        Hashtbl.mem t.tagged (src, e.e_dst)
+        Inttbl.mem t.tagged ((src lsl 31) lor e.e_dst)
         ||
         match Solver.ptr_desc t.solver src with
         | Solver.PField (o, fld) -> (
-          match Hashtbl.find_opt t.retload_pats e.e_dst with
+          match Inttbl.find_opt t.retload_pats e.e_dst with
           | Some pats ->
             List.exists
               (fun (base_ptr, f) ->
@@ -569,6 +587,7 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
     Hashtbl.iter (fun m _ -> Bits.remove cut_load m) spec.Spec.exits;
     Bits.iter (fun m -> Bits.remove cut_load m) spec.Spec.transfers
   end;
+  let no_hosts = Bits.create ~capacity:1 () in
   let t =
     {
       solver;
@@ -579,22 +598,29 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
       li;
       cut_load;
       cut_lflow = Bits.create ();
-      lflow_srcs = Hashtbl.create 64;
-      store_pats = Hashtbl.create 64;
-      load_pats = Hashtbl.create 64;
-      callers = Hashtbl.create 256;
-      subs = Hashtbl.create 256;
+      lflow_srcs = Inttbl.create 64;
+      n_sorted = 0;
+      host_objs = Bits.create ();
+      array_objs = Bits.create ();
+      store_pats = Inttbl.create 64;
+      load_pats = Inttbl.create 64;
+      callers = Inttbl.create 256;
+      subs = Inttbl.create 256;
       sub_seen = Hashtbl.create 256;
-      retload_pats = Hashtbl.create 64;
-      tagged = Hashtbl.create 256;
-      relays = Hashtbl.create 64;
-      ret_ptr_owner = Hashtbl.create 64;
-      pt_h = Hashtbl.create 256;
-      roles = Hashtbl.create 256;
+      retload_pats = Inttbl.create 64;
+      tagged = Inttbl.create 256;
+      relays = Inttbl.create 64;
+      ret_ptr_owner = Inttbl.create 64;
+      pt_h = Vec.create ~capacity:1024 no_hosts;
+      no_hosts;
+      roles = Inttbl.create 256;
       role_seen = Hashtbl.create 256;
-      sources = Hashtbl.create 256;
-      targets = Hashtbl.create 256;
+      sources = Inttbl.create 256;
+      targets = Inttbl.create 256;
+      sources_seen = Inttbl.create 256;
+      targets_seen = Inttbl.create 256;
       involved = Bits.create ();
+      sc_ends = Bits.create ();
       c_sc_store =
         Registry.counter solver.Solver.reg
           ~labels:[ ("pattern", "store") ]
@@ -644,7 +670,19 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
 let plugin ?config (solver : Solver.t) : Solver.plugin =
   fst (plugin_with_handle ?config solver)
 
-let involved_methods t = t.involved
+(** Methods touched by cut or shortcut edges (Table 3's "involved"
+    column): the methods marked as patterns and cuts applied, plus the
+    owners of every shortcut endpoint, resolved here rather than per
+    shortcut. A fresh set on each call. *)
+let involved_methods t =
+  let inv = Bits.copy t.involved in
+  Bits.iter
+    (fun p ->
+      match method_of_ptr t p with
+      | Some m -> ignore (Bits.add inv m)
+      | None -> ())
+    t.sc_ends;
+  inv
 let shortcut_count t =
   List.fold_left
     (fun n c -> n + Registry.value c)

@@ -16,10 +16,11 @@
       first-dirtying is kept for determinism; drained delta sets are
       recycled through a spare list, so steady-state pushes allocate
       nothing.
-    - {b Unboxed hot keys.} Edge dedup, reachability and call-edge
-      projection use packed-int keys over the dense interned ids instead of
-      boxed tuples, so the hot-path [Hashtbl] lookups hash an immediate
-      int. *)
+    - {b Int-keyed tables.} Pointer interning, edge dedup, reachability
+      and call edges pack their keys into one int over the dense ids and
+      look them up in an {!Inttbl}, whose hash is one multiply; the
+      polymorphic [Hashtbl] would call the runtime's generic hash and
+      compare on every lookup. *)
 
 open Csc_common
 module Ir = Csc_ir.Ir
@@ -89,14 +90,19 @@ type t = {
   mutable plugin : plugin;
   budget : Timer.budget;
   n_methods : int;          (* key-packing radix for (ctx, method) pairs *)
+  n_vars : int;             (* key-packing radices for pointer keys *)
+  n_fields : int;
   (* interners *)
   ctxs : int list Interner.t;
   objs : (int * Ir.alloc_id) Interner.t;  (* (hctx, site) *)
-  ptrs : ptr_desc Interner.t;
+  env : Context.env;        (* what context selectors see; built once *)
+  (* pointers: packed key (see [new_ptr]) -> dense id -> descriptor *)
+  ptr_ids : int Inttbl.t;
+  ptr_descs : ptr_desc Vec.t;
   (* per-pointer tables *)
   pts : Bits.t Vec.t;
   succs : edge list Vec.t;
-  edge_seen : (int, unit) Hashtbl.t;  (* packed (src lsl 31) lor dst *)
+  edge_seen : unit Inttbl.t;  (* packed (src lsl 31) lor dst *)
   watches : watch list Vec.t;
   (* coalescing worklist: per-pointer pending delta + dirty set + FIFO of
      first-dirtying; [empty_pending] is the shared "no pending" sentinel
@@ -107,11 +113,13 @@ type t = {
   empty_pending : Bits.t;
   mutable spare : Bits.t list;
   (* reachability / call graph (packed-int keys) *)
-  reached : (int, unit) Hashtbl.t;   (* ctx * n_methods + mid *)
+  reached : unit Inttbl.t;   (* ctx * n_methods + mid *)
   reached_methods : Bits.t;
-  call_edges : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  call_edges : unit Inttbl.t Inttbl.t;
       (* (site * n_methods + callee) -> {(caller_ctx lsl 31) lor callee_ctx} *)
-  call_edges_proj : (int, unit) Hashtbl.t;  (* site * n_methods + callee *)
+  call_edges_proj : (int, unit) Hashtbl.t;
+      (* site * n_methods + callee; a stdlib table because its fold order
+         is the order of [r_edges], which renderings print *)
   (* observability: the registry owns all engine metrics; the handles below
      are direct-mutation aliases so hot-path updates cost a field write *)
   reg : Registry.t;
@@ -137,27 +145,39 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     : t =
   let reg = Registry.create () in
   let empty_pending = Bits.create ~capacity:1 () in
+  let ctxs = Interner.create [] and objs = Interner.create (-1, -1) in
   {
     prog;
     sel;
     plugin = no_plugin;
     budget;
     n_methods = Array.length prog.methods;
-    ctxs = Interner.create [];
-    objs = Interner.create (-1, -1);
-    ptrs = Interner.create (PStatic (-1));
+    n_vars = max 1 (Array.length prog.vars);
+    n_fields = max 1 (Array.length prog.fields);
+    ctxs;
+    objs;
+    env =
+      {
+        prog;
+        ctx_elems = Interner.get ctxs;
+        intern_ctx = Interner.intern ctxs;
+        obj_alloc = (fun o -> snd (Interner.get objs o));
+        obj_hctx = (fun o -> fst (Interner.get objs o));
+      };
+    ptr_ids = Inttbl.create 4096;
+    ptr_descs = Vec.create ~capacity:4096 (PStatic (-1));
     pts = Vec.create (Bits.create ());
     succs = Vec.create [];
-    edge_seen = Hashtbl.create 4096;
+    edge_seen = Inttbl.create 4096;
     watches = Vec.create [];
     pending = Vec.create empty_pending;
     dirty = Bits.create ();
     wl = Queue.create ();
     empty_pending;
     spare = [];
-    reached = Hashtbl.create 256;
+    reached = Inttbl.create 256;
     reached_methods = Bits.create ();
-    call_edges = Hashtbl.create 1024;
+    call_edges = Inttbl.create 1024;
     call_edges_proj = Hashtbl.create 1024;
     reg;
     c_ptrs = Registry.counter reg "ptrs";
@@ -199,47 +219,58 @@ let set_progress t interval_s =
   t.progress_s <- interval_s;
   t.last_progress <- Timer.now ()
 
-(* environment handed to context selectors *)
-let env_of t : Context.env =
-  {
-    prog = t.prog;
-    ctx_elems = (fun c -> Interner.get t.ctxs c);
-    intern_ctx = (fun l -> Interner.intern t.ctxs l);
-    obj_alloc = (fun o -> snd (Interner.get t.objs o));
-    obj_hctx = (fun o -> fst (Interner.get t.objs o));
-  }
-
 (* ------------------------------------------------------------ accessors *)
 
-let intern_ptr t d : int =
-  let n_before = Interner.count t.ptrs in
-  let id = Interner.intern t.ptrs d in
-  if Interner.count t.ptrs > n_before then begin
-    Vec.push t.pts (Bits.create ~capacity:8 ());
-    Vec.push t.succs [];
-    Vec.push t.watches [];
-    Vec.push t.pending t.empty_pending;
-    Registry.incr t.c_ptrs
-  end;
+(* A pointer's key packs its descriptor into one int: the payload shifted
+   left by two, tagged 0 PVar, 1 PField, 2 PArr, 3 PStatic. The payload of
+   PVar is ctx * n_vars + v, of PField obj * n_fields + fld. *)
+let new_ptr t key d : int =
+  let id = Vec.push_idx t.ptr_descs d in
+  Inttbl.add t.ptr_ids key id;
+  Vec.push t.pts (Bits.create ~capacity:8 ());
+  Vec.push t.succs [];
+  Vec.push t.watches [];
+  Vec.push t.pending t.empty_pending;
+  Registry.incr t.c_ptrs;
   id
 
-let ptr_var t ~ctx v = intern_ptr t (PVar (ctx, v))
-let ptr_field t ~obj ~fld = intern_ptr t (PField (obj, fld))
-let ptr_arr t ~obj = intern_ptr t (PArr obj)
-let ptr_static t ~fld = intern_ptr t (PStatic fld)
+let ptr_var t ~ctx v =
+  let key = ((ctx * t.n_vars) + v) lsl 2 in
+  match Inttbl.find t.ptr_ids key with
+  | id -> id
+  | exception Not_found -> new_ptr t key (PVar (ctx, v))
+
+let ptr_field t ~obj ~fld =
+  let key = ((((obj * t.n_fields) + fld) lsl 2) lor 1) in
+  match Inttbl.find t.ptr_ids key with
+  | id -> id
+  | exception Not_found -> new_ptr t key (PField (obj, fld))
+
+let ptr_arr t ~obj =
+  let key = (obj lsl 2) lor 2 in
+  match Inttbl.find t.ptr_ids key with
+  | id -> id
+  | exception Not_found -> new_ptr t key (PArr obj)
+
+let ptr_static t ~fld =
+  let key = (fld lsl 2) lor 3 in
+  match Inttbl.find t.ptr_ids key with
+  | id -> id
+  | exception Not_found -> new_ptr t key (PStatic fld)
 
 let pts t p = Vec.get t.pts p
 let succs t p = Vec.get t.succs p
-let ptr_desc t p = Interner.get t.ptrs p
+let ptr_desc t p = Vec.get t.ptr_descs p
 
 let intern_obj t ~hctx ~site : int = Interner.intern t.objs (hctx, site)
+let n_objs t = Interner.count t.objs
 let obj_alloc t o = snd (Interner.get t.objs o)
 let obj_hctx t o = fst (Interner.get t.objs o)
 
 (* owning method for cost attribution: variables belong to their declaring
    method, heap nodes to the allocating method, statics to none (-1) *)
 let meth_of_ptr t p : int =
-  match Interner.get t.ptrs p with
+  match ptr_desc t p with
   | PVar (_, v) -> (Ir.var t.prog v).v_method
   | PField (o, _) | PArr o -> (Ir.alloc t.prog (obj_alloc t o)).a_method
   | PStatic _ -> -1
@@ -322,8 +353,8 @@ let prov_flow t ~src ~dst kind (objs : Bits.t) =
 let add_edge ?(kind = KNormal) ?filter t ~src ~dst =
   if src <> dst then begin
     let key = (src lsl 31) lor dst in
-    if not (Hashtbl.mem t.edge_seen key) then begin
-      Hashtbl.add t.edge_seen key ();
+    if not (Inttbl.mem t.edge_seen key) then begin
+      Inttbl.add t.edge_seen key ();
       let e = { e_dst = dst; e_filter = filter; e_kind = kind } in
       Vec.set t.succs src (e :: Vec.get t.succs src);
       Registry.incr t.c_edges;
@@ -361,8 +392,8 @@ let add_watch t p w =
 
 let rec add_reachable t ~ctx ~(mid : Ir.method_id) =
   let key = (ctx * t.n_methods) + mid in
-  if not (Hashtbl.mem t.reached key) then begin
-    Hashtbl.add t.reached key ();
+  if not (Inttbl.mem t.reached key) then begin
+    Inttbl.add t.reached key ();
     Registry.incr t.c_reach_ctx;
     (* context-explosion cascades can spend a long time inside one worklist
        iteration; keep the budget honest here too *)
@@ -377,7 +408,7 @@ and process_stmt t ~ctx (s : Ir.stmt) =
   match s with
   | New { lhs; site; _ } | NewArray { lhs; site; _ } | StrConst { lhs; site; _ }
     ->
-    let hctx = t.sel.sel_heap_ctx (env_of t) ~mctx:ctx ~site in
+    let hctx = t.sel.sel_heap_ctx t.env ~mctx:ctx ~site in
     let o = intern_obj t ~hctx ~site in
     seed1 ~why:"alloc" t (pv lhs) o
   | Copy { lhs; rhs } ->
@@ -410,7 +441,7 @@ and process_stmt t ~ctx (s : Ir.stmt) =
       add_edge t ~src:(pv rhs) ~dst:(ptr_static t ~fld)
   | Invoke { kind = Static; target; site; _ } ->
     let cctx =
-      t.sel.sel_callee_ctx (env_of t) ~caller_ctx:ctx ~site ~recv:None
+      t.sel.sel_callee_ctx t.env ~caller_ctx:ctx ~site ~recv:None
         ~callee:target
     in
     add_call_edge t ~caller_ctx:ctx ~site ~callee_ctx:cctx ~callee:target
@@ -474,7 +505,7 @@ and process_watch t (w : watch) (delta : Bits.t) =
             when Array.length (Ir.metho t.prog callee).m_params
                  = Array.length cs.cs_args ->
             let cctx =
-              t.sel.sel_callee_ctx (env_of t) ~caller_ctx:ctx ~site
+              t.sel.sel_callee_ctx t.env ~caller_ctx:ctx ~site
                 ~recv:(Some o) ~callee
             in
             add_call_edge t ~caller_ctx:ctx ~site ~callee_ctx:cctx ~callee
@@ -486,16 +517,16 @@ and add_call_edge t ~caller_ctx ~site ~callee_ctx ~callee ~recv_obj =
   let sc = (site * t.n_methods) + callee in
   let cc = (caller_ctx lsl 31) lor callee_ctx in
   let ctx_tbl =
-    match Hashtbl.find_opt t.call_edges sc with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 4 in
-      Hashtbl.add t.call_edges sc tbl;
+    match Inttbl.find t.call_edges sc with
+    | tbl -> tbl
+    | exception Not_found ->
+      let tbl = Inttbl.create 4 in
+      Inttbl.add t.call_edges sc tbl;
       tbl
   in
-  let first_full = not (Hashtbl.mem ctx_tbl cc) in
+  let first_full = not (Inttbl.mem ctx_tbl cc) in
   if first_full then begin
-    Hashtbl.add ctx_tbl cc ();
+    Inttbl.add ctx_tbl cc ();
     Registry.incr t.c_call_edges;
     if not (Hashtbl.mem t.call_edges_proj sc) then begin
       Hashtbl.add t.call_edges_proj sc ();
@@ -604,7 +635,35 @@ let run_loop (t : t) : unit =
   Registry.set t.g_time (Timer.now () -. t0);
   sample_heap t
 
+(* Profiled runs time each plugin hook into an attribution rule row named
+   after the plugin and the hook ("csc:on_new_pts", ...). Times are
+   inclusive: [on_new_pts] adds edges, and their [on_edge] runs inside it.
+   Unprofiled runs keep the plugin as given, so they pay nothing. *)
+let timed_plugin a (p : plugin) : plugin =
+  let timed hook =
+    let r = Attr.rule a (p.pl_name ^ ":" ^ hook) in
+    fun f ->
+      let t0 = Timer.now () in
+      f ();
+      Attr.rule_fire r;
+      Attr.rule_time r (Timer.now () -. t0)
+  in
+  let reachable = timed "on_reachable" and call_edge = timed "on_call_edge"
+  and new_pts = timed "on_new_pts" and on_edge = timed "on_edge" in
+  {
+    p with
+    pl_on_reachable = (fun m -> reachable (fun () -> p.pl_on_reachable m));
+    pl_on_call_edge =
+      (fun site callee -> call_edge (fun () -> p.pl_on_call_edge site callee));
+    pl_on_new_pts = (fun ptr d -> new_pts (fun () -> p.pl_on_new_pts ptr d));
+    pl_on_edge = (fun ~src e -> on_edge (fun () -> p.pl_on_edge ~src e));
+  }
+
 let run (t : t) : unit =
+  (match t.attr with
+  | None -> ()
+  | Some a ->
+    if t.plugin != no_plugin then t.plugin <- timed_plugin a t.plugin);
   Trace.with_span ~cat:"solver"
     ("solve:" ^ t.sel.sel_name ^ "+" ^ t.plugin.pl_name)
     (fun () -> run_loop t)
@@ -637,7 +696,7 @@ let result (t : t) : result =
   (* project pointer facts onto variables, merging contexts and abstracting
      objects to their allocation sites *)
   let var_pt : (Ir.var_id, Bits.t) Hashtbl.t = Hashtbl.create 1024 in
-  Interner.iteri
+  Vec.iteri
     (fun p desc ->
       match desc with
       | PVar (_, v) ->
@@ -651,7 +710,7 @@ let result (t : t) : result =
         in
         Bits.iter (fun o -> ignore (Bits.add tgt (obj_alloc t o))) (pts t p)
       | _ -> ())
-    t.ptrs;
+    t.ptr_descs;
   let empty = Bits.create () in
   {
     r_name =
@@ -670,7 +729,7 @@ let result (t : t) : result =
 
 (* ------------------------------------------------------- explain helpers *)
 
-let iter_ptrs t f = Interner.iteri f t.ptrs
+let iter_ptrs t f = Vec.iteri f t.ptr_descs
 
 let ptr_to_string t p =
   match ptr_desc t p with

@@ -164,9 +164,15 @@ let profile_of_run analysis =
   | Some pr -> pr
   | None -> Alcotest.fail "profiled run produced no profile"
 
+(* plugin hook rows carry wall-clock times; everything else, row order
+   included, is a function of the run *)
+let without_times (p : Attr.profile) =
+  { p with
+    p_rules = List.map (fun r -> { r with Attr.re_time = 0. }) p.p_rules }
+
 let test_profile_json_deterministic () =
-  let p1 = profile_of_run Run.Imp_csc in
-  let p2 = profile_of_run Run.Imp_csc in
+  let p1 = without_times (profile_of_run Run.Imp_csc) in
+  let p2 = without_times (profile_of_run Run.Imp_csc) in
   let s1 = Json.to_string ~pretty:true (Attr.profile_json p1) in
   let s2 = Json.to_string ~pretty:true (Attr.profile_json p2) in
   Alcotest.(check string) "identical across runs" s1 s2;
@@ -246,8 +252,32 @@ let test_csc_pattern_attr () =
     (List.exists
        (fun (re : Attr.rule_entry) ->
          Astring.String.is_prefix ~affix:"csc:" re.Attr.re_name
+         && (not (Astring.String.is_prefix ~affix:"csc:on_" re.Attr.re_name))
          && re.Attr.re_fires > 0)
        pr.Attr.p_rules)
+
+(* a profiled CSC run times each plugin hook into a row of its own; a run
+   without a plugin has none *)
+let test_plugin_hook_rows () =
+  let hooks = [ "on_new_pts"; "on_edge"; "on_call_edge"; "on_reachable" ] in
+  let fires (pr : Attr.profile) name =
+    List.find_map
+      (fun (re : Attr.rule_entry) ->
+        if re.Attr.re_name = name then Some re.Attr.re_fires else None)
+      pr.Attr.p_rules
+  in
+  let csc = profile_of_run Run.Imp_csc and ci = profile_of_run Run.Imp_ci in
+  List.iter
+    (fun h ->
+      (match fires csc ("csc:" ^ h) with
+      | Some n -> Alcotest.(check bool) ("csc:" ^ h ^ " fired") true (n > 0)
+      | None -> Alcotest.fail ("no row csc:" ^ h));
+      Alcotest.(check bool) ("ci has no " ^ h ^ " row") true
+        (List.for_all
+           (fun (re : Attr.rule_entry) ->
+             not (Astring.String.is_suffix ~affix:(":" ^ h) re.Attr.re_name))
+           ci.Attr.p_rules))
+    hooks
 
 (* --------------------------------------------------- provenance bound *)
 
@@ -309,6 +339,7 @@ let suite =
           test_datalog_rule_attr;
         Alcotest.test_case "csc pattern attribution" `Quick
           test_csc_pattern_attr;
+        Alcotest.test_case "csc plugin hook rows" `Quick test_plugin_hook_rows;
       ] );
     ( "attr-provenance",
       [

@@ -78,6 +78,68 @@ let prop_interner_dense =
              i >= 0 && i < Interner.count t && Interner.get t i = n)
            distinct)
 
+(* ---------------------------------------------------------------- Inttbl *)
+
+type tbl_op = Add of int * int | Replace of int * int | Remove of int
+
+(* keys the analyses pack: small ids, (src lsl 31) lor dst edge keys, and
+   tagged pointer keys up to 2^61 *)
+let gen_key =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_bound 300;
+        map2 (fun a b -> (a lsl 31) lor b) (int_bound 1_000_000) (int_bound 64);
+        map2 (fun p tag -> (p lsl 2) lor tag) (int_bound (1 lsl 59)) (int_bound 3);
+      ])
+
+let gen_tbl_op =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun k v -> Add (k, v)) gen_key small_nat;
+        map2 (fun k v -> Replace (k, v)) gen_key small_nat;
+        map (fun k -> Remove k) gen_key;
+      ])
+
+let prop_inttbl_model =
+  QCheck2.Test.make ~name:"inttbl agrees with stdlib Hashtbl" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 3000) gen_tbl_op)
+    (fun ops ->
+      (* size 1: a long sequence grows the table through many resizes *)
+      let t = Inttbl.create 1 and m = Hashtbl.create 1 in
+      let agree k =
+        Inttbl.find_opt t k = Hashtbl.find_opt m k
+        && Inttbl.mem t k = Hashtbl.mem m k
+        && Inttbl.find_all t k = Hashtbl.find_all m k
+      in
+      List.for_all
+        (fun op ->
+          let k =
+            match op with
+            | Add (k, v) -> Inttbl.add t k v; Hashtbl.add m k v; k
+            | Replace (k, v) -> Inttbl.replace t k v; Hashtbl.replace m k v; k
+            | Remove k -> Inttbl.remove t k; Hashtbl.remove m k; k
+          in
+          agree k && agree (k + 1))
+        ops
+      && Inttbl.length t = Hashtbl.length m
+      && Hashtbl.fold (fun k _ ok -> ok && agree k) m true)
+
+(* edge keys that differ only above bit 31 must not share buckets: the
+   table picks buckets by the hash's low bits *)
+let test_inttbl_spreads_packed_keys () =
+  let t = Inttbl.create 16 in
+  for src = 0 to 9_999 do
+    Inttbl.add t ((src lsl 31) lor 7) ()
+  done;
+  let st = Inttbl.stats t in
+  Alcotest.(check int) "all bound" 10_000 st.Hashtbl.num_bindings;
+  Alcotest.(check bool)
+    (Printf.sprintf "longest bucket %d" st.Hashtbl.max_bucket_length)
+    true
+    (st.Hashtbl.max_bucket_length <= 8)
+
 (* ---------------------------------------------------------------- parser *)
 
 let output src = (Csc_interp.Interp.run (Helpers.compile src)).output
@@ -201,6 +263,12 @@ let suite =
       [
         Alcotest.test_case "roundtrip" `Quick test_interner_roundtrip;
         QCheck_alcotest.to_alcotest prop_interner_dense;
+      ] );
+    ( "common.inttbl",
+      [
+        QCheck_alcotest.to_alcotest prop_inttbl_model;
+        Alcotest.test_case "packed keys spread" `Quick
+          test_inttbl_spreads_packed_keys;
       ] );
     ( "common.domains",
       [

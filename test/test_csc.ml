@@ -317,6 +317,29 @@ let test_involved_methods () =
     Alcotest.(check bool) "shortcuts added" true (Csc.shortcut_count h > 0);
     Alcotest.(check bool) "stores cut" true (Csc.cut_store_count h > 0)
 
+(* Table 3's "involved" column on two suite programs, pinned at the values
+   the per-shortcut marking gave before involvement was resolved on demand *)
+let test_involved_pinned () =
+  List.iter
+    (fun (name, expected) ->
+      let p = Csc_workloads.Suite.compile name in
+      let handle = ref None in
+      ignore
+        (Solver.analyze
+           ~plugin_of:(fun s ->
+             let pl, h = Csc.plugin_with_handle s in
+             handle := Some h;
+             pl)
+           p);
+      match !handle with
+      | None -> Alcotest.fail "no handle"
+      | Some h ->
+        let inv = Csc.involved_methods h in
+        Alcotest.(check int) (name ^ " involved") expected (Bits.cardinal inv);
+        Alcotest.(check bool) (name ^ " stable across calls") true
+          (Bits.equal inv (Csc.involved_methods h)))
+    [ ("hsqldb", 270); ("findbugs", 224) ]
+
 let suite =
   [
     ( "csc.patterns",
@@ -346,5 +369,6 @@ let suite =
         Alcotest.test_case "recall: ablations" `Quick test_recall_ablations;
         Alcotest.test_case "CSC refines CI" `Quick test_csc_refines_ci;
         Alcotest.test_case "involved methods tracked" `Quick test_involved_methods;
+        Alcotest.test_case "involved: Table 3 counts" `Quick test_involved_pinned;
       ] );
   ]

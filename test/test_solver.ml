@@ -300,6 +300,55 @@ let test_redundant_push_skipped () =
   Alcotest.(check int) "redundant pushes skipped" before
     (counter t "wl_pushes")
 
+(* pointer keys: every interned descriptor packs back to its own id, under
+   the empty context and under 2obj's non-zero ones, and looking it up
+   interns nothing new *)
+let test_ptr_keys_reintern () =
+  let p = compile Fixtures.carton in
+  List.iter
+    (fun (name, sel) ->
+      let t = Solver.analyze ~sel p in
+      let n = counter t "ptrs" and max_ctx = ref 0 in
+      Solver.iter_ptrs t (fun id desc ->
+          let again =
+            match desc with
+            | Solver.PVar (ctx, v) ->
+              max_ctx := max !max_ctx ctx;
+              Solver.ptr_var t ~ctx v
+            | PField (obj, fld) -> Solver.ptr_field t ~obj ~fld
+            | PArr obj -> Solver.ptr_arr t ~obj
+            | PStatic fld -> Solver.ptr_static t ~fld
+          in
+          Alcotest.(check int) (name ^ ": " ^ Solver.ptr_to_string t id) id again);
+      Alcotest.(check int) (name ^ ": no new pointers") n (counter t "ptrs");
+      if name = "2obj" then
+        Alcotest.(check bool) "2obj has non-empty contexts" true (!max_ctx > 0))
+    [ ("ci", Context.ci); ("2obj", sel_2obj) ];
+  (* all four kinds over the same small ids: no two descriptors share a key *)
+  let t = Solver.create p in
+  let intern : Solver.ptr_desc -> int = function
+    | PVar (ctx, v) -> Solver.ptr_var t ~ctx v
+    | PField (obj, fld) -> Solver.ptr_field t ~obj ~fld
+    | PArr obj -> Solver.ptr_arr t ~obj
+    | PStatic fld -> Solver.ptr_static t ~fld
+  in
+  let descs =
+    List.concat_map
+      (fun i ->
+        Solver.
+          [ PVar (0, i); PVar (1, i); PField (i, 0); PField (0, i); PArr i;
+            PStatic i ])
+      (List.init 20 Fun.id)
+    |> List.sort_uniq compare
+  in
+  List.iter
+    (fun d ->
+      let id = intern d in
+      Alcotest.(check bool) (Solver.ptr_to_string t id) true (Solver.ptr_desc t id = d))
+    descs;
+  Alcotest.(check int) "one pointer per descriptor" (List.length descs)
+    (counter t "ptrs")
+
 let suite =
   [
     ( "pta.ci",
@@ -343,5 +392,7 @@ let suite =
           test_worklist_coalescing;
         Alcotest.test_case "redundant push skipped" `Quick
           test_redundant_push_skipped;
+        Alcotest.test_case "pointer keys re-intern" `Quick
+          test_ptr_keys_reintern;
       ] );
   ]
