@@ -221,6 +221,64 @@ let test_frontend_errors () =
     (List.map (fun (w, _, l, c, m) -> show (w, l, c, m)) frontend_errors)
     (List.map (fun e -> show (got e)) frontend_errors)
 
+(* The imperative engine's work counters, pinned before the solver's
+   tables and per-object caches were rewritten: (program, analysis) -> one
+   line of [name=value] pairs, the CSC shortcut counter split by pattern.
+   A change to the solver's inner loops must keep every count. *)
+let counter_names =
+  [ "ptrs"; "pfg_edges"; "propagated"; "wl_pushes"; "wl_coalesced";
+    "cs_call_edges"; "ctx_methods" ]
+
+let counters_line (s : Csc_obs.Snapshot.t) =
+  let v n =
+    Option.value ~default:(-1) (Csc_obs.Snapshot.counter_value s n)
+  in
+  String.concat " "
+    (List.map (fun n -> Printf.sprintf "%s=%d" n (v n)) counter_names
+    @ List.filter_map
+        (fun p ->
+          Csc_obs.Snapshot.counter_value ~labels:[ ("pattern", p) ] s
+            "csc_shortcuts"
+          |> Option.map (Printf.sprintf "sc_%s=%d" p))
+        [ "store"; "load"; "relay"; "container"; "lflow" ])
+
+let counters_pinned =
+  [
+    (("hsqldb", "ci"),
+     "ptrs=2646 pfg_edges=3365 propagated=386198 wl_pushes=52184 wl_coalesced=46419 cs_call_edges=2072 ctx_methods=310");
+    (("hsqldb", "csc"),
+     "ptrs=2644 pfg_edges=96992 propagated=134905 wl_pushes=112720 wl_coalesced=109621 cs_call_edges=2066 ctx_methods=309 sc_store=1162 sc_load=87015 sc_relay=11 sc_container=36166 sc_lflow=24");
+    (("findbugs", "ci"),
+     "ptrs=1840 pfg_edges=2370 propagated=66082 wl_pushes=7715 wl_coalesced=4548 cs_call_edges=1082 ctx_methods=273");
+    (("findbugs", "csc"),
+     "ptrs=1798 pfg_edges=8387 propagated=12227 wl_pushes=10091 wl_coalesced=8158 cs_call_edges=1067 ctx_methods=271 sc_store=479 sc_load=5834 sc_relay=10 sc_container=2501 sc_lflow=38");
+    (("jedit", "ci"),
+     "ptrs=2981 pfg_edges=3814 propagated=141634 wl_pushes=12503 wl_coalesced=6882 cs_call_edges=1790 ctx_methods=464");
+    (("jedit", "csc"),
+     "ptrs=2951 pfg_edges=12088 propagated=18178 wl_pushes=14690 wl_coalesced=11554 cs_call_edges=1700 ctx_methods=455 sc_store=777 sc_load=8116 sc_relay=32 sc_container=3443 sc_lflow=96");
+    (("soot", "ci"),
+     "ptrs=14231 pfg_edges=19696 propagated=4490090 wl_pushes=156618 wl_coalesced=128020 cs_call_edges=9497 ctx_methods=1810");
+    (("soot", "csc"),
+     "ptrs=13831 pfg_edges=252985 propagated=369858 wl_pushes=296269 wl_coalesced=280971 cs_call_edges=8868 ctx_methods=1785 sc_store=4406 sc_load=218306 sc_relay=149 sc_container=91387 sc_lflow=398");
+    (("nullbugs.mjava", "2obj"),
+     "ptrs=73 pfg_edges=50 propagated=63 wl_pushes=59 wl_coalesced=6 cs_call_edges=15 ctx_methods=16");
+    (("plugins.mjava", "2obj"),
+     "ptrs=133 pfg_edges=101 propagated=135 wl_pushes=121 wl_coalesced=10 cs_call_edges=26 ctx_methods=25") ]
+
+let test_counters name () =
+  let p = program name in
+  List.iter
+    (fun ((n, a), want) ->
+      if n = name then
+        match Run.analysis_of_string a with
+        | Error e -> Alcotest.fail e
+        | Ok an ->
+          let o = Run.run_spec (Run.spec an) p in
+          let r = Option.get o.Run.o_result in
+          Alcotest.(check string) (name ^ " " ^ a) want
+            (counters_line r.Csc_pta.Solver.r_snapshot))
+    counters_pinned
+
 let suite =
   [ ( "pinned.renders",
       List.map
@@ -239,4 +297,9 @@ let suite =
       List.map
         (fun (name, _) -> Alcotest.test_case name `Quick (test_frontend name))
         frontend_pinned
-      @ [ Alcotest.test_case "syntax errors" `Quick test_frontend_errors ] ) ]
+      @ [ Alcotest.test_case "syntax errors" `Quick test_frontend_errors ] );
+    ( "pinned.counters",
+      List.map
+        (fun name -> Alcotest.test_case name `Quick (test_counters name))
+        [ "hsqldb"; "findbugs"; "jedit"; "soot"; "nullbugs.mjava";
+          "plugins.mjava" ] ) ]
