@@ -52,10 +52,13 @@ let config_name cfg =
   | false, false, true -> "csc-localflow"
   | f, c, l -> Printf.sprintf "csc-%b-%b-%b" f c l
 
-(* per cut-load-method relay bookkeeping *)
+(* per cut-load-method relay bookkeeping; the lists keep emission order,
+   the sets answer membership *)
 type relay = {
-  mutable rl_in_edges : (int * Ir.typ option) list;  (* (src ptr, filter) *)
-  mutable rl_lhs : int list;                         (* call-site LHS ptrs *)
+  mutable rl_in_edges : (int * Solver.filter option) list;  (* (src, filter) *)
+  rl_in_seen : Inttbl.Set.t;  (* (src lsl 31) lor (filter id + 1), 0 = none *)
+  mutable rl_lhs : int list;  (* call-site LHS ptrs *)
+  rl_lhs_seen : Inttbl.Set.t;
   rl_seeds : Bits.t;  (* objects allocated directly into m_ret *)
 }
 
@@ -73,12 +76,24 @@ type role =
   | R_exit of { lhs_ptr : int; cat : Spec.category }
   | R_transfer of { lhs_ptr : int }
 
+(* A pattern's shortcut counter and its profiler row ["csc:<pattern>"],
+   whose handle is looked up at the pattern's first shortcut in a
+   profiled run (an eager lookup would add rows for patterns that never
+   fire) *)
+type pattern = {
+  p_count : Registry.counter;
+  p_row : string;
+  mutable p_rule : Attr.rule option;
+}
+
 type t = {
   solver : Solver.t;
   prog : Ir.program;
   cfg : config;
   spec : Spec.t;
   ci : int;  (* the (only) context id *)
+  n_fields : int;  (* key-packing radices *)
+  n_ks : int;      (* parameter positions: 0 (this) to the most params *)
   (* ---- static cut sets ---- *)
   li : Static.load_info;
   cut_load : Bits.t;  (* li_cut minus container exits/transfers *)
@@ -91,9 +106,11 @@ type t = {
   (* ---- field pattern dynamic state ---- *)
   store_pats : (int * Ir.field_id * int) list ref Inttbl.t;  (* by method *)
   load_pats : (int * Ir.field_id) list ref Inttbl.t;         (* by method *)
+  pats_seen : Inttbl.Set.t;  (* packed by [store_key] / [load_key] *)
   callers : Ir.call_id list ref Inttbl.t;                    (* by method *)
   subs : sub list ref Inttbl.t;  (* base ptr -> subscriptions *)
-  sub_seen : (int * sub, unit) Hashtbl.t;
+  pair_ids : int Inttbl.t;  (* packed sub or role -> dense id *)
+  sub_seen : Inttbl.Set.t;  (* (base ptr lsl 31) lor sub id *)
   (* returnLoadEdges classification *)
   retload_pats : (int * Ir.field_id) list ref Inttbl.t;
       (* cut ret-var ptr -> (base ptr, field): in-method load edges *)
@@ -105,7 +122,7 @@ type t = {
   pt_h : Bits.t Vec.t;  (* ptr -> host objects; [no_hosts] until the first *)
   no_hosts : Bits.t;    (* shared empty sentinel, compared physically *)
   roles : role list ref Inttbl.t;  (* receiver ptr -> roles *)
-  role_seen : (int * role, unit) Hashtbl.t;
+  role_seen : Inttbl.Set.t;  (* (receiver ptr lsl 31) lor role id *)
   (* Source/Target pointers per (host, category), keyed by [host_cat];
      the lists keep emission order, the [_seen] sets (keyed
      (host_cat lsl 31) lor ptr) answer membership *)
@@ -116,12 +133,12 @@ type t = {
   (* ---- statistics ---- *)
   involved : Bits.t;  (* methods touched by cuts and propagated patterns *)
   sc_ends : Bits.t;   (* endpoint pointers of shortcut edges *)
-  (* per-rule counters in the solver's registry: which pattern fired *)
-  c_sc_store : Registry.counter;
-  c_sc_load : Registry.counter;
-  c_sc_relay : Registry.counter;
-  c_sc_container : Registry.counter;
-  c_sc_lflow : Registry.counter;
+  (* per-pattern counters in the solver's registry: which pattern fired *)
+  sc_store : pattern;
+  sc_load : pattern;
+  sc_relay : pattern;
+  sc_container : pattern;
+  sc_lflow : pattern;
   c_cut_stores : Registry.counter;
   c_cut_ret_load : Registry.counter;
   c_cut_ret_lflow : Registry.counter;
@@ -140,6 +157,40 @@ let get_list tbl key =
 
 let ptr_var t v = Solver.ptr_var t.solver ~ctx:t.ci v
 
+(* One int for the pair ([a], [b]) whatever [b]'s range: [b] is interned
+   to a dense id first, [a] is a pointer id. *)
+let pair_key t a b =
+  let id =
+    match Inttbl.find t.pair_ids b with
+    | id -> id
+    | exception Not_found ->
+      let id = Inttbl.length t.pair_ids in
+      Inttbl.add t.pair_ids b id;
+      id
+  in
+  (a lsl 31) lor id
+
+let cat_code (cat : Spec.category) =
+  match cat with Coll_val -> 0 | Map_key -> 1 | Map_val -> 2
+
+let sub_code t = function
+  | Sub_store { fld; from_ptr } -> ((from_ptr * t.n_fields) + fld) lsl 2
+  | Sub_load { fld; to_ptr; tag } ->
+    (((to_ptr * t.n_fields) + fld) lsl 2) lor if tag then 2 else 1
+
+let role_code = function
+  | R_entrance { arg_ptr; cat } -> (arg_ptr lsl 3) lor cat_code cat
+  | R_exit { lhs_ptr; cat } -> (lhs_ptr lsl 3) lor (3 + cat_code cat)
+  | R_transfer { lhs_ptr } -> (lhs_ptr lsl 3) lor 6
+
+(* pattern keys: method, field and parameter positions; the low bit tells
+   store patterns from load patterns *)
+let store_key t m (k1, fld, k2) =
+  (((((((m * t.n_fields) + fld) * t.n_ks) + k1) * t.n_ks) + k2) lsl 1)
+
+let load_key t m (k, fld) =
+  (((((m * t.n_fields) + fld) * t.n_ks) + k) lsl 1) lor 1
+
 (** Parameter variable of [m] at position [k] (0 = this). *)
 let param_at (m : Ir.metho) k : Ir.var_id option =
   if k = 0 then m.m_this
@@ -157,9 +208,9 @@ let method_of_ptr t (ptr : int) : Ir.method_id option =
 let sort_objs t =
   let n = Solver.n_objs t.solver in
   for o = t.n_sorted to n - 1 do
-    match Solver.obj_class t.solver o with
-    | None -> ignore (Bits.add t.array_objs o)
-    | Some c -> if Spec.is_host_class t.spec c then ignore (Bits.add t.host_objs o)
+    let c = Solver.obj_cls t.solver o in
+    if c < 0 then ignore (Bits.add t.array_objs o)
+    else if Spec.is_host_class t.spec c then ignore (Bits.add t.host_objs o)
   done;
   t.n_sorted <- n
 
@@ -169,22 +220,22 @@ let sort_objs t =
     outside tests and the hidden [fuzz --inject-unsound] flag. *)
 let sabotage_drop_shortcuts = ref false
 
-(** Add a shortcut edge (E_SC); [rule] is the per-pattern counter of the
-    rule that emitted it. *)
-let shortcut ?filter t rule ~src ~dst =
-  if src <> dst && not (!sabotage_drop_shortcuts && rule == t.c_sc_store) then begin
-    Registry.incr rule;
+(** Add a shortcut edge (E_SC) emitted by pattern [pat]. *)
+let shortcut ?filter t pat ~src ~dst =
+  if src <> dst && not (!sabotage_drop_shortcuts && pat == t.sc_store) then begin
+    Registry.incr pat.p_count;
     (match Solver.attr t.solver with
     | None -> ()
     | Some a ->
-      (* attribution rule row keyed by the CSC pattern (the counters all
-         share one name and differ by their "pattern" label) *)
-      let pat =
-        match List.assoc_opt "pattern" (Registry.counter_labels rule) with
-        | Some p -> p
-        | None -> Registry.counter_name rule
+      let r =
+        match pat.p_rule with
+        | Some r -> r
+        | None ->
+          let r = Attr.rule a pat.p_row in
+          pat.p_rule <- Some r;
+          r
       in
-      Attr.rule_fire (Attr.rule a ("csc:" ^ pat)));
+      Attr.rule_fire r);
     ignore (Bits.add t.sc_ends src);
     ignore (Bits.add t.sc_ends dst);
     Solver.add_edge ~kind:Solver.KShortcut ?filter t.solver ~src ~dst
@@ -211,8 +262,8 @@ let rec apply_store_pattern t (site : Ir.call_id) (k1, fld, k2) =
   | _ -> ()
 
 and add_store_pattern t (m : Ir.method_id) pat =
-  let pats = get_list t.store_pats m in
-  if not (List.mem pat !pats) then begin
+  if Inttbl.Set.add t.pats_seen (store_key t m pat) then begin
+    let pats = get_list t.store_pats m in
     pats := pat :: !pats;
     ignore (Bits.add t.involved m);
     List.iter (fun site -> apply_store_pattern t site pat) !(get_list t.callers m)
@@ -239,8 +290,8 @@ and apply_load_pattern t (site : Ir.call_id) (k, fld) =
   | _ -> ()
 
 and add_load_pattern t (m : Ir.method_id) pat =
-  let pats = get_list t.load_pats m in
-  if not (List.mem pat !pats) then begin
+  if Inttbl.Set.add t.pats_seen (load_key t m pat) then begin
+    let pats = get_list t.load_pats m in
     pats := pat :: !pats;
     ignore (Bits.add t.involved m);
     List.iter (fun site -> apply_load_pattern t site pat) !(get_list t.callers m)
@@ -249,8 +300,7 @@ and add_load_pattern t (m : Ir.method_id) pat =
 (* ---------------------------------------------------------- subscriptions *)
 
 and add_sub t (base_ptr : int) (s : sub) =
-  if not (Hashtbl.mem t.sub_seen (base_ptr, s)) then begin
-    Hashtbl.add t.sub_seen (base_ptr, s) ();
+  if Inttbl.Set.add t.sub_seen (pair_key t base_ptr (sub_code t s)) then begin
     (get_list t.subs base_ptr) := s :: !(get_list t.subs base_ptr);
     fire_sub t s (Solver.pts t.solver base_ptr)
   end
@@ -262,12 +312,12 @@ and fire_sub t (s : sub) (objs : Bits.t) =
       if not (Bits.mem t.array_objs o) then
         match s with
         | Sub_store { fld; from_ptr } ->
-          shortcut t t.c_sc_store ~src:from_ptr
+          shortcut t t.sc_store ~src:from_ptr
             ~dst:(Solver.ptr_field t.solver ~obj:o ~fld)
         | Sub_load { fld; to_ptr; tag } ->
           let src = Solver.ptr_field t.solver ~obj:o ~fld in
           if tag then Inttbl.replace t.tagged ((src lsl 31) lor to_ptr) ();
-          shortcut t t.c_sc_load ~src ~dst:to_ptr)
+          shortcut t t.sc_load ~src ~dst:to_ptr)
     objs
 
 (* ------------------------------------------------------------------ relay *)
@@ -280,23 +330,28 @@ let relay_of t (m : Ir.method_id) : relay =
   match Inttbl.find_opt t.relays m with
   | Some r -> r
   | None ->
-    let r = { rl_in_edges = []; rl_lhs = []; rl_seeds = Bits.create () } in
+    let r =
+      { rl_in_edges = []; rl_in_seen = Inttbl.Set.create 8; rl_lhs = [];
+        rl_lhs_seen = Inttbl.Set.create 8; rl_seeds = Bits.create () }
+    in
     Inttbl.add t.relays m r;
     r
 
-let relay_in_edge t (m : Ir.method_id) ~(src : int) ~(filter : Ir.typ option) =
+let relay_in_edge t (m : Ir.method_id) ~(src : int)
+    ~(filter : Solver.filter option) =
   let r = relay_of t m in
-  if not (List.mem (src, filter) r.rl_in_edges) then begin
+  let fid = match filter with Some f -> f.Solver.f_id + 1 | None -> 0 in
+  if Inttbl.Set.add r.rl_in_seen ((src lsl 31) lor fid) then begin
     r.rl_in_edges <- (src, filter) :: r.rl_in_edges;
-    List.iter (fun lhs -> shortcut ?filter t t.c_sc_relay ~src ~dst:lhs) r.rl_lhs
+    List.iter (fun lhs -> shortcut ?filter t t.sc_relay ~src ~dst:lhs) r.rl_lhs
   end
 
 let relay_call_site t (m : Ir.method_id) (lhs_ptr : int) =
   let r = relay_of t m in
-  if not (List.mem lhs_ptr r.rl_lhs) then begin
+  if Inttbl.Set.add r.rl_lhs_seen lhs_ptr then begin
     r.rl_lhs <- lhs_ptr :: r.rl_lhs;
     List.iter
-      (fun (src, filter) -> shortcut ?filter t t.c_sc_relay ~src ~dst:lhs_ptr)
+      (fun (src, filter) -> shortcut ?filter t t.sc_relay ~src ~dst:lhs_ptr)
       r.rl_in_edges;
     Solver.seed ~why:"relay" t.solver lhs_ptr (Bits.copy r.rl_seeds)
   end
@@ -332,7 +387,7 @@ let rec add_source t host cat (src_ptr : int) =
     let srcs = get_list t.sources hc in
     srcs := src_ptr :: !srcs;
     List.iter
-      (fun tgt -> shortcut t t.c_sc_container ~src:src_ptr ~dst:tgt)
+      (fun tgt -> shortcut t t.sc_container ~src:src_ptr ~dst:tgt)
       !(get_list t.targets hc)
   end
 
@@ -344,7 +399,7 @@ and add_target t host cat (tgt_ptr : int) =
     let tgts = get_list t.targets hc in
     tgts := tgt_ptr :: !tgts;
     List.iter
-      (fun src -> shortcut t t.c_sc_container ~src ~dst:tgt_ptr)
+      (fun src -> shortcut t t.sc_container ~src ~dst:tgt_ptr)
       !(get_list t.sources hc)
   end
 
@@ -392,14 +447,13 @@ let apply_lflow t (site : Ir.call_id) (callee : Ir.method_id) =
       (fun k ->
         match Static.arg_at t.prog cs k with
         | Some arg when Ir.is_ref_type (Ir.var t.prog arg).v_ty ->
-          shortcut t t.c_sc_lflow ~src:(ptr_var t arg) ~dst:lhs_ptr
+          shortcut t t.sc_lflow ~src:(ptr_var t arg) ~dst:lhs_ptr
         | _ -> ())
       srcs
   | _ -> ()
 
 let add_role t (recv_ptr : int) (role : role) =
-  if not (Hashtbl.mem t.role_seen (recv_ptr, role)) then begin
-    Hashtbl.add t.role_seen (recv_ptr, role) ();
+  if Inttbl.Set.add t.role_seen (pair_key t recv_ptr (role_code role)) then begin
     (get_list t.roles recv_ptr) := role :: !(get_list t.roles recv_ptr);
     apply_role t role (pt_h_of t recv_ptr)
   end
@@ -588,13 +642,28 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
     Bits.iter (fun m -> Bits.remove cut_load m) spec.Spec.transfers
   end;
   let no_hosts = Bits.create ~capacity:1 () in
+  let pattern name =
+    {
+      p_count =
+        Registry.counter solver.Solver.reg ~labels:[ ("pattern", name) ]
+          "csc_shortcuts";
+      p_row = "csc:" ^ name;
+      p_rule = None;
+    }
+  in
   let t =
     {
       solver;
       prog;
       cfg = config;
       spec;
-      ci = Interner.intern solver.Solver.ctxs [];
+      ci = solver.Solver.env.empty;
+      n_fields = max 1 (Array.length prog.fields);
+      n_ks =
+        2
+        + Array.fold_left
+            (fun n (m : Ir.metho) -> max n (Array.length m.m_params))
+            0 prog.methods;
       li;
       cut_load;
       cut_lflow = Bits.create ();
@@ -604,9 +673,11 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
       array_objs = Bits.create ();
       store_pats = Inttbl.create 64;
       load_pats = Inttbl.create 64;
+      pats_seen = Inttbl.Set.create 64;
       callers = Inttbl.create 256;
       subs = Inttbl.create 256;
-      sub_seen = Hashtbl.create 256;
+      pair_ids = Inttbl.create 256;
+      sub_seen = Inttbl.Set.create 256;
       retload_pats = Inttbl.create 64;
       tagged = Inttbl.create 256;
       relays = Inttbl.create 64;
@@ -614,33 +685,18 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
       pt_h = Vec.create ~capacity:1024 no_hosts;
       no_hosts;
       roles = Inttbl.create 256;
-      role_seen = Hashtbl.create 256;
+      role_seen = Inttbl.Set.create 256;
       sources = Inttbl.create 256;
       targets = Inttbl.create 256;
       sources_seen = Inttbl.create 256;
       targets_seen = Inttbl.create 256;
       involved = Bits.create ();
       sc_ends = Bits.create ();
-      c_sc_store =
-        Registry.counter solver.Solver.reg
-          ~labels:[ ("pattern", "store") ]
-          "csc_shortcuts";
-      c_sc_load =
-        Registry.counter solver.Solver.reg
-          ~labels:[ ("pattern", "load") ]
-          "csc_shortcuts";
-      c_sc_relay =
-        Registry.counter solver.Solver.reg
-          ~labels:[ ("pattern", "relay") ]
-          "csc_shortcuts";
-      c_sc_container =
-        Registry.counter solver.Solver.reg
-          ~labels:[ ("pattern", "container") ]
-          "csc_shortcuts";
-      c_sc_lflow =
-        Registry.counter solver.Solver.reg
-          ~labels:[ ("pattern", "lflow") ]
-          "csc_shortcuts";
+      sc_store = pattern "store";
+      sc_load = pattern "load";
+      sc_relay = pattern "relay";
+      sc_container = pattern "container";
+      sc_lflow = pattern "lflow";
       c_cut_stores = Registry.counter solver.Solver.reg "csc_cut_stores";
       c_cut_ret_load =
         Registry.counter solver.Solver.reg
@@ -685,8 +741,8 @@ let involved_methods t =
   inv
 let shortcut_count t =
   List.fold_left
-    (fun n c -> n + Registry.value c)
+    (fun n p -> n + Registry.value p.p_count)
     0
-    [ t.c_sc_store; t.c_sc_load; t.c_sc_relay; t.c_sc_container; t.c_sc_lflow ]
+    [ t.sc_store; t.sc_load; t.sc_relay; t.sc_container; t.sc_lflow ]
 
 let cut_store_count t = Registry.value t.c_cut_stores

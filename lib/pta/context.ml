@@ -13,6 +13,7 @@ module Ir = Csc_ir.Ir
 (** The solver-side environment a selector can query. *)
 type env = {
   prog : Ir.program;
+  empty : int;                   (** the empty context's id *)
   ctx_elems : int -> int list;   (** interned context id -> elements *)
   intern_ctx : int list -> int;
   obj_alloc : int -> Ir.alloc_id;
@@ -36,14 +37,12 @@ let rec take k = function
   | _ when k = 0 -> []
   | x :: rest -> x :: take (k - 1) rest
 
-let empty_ctx (env : env) = env.intern_ctx []
-
 (** Context insensitivity: the empty context everywhere. *)
 let ci : t =
   {
     sel_name = "ci";
-    sel_callee_ctx = (fun env ~caller_ctx:_ ~site:_ ~recv:_ ~callee:_ -> empty_ctx env);
-    sel_heap_ctx = (fun env ~mctx:_ ~site:_ -> empty_ctx env);
+    sel_callee_ctx = (fun env ~caller_ctx:_ ~site:_ ~recv:_ ~callee:_ -> env.empty);
+    sel_heap_ctx = (fun env ~mctx:_ ~site:_ -> env.empty);
   }
 
 (* k-object sensitivity: context elements are allocation sites [Milanova
@@ -108,10 +107,10 @@ let selective ~(selected : Bits.t) ~(base : t) : t =
       (fun env ~caller_ctx ~site ~recv ~callee ->
         if Bits.mem selected callee then
           base.sel_callee_ctx env ~caller_ctx ~site ~recv ~callee
-        else empty_ctx env);
+        else env.empty);
     sel_heap_ctx =
       (fun env ~mctx ~site ->
         let m = (Ir.alloc env.prog site).a_method in
         if Bits.mem selected m then base.sel_heap_ctx env ~mctx ~site
-        else empty_ctx env);
+        else env.empty);
   }

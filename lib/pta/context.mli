@@ -11,6 +11,7 @@ module Ir = Csc_ir.Ir
 (** What a selector may query about the running solver. *)
 type env = {
   prog : Ir.program;
+  empty : int;                   (** the empty context's id *)
   ctx_elems : int -> int list;   (** interned context id -> elements *)
   intern_ctx : int list -> int;
   obj_alloc : int -> Ir.alloc_id;

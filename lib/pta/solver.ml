@@ -16,11 +16,17 @@
       first-dirtying is kept for determinism; drained delta sets are
       recycled through a spare list, so steady-state pushes allocate
       nothing.
-    - {b Int-keyed tables.} Pointer interning, edge dedup, reachability
-      and call edges pack their keys into one int over the dense ids and
-      look them up in an {!Inttbl}, whose hash is one multiply; the
-      polymorphic [Hashtbl] would call the runtime's generic hash and
-      compare on every lookup. *)
+    - {b Int-keyed tables.} Pointer and object interning, edge dedup,
+      reachability, call edges and dispatch pack their keys into one int
+      over the dense ids and look them up in an open-addressing
+      {!Inttbl}; the polymorphic [Hashtbl] would call the runtime's
+      generic hash and compare on every lookup.
+    - {b Dense object facts.} Each abstract object's allocation site,
+      heap context and class sit in int vectors filled when it is
+      interned, and each cast type keeps a bitset of the objects that pass
+      it, extended as objects appear, so filtering a delta is one
+      intersection. The per-object loops of the watches and the PFG flow
+      neither hash nor allocate. *)
 
 open Csc_common
 module Ir = Csc_ir.Ir
@@ -43,7 +49,17 @@ type edge_kind =
   | KReturn of Ir.method_id  (** return edge out of this callee *)
   | KShortcut
 
-type edge = { e_dst : int; e_filter : Ir.typ option; e_kind : edge_kind }
+(* A cast filter, shared by every edge that casts to [f_ty]: [f_pass]
+   holds the objects in [0, f_upto) whose type is a subtype of [f_ty], and
+   grows over newer objects when the filter is next applied. *)
+type filter = {
+  f_id : int;  (* dense, in creation order *)
+  f_ty : Ir.typ;
+  f_pass : Bits.t;
+  mutable f_upto : int;
+}
+
+type edge = { e_dst : int; e_filter : filter option; e_kind : edge_kind }
 
 (* --------------------------------------------------------------- plugin *)
 
@@ -92,17 +108,26 @@ type t = {
   n_methods : int;          (* key-packing radix for (ctx, method) pairs *)
   n_vars : int;             (* key-packing radices for pointer keys *)
   n_fields : int;
-  (* interners *)
+  n_allocs : int;           (* key-packing radix for objects *)
   ctxs : int list Interner.t;
-  objs : (int * Ir.alloc_id) Interner.t;  (* (hctx, site) *)
   env : Context.env;        (* what context selectors see; built once *)
+  (* objects: hctx * n_allocs + site -> dense id -> site, hctx, class
+     (-1 for arrays) *)
+  obj_ids : int Inttbl.t;
+  obj_sites : int Vec.t;
+  obj_hctxs : int Vec.t;
+  obj_clss : int Vec.t;
+  (* cast filters by type; virtual dispatch by cls * n_methods + target,
+     -1 when no method of matching arity answers it *)
+  filters : (Ir.typ, filter) Hashtbl.t;
+  dispatch : int Inttbl.t;
   (* pointers: packed key (see [new_ptr]) -> dense id -> descriptor *)
   ptr_ids : int Inttbl.t;
   ptr_descs : ptr_desc Vec.t;
   (* per-pointer tables *)
   pts : Bits.t Vec.t;
   succs : edge list Vec.t;
-  edge_seen : unit Inttbl.t;  (* packed (src lsl 31) lor dst *)
+  edge_seen : Inttbl.Set.t;  (* packed (src lsl 31) lor dst *)
   watches : watch list Vec.t;
   (* coalescing worklist: per-pointer pending delta + dirty set + FIFO of
      first-dirtying; [empty_pending] is the shared "no pending" sentinel
@@ -113,9 +138,9 @@ type t = {
   empty_pending : Bits.t;
   mutable spare : Bits.t list;
   (* reachability / call graph (packed-int keys) *)
-  reached : unit Inttbl.t;   (* ctx * n_methods + mid *)
+  reached : Inttbl.Set.t;   (* ctx * n_methods + mid *)
   reached_methods : Bits.t;
-  call_edges : unit Inttbl.t Inttbl.t;
+  call_edges : Inttbl.Set.t Inttbl.t;
       (* (site * n_methods + callee) -> {(caller_ctx lsl 31) lor callee_ctx} *)
   call_edges_proj : (int, unit) Hashtbl.t;
       (* site * n_methods + callee; a stdlib table because its fold order
@@ -145,7 +170,8 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     : t =
   let reg = Registry.create () in
   let empty_pending = Bits.create ~capacity:1 () in
-  let ctxs = Interner.create [] and objs = Interner.create (-1, -1) in
+  let ctxs = Interner.create [] in
+  let obj_sites = Vec.create 0 and obj_hctxs = Vec.create 0 in
   {
     prog;
     sel;
@@ -154,28 +180,35 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     n_methods = Array.length prog.methods;
     n_vars = max 1 (Array.length prog.vars);
     n_fields = max 1 (Array.length prog.fields);
+    n_allocs = max 1 (Array.length prog.allocs);
     ctxs;
-    objs;
     env =
       {
         prog;
+        empty = Interner.intern ctxs [];
         ctx_elems = Interner.get ctxs;
         intern_ctx = Interner.intern ctxs;
-        obj_alloc = (fun o -> snd (Interner.get objs o));
-        obj_hctx = (fun o -> fst (Interner.get objs o));
+        obj_alloc = Vec.get obj_sites;
+        obj_hctx = Vec.get obj_hctxs;
       };
+    obj_ids = Inttbl.create 256;
+    obj_sites;
+    obj_hctxs;
+    obj_clss = Vec.create 0;
+    filters = Hashtbl.create 16;
+    dispatch = Inttbl.create 256;
     ptr_ids = Inttbl.create 4096;
     ptr_descs = Vec.create ~capacity:4096 (PStatic (-1));
     pts = Vec.create (Bits.create ());
     succs = Vec.create [];
-    edge_seen = Inttbl.create 4096;
+    edge_seen = Inttbl.Set.create 4096;
     watches = Vec.create [];
     pending = Vec.create empty_pending;
     dirty = Bits.create ();
     wl = Queue.create ();
     empty_pending;
     spare = [];
-    reached = Inttbl.create 256;
+    reached = Inttbl.Set.create 256;
     reached_methods = Bits.create ();
     call_edges = Inttbl.create 1024;
     call_edges_proj = Hashtbl.create 1024;
@@ -262,10 +295,24 @@ let pts t p = Vec.get t.pts p
 let succs t p = Vec.get t.succs p
 let ptr_desc t p = Vec.get t.ptr_descs p
 
-let intern_obj t ~hctx ~site : int = Interner.intern t.objs (hctx, site)
-let n_objs t = Interner.count t.objs
-let obj_alloc t o = snd (Interner.get t.objs o)
-let obj_hctx t o = fst (Interner.get t.objs o)
+let intern_obj t ~hctx ~site : int =
+  let key = (hctx * t.n_allocs) + site in
+  match Inttbl.find t.obj_ids key with
+  | o -> o
+  | exception Not_found ->
+    let o = Vec.push_idx t.obj_sites site in
+    Inttbl.add t.obj_ids key o;
+    Vec.push t.obj_hctxs hctx;
+    Vec.push t.obj_clss
+      (match Ir.alloc_class t.prog site with Some c -> c | None -> -1);
+    o
+
+let n_objs t = Vec.length t.obj_sites
+let obj_alloc t o = Vec.get t.obj_sites o
+let obj_hctx t o = Vec.get t.obj_hctxs o
+
+(** Object's runtime class, [-1] for arrays. *)
+let obj_cls t o = Vec.get t.obj_clss o
 
 (* owning method for cost attribution: variables belong to their declaring
    method, heap nodes to the allocating method, statics to none (-1) *)
@@ -275,20 +322,51 @@ let meth_of_ptr t p : int =
   | PField (o, _) | PArr o -> (Ir.alloc t.prog (obj_alloc t o)).a_method
   | PStatic _ -> -1
 
-(** Object's runtime class, [None] for arrays. *)
-let obj_class t o = Ir.alloc_class t.prog (obj_alloc t o)
-
 let obj_typ t o = Ir.alloc_typ t.prog (obj_alloc t o)
 
-let filter_delta t (filter : Ir.typ option) (delta : Bits.t) : Bits.t =
+(** The shared filter of casts to [ty]. *)
+let cast_filter t (ty : Ir.typ) : filter =
+  match Hashtbl.find_opt t.filters ty with
+  | Some f -> f
+  | None ->
+    let f =
+      { f_id = Hashtbl.length t.filters; f_ty = ty; f_pass = Bits.create ();
+        f_upto = 0 }
+    in
+    Hashtbl.add t.filters ty f;
+    f
+
+let filter_delta t (filter : filter option) (delta : Bits.t) : Bits.t =
   match filter with
   | None -> delta
-  | Some ty ->
-    let out = Bits.create () in
-    Bits.iter
-      (fun o -> if Ir.subtype t.prog (obj_typ t o) ty then ignore (Bits.add out o))
-      delta;
-    out
+  | Some f ->
+    let n = n_objs t in
+    for o = f.f_upto to n - 1 do
+      if Ir.subtype t.prog (obj_typ t o) f.f_ty then ignore (Bits.add f.f_pass o)
+    done;
+    f.f_upto <- n;
+    Bits.inter delta f.f_pass
+
+let arity_ok t (cs : Ir.call_site) callee =
+  Array.length (Ir.metho t.prog callee).m_params = Array.length cs.cs_args
+
+(* The implementation a receiver of class [cls] runs at virtual call site
+   [cs], -1 if none of the call's arity; memoized per (class, target). *)
+let dispatch t (cs : Ir.call_site) cls =
+  let key = (cls * t.n_methods) + cs.cs_target in
+  let m =
+    match Inttbl.find t.dispatch key with
+    | m -> m
+    | exception Not_found ->
+      let m =
+        match Ir.dispatch t.prog cls (Ir.metho t.prog cs.cs_target).m_name with
+        | Some m -> m
+        | None -> -1
+      in
+      Inttbl.add t.dispatch key m;
+      m
+  in
+  if m >= 0 && arity_ok t cs m then m else -1
 
 (* ------------------------------------------------- coalescing worklist *)
 
@@ -352,9 +430,7 @@ let prov_flow t ~src ~dst kind (objs : Bits.t) =
     immediately. No-op if the edge exists. *)
 let add_edge ?(kind = KNormal) ?filter t ~src ~dst =
   if src <> dst then begin
-    let key = (src lsl 31) lor dst in
-    if not (Inttbl.mem t.edge_seen key) then begin
-      Inttbl.add t.edge_seen key ();
+    if Inttbl.Set.add t.edge_seen ((src lsl 31) lor dst) then begin
       let e = { e_dst = dst; e_filter = filter; e_kind = kind } in
       Vec.set t.succs src (e :: Vec.get t.succs src);
       Registry.incr t.c_edges;
@@ -391,9 +467,7 @@ let add_watch t p w =
   Vec.set t.watches p (w :: Vec.get t.watches p)
 
 let rec add_reachable t ~ctx ~(mid : Ir.method_id) =
-  let key = (ctx * t.n_methods) + mid in
-  if not (Inttbl.mem t.reached key) then begin
-    Inttbl.add t.reached key ();
+  if Inttbl.Set.add t.reached ((ctx * t.n_methods) + mid) then begin
     Registry.incr t.c_reach_ctx;
     (* context-explosion cascades can spend a long time inside one worklist
        iteration; keep the budget honest here too *)
@@ -414,7 +488,8 @@ and process_stmt t ~ctx (s : Ir.stmt) =
   | Copy { lhs; rhs } ->
     if Ir.is_ref_type (Ir.var t.prog rhs).v_ty || Ir.is_ref_type (Ir.var t.prog lhs).v_ty
     then add_edge t ~src:(pv rhs) ~dst:(pv lhs)
-  | Cast { lhs; ty; rhs; _ } -> add_edge ~filter:ty t ~src:(pv rhs) ~dst:(pv lhs)
+  | Cast { lhs; ty; rhs; _ } ->
+    add_edge ~filter:(cast_filter t ty) t ~src:(pv rhs) ~dst:(pv lhs)
   | Load { lhs; base; fld } ->
     let bp = pv base in
     add_watch t bp (WLoad { ctx; lhs; fld });
@@ -445,7 +520,7 @@ and process_stmt t ~ctx (s : Ir.stmt) =
         ~callee:target
     in
     add_call_edge t ~caller_ctx:ctx ~site ~callee_ctx:cctx ~callee:target
-      ~recv_obj:None
+      ~recv_obj:(-1)
   | Invoke { kind = Virtual | Special; recv; site; _ } -> (
     match recv with
     | Some r ->
@@ -463,28 +538,26 @@ and process_watch t (w : watch) (delta : Bits.t) =
     | WLoad { ctx; lhs; fld } ->
       Bits.iter
         (fun o ->
-          if obj_class t o <> None then
+          if obj_cls t o >= 0 then
             add_edge t ~src:(ptr_field t ~obj:o ~fld) ~dst:(ptr_var t ~ctx lhs))
         delta
     | WStore { ctx; fld; rhs } ->
       Bits.iter
         (fun o ->
-          if obj_class t o <> None then
+          if obj_cls t o >= 0 then
             add_edge t ~src:(ptr_var t ~ctx rhs) ~dst:(ptr_field t ~obj:o ~fld))
         delta
     | WALoad { ctx; lhs } ->
       Bits.iter
         (fun o ->
-          match obj_typ t o with
-          | Tarray _ -> add_edge t ~src:(ptr_arr t ~obj:o) ~dst:(ptr_var t ~ctx lhs)
-          | _ -> ())
+          if obj_cls t o < 0 then
+            add_edge t ~src:(ptr_arr t ~obj:o) ~dst:(ptr_var t ~ctx lhs))
         delta
     | WAStore { ctx; rhs } ->
       Bits.iter
         (fun o ->
-          match obj_typ t o with
-          | Tarray _ -> add_edge t ~src:(ptr_var t ~ctx rhs) ~dst:(ptr_arr t ~obj:o)
-          | _ -> ())
+          if obj_cls t o < 0 then
+            add_edge t ~src:(ptr_var t ~ctx rhs) ~dst:(ptr_arr t ~obj:o))
         delta
     | WInvoke { ctx; site } ->
       let cs = Ir.call t.prog site in
@@ -492,27 +565,24 @@ and process_watch t (w : watch) (delta : Bits.t) =
         (fun o ->
           let callee =
             match cs.cs_kind with
-            | Special -> Some cs.cs_target
-            | Static -> None (* unreachable: statics have no receiver watch *)
-            | Virtual -> (
-              match obj_class t o with
-              | Some cls ->
-                Ir.dispatch t.prog cls (Ir.metho t.prog cs.cs_target).m_name
-              | None -> None)
+            | Special -> if arity_ok t cs cs.cs_target then cs.cs_target else -1
+            | Static -> -1 (* unreachable: statics have no receiver watch *)
+            | Virtual ->
+              let cls = obj_cls t o in
+              if cls < 0 then -1 else dispatch t cs cls
           in
-          match callee with
-          | Some callee
-            when Array.length (Ir.metho t.prog callee).m_params
-                 = Array.length cs.cs_args ->
+          if callee >= 0 then begin
             let cctx =
               t.sel.sel_callee_ctx t.env ~caller_ctx:ctx ~site
                 ~recv:(Some o) ~callee
             in
             add_call_edge t ~caller_ctx:ctx ~site ~callee_ctx:cctx ~callee
-              ~recv_obj:(Some o)
-          | _ -> ())
+              ~recv_obj:o
+          end)
         delta
 
+(* [recv_obj] is the receiver object that triggered the edge, -1 for a
+   static call *)
 and add_call_edge t ~caller_ctx ~site ~callee_ctx ~callee ~recv_obj =
   let sc = (site * t.n_methods) + callee in
   let cc = (caller_ctx lsl 31) lor callee_ctx in
@@ -520,13 +590,11 @@ and add_call_edge t ~caller_ctx ~site ~callee_ctx ~callee ~recv_obj =
     match Inttbl.find t.call_edges sc with
     | tbl -> tbl
     | exception Not_found ->
-      let tbl = Inttbl.create 4 in
+      let tbl = Inttbl.Set.create 4 in
       Inttbl.add t.call_edges sc tbl;
       tbl
   in
-  let first_full = not (Inttbl.mem ctx_tbl cc) in
-  if first_full then begin
-    Inttbl.add ctx_tbl cc ();
+  if Inttbl.Set.add ctx_tbl cc then begin
     Registry.incr t.c_call_edges;
     if not (Hashtbl.mem t.call_edges_proj sc) then begin
       Hashtbl.add t.call_edges_proj sc ();
@@ -553,9 +621,11 @@ and add_call_edge t ~caller_ctx ~site ~callee_ctx ~callee ~recv_obj =
     | _ -> ())
   end;
   (* the triggering receiver flows to `this` even on a repeat edge *)
-  match (recv_obj, (Ir.metho t.prog callee).m_this) with
-  | Some o, Some this -> seed1 ~why:"receiver" t (ptr_var t ~ctx:callee_ctx this) o
-  | _ -> ()
+  if recv_obj >= 0 then
+    match (Ir.metho t.prog callee).m_this with
+    | Some this ->
+      seed1 ~why:"receiver" t (ptr_var t ~ctx:callee_ctx this) recv_obj
+    | None -> ()
 
 (* ------------------------------------------------------------ main loop *)
 
@@ -590,11 +660,10 @@ let maybe_progress t ~t0 ~iter =
 
 let run_loop (t : t) : unit =
   let t0 = Timer.now () in
-  let entry_ctx = Interner.intern t.ctxs [] in
   let iter = ref 0 in
   (try
      Timer.check t.budget;
-     add_reachable t ~ctx:entry_ctx ~mid:t.prog.main;
+     add_reachable t ~ctx:t.env.empty ~mid:t.prog.main;
      while not (Queue.is_empty t.wl) do
        incr iter;
        if !iter land 255 = 0 then begin
@@ -694,24 +763,22 @@ let snapshot (t : t) : Snapshot.t =
 
 let result (t : t) : result =
   (* project pointer facts onto variables, merging contexts and abstracting
-     objects to their allocation sites *)
-  let var_pt : (Ir.var_id, Bits.t) Hashtbl.t = Hashtbl.create 1024 in
+     objects to their allocation sites; variables that point to nothing
+     share [empty] *)
+  let empty = Bits.create () in
+  let var_pt = Array.make (Array.length t.prog.vars) empty in
   Vec.iteri
     (fun p desc ->
       match desc with
       | PVar (_, v) ->
-        let tgt =
-          match Hashtbl.find_opt var_pt v with
-          | Some b -> b
-          | None ->
-            let b = Bits.create () in
-            Hashtbl.add var_pt v b;
-            b
-        in
-        Bits.iter (fun o -> ignore (Bits.add tgt (obj_alloc t o))) (pts t p)
+        let pt = pts t p in
+        if not (Bits.is_empty pt) then begin
+          if var_pt.(v) == empty then var_pt.(v) <- Bits.create ();
+          let tgt = var_pt.(v) in
+          Bits.iter (fun o -> ignore (Bits.add tgt (obj_alloc t o))) pt
+        end
       | _ -> ())
     t.ptr_descs;
-  let empty = Bits.create () in
   {
     r_name =
       (if t.plugin.pl_name = "none" then t.sel.sel_name
@@ -723,7 +790,7 @@ let result (t : t) : result =
         (fun sc () acc -> (sc / t.n_methods, sc mod t.n_methods) :: acc)
         t.call_edges_proj [];
     r_pt =
-      (fun v -> match Hashtbl.find_opt var_pt v with Some b -> b | None -> empty);
+      (fun v -> if v >= 0 && v < Array.length var_pt then var_pt.(v) else empty);
     r_snapshot = snapshot t;
   }
 
@@ -736,7 +803,7 @@ let ptr_to_string t p =
   | PVar (ctx, v) ->
     let vr = Ir.var t.prog v in
     let m = Ir.method_name t.prog vr.v_method in
-    if ctx = Interner.intern t.ctxs [] then Printf.sprintf "%s.%s" m vr.v_name
+    if ctx = t.env.empty then Printf.sprintf "%s.%s" m vr.v_name
     else Printf.sprintf "%s.%s@ctx%d" m vr.v_name ctx
   | PField (o, fld) ->
     Printf.sprintf "obj#%d.%s" o (Ir.field t.prog fld).f_name

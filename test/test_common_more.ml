@@ -80,8 +80,6 @@ let prop_interner_dense =
 
 (* ---------------------------------------------------------------- Inttbl *)
 
-type tbl_op = Add of int * int | Replace of int * int | Remove of int
-
 (* keys the analyses pack: small ids, (src lsl 31) lor dst edge keys, and
    tagged pointer keys up to 2^61 *)
 let gen_key =
@@ -93,52 +91,83 @@ let gen_key =
         map2 (fun p tag -> (p lsl 2) lor tag) (int_bound (1 lsl 59)) (int_bound 3);
       ])
 
-let gen_tbl_op =
-  QCheck2.Gen.(
-    oneof
-      [
-        map2 (fun k v -> Add (k, v)) gen_key small_nat;
-        map2 (fun k v -> Replace (k, v)) gen_key small_nat;
-        map (fun k -> Remove k) gen_key;
-      ])
+(* [add] and [replace] both bind last-write-wins, as [Hashtbl.replace] *)
+let gen_binding = QCheck2.Gen.(pair bool (pair gen_key small_nat))
 
 let prop_inttbl_model =
   QCheck2.Test.make ~name:"inttbl agrees with stdlib Hashtbl" ~count:200
-    QCheck2.Gen.(list_size (int_range 0 3000) gen_tbl_op)
+    QCheck2.Gen.(list_size (int_range 0 3000) gen_binding)
     (fun ops ->
       (* size 1: a long sequence grows the table through many resizes *)
       let t = Inttbl.create 1 and m = Hashtbl.create 1 in
       let agree k =
         Inttbl.find_opt t k = Hashtbl.find_opt m k
         && Inttbl.mem t k = Hashtbl.mem m k
-        && Inttbl.find_all t k = Hashtbl.find_all m k
+        && (match Inttbl.find t k with
+           | v -> Hashtbl.find_opt m k = Some v
+           | exception Not_found -> not (Hashtbl.mem m k))
       in
       List.for_all
-        (fun op ->
-          let k =
-            match op with
-            | Add (k, v) -> Inttbl.add t k v; Hashtbl.add m k v; k
-            | Replace (k, v) -> Inttbl.replace t k v; Hashtbl.replace m k v; k
-            | Remove k -> Inttbl.remove t k; Hashtbl.remove m k; k
-          in
+        (fun (replace, (k, v)) ->
+          if replace then Inttbl.replace t k v else Inttbl.add t k v;
+          Hashtbl.replace m k v;
           agree k && agree (k + 1))
         ops
       && Inttbl.length t = Hashtbl.length m
       && Hashtbl.fold (fun k _ ok -> ok && agree k) m true)
 
-(* edge keys that differ only above bit 31 must not share buckets: the
-   table picks buckets by the hash's low bits *)
+let prop_inttbl_set_model =
+  QCheck2.Test.make ~name:"inttbl set agrees with stdlib Hashtbl" ~count:200
+    QCheck2.Gen.(list_size (int_range 0 3000) gen_key)
+    (fun keys ->
+      let s = Inttbl.Set.create 1 and m = Hashtbl.create 1 in
+      List.for_all
+        (fun k ->
+          let fresh = not (Hashtbl.mem m k) in
+          Hashtbl.replace m k ();
+          Inttbl.Set.add s k = fresh
+          && Inttbl.Set.mem s k
+          && Inttbl.Set.mem s (k + 1) = Hashtbl.mem m (k + 1))
+        keys
+      && Inttbl.Set.length s = Hashtbl.length m
+      && Hashtbl.fold (fun k () ok -> ok && Inttbl.Set.mem s k) m true)
+
+(* [-1] marks a free slot, so a negative key must never reach a probe *)
+let test_inttbl_negative_keys () =
+  let t = Inttbl.create 4 and s = Inttbl.Set.create 4 in
+  let raises what f =
+    Alcotest.check_raises what (Invalid_argument "Inttbl: negative key")
+      (fun () -> ignore (f ()))
+  in
+  List.iter
+    (fun k ->
+      raises "replace" (fun () -> Inttbl.replace t k 0);
+      raises "add" (fun () -> Inttbl.add t k 0);
+      raises "find_opt" (fun () -> Inttbl.find_opt t k);
+      raises "find" (fun () -> Inttbl.find t k);
+      raises "mem" (fun () -> Inttbl.mem t k);
+      raises "set add" (fun () -> Inttbl.Set.add s k);
+      raises "set mem" (fun () -> Inttbl.Set.mem s k))
+    [ -1; -2; min_int ];
+  Alcotest.(check int) "nothing bound" 0 (Inttbl.length t + Inttbl.Set.length s)
+
+(* edge keys that differ only above bit 31 must not pile up in one probe
+   run: the table picks slots by the hash's low bits, so an identity hash
+   would put all of them behind one home slot *)
 let test_inttbl_spreads_packed_keys () =
-  let t = Inttbl.create 16 in
+  let t = Inttbl.create 16 and s = Inttbl.Set.create 16 in
   for src = 0 to 9_999 do
-    Inttbl.add t ((src lsl 31) lor 7) ()
+    Inttbl.add t ((src lsl 31) lor 7) ();
+    ignore (Inttbl.Set.add s ((src lsl 31) lor 7))
   done;
-  let st = Inttbl.stats t in
-  Alcotest.(check int) "all bound" 10_000 st.Hashtbl.num_bindings;
-  Alcotest.(check bool)
-    (Printf.sprintf "longest bucket %d" st.Hashtbl.max_bucket_length)
-    true
-    (st.Hashtbl.max_bucket_length <= 8)
+  Alcotest.(check int) "all bound" 10_000 (Inttbl.length t);
+  Alcotest.(check int) "all in the set" 10_000 (Inttbl.Set.length s);
+  List.iter
+    (fun (what, probe) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: longest probe %d" what probe)
+        true (probe <= 32))
+    [ ("table", Inttbl.max_probe t); ("set", Inttbl.Set.max_probe s) ]
 
 (* ---------------------------------------------------------------- parser *)
 
@@ -267,6 +296,9 @@ let suite =
     ( "common.inttbl",
       [
         QCheck_alcotest.to_alcotest prop_inttbl_model;
+        QCheck_alcotest.to_alcotest prop_inttbl_set_model;
+        Alcotest.test_case "negative keys rejected" `Quick
+          test_inttbl_negative_keys;
         Alcotest.test_case "packed keys spread" `Quick
           test_inttbl_spreads_packed_keys;
       ] );

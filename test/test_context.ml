@@ -12,6 +12,7 @@ let mk_env (p : Csc_ir.Ir.program) =
   let env : Context.env =
     {
       prog = p;
+      empty = Interner.intern ctxs [];
       ctx_elems = (fun c -> Interner.get ctxs c);
       intern_ctx = (fun l -> Interner.intern ctxs l);
       obj_alloc = (fun o -> snd (Interner.get objs o));
