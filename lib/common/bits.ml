@@ -10,7 +10,7 @@ type t = {
   mutable card : int;
 }
 
-let word_bits = Sys.int_size (* 63 on 64-bit *)
+let word_bits = 63 (* 64-bit OCaml ints; [bit_index] and [popcount] rely on it *)
 
 let create ?(capacity = 64) () =
   let nwords = (capacity + word_bits - 1) / word_bits in
@@ -64,17 +64,18 @@ let clear t =
 
 let copy t = { words = Array.copy t.words; card = t.card }
 
-(* Index of the single set bit of [b], a power of two ([min_int], the sign
-   bit, included), by binary search: six steps whatever the position. *)
-let bit_index b =
-  let n = ref 0 and b = ref b in
-  if !b land 0xFFFF_FFFF = 0 then begin n := 32; b := !b lsr 32 end;
-  if !b land 0xFFFF = 0 then begin n := !n + 16; b := !b lsr 16 end;
-  if !b land 0xFF = 0 then begin n := !n + 8; b := !b lsr 8 end;
-  if !b land 0xF = 0 then begin n := !n + 4; b := !b lsr 4 end;
-  if !b land 0x3 = 0 then begin n := !n + 2; b := !b lsr 2 end;
-  if !b land 0x1 = 0 then n := !n + 1;
-  !n
+(* Index of the single set bit of [b], a power of two: 2 is a primitive
+   root modulo 67, so the residues of 2^0 .. 2^61 are distinct and index a
+   table; the sign bit ([min_int], bit 62) is the one negative case. No
+   branch depends on the position, unlike a binary search. *)
+let bit_of_residue =
+  let t = Array.make 67 0 in
+  for i = 0 to 61 do
+    t.((1 lsl i) mod 67) <- i
+  done;
+  t
+
+let bit_index b = if b < 0 then 62 else Array.unsafe_get bit_of_residue (b mod 67)
 
 let iter f t =
   let words = t.words in
@@ -103,14 +104,13 @@ let iter_diff f src excl =
     done
   done
 
-(* set bits of a word (Kernighan: one step per set bit) *)
+(* set bits of a word, counted in parallel within pairs, nibbles and
+   bytes, then summed by one multiply into the top byte *)
 let popcount x =
-  let x = ref x and n = ref 0 in
-  while !x <> 0 do
-    incr n;
-    x := !x land (!x - 1)
-  done;
-  !n
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 let fold f t acc =
   let acc = ref acc in
