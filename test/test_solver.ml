@@ -349,6 +349,153 @@ let test_ptr_keys_reintern () =
   Alcotest.(check int) "one pointer per descriptor" (List.length descs)
     (counter t "ptrs")
 
+(* --- per-object caches: cast masks and the dispatch memo ------------- *)
+
+(* The cast's filter is first applied while [a] holds only the C object;
+   the D object is allocated later, in [F.make], which becomes reachable
+   only when [f]'s object reaches the receiver. The cast's mask of passing
+   objects must grow to cover it. *)
+let late_subclass_src =
+  {|
+class A { }
+class B extends A { }
+class C extends A { }
+class D extends B { }
+class F { A make() { return new D(); } }
+class Main {
+  static void main() {
+    A a = new C();
+    B b = (B) a;
+    F f = new F();
+    A d = f.make();
+    a = d;
+    System.print(b);
+  }
+}
+|}
+
+let test_cast_mask_extends () =
+  let p = compile late_subclass_src in
+  let t = Solver.analyze p in
+  let r = Solver.result t in
+  let b = r.r_pt (var p "Main.main" "b") in
+  Alcotest.(check int) "b gets the late D object only" 1 (Bits.cardinal b);
+  let site = Option.get (Bits.choose b) in
+  Alcotest.(check (option int)) "it is the D allocation"
+    (Array.find_opt (fun (c : Ir.klass) -> c.c_name = "D") p.classes
+    |> Option.map (fun (c : Ir.klass) -> c.c_id))
+    (Ir.alloc_class p site);
+  Alcotest.(check int) "a has both" 2 (pt_size r (var p "Main.main" "a"))
+
+(* One virtual call site sees receivers of two classes; each dispatches to
+   its own override, and a second site with one of those classes reuses the
+   memoized answer. *)
+let two_receivers_src =
+  {|
+class Animal { Object speak() { return new Object(); } }
+class Dog extends Animal { Object speak() { return new Dog(); } }
+class Cat extends Animal { Object speak() { return new Cat(); } }
+class Main {
+  static void main() {
+    Animal a = new Dog();
+    if (true) { a = new Cat(); }
+    Object s = a.speak();
+    Animal b = new Dog();
+    Object u = b.speak();
+    System.print(s);
+    System.print(u);
+  }
+}
+|}
+
+let callees_by_site p (r : Solver.result) =
+  List.fold_left
+    (fun acc (site, callee) ->
+      let names = Option.value ~default:[] (List.assoc_opt site acc) in
+      (site, List.sort_uniq compare (Ir.method_name p callee :: names))
+      :: List.remove_assoc site acc)
+    [] r.r_edges
+  |> List.sort compare
+
+let test_dispatch_per_class () =
+  let p = compile two_receivers_src in
+  let r = Solver.result (Solver.analyze p) in
+  Alcotest.(check (list (list string))) "callees per speak() site"
+    [ [ "Cat.speak"; "Dog.speak" ]; [ "Dog.speak" ] ]
+    (List.filter_map
+       (fun (_, names) ->
+         if List.exists (fun n -> Filename.extension n = ".speak") names then
+           Some names
+         else None)
+       (callees_by_site p r));
+  Alcotest.(check int) "s gets both overrides' objects" 2
+    (pt_size r (var p "Main.main" "s"));
+  Alcotest.(check bool) "Animal.speak never runs" false
+    (reaches p r "Animal.speak")
+
+(* The cached answers agree with the naive per-object check: under the
+   empty context, every virtual call site's callees are exactly
+   [Ir.dispatch] over its receiver objects' classes (of matching arity),
+   and every variable whose only definition is a cast points to exactly
+   the cast source's objects that [Ir.subtype] admits. *)
+let check_against_naive name (p : Ir.program) (t : Solver.t) =
+  let r = Solver.result t in
+  let by_site = callees_by_site p r in
+  let pts v = Solver.pts t (Solver.ptr_var t ~ctx:0 v) in
+  let sites = ref 0 and casts = ref 0 in
+  Bits.iter
+    (fun mid ->
+      Ir.iter_stmts
+        (fun (s : Ir.stmt) ->
+          match s with
+          | Invoke { kind = Virtual; recv = Some rv; site; target; args; _ } ->
+            incr sites;
+            let want =
+              Bits.fold
+                (fun o acc ->
+                  match Ir.alloc_class p (Solver.obj_alloc t o) with
+                  | None -> acc
+                  | Some c -> (
+                    match Ir.dispatch p c (Ir.metho p target).m_name with
+                    | Some m
+                      when Array.length (Ir.metho p m).m_params
+                           = Array.length args ->
+                      Ir.method_name p m :: acc
+                    | _ -> acc))
+                (pts rv) []
+              |> List.sort_uniq compare
+            in
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s site %d" name site)
+              want
+              (Option.value ~default:[] (List.assoc_opt site by_site))
+          | Cast { lhs; ty; rhs; _ } when p.def_counts.(lhs) = 1 ->
+            incr casts;
+            let want = Bits.create () in
+            Bits.iter
+              (fun o ->
+                if Ir.subtype p (Solver.obj_typ t o) ty then
+                  ignore (Bits.add want o))
+              (pts rhs);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s cast into %s" name (Ir.var_name p lhs))
+              true
+              (Bits.equal want (pts lhs))
+          | _ -> ())
+        (Ir.metho p mid).m_body)
+    r.r_reach;
+  Alcotest.(check bool) (name ^ " checked call sites and casts") true
+    (!sites > 0 && !casts > 0)
+
+let test_caches_match_naive () =
+  List.iter
+    (fun prog ->
+      let p = Csc_workloads.Suite.compile prog in
+      check_against_naive (prog ^ "/ci") p (Solver.analyze p);
+      check_against_naive (prog ^ "/csc") p
+        (Solver.analyze ~plugin_of:Csc_core.Csc.plugin p))
+    [ "findbugs"; "hsqldb" ]
+
 let suite =
   [
     ( "pta.ci",
@@ -394,5 +541,11 @@ let suite =
           test_redundant_push_skipped;
         Alcotest.test_case "pointer keys re-intern" `Quick
           test_ptr_keys_reintern;
+        Alcotest.test_case "cast mask covers later objects" `Quick
+          test_cast_mask_extends;
+        Alcotest.test_case "dispatch per receiver class" `Quick
+          test_dispatch_per_class;
+        Alcotest.test_case "caches match naive checks" `Quick
+          test_caches_match_naive;
       ] );
   ]
