@@ -89,6 +89,20 @@ let iter f t =
     done
   done
 
+(** [add_image ~into f src] adds [f.(i)] to [into] for every [i] in [src]:
+    the image of [src] under the int map [f], with no call per element. *)
+let add_image ~into (f : int array) src =
+  let words = src.words in
+  for w = 0 to Array.length words - 1 do
+    let x = ref words.(w) in
+    let base = w * word_bits in
+    while !x <> 0 do
+      let b = !x land - !x in
+      ignore (add into f.(base + bit_index b));
+      x := !x land lnot b
+    done
+  done
+
 (** [iter_diff f src excl] visits every element of [src \ excl] in increasing
     order without allocating a difference set. *)
 let iter_diff f src excl =
@@ -195,8 +209,11 @@ let inter a b =
 
 let inter_nonempty a b =
   let n = min (Array.length a.words) (Array.length b.words) in
-  let rec go w = w < n && (a.words.(w) land b.words.(w) <> 0 || go (w + 1)) in
-  go 0
+  let w = ref 0 in
+  while !w < n && a.words.(!w) land b.words.(!w) = 0 do
+    incr w
+  done;
+  !w < n
 
 let equal a b =
   let n = max (Array.length a.words) (Array.length b.words) in

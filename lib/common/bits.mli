@@ -31,6 +31,10 @@ val iter : (int -> unit) -> t -> unit
     without materializing the difference. *)
 val iter_diff : (int -> unit) -> t -> t -> unit
 
+(** [add_image ~into f src] adds [f.(i)] to [into] for every [i] in [src]
+    (the image of [src] under the map [f]); no closure call per element. *)
+val add_image : into:t -> int array -> t -> unit
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
 val of_list : int list -> t

@@ -24,13 +24,13 @@ let capacity n =
 
 (* index of [k] in [keys], or of the free slot where it would go; load
    3/4 guarantees a free slot, so the probe ends *)
+let rec probe keys mask k i =
+  let x = Array.unsafe_get keys i in
+  if x = k || x = empty then i else probe keys mask k ((i + 1) land mask)
+
 let slot keys k =
   let mask = Array.length keys - 1 in
-  let rec go i =
-    let x = Array.unsafe_get keys i in
-    if x = k || x = empty then i else go ((i + 1) land mask)
-  in
-  go (hash k land mask)
+  probe keys mask k (hash k land mask)
 
 let full size keys = (size + 1) * 4 > Array.length keys * 3
 

@@ -767,6 +767,7 @@ let result (t : t) : result =
      share [empty] *)
   let empty = Bits.create () in
   let var_pt = Array.make (Array.length t.prog.vars) empty in
+  let sites = Vec.to_array t.obj_sites in
   Vec.iteri
     (fun p desc ->
       match desc with
@@ -774,8 +775,7 @@ let result (t : t) : result =
         let pt = pts t p in
         if not (Bits.is_empty pt) then begin
           if var_pt.(v) == empty then var_pt.(v) <- Bits.create ();
-          let tgt = var_pt.(v) in
-          Bits.iter (fun o -> ignore (Bits.add tgt (obj_alloc t o))) pt
+          Bits.add_image ~into:var_pt.(v) sites pt
         end
       | _ -> ())
     t.ptr_descs;
