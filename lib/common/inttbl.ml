@@ -74,14 +74,8 @@ let replace t k v =
   if Array.length t.vals = 0 then t.vals <- Array.make (Array.length t.keys) v;
   let i = slot t.keys k in
   if Array.unsafe_get t.keys i = k then Array.unsafe_set t.vals i v
-  else if full t.size t.keys then begin
-    grow t v;
-    let i = slot t.keys k in
-    Array.unsafe_set t.keys i k;
-    Array.unsafe_set t.vals i v;
-    t.size <- t.size + 1
-  end
   else begin
+    let i = if full t.size t.keys then (grow t v; slot t.keys k) else i in
     Array.unsafe_set t.keys i k;
     Array.unsafe_set t.vals i v;
     t.size <- t.size + 1
@@ -123,11 +117,8 @@ module Set = struct
     let i = slot t.keys k in
     Array.unsafe_get t.keys i <> k
     && begin
-      if full t.size t.keys then begin
-        grow t;
-        Array.unsafe_set t.keys (slot t.keys k) k
-      end
-      else Array.unsafe_set t.keys i k;
+      let i = if full t.size t.keys then (grow t; slot t.keys k) else i in
+      Array.unsafe_set t.keys i k;
       t.size <- t.size + 1;
       true
     end
