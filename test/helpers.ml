@@ -10,6 +10,14 @@ let compile src =
   Csc_ir.Validate.check_exn p;
   p
 
+(* a suite program by name, or a sample program by its file name *)
+let named_program name =
+  if Filename.check_suffix name ".mjava" then
+    compile
+      (In_channel.with_open_bin ("../examples/sample_programs/" ^ name)
+         In_channel.input_all)
+  else Csc_workloads.Suite.compile name
+
 let find_method (p : Ir.program) name : Ir.metho =
   let found = ref None in
   Array.iter

@@ -49,15 +49,8 @@ let pinned =
     (("hsqldb", "check render_json"),
      "ca7b0e95712113ede7394ba6ea4ec3ae") ]
 
-let program name =
-  if Filename.check_suffix name ".mjava" then
-    compile
-      (In_channel.with_open_bin ("../examples/sample_programs/" ^ name)
-         In_channel.input_all)
-  else Csc_workloads.Suite.compile name
-
 let test_program name () =
-  let got = renderings (program name) in
+  let got = renderings (named_program name) in
   let mismatches =
     List.filter_map
       (fun (what, text) ->
@@ -68,6 +61,32 @@ let test_program name () =
   in
   if mismatches <> [] then
     Alcotest.failf "renderings changed:\n%s" (String.concat "\n" mismatches)
+
+(* The [pts_json] dump under the other imperative analyses, pinned the
+   same way before the result projected points-to sets on read:
+   (program, analysis) -> MD5. ci gives every variable one pointer and 2obj
+   splits variables across contexts, so both ways a variable's set is
+   kept until read are covered. hsqldb under 2obj outgrows the 4 GB heap
+   cap, so findbugs stands in for it. *)
+let pts_pinned =
+  [ (("nullbugs.mjava", "ci"), "705e776ea899d00578bb54297614cd91");
+    (("nullbugs.mjava", "2obj"), "9695c4e723c4afc267763c33a12cf4f1");
+    (("findbugs", "2obj"), "7b9325f9fd9a374ac671b0f06ae37285");
+    (("hsqldb", "ci"), "2f175bf66d041145bd7c1cd365e51518") ]
+
+let test_pts name () =
+  let p = named_program name in
+  List.iter
+    (fun ((n, a), md5) ->
+      if n = name then
+        match Run.analysis_of_string a with
+        | Error e -> Alcotest.fail e
+        | Ok an ->
+          let r = Option.get (Run.run_spec (Run.spec an) p).Run.o_result in
+          Alcotest.(check string) (name ^ " " ^ a) md5
+            (Digest.to_hex
+               (Digest.string (Json.to_string (Export.pts_json p r)))))
+    pts_pinned
 
 (* Explain facts rendered as the CLI prints them, pinned the same way:
    (program, analysis, var) -> MD5; var [None] is scan mode. Limit 5. *)
@@ -101,7 +120,7 @@ let explain ?var a p =
   | Ok a -> Csc_server.Query.explain ?var ~limit:5 (Run.spec a) p
 
 let test_explain name () =
-  let p = program name in
+  let p = named_program name in
   List.iter
     (fun ((n, a, var), md5) ->
       if n = name then
@@ -112,7 +131,7 @@ let test_explain name () =
     explain_pinned
 
 let test_explain_errors () =
-  let p = program "nullbugs.mjava" in
+  let p = named_program "nullbugs.mjava" in
   let error a =
     match explain a p with
     | _ -> Alcotest.failf "explain under %s should fail" a
@@ -148,7 +167,7 @@ let sorted_lines s =
   String.split_on_char '\n' s |> List.sort String.compare |> String.concat "\n"
 
 let test_datalog name () =
-  let p = program name in
+  let p = named_program name in
   List.iter
     (fun ((n, a), (pts, dot, derived)) ->
       if n = name then begin
@@ -186,7 +205,8 @@ let frontend_pinned =
 
 let test_frontend name () =
   Alcotest.(check string) name (List.assoc name frontend_pinned)
-    (Digest.to_hex (Digest.string (Fmt.str "%a" Ir.pp_program (program name))))
+    (Digest.to_hex
+       (Digest.string (Fmt.str "%a" Ir.pp_program (named_program name))))
 
 (* Malformed inputs and the exact [Syntax_error] each raises, recorded on
    the same commit: (what, source, line, col, message). *)
@@ -266,7 +286,7 @@ let counters_pinned =
      "ptrs=133 pfg_edges=101 propagated=135 wl_pushes=121 wl_coalesced=10 cs_call_edges=26 ctx_methods=25") ]
 
 let test_counters name () =
-  let p = program name in
+  let p = named_program name in
   List.iter
     (fun ((n, a), want) ->
       if n = name then
@@ -284,6 +304,10 @@ let suite =
       List.map
         (fun name -> Alcotest.test_case name `Quick (test_program name))
         [ "nullbugs.mjava"; "findbugs"; "hsqldb" ]
+      @ List.map
+          (fun name ->
+            Alcotest.test_case ("pts " ^ name) `Quick (test_pts name))
+          [ "nullbugs.mjava"; "findbugs"; "hsqldb" ]
       @ List.map
           (fun name ->
             Alcotest.test_case ("explain " ^ name) `Quick (test_explain name))
