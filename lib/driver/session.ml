@@ -125,9 +125,10 @@ let load t (spec : string) =
 
 let entry_bytes (o : Run.outcome) : int =
   (* [reachable_words] follows the closures in the outcome ([r_pt]
-     captures the projected points-to table, not the solver), so this
-     measures real residency; sharing across entries makes it an
-     over-estimate, which only evicts sooner *)
+     captures its points-to table, not the solver), so this measures real
+     residency once every variable has been read (see [cache_result]);
+     sharing across entries makes it an over-estimate, which only evicts
+     sooner *)
   Obj.reachable_words (Obj.repr o) * word_bytes
 
 let evict_results t =
@@ -156,7 +157,16 @@ let publish t =
   Registry.set t.g_entries (float_of_int (Hashtbl.length t.results));
   Registry.set t.g_bytes (float_of_int t.bytes)
 
-let cache_result t key o =
+let cache_result t key (p : Ir.program) (o : Run.outcome) =
+  (* the solver's result projects a variable on its first read; reading
+     them all here keeps the entry from growing after it is counted, and
+     releases the solver's sets it still shares *)
+  Option.iter
+    (fun (r : Csc_pta.Solver.result) ->
+      for v = 0 to Array.length p.vars - 1 do
+        ignore (r.r_pt v)
+      done)
+    o.o_result;
   let b = entry_bytes o in
   Hashtbl.replace t.results key
     { re_outcome = o; re_bytes = b; re_tick = next_tick t };
@@ -175,7 +185,7 @@ let outcome t ~digest (spec : Run.spec) (p : Ir.program) :
   | None ->
     Registry.incr t.c_misses;
     let o = Run.run_spec spec p in
-    cache_result t key o;
+    cache_result t key p o;
     (o, false)
 
 (* ------------------------------------------------------------------ update *)

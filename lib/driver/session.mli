@@ -13,12 +13,13 @@
       evicted least-recently-used once the estimated resident size exceeds
       the [max_mem_bytes] bound.
 
-    Sizes are estimated with [Obj.reachable_words] on the cached outcome — an
-    over-approximation (entries share the program and may share solver
-    structure) that errs toward evicting early, never toward unbounded
-    growth. The session is single-writer: callers serialize access (the
-    server handles one request at a time; the CLI is sequential), so there
-    is no internal locking. *)
+    Sizes are estimated with [Obj.reachable_words] on the cached outcome,
+    after every variable's points-to set has been projected, so an entry
+    does not grow once counted. The estimate over-approximates (entries
+    share the program) and so errs toward evicting early, never toward
+    unbounded growth. The session is single-writer: callers serialize
+    access (the server handles one request at a time; the CLI is
+    sequential), so there is no internal locking. *)
 
 module Ir = Csc_ir.Ir
 module Json = Csc_obs.Json

@@ -26,7 +26,7 @@ type t = {
     env ->
     caller_ctx:int ->
     site:Ir.call_id ->
-    recv:int option ->
+    recv:int ->
     callee:Ir.method_id ->
     int;
   sel_heap_ctx : env -> mctx:int -> site:Ir.alloc_id -> int;
@@ -54,12 +54,12 @@ let kobj ~k ~hk : t =
     sel_name = Printf.sprintf "%dobj" k;
     sel_callee_ctx =
       (fun env ~caller_ctx ~site:_ ~recv ~callee:_ ->
-        match recv with
-        | None -> env.intern_ctx (take k (env.ctx_elems caller_ctx))
+        if recv < 0 then env.intern_ctx (take k (env.ctx_elems caller_ctx))
           (* static call: inherit the caller's context *)
-        | Some o ->
+        else
           env.intern_ctx
-            (take k (env.obj_alloc o :: env.ctx_elems (env.obj_hctx o))));
+            (take k
+               (env.obj_alloc recv :: env.ctx_elems (env.obj_hctx recv))));
     sel_heap_ctx =
       (fun env ~mctx ~site:_ -> env.intern_ctx (take hk (env.ctx_elems mctx)));
   }
@@ -76,11 +76,11 @@ let ktype ~k ~hk : t =
     sel_name = Printf.sprintf "%dtype" k;
     sel_callee_ctx =
       (fun env ~caller_ctx ~site:_ ~recv ~callee:_ ->
-        match recv with
-        | None -> env.intern_ctx (take k (env.ctx_elems caller_ctx))
-        | Some o ->
+        if recv < 0 then env.intern_ctx (take k (env.ctx_elems caller_ctx))
+        else
           env.intern_ctx
-            (take k (type_of_obj env o :: env.ctx_elems (env.obj_hctx o))));
+            (take k
+               (type_of_obj env recv :: env.ctx_elems (env.obj_hctx recv))));
     sel_heap_ctx =
       (fun env ~mctx ~site:_ -> env.intern_ctx (take hk (env.ctx_elems mctx)));
   }

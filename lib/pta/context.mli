@@ -24,11 +24,11 @@ type t = {
     env ->
     caller_ctx:int ->
     site:Ir.call_id ->
-    recv:int option ->
+    recv:int ->
     callee:Ir.method_id ->
     int;
       (** context for a callee instance; [recv] is the dispatching abstract
-          object (None for static calls) *)
+          object, [-1] for static calls *)
   sel_heap_ctx : env -> mctx:int -> site:Ir.alloc_id -> int;
       (** heap context for an allocation under method context [mctx] *)
 }

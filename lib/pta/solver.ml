@@ -516,7 +516,7 @@ and process_stmt t ~ctx (s : Ir.stmt) =
       add_edge t ~src:(pv rhs) ~dst:(ptr_static t ~fld)
   | Invoke { kind = Static; target; site; _ } ->
     let cctx =
-      t.sel.sel_callee_ctx t.env ~caller_ctx:ctx ~site ~recv:None
+      t.sel.sel_callee_ctx t.env ~caller_ctx:ctx ~site ~recv:(-1)
         ~callee:target
     in
     add_call_edge t ~caller_ctx:ctx ~site ~callee_ctx:cctx ~callee:target
@@ -573,8 +573,7 @@ and process_watch t (w : watch) (delta : Bits.t) =
           in
           if callee >= 0 then begin
             let cctx =
-              t.sel.sel_callee_ctx t.env ~caller_ctx:ctx ~site
-                ~recv:(Some o) ~callee
+              t.sel.sel_callee_ctx t.env ~caller_ctx:ctx ~site ~recv:o ~callee
             in
             add_call_edge t ~caller_ctx:ctx ~site ~callee_ctx:cctx ~callee
               ~recv_obj:o
@@ -746,7 +745,9 @@ type result = {
   r_time : float;
   r_reach : Bits.t;                               (** reachable methods *)
   r_edges : (Ir.call_id * Ir.method_id) list;     (** projected call edges *)
-  r_pt : Ir.var_id -> Bits.t;                     (** var -> alloc sites *)
+  r_pt : Ir.var_id -> Bits.t;
+      (** var -> alloc sites; the imperative engine projects a variable on
+          its first read and memoizes it *)
   r_snapshot : Snapshot.t;                        (** structured engine metrics *)
 }
 
@@ -761,24 +762,57 @@ let snapshot (t : t) : Snapshot.t =
     let s = Snapshot.with_counter s "prov_records" (Prov.size pr) in
     Snapshot.with_counter s "prov_dropped" (Prov.dropped pr)
 
+(** The engine-agnostic result of a finished solve. Points-to sets are
+    projected onto allocation sites when a variable is first read, so a
+    client that reads a few variables pays for those alone; a caller that
+    measures the result's residency reads every variable first. Until
+    then unread variables share the solver's sets, so the solver must not
+    run again. *)
 let result (t : t) : result =
-  (* project pointer facts onto variables, merging contexts and abstracting
-     objects to their allocation sites; variables that point to nothing
-     share [empty] *)
+  (* Until a variable is first read, its slot holds its points-to set in
+     object ids: the solver's own set when the variable has one pointer
+     (every variable under ci and csc), a word-level union of its
+     pointers' sets when it is split across contexts. The first read maps
+     the slot through the site vector, memoizes the image and drops the
+     source; once no variable is left unread the site vector goes too.
+     The closure reaches those sets and the site vector, not the solver.
+     Variables that point to nothing share [empty]. *)
   let empty = Bits.create () in
-  let var_pt = Array.make (Array.length t.prog.vars) empty in
-  let sites = Vec.to_array t.obj_sites in
+  let n = Array.length t.prog.vars in
+  let var_pt = Array.make n empty in
+  let unread = Bits.create ~capacity:n () in
+  let merged = Bits.create ~capacity:n () in
   Vec.iteri
     (fun p desc ->
       match desc with
       | PVar (_, v) ->
         let pt = pts t p in
-        if not (Bits.is_empty pt) then begin
-          if var_pt.(v) == empty then var_pt.(v) <- Bits.create ();
-          Bits.add_image ~into:var_pt.(v) sites pt
-        end
+        if not (Bits.is_empty pt) then
+          if var_pt.(v) == empty then begin
+            var_pt.(v) <- pt;
+            ignore (Bits.add unread v)
+          end
+          else begin
+            if Bits.add merged v then var_pt.(v) <- Bits.copy var_pt.(v);
+            Bits.union_quiet ~into:var_pt.(v) pt
+          end
       | _ -> ())
     t.ptr_descs;
+  let sites =
+    ref (if Bits.is_empty unread then [||] else Vec.to_array t.obj_sites)
+  in
+  let r_pt v =
+    if v < 0 || v >= n then empty
+    else if Bits.mem unread v then begin
+      let img = Bits.create () in
+      Bits.add_image ~into:img !sites var_pt.(v);
+      var_pt.(v) <- img;
+      Bits.remove unread v;
+      if Bits.is_empty unread then sites := [||];
+      img
+    end
+    else var_pt.(v)
+  in
   {
     r_name =
       (if t.plugin.pl_name = "none" then t.sel.sel_name
@@ -789,8 +823,7 @@ let result (t : t) : result =
       Hashtbl.fold
         (fun sc () acc -> (sc / t.n_methods, sc mod t.n_methods) :: acc)
         t.call_edges_proj [];
-    r_pt =
-      (fun v -> if v >= 0 && v < Array.length var_pt then var_pt.(v) else empty);
+    r_pt;
     r_snapshot = snapshot t;
   }
 

@@ -27,8 +27,7 @@ let test_ci_always_empty () =
   let env, ctxs, _ = mk_env program in
   let empty = Interner.intern ctxs [] in
   let c =
-    Context.ci.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv:(Some 0)
-      ~callee:0
+    Context.ci.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv:0 ~callee:0
   in
   Alcotest.(check int) "empty ctx" empty c;
   Alcotest.(check int) "empty heap ctx" empty
@@ -41,13 +40,13 @@ let test_kobj_k_limiting () =
   (* receiver allocated at site 7 under heap context [3] *)
   let hctx = Interner.intern ctxs [ 3 ] in
   let recv = Interner.intern objs (hctx, 7) in
-  let c = sel.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv:(Some recv) ~callee:0 in
+  let c = sel.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv ~callee:0 in
   Alcotest.(check (list int)) "ctx = [alloc; hctx-elem]" [ 7; 3 ]
     (Interner.get ctxs c);
   (* a deeper receiver: k-limiting truncates to 2 *)
   let hctx2 = Interner.intern ctxs [ 9; 8 ] in
   let recv2 = Interner.intern objs (hctx2, 5) in
-  let c2 = sel.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv:(Some recv2) ~callee:0 in
+  let c2 = sel.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv:recv2 ~callee:0 in
   Alcotest.(check (list int)) "truncated to k=2" [ 5; 9 ] (Interner.get ctxs c2);
   (* heap context keeps hk=1 most recent elements of the method context *)
   Alcotest.(check (list int)) "heap ctx = [5]" [ 5 ]
@@ -57,7 +56,7 @@ let test_kobj_static_inherits () =
   let env, ctxs, _ = mk_env program in
   let sel = Context.kobj ~k:2 ~hk:1 in
   let caller = Interner.intern ctxs [ 4; 2 ] in
-  let c = sel.sel_callee_ctx env ~caller_ctx:caller ~site:9 ~recv:None ~callee:0 in
+  let c = sel.sel_callee_ctx env ~caller_ctx:caller ~site:9 ~recv:(-1) ~callee:0 in
   Alcotest.(check (list int)) "static call inherits caller ctx" [ 4; 2 ]
     (Interner.get ctxs c)
 
@@ -65,9 +64,9 @@ let test_kcall_uses_sites () =
   let env, ctxs, _ = mk_env program in
   let sel = Context.kcall ~k:2 ~hk:1 in
   let caller = Interner.intern ctxs [ 11 ] in
-  let c = sel.sel_callee_ctx env ~caller_ctx:caller ~site:22 ~recv:None ~callee:0 in
+  let c = sel.sel_callee_ctx env ~caller_ctx:caller ~site:22 ~recv:(-1) ~callee:0 in
   Alcotest.(check (list int)) "ctx = [site; prev]" [ 22; 11 ] (Interner.get ctxs c);
-  let c2 = sel.sel_callee_ctx env ~caller_ctx:c ~site:33 ~recv:None ~callee:0 in
+  let c2 = sel.sel_callee_ctx env ~caller_ctx:c ~site:33 ~recv:(-1) ~callee:0 in
   Alcotest.(check (list int)) "k-limited" [ 33; 22 ] (Interner.get ctxs c2)
 
 let test_ktype_uses_alloc_class () =
@@ -80,7 +79,7 @@ let test_ktype_uses_alloc_class () =
     (Csc_ir.Ir.metho program (Csc_ir.Ir.alloc program site).a_method).m_class
   in
   let recv = Interner.intern objs (empty, site) in
-  let c = sel.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv:(Some recv) ~callee:0 in
+  let c = sel.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv ~callee:0 in
   Alcotest.(check (list int)) "ctx element is the allocating class"
     [ expected_cls ] (Interner.get ctxs c)
 
@@ -91,12 +90,12 @@ let test_selective_gates () =
   let empty = Interner.intern ctxs [] in
   let recv = Interner.intern objs (empty, 7) in
   let c_sel =
-    sel.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv:(Some recv) ~callee:42
+    sel.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv ~callee:42
   in
   Alcotest.(check (list int)) "selected method gets contexts" [ 7 ]
     (Interner.get ctxs c_sel);
   let c_unsel =
-    sel.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv:(Some recv) ~callee:41
+    sel.sel_callee_ctx env ~caller_ctx:empty ~site:0 ~recv ~callee:41
   in
   Alcotest.(check (list int)) "unselected method stays CI" []
     (Interner.get ctxs c_unsel)
