@@ -154,33 +154,34 @@ let choose t =
     Some !r
 
 (** [union_into ~into src] adds every element of [src] to [into] and returns
-    the delta (elements newly added), or [None] when nothing changed. *)
+    the delta (elements newly added), or [None] when nothing changed. The
+    delta is allocated once, as wide as the last word with fresh bits. *)
 let union_into ~into src =
-  let delta = ref None in
-  let get_delta () =
-    match !delta with
-    | Some d -> d
-    | None ->
-      let d = create () in
-      delta := Some d;
-      d
+  let sw = src.words in
+  let rec last_fresh w =
+    if w < 0 then w
+    else
+      let d = if w < Array.length into.words then into.words.(w) else 0 in
+      if sw.(w) land lnot d <> 0 then w else last_fresh (w - 1)
   in
-  let n = Array.length src.words in
-  ensure into ((n * word_bits) - 1);
-  for w = 0 to n - 1 do
-    let s = src.words.(w) and d = into.words.(w) in
-    let fresh = s land lnot d in
-    if fresh <> 0 then begin
-      into.words.(w) <- d lor fresh;
-      let cnt = popcount fresh in
-      into.card <- into.card + cnt;
-      let dl = get_delta () in
-      ensure dl ((w + 1) * word_bits - 1);
-      dl.words.(w) <- fresh;
-      dl.card <- dl.card + cnt
-    end
-  done;
-  !delta
+  let hi = last_fresh (Array.length sw - 1) in
+  if hi < 0 then None
+  else begin
+    ensure into ((hi + 1) * word_bits - 1);
+    let iw = into.words and dw = Array.make (hi + 1) 0 in
+    let card = ref 0 in
+    for w = 0 to hi do
+      let s = sw.(w) and d = iw.(w) in
+      let fresh = s land lnot d in
+      if fresh <> 0 then begin
+        iw.(w) <- d lor fresh;
+        dw.(w) <- fresh;
+        card := !card + popcount fresh
+      end
+    done;
+    into.card <- into.card + !card;
+    Some { words = dw; card = !card }
+  end
 
 (** [union_quiet ~into src] adds every element of [src] to [into] without
     materializing a delta — the no-allocation variant of {!union_into} for

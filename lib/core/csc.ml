@@ -118,6 +118,7 @@ type t = {
       (* plugin-added returnLoad edges, keyed (src lsl 31) lor dst *)
   relays : relay Inttbl.t;  (* by cut-load method *)
   ret_ptr_owner : Ir.method_id Inttbl.t;  (* m_ret ptr -> cut-load m *)
+  ret_ptrs : Bits.t;  (* the keys of [ret_ptr_owner], tested first *)
   (* ---- container pattern dynamic state ---- *)
   pt_h : Bits.t Vec.t;  (* ptr -> host objects; [no_hosts] until the first *)
   no_hosts : Bits.t;    (* shared empty sentinel, compared physically *)
@@ -471,6 +472,7 @@ let on_reachable t (mid : Ir.method_id) =
       let rv = Option.get m.m_ret_var in
       let rp = ptr_var t rv in
       Inttbl.replace t.ret_ptr_owner rp mid;
+      ignore (Bits.add t.ret_ptrs rp);
       List.iter
         (fun (k, fld) ->
           (* classify the in-method load edges o.f -> rv as returnLoads,
@@ -574,7 +576,7 @@ let on_edge t ~(src : int) (e : Solver.edge) =
        let hosts = pt_h_of t src in
        if not (Bits.is_empty hosts) then add_hosts t e.e_dst (Bits.copy hosts));
   (* RelayEdge: classify in-edges of cut return variables *)
-  if t.cfg.field_pattern then begin
+  if t.cfg.field_pattern && Bits.mem t.ret_ptrs e.e_dst then begin
     match Inttbl.find_opt t.ret_ptr_owner e.e_dst with
     | None -> ()
     | Some m ->
@@ -682,6 +684,7 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
       tagged = Inttbl.create 256;
       relays = Inttbl.create 64;
       ret_ptr_owner = Inttbl.create 64;
+      ret_ptrs = Bits.create ();
       pt_h = Vec.create ~capacity:1024 no_hosts;
       no_hosts;
       roles = Inttbl.create 256;

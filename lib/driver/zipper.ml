@@ -96,15 +96,16 @@ let has_direct_flow (p : Ir.program) (m : Ir.metho) : bool =
   | Some rv -> Hashtbl.mem (derived_vars p m) rv
   | None -> false
 
-(** Points-to volume of a method under the pre-analysis: the size of its
-    variables' points-to sets. Zipper^e's scalability heuristic. *)
-let volume (p : Ir.program) (pre : Solver.result) (m : Ir.metho) : int =
-  let vol = ref 0 in
+(** Points-to volume of every method under the pre-analysis, indexed by
+    method id: the size of its variables' points-to sets, from one pass
+    over the variables. Zipper^e's scalability heuristic. *)
+let volumes (p : Ir.program) (pre : Solver.result) : int array =
+  let vol = Array.make (Array.length p.methods) 0 in
   Array.iter
     (fun (v : Ir.var) ->
-      if v.v_method = m.m_id then vol := !vol + Bits.cardinal (pre.r_pt v.v_id))
+      vol.(v.v_method) <- vol.(v.v_method) + Bits.cardinal (pre.r_pt v.v_id))
     p.vars;
-  !vol
+  vol
 
 (** Select methods from a CI pre-analysis result.
     [cap_fraction] bounds any single method's share of the total points-to
@@ -119,10 +120,11 @@ let select ?(cap_fraction = 0.05) (p : Ir.program) (pre : Solver.result) :
         && (has_wrapped_flow p m || has_unwrapped_flow p m || has_direct_flow p m)
       then candidates := m :: !candidates)
     p.methods;
+  let vol = volumes p pre in
   let total_volume =
     Array.fold_left
       (fun acc (m : Ir.metho) ->
-        if Bits.mem pre.r_reach m.m_id then acc + volume p pre m else acc)
+        if Bits.mem pre.r_reach m.m_id then acc + vol.(m.m_id) else acc)
       0 p.methods
   in
   let cap =
@@ -132,7 +134,7 @@ let select ?(cap_fraction = 0.05) (p : Ir.program) (pre : Solver.result) :
   let dropped = ref 0 in
   List.iter
     (fun (m : Ir.metho) ->
-      if volume p pre m <= cap then ignore (Bits.add selected m.m_id)
+      if vol.(m.m_id) <= cap then ignore (Bits.add selected m.m_id)
       else incr dropped)
     !candidates;
   { selected; n_candidates = List.length !candidates; n_dropped = !dropped }

@@ -8,7 +8,7 @@
     (cutting = refusing edges before they are added, shortcutting = adding
     extra edges), exactly as in Figure 7 of the paper.
 
-    The propagation core runs two optimizations (DESIGN.md S15):
+    The propagation core runs these optimizations (DESIGN.md S15):
 
     - {b Coalescing worklist.} Instead of a FIFO of [(ptr, delta)] pairs, a
       per-pointer pending-delta table plus a dirty set: N pushes to the same
@@ -16,11 +16,16 @@
       first-dirtying is kept for determinism; drained delta sets are
       recycled through a spare list, so steady-state pushes allocate
       nothing.
-    - {b Int-keyed tables.} Pointer and object interning, edge dedup,
-      reachability, call edges and dispatch pack their keys into one int
-      over the dense ids and look them up in an open-addressing
-      {!Inttbl}; the polymorphic [Hashtbl] would call the runtime's
-      generic hash and compare on every lookup.
+    - {b One node per pointer.} A pointer's descriptor, points-to set,
+      successors, watches and pending delta sit in one record, so
+      following an edge touches one record instead of five tables. A
+      source dedups its out-edges itself: by scanning its successor list
+      while it has fewer than [scan_limit], then through a set of its own.
+    - {b Int-keyed tables.} Pointer and object interning, reachability,
+      call edges and dispatch pack their keys into one int over the dense
+      ids and look them up in an open-addressing {!Inttbl}; the
+      polymorphic [Hashtbl] would call the runtime's generic hash and
+      compare on every lookup.
     - {b Dense object facts.} Each abstract object's allocation site,
       heap context and class sit in int vectors filled when it is
       interned, and each cast type keeps a bitset of the objects that pass
@@ -98,6 +103,23 @@ type watch =
   | WAStore of { ctx : int; rhs : Ir.var_id }
   | WInvoke of { ctx : int; site : Ir.call_id }
 
+(* ---------------------------------------------------------------- nodes *)
+
+(* Everything the solver keeps per pointer. [succs] is newest first;
+   [out] holds the successors' ids once there are [scan_limit] of them,
+   before that [add_edge] scans [succs]. [pending] is the coalescing
+   worklist's delta, the solver's [empty_pending] when there is none. *)
+type node = {
+  desc : ptr_desc;
+  pts : Bits.t;
+  mutable succs : edge list;
+  mutable out : Inttbl.Set.t option;
+  mutable watches : watch list;
+  mutable pending : Bits.t;
+}
+
+let scan_limit = 8
+
 (* ---------------------------------------------------------------- state *)
 
 type t = {
@@ -121,18 +143,12 @@ type t = {
      -1 when no method of matching arity answers it *)
   filters : (Ir.typ, filter) Hashtbl.t;
   dispatch : int Inttbl.t;
-  (* pointers: packed key (see [new_ptr]) -> dense id -> descriptor *)
+  (* pointers: packed key (see [new_ptr]) -> dense id -> node *)
   ptr_ids : int Inttbl.t;
-  ptr_descs : ptr_desc Vec.t;
-  (* per-pointer tables *)
-  pts : Bits.t Vec.t;
-  succs : edge list Vec.t;
-  edge_seen : Inttbl.Set.t;  (* packed (src lsl 31) lor dst *)
-  watches : watch list Vec.t;
-  (* coalescing worklist: per-pointer pending delta + dirty set + FIFO of
+  nodes : node Vec.t;
+  (* coalescing worklist: per-node pending delta + dirty set + FIFO of
      first-dirtying; [empty_pending] is the shared "no pending" sentinel
      (compared physically), [spare] recycles drained deltas *)
-  pending : Bits.t Vec.t;
   dirty : Bits.t;
   wl : int Queue.t;
   empty_pending : Bits.t;
@@ -198,12 +214,10 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     filters = Hashtbl.create 16;
     dispatch = Inttbl.create 256;
     ptr_ids = Inttbl.create 4096;
-    ptr_descs = Vec.create ~capacity:4096 (PStatic (-1));
-    pts = Vec.create (Bits.create ());
-    succs = Vec.create [];
-    edge_seen = Inttbl.Set.create 4096;
-    watches = Vec.create [];
-    pending = Vec.create empty_pending;
+    nodes =
+      Vec.create ~capacity:4096
+        { desc = PStatic (-1); pts = empty_pending; succs = []; out = None;
+          watches = []; pending = empty_pending };
     dirty = Bits.create ();
     wl = Queue.create ();
     empty_pending;
@@ -257,13 +271,13 @@ let set_progress t interval_s =
 (* A pointer's key packs its descriptor into one int: the payload shifted
    left by two, tagged 0 PVar, 1 PField, 2 PArr, 3 PStatic. The payload of
    PVar is ctx * n_vars + v, of PField obj * n_fields + fld. *)
-let new_ptr t key d : int =
-  let id = Vec.push_idx t.ptr_descs d in
+let new_ptr t key desc : int =
+  let id =
+    Vec.push_idx t.nodes
+      { desc; pts = Bits.create ~capacity:8 (); succs = []; out = None;
+        watches = []; pending = t.empty_pending }
+  in
   Inttbl.add t.ptr_ids key id;
-  Vec.push t.pts (Bits.create ~capacity:8 ());
-  Vec.push t.succs [];
-  Vec.push t.watches [];
-  Vec.push t.pending t.empty_pending;
   Registry.incr t.c_ptrs;
   id
 
@@ -291,9 +305,10 @@ let ptr_static t ~fld =
   | id -> id
   | exception Not_found -> new_ptr t key (PStatic fld)
 
-let pts t p = Vec.get t.pts p
-let succs t p = Vec.get t.succs p
-let ptr_desc t p = Vec.get t.ptr_descs p
+let node t p = Vec.get t.nodes p
+let pts t p = (node t p).pts
+let succs t p = (node t p).succs
+let ptr_desc t p = (node t p).desc
 
 let intern_obj t ~hctx ~site : int =
   let key = (hctx * t.n_allocs) + site in
@@ -342,7 +357,16 @@ let filter_delta t (filter : filter option) (delta : Bits.t) : Bits.t =
   | Some f ->
     let n = n_objs t in
     for o = f.f_upto to n - 1 do
-      if Ir.subtype t.prog (obj_typ t o) f.f_ty then ignore (Bits.add f.f_pass o)
+      (* a class object passes by its class alone; arrays need their type *)
+      let c = obj_cls t o in
+      let pass =
+        if c < 0 then Ir.subtype t.prog (obj_typ t o) f.f_ty
+        else
+          match f.f_ty with
+          | Tclass fc -> Ir.subclass_of t.prog c fc
+          | _ -> false
+      in
+      if pass then ignore (Bits.add f.f_pass o)
     done;
     f.f_upto <- n;
     Bits.inter delta f.f_pass
@@ -370,9 +394,9 @@ let dispatch t (cs : Ir.call_site) cls =
 
 (* ------------------------------------------------- coalescing worklist *)
 
-(* pending slot of [p], materializing it from the spare list on first use *)
-let pending_slot t p =
-  let slot = Vec.get t.pending p in
+(* pending slot of [n], materializing it from the spare list on first use *)
+let pending_slot t n =
+  let slot = n.pending in
   if slot != t.empty_pending then slot
   else begin
     let b =
@@ -382,7 +406,7 @@ let pending_slot t p =
         b
       | [] -> Bits.create ~capacity:8 ()
     in
-    Vec.set t.pending p b;
+    n.pending <- b;
     b
   end
 
@@ -397,18 +421,20 @@ let wl_push t p (objs : Bits.t) =
   if not (Bits.is_empty objs) then begin
     (* fully redundant pushes never enqueue (the fast subset early-exits on
        the first fresh word); keeps repeat receiver seeds off the queue *)
-    if not (Bits.subset objs (Vec.get t.pts p)) then begin
+    let n = node t p in
+    if not (Bits.subset objs n.pts) then begin
       Registry.incr t.c_wl_pushes;
-      Bits.union_quiet ~into:(pending_slot t p) objs;
+      Bits.union_quiet ~into:(pending_slot t n) objs;
       mark_dirty t p
     end
   end
 
 (* single-object push: the coalescing table makes this allocation-free *)
 let wl_push1 t p o =
-  if not (Bits.mem (Vec.get t.pts p) o) then begin
+  let n = node t p in
+  if not (Bits.mem n.pts o) then begin
     Registry.incr t.c_wl_pushes;
-    ignore (Bits.add (pending_slot t p) o);
+    ignore (Bits.add (pending_slot t n) o);
     mark_dirty t p
   end
 
@@ -426,20 +452,46 @@ let prov_flow t ~src ~dst kind (objs : Bits.t) =
     let via = via_of_kind kind in
     Bits.iter (fun o -> Prov.record_flow pr ~ptr:dst ~obj:o ~src ~via) objs
 
+(* length of [succs], or -1 if one of them leads to [dst] *)
+let rec scan_succs dst len = function
+  | [] -> len
+  | e :: rest -> if e.e_dst = dst then -1 else scan_succs dst (len + 1) rest
+
+(* [true] iff [dst] is not yet a successor of [n]; the caller then adds
+   it. A source starts its own set when its successors reach
+   [scan_limit]. *)
+let fresh_succ n dst =
+  match n.out with
+  | Some out -> Inttbl.Set.add out dst
+  | None ->
+    let len = scan_succs dst 0 n.succs in
+    len >= 0
+    && begin
+      if len + 1 >= scan_limit then begin
+        let out = Inttbl.Set.create (2 * scan_limit) in
+        List.iter (fun e -> ignore (Inttbl.Set.add out e.e_dst)) n.succs;
+        ignore (Inttbl.Set.add out dst);
+        n.out <- Some out
+      end;
+      true
+    end
+
 (** Add an edge src->dst to the PFG; existing points-to facts of [src] flow
-    immediately. No-op if the edge exists. *)
+    immediately. No-op if an edge src->dst exists, whatever its kind and
+    filter. *)
 let add_edge ?(kind = KNormal) ?filter t ~src ~dst =
   if src <> dst then begin
-    if Inttbl.Set.add t.edge_seen ((src lsl 31) lor dst) then begin
+    let n = node t src in
+    if fresh_succ n dst then begin
       let e = { e_dst = dst; e_filter = filter; e_kind = kind } in
-      Vec.set t.succs src (e :: Vec.get t.succs src);
+      n.succs <- e :: n.succs;
       Registry.incr t.c_edges;
       (match (t.attr, kind) with
       | Some a, KShortcut ->
         Attr.observe_shortcut a ~meth:(meth_of_ptr t dst) ~ptr:dst
       | _ -> ());
       t.plugin.pl_on_edge ~src e;
-      let cur = Vec.get t.pts src in
+      let cur = n.pts in
       if not (Bits.is_empty cur) then begin
         let d = filter_delta t filter cur in
         prov_flow t ~src ~dst kind d;
@@ -464,7 +516,8 @@ let seed1 ?(why = "seed") t p o =
 (* --------------------------------------------------- reachable methods *)
 
 let add_watch t p w =
-  Vec.set t.watches p (w :: Vec.get t.watches p)
+  let n = node t p in
+  n.watches <- w :: n.watches
 
 let rec add_reachable t ~ctx ~(mid : Ir.method_id) =
   if Inttbl.Set.add t.reached ((ctx * t.n_methods) + mid) then begin
@@ -520,7 +573,6 @@ and process_stmt t ~ctx (s : Ir.stmt) =
         ~callee:target
     in
     add_call_edge t ~caller_ctx:ctx ~site ~callee_ctx:cctx ~callee:target
-      ~recv_obj:(-1)
   | Invoke { kind = Virtual | Special; recv; site; _ } -> (
     match recv with
     | Some r ->
@@ -532,35 +584,58 @@ and process_stmt t ~ctx (s : Ir.stmt) =
   | ConstNull _ | Binop _ | Unop _ | ALen _ | InstanceOf _ ->
     ()
 
+(* The statement's own variable is interned at the first object that
+   needs it: before that object's field or array pointer when it is the
+   edge's destination, after it when it is the source. Pointers are thus
+   numbered as if each object's [add_edge] interned both of its ends,
+   arguments right to left. *)
 and process_watch t (w : watch) (delta : Bits.t) =
   if not (Bits.is_empty delta) then
     match w with
     | WLoad { ctx; lhs; fld } ->
+      let dst = ref (-1) in
       Bits.iter
         (fun o ->
-          if obj_cls t o >= 0 then
-            add_edge t ~src:(ptr_field t ~obj:o ~fld) ~dst:(ptr_var t ~ctx lhs))
+          if obj_cls t o >= 0 then begin
+            if !dst < 0 then dst := ptr_var t ~ctx lhs;
+            add_edge t ~src:(ptr_field t ~obj:o ~fld) ~dst:!dst
+          end)
         delta
     | WStore { ctx; fld; rhs } ->
+      let src = ref (-1) in
       Bits.iter
         (fun o ->
-          if obj_cls t o >= 0 then
-            add_edge t ~src:(ptr_var t ~ctx rhs) ~dst:(ptr_field t ~obj:o ~fld))
+          if obj_cls t o >= 0 then begin
+            let dst = ptr_field t ~obj:o ~fld in
+            if !src < 0 then src := ptr_var t ~ctx rhs;
+            add_edge t ~src:!src ~dst
+          end)
         delta
     | WALoad { ctx; lhs } ->
+      let dst = ref (-1) in
       Bits.iter
         (fun o ->
-          if obj_cls t o < 0 then
-            add_edge t ~src:(ptr_arr t ~obj:o) ~dst:(ptr_var t ~ctx lhs))
+          if obj_cls t o < 0 then begin
+            if !dst < 0 then dst := ptr_var t ~ctx lhs;
+            add_edge t ~src:(ptr_arr t ~obj:o) ~dst:!dst
+          end)
         delta
     | WAStore { ctx; rhs } ->
+      let src = ref (-1) in
       Bits.iter
         (fun o ->
-          if obj_cls t o < 0 then
-            add_edge t ~src:(ptr_var t ~ctx rhs) ~dst:(ptr_arr t ~obj:o))
+          if obj_cls t o < 0 then begin
+            let dst = ptr_arr t ~obj:o in
+            if !src < 0 then src := ptr_var t ~ctx rhs;
+            add_edge t ~src:!src ~dst
+          end)
         delta
     | WInvoke { ctx; site } ->
       let cs = Ir.call t.prog site in
+      (* a receiver resolving to the previous one's (callee, callee
+         context) finds that call edge in place: it only seeds [this] *)
+      let last_callee = ref (-1) and last_cctx = ref (-1) in
+      let this_ptr = ref (-1) in
       Bits.iter
         (fun o ->
           let callee =
@@ -575,14 +650,21 @@ and process_watch t (w : watch) (delta : Bits.t) =
             let cctx =
               t.sel.sel_callee_ctx t.env ~caller_ctx:ctx ~site ~recv:o ~callee
             in
-            add_call_edge t ~caller_ctx:ctx ~site ~callee_ctx:cctx ~callee
-              ~recv_obj:o
+            if callee <> !last_callee || cctx <> !last_cctx then begin
+              add_call_edge t ~caller_ctx:ctx ~site ~callee_ctx:cctx ~callee;
+              last_callee := callee;
+              last_cctx := cctx;
+              this_ptr :=
+                match (Ir.metho t.prog callee).m_this with
+                | Some this -> ptr_var t ~ctx:cctx this
+                | None -> -1
+            end;
+            (* the receiver flows to [this] even on a repeat edge *)
+            if !this_ptr >= 0 then seed1 ~why:"receiver" t !this_ptr o
           end)
         delta
 
-(* [recv_obj] is the receiver object that triggered the edge, -1 for a
-   static call *)
-and add_call_edge t ~caller_ctx ~site ~callee_ctx ~callee ~recv_obj =
+and add_call_edge t ~caller_ctx ~site ~callee_ctx ~callee =
   let sc = (site * t.n_methods) + callee in
   let cc = (caller_ctx lsl 31) lor callee_ctx in
   let ctx_tbl =
@@ -618,13 +700,7 @@ and add_call_edge t ~caller_ctx ~site ~callee_ctx ~callee ~recv_obj =
           ~src:(ptr_var t ~ctx:callee_ctx rv)
           ~dst:(ptr_var t ~ctx:caller_ctx lhs)
     | _ -> ())
-  end;
-  (* the triggering receiver flows to `this` even on a repeat edge *)
-  if recv_obj >= 0 then
-    match (Ir.metho t.prog callee).m_this with
-    | Some this ->
-      seed1 ~why:"receiver" t (ptr_var t ~ctx:callee_ctx this) recv_obj
-    | None -> ()
+  end
 
 (* ------------------------------------------------------------ main loop *)
 
@@ -672,10 +748,10 @@ let run_loop (t : t) : unit =
        end;
        let p = Queue.pop t.wl in
        Bits.remove t.dirty p;
-       let objs = Vec.get t.pending p in
-       Vec.set t.pending p t.empty_pending;
-       let cur = Vec.get t.pts p in
-       (match Bits.union_into ~into:cur objs with
+       let n = node t p in
+       let objs = n.pending in
+       n.pending <- t.empty_pending;
+       (match Bits.union_into ~into:n.pts objs with
        | None -> ()
        | Some delta ->
          let dn = Bits.cardinal delta in
@@ -689,9 +765,9 @@ let run_loop (t : t) : unit =
              let d = filter_delta t e.e_filter delta in
              prov_flow t ~src:p ~dst:e.e_dst e.e_kind d;
              wl_push t e.e_dst d)
-           (Vec.get t.succs p);
+           n.succs;
          (* statement watches *)
-         List.iter (fun w -> process_watch t w delta) (Vec.get t.watches p);
+         List.iter (fun w -> process_watch t w delta) n.watches;
          t.plugin.pl_on_new_pts p delta);
        Bits.clear objs;
        t.spare <- objs :: t.spare
@@ -782,11 +858,11 @@ let result (t : t) : result =
   let var_pt = Array.make n empty in
   let unread = Bits.create ~capacity:n () in
   let merged = Bits.create ~capacity:n () in
-  Vec.iteri
-    (fun p desc ->
-      match desc with
+  Vec.iter
+    (fun n ->
+      match n.desc with
       | PVar (_, v) ->
-        let pt = pts t p in
+        let pt = n.pts in
         if not (Bits.is_empty pt) then
           if var_pt.(v) == empty then begin
             var_pt.(v) <- pt;
@@ -797,7 +873,7 @@ let result (t : t) : result =
             Bits.union_quiet ~into:var_pt.(v) pt
           end
       | _ -> ())
-    t.ptr_descs;
+    t.nodes;
   let sites =
     ref (if Bits.is_empty unread then [||] else Vec.to_array t.obj_sites)
   in
@@ -829,7 +905,7 @@ let result (t : t) : result =
 
 (* ------------------------------------------------------- explain helpers *)
 
-let iter_ptrs t f = Vec.iteri f t.ptr_descs
+let iter_ptrs t f = Vec.iteri (fun p n -> f p n.desc) t.nodes
 
 let ptr_to_string t p =
   match ptr_desc t p with

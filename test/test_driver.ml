@@ -49,6 +49,46 @@ class Main {
   Alcotest.(check bool) "int-only method not selected" false
     (Bits.mem sel.selected (find_method p "Plain.add").m_id)
 
+(* One pass over the variables gives the same selection as rescanning
+   them for each method, which the selection did before. *)
+let test_zipper_matches_rescan () =
+  List.iter
+    (fun prog ->
+      let p = Csc_workloads.Suite.compile prog in
+      let pre = Solver.(result (analyze p)) in
+      let volume (m : Ir.metho) =
+        Array.fold_left
+          (fun acc (v : Ir.var) ->
+            if v.v_method = m.m_id then acc + Bits.cardinal (pre.r_pt v.v_id)
+            else acc)
+          0 p.vars
+      in
+      let reached =
+        List.filter
+          (fun (m : Ir.metho) -> Bits.mem pre.r_reach m.m_id)
+          (Array.to_list p.methods)
+      in
+      (* a cap of the whole volume drops nothing: the candidates *)
+      let all = Zipper.select ~cap_fraction:1.0 p pre in
+      Alcotest.(check int) (prog ^ ": nothing dropped at cap 1") 0
+        all.n_dropped;
+      let candidates =
+        List.filter (fun (m : Ir.metho) -> Bits.mem all.selected m.m_id) reached
+      in
+      let total = List.fold_left (fun acc m -> acc + volume m) 0 reached in
+      let cap = max 100 (int_of_float (0.05 *. float total)) in
+      let kept = List.filter (fun m -> volume m <= cap) candidates in
+      let sel = Zipper.select p pre in
+      Alcotest.(check (list int)) (prog ^ ": selected")
+        (List.sort compare (List.map (fun (m : Ir.metho) -> m.m_id) kept))
+        (Bits.to_list sel.selected);
+      Alcotest.(check int) (prog ^ ": candidates") (List.length candidates)
+        sel.n_candidates;
+      Alcotest.(check int) (prog ^ ": dropped")
+        (List.length candidates - List.length kept)
+        sel.n_dropped)
+    [ "findbugs"; "hsqldb" ]
+
 let test_zipper_main_analysis_precision () =
   let p = compile Fixtures.carton in
   let o = run p Run.Imp_zipper in
@@ -135,6 +175,8 @@ let suite =
         Alcotest.test_case "skips plain code" `Quick test_zipper_skips_plain_code;
         Alcotest.test_case "main analysis precision" `Quick
           test_zipper_main_analysis_precision;
+        Alcotest.test_case "volumes match a per-method rescan" `Quick
+          test_zipper_matches_rescan;
       ] );
     ( "driver.run",
       [

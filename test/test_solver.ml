@@ -496,6 +496,157 @@ let test_caches_match_naive () =
         (Solver.analyze ~plugin_of:Csc_core.Csc.plugin p))
     [ "findbugs"; "hsqldb" ]
 
+(* --- per-source edge dedup ------------------------------------------ *)
+
+(* Random [add_edge] sequences over four sources and fourteen
+   destinations, with varying kinds and cast filters and some self-loops:
+   each source's successor list (contents and order) and the [pfg_edges]
+   counter match a model that dedups (src, dst) pairs in a [Hashtbl]. The
+   first edge of a pair wins, whatever kind and filter later ones carry.
+   Sixty edges from four sources push most of them past the list scan's
+   limit into their own sets. *)
+let edge_ops_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 60)
+      (tup4 (int_range 0 3) (int_range 0 13) (int_range 0 2) (int_range 0 2)))
+
+let prop_edge_dedup =
+  let p = compile coalesce_src in
+  QCheck2.Test.make ~name:"per-source edge dedup = pair-set model" ~count:200
+    ~print:QCheck2.Print.(list (tup4 int int int int))
+    edge_ops_gen (fun ops ->
+      let t = Solver.create p in
+      let ptr i = Solver.ptr_var t ~ctx:0 i in
+      let ptrs = Array.init 14 ptr in
+      let f1 = Solver.cast_filter t (Ir.Tclass p.object_cls) in
+      let f2 = Solver.cast_filter t (Ir.Tclass p.string_cls) in
+      let filters = [| None; Some f1; Some f2 |] in
+      let kinds = [| Solver.KNormal; KReturn 0; KShortcut |] in
+      let seen = Hashtbl.create 64 and model = Array.make 4 [] in
+      List.iter
+        (fun (s, d, k, f) ->
+          let src = ptrs.(s) and dst = ptrs.(d) in
+          Solver.add_edge ~kind:kinds.(k) ?filter:filters.(f) t ~src ~dst;
+          if src <> dst && not (Hashtbl.mem seen (src, dst)) then begin
+            Hashtbl.add seen (src, dst) ();
+            model.(s) <- (dst, k, f) :: model.(s)
+          end)
+        ops;
+      let code (e : Solver.edge) =
+        ( e.e_dst,
+          (match e.e_kind with KNormal -> 0 | KReturn _ -> 1 | KShortcut -> 2),
+          match e.e_filter with None -> 0 | Some fl -> fl.f_id + 1 )
+      in
+      Array.for_all
+        (fun s -> List.map code (Solver.succs t ptrs.(s)) = model.(s))
+        [| 0; 1; 2; 3 |]
+      && counter t "pfg_edges" = Hashtbl.length seen)
+
+(* --- repeated receivers at a virtual call ----------------------------- *)
+
+(* Six receivers reach [a.speak()] in one delta; by object id their
+   classes run Dog Dog Cat Dog Cat Cat, so a receiver sometimes resolves
+   like the one before it and sometimes not. *)
+let repeat_recv_src =
+  {|
+class Animal { Object speak() { return this; } }
+class Dog extends Animal { Object speak() { return this; } }
+class Cat extends Animal { Object speak() { return this; } }
+class Main {
+  static void main() {
+    Animal a = new Dog();
+    if (true) { a = new Dog(); }
+    if (true) { a = new Cat(); }
+    if (true) { a = new Dog(); }
+    if (true) { a = new Cat(); }
+    if (true) { a = new Cat(); }
+    Object s = a.speak();
+    System.print(s);
+  }
+}
+|}
+
+(* Under ci each override's [this] holds exactly its own class's
+   receivers; under 2obj every receiver has a context of its own whose
+   [this] holds it alone. In both, the site's context-full call edges are
+   those that sending every receiver through [add_call_edge] gives: one
+   per distinct (callee, callee context) over the receivers. *)
+let test_repeated_receivers () =
+  let p = compile repeat_recv_src in
+  let main = find_method p "Main.main" in
+  let site = ref (-1) in
+  Ir.iter_stmts
+    (fun (s : Ir.stmt) ->
+      match s with
+      | Invoke { kind = Virtual; site = cs; _ } -> site := cs
+      | _ -> ())
+    main.m_body;
+  let a = var p "Main.main" "a" in
+  let cls_name t o = (p.classes.(Solver.obj_cls t o)).c_name in
+  List.iter
+    (fun (name, sel) ->
+      let t = Solver.analyze ~sel p in
+      let ctx = t.env.empty in
+      let recvs = Solver.pts t (Solver.ptr_var t ~ctx a) in
+      Alcotest.(check (list string)) (name ^ ": receivers interleave")
+        [ "Dog"; "Dog"; "Cat"; "Dog"; "Cat"; "Cat" ]
+        (List.map (cls_name t) (Bits.to_list recvs));
+      (* the naive run: every receiver's own (callee, callee context) *)
+      let want = Hashtbl.create 8 in
+      Bits.iter
+        (fun o ->
+          let callee =
+            (find_method p (cls_name t o ^ ".speak")).m_id
+          in
+          let cctx =
+            t.sel.sel_callee_ctx t.env ~caller_ctx:ctx ~site:!site ~recv:o
+              ~callee
+          in
+          Hashtbl.replace want (callee, cctx) ();
+          let this = Option.get (Ir.metho p callee).m_this in
+          let this_pts = Solver.pts t (Solver.ptr_var t ~ctx:cctx this) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: receiver %d reaches this" name o)
+            true (Bits.mem this_pts o);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: this of receiver %d holds its class only"
+               name o)
+            true
+            (Bits.for_all (fun o' -> cls_name t o' = cls_name t o) this_pts);
+          if name = "2obj" then
+            Alcotest.(check int)
+              (Printf.sprintf "2obj: receiver %d alone in its context" o)
+              1 (Bits.cardinal this_pts))
+        recvs;
+      List.iter
+        (fun cname ->
+          let callee = (find_method p (cname ^ ".speak")).m_id in
+          let ctxs =
+            Hashtbl.fold
+              (fun (m, cctx) () acc -> if m = callee then cctx :: acc else acc)
+              want []
+          in
+          let got =
+            Csc_common.Inttbl.find t.call_edges
+              ((!site * Array.length p.methods) + callee)
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s.speak edge count" name cname)
+            (List.length ctxs)
+            (Csc_common.Inttbl.Set.length got);
+          List.iter
+            (fun cctx ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s.speak edge to ctx %d" name cname cctx)
+                true
+                (Csc_common.Inttbl.Set.mem got ((ctx lsl 31) lor cctx)))
+            ctxs)
+        [ "Dog"; "Cat" ];
+      Alcotest.(check int) (name ^ ": distinct callee contexts")
+        (if name = "ci" then 2 else 6)
+        (Hashtbl.length want))
+    [ ("ci", Context.ci); ("2obj", sel_2obj) ]
+
 let suite =
   [
     ( "pta.ci",
@@ -547,5 +698,8 @@ let suite =
           test_dispatch_per_class;
         Alcotest.test_case "caches match naive checks" `Quick
           test_caches_match_naive;
+        QCheck_alcotest.to_alcotest prop_edge_dedup;
+        Alcotest.test_case "repeated receivers seed this only" `Quick
+          test_repeated_receivers;
       ] );
   ]
