@@ -52,15 +52,26 @@ let config_name cfg =
   | false, false, true -> "csc-localflow"
   | f, c, l -> Printf.sprintf "csc-%b-%b-%b" f c l
 
-(* per cut-load-method relay bookkeeping; the lists keep emission order,
-   the sets answer membership *)
-type relay = {
-  mutable rl_in_edges : (int * Solver.filter option) list;  (* (src, filter) *)
-  rl_in_seen : Inttbl.Set.t;  (* (src lsl 31) lor (filter id + 1), 0 = none *)
-  mutable rl_lhs : int list;  (* call-site LHS ptrs *)
-  rl_lhs_seen : Inttbl.Set.t;
-  rl_seeds : Bits.t;  (* objects allocated directly into m_ret *)
-}
+(* Lists by int key, newest first (emission order). [callers] and
+   [retload_pats] are bare lists; the others are [keyed]: beside the
+   lists, the set of membership ids they hold, so that [push] prepends an
+   item only when its id is new. An id packs the key with the item. *)
+let find_list tbl key =
+  match Inttbl.find tbl key with l -> l | exception Not_found -> []
+
+let cons tbl key x = Inttbl.replace tbl key (x :: find_list tbl key)
+
+type 'a keyed = { lists : 'a list Inttbl.t; ids : Inttbl.Set.t }
+
+let keyed n = { lists = Inttbl.create n; ids = Inttbl.Set.create n }
+let items k key = find_list k.lists key
+
+let push k key ~id x =
+  Inttbl.Set.add k.ids id
+  && begin
+    cons k.lists key x;
+    true
+  end
 
 (* subscriptions fired when pt(base ptr) grows *)
 type sub =
@@ -102,35 +113,31 @@ type t = {
   (* ---- objects, sorted once as the solver interns them ---- *)
   mutable n_sorted : int;  (* objects [0, n_sorted) are sorted *)
   host_objs : Bits.t;      (* instances of host classes *)
-  array_objs : Bits.t;     (* arrays: they have no fields *)
   (* ---- field pattern dynamic state ---- *)
-  store_pats : (int * Ir.field_id * int) list ref Inttbl.t;  (* by method *)
-  load_pats : (int * Ir.field_id) list ref Inttbl.t;         (* by method *)
-  pats_seen : Inttbl.Set.t;  (* packed by [store_key] / [load_key] *)
-  callers : Ir.call_id list ref Inttbl.t;                    (* by method *)
-  subs : sub list ref Inttbl.t;  (* base ptr -> subscriptions *)
-  pair_ids : int Inttbl.t;  (* packed sub or role -> dense id *)
-  sub_seen : Inttbl.Set.t;  (* (base ptr lsl 31) lor sub id *)
+  store_pats : (int * Ir.field_id * int) keyed;  (* by method, [store_key] *)
+  load_pats : (int * Ir.field_id) keyed;         (* by method, [load_key] *)
+  callers : Ir.call_id list Inttbl.t;            (* by method *)
+  subs : sub keyed;  (* by base ptr, [pair_key] of base ptr and sub *)
+  pair_ids : int Inttbl.t;  (* packed sub, role or relay edge -> dense id *)
   (* returnLoadEdges classification *)
-  retload_pats : (int * Ir.field_id) list ref Inttbl.t;
+  retload_pats : (int * Ir.field_id) list Inttbl.t;
       (* cut ret-var ptr -> (base ptr, field): in-method load edges *)
-  tagged : unit Inttbl.t;
-      (* plugin-added returnLoad edges, keyed (src lsl 31) lor dst *)
-  relays : relay Inttbl.t;  (* by cut-load method *)
+  tagged : Inttbl.Set.t;
+      (* plugin-added returnLoad edges, (src lsl 31) lor dst *)
+  (* [RelayEdge], by cut-load method m: in-edges (src, filter) of m_ret,
+     call-site LHS ptrs, and objects allocated directly into m_ret *)
+  relay_in : (int * Solver.filter option) keyed;
+  relay_lhs : int keyed;
+  relay_seeds : Bits.t Inttbl.t;
   ret_ptr_owner : Ir.method_id Inttbl.t;  (* m_ret ptr -> cut-load m *)
   ret_ptrs : Bits.t;  (* the keys of [ret_ptr_owner], tested first *)
   (* ---- container pattern dynamic state ---- *)
   pt_h : Bits.t Vec.t;  (* ptr -> host objects; [no_hosts] until the first *)
   no_hosts : Bits.t;    (* shared empty sentinel, compared physically *)
-  roles : role list ref Inttbl.t;  (* receiver ptr -> roles *)
-  role_seen : Inttbl.Set.t;  (* (receiver ptr lsl 31) lor role id *)
-  (* Source/Target pointers per (host, category), keyed by [host_cat];
-     the lists keep emission order, the [_seen] sets (keyed
-     (host_cat lsl 31) lor ptr) answer membership *)
-  sources : int list ref Inttbl.t;
-  targets : int list ref Inttbl.t;
-  sources_seen : unit Inttbl.t;
-  targets_seen : unit Inttbl.t;
+  roles : role keyed;  (* by receiver ptr, [pair_key] of it and the role *)
+  (* Source/Target pointers by [host_cat], ids (host_cat lsl 31) lor ptr *)
+  sources : int keyed;
+  targets : int keyed;
   (* ---- statistics ---- *)
   involved : Bits.t;  (* methods touched by cuts and propagated patterns *)
   sc_ends : Bits.t;   (* endpoint pointers of shortcut edges *)
@@ -148,18 +155,10 @@ type t = {
 
 (* ----------------------------------------------------------- small utils *)
 
-let get_list tbl key =
-  match Inttbl.find tbl key with
-  | r -> r
-  | exception Not_found ->
-    let r = ref [] in
-    Inttbl.add tbl key r;
-    r
-
 let ptr_var t v = Solver.ptr_var t.solver ~ctx:t.ci v
 
 (* One int for the pair ([a], [b]) whatever [b]'s range: [b] is interned
-   to a dense id first, [a] is a pointer id. *)
+   to a dense id first, [a] is a pointer or method id. *)
 let pair_key t a b =
   let id =
     match Inttbl.find t.pair_ids b with
@@ -171,26 +170,21 @@ let pair_key t a b =
   in
   (a lsl 31) lor id
 
-let cat_code (cat : Spec.category) =
-  match cat with Coll_val -> 0 | Map_key -> 1 | Map_val -> 2
-
 let sub_code t = function
   | Sub_store { fld; from_ptr } -> ((from_ptr * t.n_fields) + fld) lsl 2
   | Sub_load { fld; to_ptr; tag } ->
     (((to_ptr * t.n_fields) + fld) lsl 2) lor if tag then 2 else 1
 
 let role_code = function
-  | R_entrance { arg_ptr; cat } -> (arg_ptr lsl 3) lor cat_code cat
-  | R_exit { lhs_ptr; cat } -> (lhs_ptr lsl 3) lor (3 + cat_code cat)
+  | R_entrance { arg_ptr; cat } -> (arg_ptr lsl 3) lor Spec.category_code cat
+  | R_exit { lhs_ptr; cat } -> (lhs_ptr lsl 3) lor (3 + Spec.category_code cat)
   | R_transfer { lhs_ptr } -> (lhs_ptr lsl 3) lor 6
 
-(* pattern keys: method, field and parameter positions; the low bit tells
-   store patterns from load patterns *)
+(* pattern ids: method, field and parameter positions *)
 let store_key t m (k1, fld, k2) =
-  (((((((m * t.n_fields) + fld) * t.n_ks) + k1) * t.n_ks) + k2) lsl 1)
+  (((((m * t.n_fields) + fld) * t.n_ks) + k1) * t.n_ks) + k2
 
-let load_key t m (k, fld) =
-  (((((m * t.n_fields) + fld) * t.n_ks) + k) lsl 1) lor 1
+let load_key t m (k, fld) = (((m * t.n_fields) + fld) * t.n_ks) + k
 
 (** Parameter variable of [m] at position [k] (0 = this). *)
 let param_at (m : Ir.metho) k : Ir.var_id option =
@@ -198,20 +192,12 @@ let param_at (m : Ir.metho) k : Ir.var_id option =
   else if k <= Array.length m.m_params then Some m.m_params.(k - 1)
   else None
 
-let method_of_ptr t (ptr : int) : Ir.method_id option =
-  match Solver.ptr_desc t.solver ptr with
-  | Solver.PVar (_, v) -> Some (Ir.var t.prog v).v_method
-  | PField (o, _) | PArr o ->
-    Some (Ir.alloc t.prog (Solver.obj_alloc t.solver o)).a_method
-  | PStatic _ -> None
-
 (* sort the objects the solver interned since the last call *)
 let sort_objs t =
   let n = Solver.n_objs t.solver in
   for o = t.n_sorted to n - 1 do
     let c = Solver.obj_cls t.solver o in
-    if c < 0 then ignore (Bits.add t.array_objs o)
-    else if Spec.is_host_class t.spec c then ignore (Bits.add t.host_objs o)
+    if c >= 0 && Spec.is_host_class t.spec c then ignore (Bits.add t.host_objs o)
   done;
   t.n_sorted <- n
 
@@ -263,11 +249,9 @@ let rec apply_store_pattern t (site : Ir.call_id) (k1, fld, k2) =
   | _ -> ()
 
 and add_store_pattern t (m : Ir.method_id) pat =
-  if Inttbl.Set.add t.pats_seen (store_key t m pat) then begin
-    let pats = get_list t.store_pats m in
-    pats := pat :: !pats;
+  if push t.store_pats m ~id:(store_key t m pat) pat then begin
     ignore (Bits.add t.involved m);
-    List.iter (fun site -> apply_store_pattern t site pat) !(get_list t.callers m)
+    List.iter (fun site -> apply_store_pattern t site pat) (find_list t.callers m)
   end
 
 (* ---------------------------------------------------- field load pattern *)
@@ -291,33 +275,29 @@ and apply_load_pattern t (site : Ir.call_id) (k, fld) =
   | _ -> ()
 
 and add_load_pattern t (m : Ir.method_id) pat =
-  if Inttbl.Set.add t.pats_seen (load_key t m pat) then begin
-    let pats = get_list t.load_pats m in
-    pats := pat :: !pats;
+  if push t.load_pats m ~id:(load_key t m pat) pat then begin
     ignore (Bits.add t.involved m);
-    List.iter (fun site -> apply_load_pattern t site pat) !(get_list t.callers m)
+    List.iter (fun site -> apply_load_pattern t site pat) (find_list t.callers m)
   end
 
 (* ---------------------------------------------------------- subscriptions *)
 
 and add_sub t (base_ptr : int) (s : sub) =
-  if Inttbl.Set.add t.sub_seen (pair_key t base_ptr (sub_code t s)) then begin
-    (get_list t.subs base_ptr) := s :: !(get_list t.subs base_ptr);
+  if push t.subs base_ptr ~id:(pair_key t base_ptr (sub_code t s)) s then
     fire_sub t s (Solver.pts t.solver base_ptr)
-  end
 
+(* arrays have no fields: their class is [-1] *)
 and fire_sub t (s : sub) (objs : Bits.t) =
-  sort_objs t;
   Bits.iter
     (fun o ->
-      if not (Bits.mem t.array_objs o) then
+      if Solver.obj_cls t.solver o >= 0 then
         match s with
         | Sub_store { fld; from_ptr } ->
           shortcut t t.sc_store ~src:from_ptr
             ~dst:(Solver.ptr_field t.solver ~obj:o ~fld)
         | Sub_load { fld; to_ptr; tag } ->
           let src = Solver.ptr_field t.solver ~obj:o ~fld in
-          if tag then Inttbl.replace t.tagged ((src lsl 31) lor to_ptr) ();
+          if tag then ignore (Inttbl.Set.add t.tagged ((src lsl 31) lor to_ptr));
           shortcut t t.sc_load ~src ~dst:to_ptr)
     objs
 
@@ -327,40 +307,38 @@ and fire_sub t (s : sub) (objs : Bits.t) =
    returnLoadEdges are forwarded to every call-site LHS; objects allocated
    directly into the return variable are forwarded as seeds. *)
 
-let relay_of t (m : Ir.method_id) : relay =
-  match Inttbl.find_opt t.relays m with
-  | Some r -> r
-  | None ->
-    let r =
-      { rl_in_edges = []; rl_in_seen = Inttbl.Set.create 8; rl_lhs = [];
-        rl_lhs_seen = Inttbl.Set.create 8; rl_seeds = Bits.create () }
-    in
-    Inttbl.add t.relays m r;
-    r
-
 let relay_in_edge t (m : Ir.method_id) ~(src : int)
     ~(filter : Solver.filter option) =
-  let r = relay_of t m in
   let fid = match filter with Some f -> f.Solver.f_id + 1 | None -> 0 in
-  if Inttbl.Set.add r.rl_in_seen ((src lsl 31) lor fid) then begin
-    r.rl_in_edges <- (src, filter) :: r.rl_in_edges;
-    List.iter (fun lhs -> shortcut ?filter t t.sc_relay ~src ~dst:lhs) r.rl_lhs
-  end
+  let id = pair_key t m ((src lsl 31) lor fid) in
+  if push t.relay_in m ~id (src, filter) then
+    List.iter
+      (fun lhs -> shortcut ?filter t t.sc_relay ~src ~dst:lhs)
+      (items t.relay_lhs m)
 
 let relay_call_site t (m : Ir.method_id) (lhs_ptr : int) =
-  let r = relay_of t m in
-  if Inttbl.Set.add r.rl_lhs_seen lhs_ptr then begin
-    r.rl_lhs <- lhs_ptr :: r.rl_lhs;
+  if push t.relay_lhs m ~id:((m lsl 31) lor lhs_ptr) lhs_ptr then begin
     List.iter
       (fun (src, filter) -> shortcut ?filter t t.sc_relay ~src ~dst:lhs_ptr)
-      r.rl_in_edges;
-    Solver.seed ~why:"relay" t.solver lhs_ptr (Bits.copy r.rl_seeds)
+      (items t.relay_in m);
+    match Inttbl.find_opt t.relay_seeds m with
+    | Some seeds -> Solver.seed ~why:"relay" t.solver lhs_ptr (Bits.copy seeds)
+    | None -> ()
   end
 
 let relay_seed t (m : Ir.method_id) (o : int) =
-  let r = relay_of t m in
-  if Bits.add r.rl_seeds o then
-    List.iter (fun lhs -> Solver.seed1 ~why:"relay" t.solver lhs o) r.rl_lhs
+  let seeds =
+    match Inttbl.find t.relay_seeds m with
+    | b -> b
+    | exception Not_found ->
+      let b = Bits.create () in
+      Inttbl.add t.relay_seeds m b;
+      b
+  in
+  if Bits.add seeds o then
+    List.iter
+      (fun lhs -> Solver.seed1 ~why:"relay" t.solver lhs o)
+      (items t.relay_lhs m)
 
 (* ------------------------------------------------------ container pattern *)
 
@@ -377,32 +355,21 @@ let pt_h_slot t ptr =
     b
   end
 
-let host_cat host (cat : Spec.category) =
-  (host lsl 2) lor match cat with Coll_val -> 0 | Map_key -> 1 | Map_val -> 2
+let host_cat host cat = (host lsl 2) lor Spec.category_code cat
 
 let rec add_source t host cat (src_ptr : int) =
   let hc = host_cat host cat in
-  let key = (hc lsl 31) lor src_ptr in
-  if not (Inttbl.mem t.sources_seen key) then begin
-    Inttbl.add t.sources_seen key ();
-    let srcs = get_list t.sources hc in
-    srcs := src_ptr :: !srcs;
+  if push t.sources hc ~id:((hc lsl 31) lor src_ptr) src_ptr then
     List.iter
       (fun tgt -> shortcut t t.sc_container ~src:src_ptr ~dst:tgt)
-      !(get_list t.targets hc)
-  end
+      (items t.targets hc)
 
 and add_target t host cat (tgt_ptr : int) =
   let hc = host_cat host cat in
-  let key = (hc lsl 31) lor tgt_ptr in
-  if not (Inttbl.mem t.targets_seen key) then begin
-    Inttbl.add t.targets_seen key ();
-    let tgts = get_list t.targets hc in
-    tgts := tgt_ptr :: !tgts;
+  if push t.targets hc ~id:((hc lsl 31) lor tgt_ptr) tgt_ptr then
     List.iter
       (fun src -> shortcut t t.sc_container ~src ~dst:tgt_ptr)
-      !(get_list t.sources hc)
-  end
+      (items t.sources hc)
 
 (* host propagation: ColHost/MapHost seeds arrive via [on_new_pts];
    PropHost follows PFG edges except Transfer-return edges; TransferHost and
@@ -413,10 +380,7 @@ and add_hosts t (ptr : int) (delta : Bits.t) =
   | None -> ()
   | Some fresh ->
     (* roles on this pointer as a receiver *)
-    (match Inttbl.find_opt t.roles ptr with
-    | Some roles ->
-      List.iter (fun role -> apply_role t role fresh) !roles
-    | None -> ());
+    List.iter (fun role -> apply_role t role fresh) (items t.roles ptr);
     (* PropHost along PFG successors *)
     List.iter
       (fun (e : Solver.edge) ->
@@ -454,10 +418,8 @@ let apply_lflow t (site : Ir.call_id) (callee : Ir.method_id) =
   | _ -> ()
 
 let add_role t (recv_ptr : int) (role : role) =
-  if Inttbl.Set.add t.role_seen (pair_key t recv_ptr (role_code role)) then begin
-    (get_list t.roles recv_ptr) := role :: !(get_list t.roles recv_ptr);
+  if push t.roles recv_ptr ~id:(pair_key t recv_ptr (role_code role)) role then
     apply_role t role (pt_h_of t recv_ptr)
-  end
 
 (* --------------------------------------------------------------- events *)
 
@@ -480,8 +442,7 @@ let on_reachable t (mid : Ir.method_id) =
           (if Hashtbl.mem t.li.Static.li_static_ok (mid, fld) then
              match param_at m k with
              | Some base_v ->
-               let pats = get_list t.retload_pats rp in
-               pats := (ptr_var t base_v, fld) :: !pats
+               cons t.retload_pats rp (ptr_var t base_v, fld)
              | None -> ());
           add_load_pattern t mid (k, fld))
         (Static.load_patterns t.prog m);
@@ -509,20 +470,20 @@ let on_reachable t (mid : Ir.method_id) =
       Inttbl.replace t.lflow_srcs mid srcs;
       ignore (Bits.add t.involved mid);
       (* the first call edge fires before the method is processed *)
-      List.iter (fun site -> apply_lflow t site mid) !(get_list t.callers mid)
+      List.iter (fun site -> apply_lflow t site mid) (find_list t.callers mid)
     | None -> ()
   end
 
 let on_call_edge t (site : Ir.call_id) (callee : Ir.method_id) =
-  (get_list t.callers callee) := site :: !(get_list t.callers callee);
+  cons t.callers callee site;
   let cs = Ir.call t.prog site in
   if t.cfg.field_pattern then begin
     List.iter
       (fun pat -> apply_store_pattern t site pat)
-      !(get_list t.store_pats callee);
+      (items t.store_pats callee);
     List.iter
       (fun pat -> apply_load_pattern t site pat)
-      !(get_list t.load_pats callee);
+      (items t.load_pats callee);
     (* relay plumbing for cut-load callees *)
     if Bits.mem t.cut_load callee then
       match cs.cs_lhs with
@@ -557,9 +518,7 @@ let on_call_edge t (site : Ir.call_id) (callee : Ir.method_id) =
 
 let on_new_pts t (ptr : int) (delta : Bits.t) =
   (* subscriptions of the field patterns *)
-  (match Inttbl.find t.subs ptr with
-  | subs -> List.iter (fun s -> fire_sub t s delta) !subs
-  | exception Not_found -> ());
+  List.iter (fun s -> fire_sub t s delta) (items t.subs ptr);
   (* ColHost / MapHost: container objects flowing anywhere become hosts *)
   if t.cfg.container_pattern then begin
     sort_objs t;
@@ -581,17 +540,14 @@ let on_edge t ~(src : int) (e : Solver.edge) =
     | None -> ()
     | Some m ->
       let is_return_load =
-        Inttbl.mem t.tagged ((src lsl 31) lor e.e_dst)
+        Inttbl.Set.mem t.tagged ((src lsl 31) lor e.e_dst)
         ||
         match Solver.ptr_desc t.solver src with
-        | Solver.PField (o, fld) -> (
-          match Inttbl.find_opt t.retload_pats e.e_dst with
-          | Some pats ->
-            List.exists
-              (fun (base_ptr, f) ->
-                f = fld && Bits.mem (Solver.pts t.solver base_ptr) o)
-              !pats
-          | None -> false)
+        | Solver.PField (o, fld) ->
+          List.exists
+            (fun (base_ptr, f) ->
+              f = fld && Bits.mem (Solver.pts t.solver base_ptr) o)
+            (find_list t.retload_pats e.e_dst)
         | _ -> false
       in
       if not is_return_load then relay_in_edge t m ~src ~filter:e.e_filter
@@ -614,8 +570,7 @@ let is_cut_return t (m : Ir.method_id) : bool =
   end
   else false
 
-let is_cut_store t ~base ~fld ~rhs : bool =
-  ignore fld;
+let is_cut_store t ~base ~rhs : bool =
   t.cfg.field_pattern
   && Static.is_cut_store t.prog ~base ~rhs
   &&
@@ -672,27 +627,23 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
       lflow_srcs = Inttbl.create 64;
       n_sorted = 0;
       host_objs = Bits.create ();
-      array_objs = Bits.create ();
-      store_pats = Inttbl.create 64;
-      load_pats = Inttbl.create 64;
-      pats_seen = Inttbl.Set.create 64;
+      store_pats = keyed 64;
+      load_pats = keyed 64;
       callers = Inttbl.create 256;
-      subs = Inttbl.create 256;
+      subs = keyed 256;
       pair_ids = Inttbl.create 256;
-      sub_seen = Inttbl.Set.create 256;
       retload_pats = Inttbl.create 64;
-      tagged = Inttbl.create 256;
-      relays = Inttbl.create 64;
+      tagged = Inttbl.Set.create 256;
+      relay_in = keyed 64;
+      relay_lhs = keyed 64;
+      relay_seeds = Inttbl.create 64;
       ret_ptr_owner = Inttbl.create 64;
       ret_ptrs = Bits.create ();
       pt_h = Vec.create ~capacity:1024 no_hosts;
       no_hosts;
-      roles = Inttbl.create 256;
-      role_seen = Inttbl.Set.create 256;
-      sources = Inttbl.create 256;
-      targets = Inttbl.create 256;
-      sources_seen = Inttbl.create 256;
-      targets_seen = Inttbl.create 256;
+      roles = keyed 256;
+      sources = keyed 256;
+      targets = keyed 256;
       involved = Bits.create ();
       sc_ends = Bits.create ();
       sc_store = pattern "store";
@@ -721,7 +672,7 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
       pl_on_call_edge = on_call_edge t;
       pl_on_new_pts = on_new_pts t;
       pl_on_edge = (fun ~src e -> on_edge t ~src e);
-      pl_is_cut_store = (fun ~base ~fld ~rhs -> is_cut_store t ~base ~fld ~rhs);
+      pl_is_cut_store = (fun ~base ~rhs -> is_cut_store t ~base ~rhs);
       pl_is_cut_return = is_cut_return t;
     },
     t )
@@ -737,9 +688,8 @@ let involved_methods t =
   let inv = Bits.copy t.involved in
   Bits.iter
     (fun p ->
-      match method_of_ptr t p with
-      | Some m -> ignore (Bits.add inv m)
-      | None -> ())
+      let m = Solver.meth_of_ptr t.solver p in
+      if m >= 0 then ignore (Bits.add inv m))
     t.sc_ends;
   inv
 let shortcut_count t =

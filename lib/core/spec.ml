@@ -14,6 +14,8 @@ module Ir = Csc_ir.Ir
     map. Shortcuts only connect Sources and Targets of the same category. *)
 type category = Coll_val | Map_key | Map_val
 
+let category_code = function Coll_val -> 0 | Map_key -> 1 | Map_val -> 2
+
 type t = {
   entrances : (Ir.method_id, (int * category) list) Hashtbl.t;
       (** method -> (parameter index (1-based, 0 = this), category) *)

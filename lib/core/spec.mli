@@ -13,6 +13,9 @@ module Ir = Csc_ir.Ir
     map. Shortcuts only connect Sources and Targets of equal category. *)
 type category = Coll_val | Map_key | Map_val
 
+(** The category as a small int: 0, 1 and 2 in the order above. *)
+val category_code : category -> int
+
 type t = {
   entrances : (Ir.method_id, (int * category) list) Hashtbl.t;
       (** method -> (parameter index, category); index 0 is [this] *)
@@ -20,14 +23,6 @@ type t = {
   transfers : Bits.t;
   host_classes : Bits.t;  (** classes whose instances are hosts *)
 }
-
-(** By-name classification tables (class, method, ...): exposed for tests
-    and documentation. *)
-val entrance_names : (string * string * int * category) list
-
-val exit_names : (string * string * category) list
-val transfer_names : (string * string) list
-val host_class_names : string list
 
 (** Resolve the tables against a program; entries whose class or method is
     absent are skipped (e.g. when compiling without the JDK). *)

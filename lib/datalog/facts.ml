@@ -38,11 +38,6 @@ module Static = Csc_core.Static
 module Spec = Csc_core.Spec
 module E = Engine
 
-let cat_id : Spec.category -> int = function
-  | Coll_val -> 0
-  | Map_key -> 1
-  | Map_val -> 2
-
 let is_ref (p : Ir.program) v = Ir.is_ref_type (Ir.var p v).v_ty
 
 (** Declare every relation (so rules can reference empty ones) and load the
@@ -201,12 +196,12 @@ let load ?(csc = true) (t : E.t) (p : Ir.program) : string Interner.t =
       (fun m roles ->
         ignore roles;
         List.iter
-          (fun (k, cat) -> E.fact t "Entrance" [ m; k; cat_id cat ])
+          (fun (k, cat) -> E.fact t "Entrance" [ m; k; Spec.category_code cat ])
           (Spec.entrance_roles spec m))
       spec.Spec.entrances;
     Hashtbl.iter
       (fun m cat ->
-        E.fact t "ExitR" [ m; cat_id cat ];
+        E.fact t "ExitR" [ m; Spec.category_code cat ];
         E.fact t "CutReturn" [ m ])
       spec.Spec.exits;
     Bits.iter (fun m -> E.fact t "TransferR" [ m ]) spec.Spec.transfers;

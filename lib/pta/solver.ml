@@ -77,7 +77,7 @@ type plugin = {
   pl_on_new_pts : int -> Bits.t -> unit;
       (** pointer id, delta of newly added objects *)
   pl_on_edge : src:int -> edge -> unit;  (** a PFG edge was added *)
-  pl_is_cut_store : base:Ir.var_id -> fld:Ir.field_id -> rhs:Ir.var_id -> bool;
+  pl_is_cut_store : base:Ir.var_id -> rhs:Ir.var_id -> bool;
       (** [cutStores]: refuse the store edges of this statement *)
   pl_is_cut_return : Ir.method_id -> bool;
       (** [cutReturns]: refuse return edges out of this callee *)
@@ -90,7 +90,7 @@ let no_plugin : plugin =
     pl_on_call_edge = (fun _ _ -> ());
     pl_on_new_pts = (fun _ _ -> ());
     pl_on_edge = (fun ~src:_ _ -> ());
-    pl_is_cut_store = (fun ~base:_ ~fld:_ ~rhs:_ -> false);
+    pl_is_cut_store = (fun ~base:_ ~rhs:_ -> false);
     pl_is_cut_return = (fun _ -> false);
   }
 
@@ -548,7 +548,7 @@ and process_stmt t ~ctx (s : Ir.stmt) =
     add_watch t bp (WLoad { ctx; lhs; fld });
     process_watch t (WLoad { ctx; lhs; fld }) (pts t bp)
   | Store { base; fld; rhs } ->
-    if not (t.plugin.pl_is_cut_store ~base ~fld ~rhs) then begin
+    if not (t.plugin.pl_is_cut_store ~base ~rhs) then begin
       let bp = pv base in
       add_watch t bp (WStore { ctx; fld; rhs });
       process_watch t (WStore { ctx; fld; rhs }) (pts t bp)
