@@ -103,21 +103,6 @@ let add_image ~into (f : int array) src =
     done
   done
 
-(** [iter_diff f src excl] visits every element of [src \ excl] in increasing
-    order without allocating a difference set. *)
-let iter_diff f src excl =
-  let words = src.words and ew = excl.words in
-  let ne = Array.length ew in
-  for w = 0 to Array.length words - 1 do
-    let x = ref (words.(w) land lnot (if w < ne then ew.(w) else 0)) in
-    let base = w * word_bits in
-    while !x <> 0 do
-      let b = !x land - !x in
-      f (base + bit_index b);
-      x := !x land lnot b
-    done
-  done
-
 (* set bits of a word, counted in parallel within pairs, nibbles and
    bytes, then summed by one multiply into the top byte *)
 let popcount x =

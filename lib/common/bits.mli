@@ -26,11 +26,6 @@ val copy : t -> t
 (** Iterates elements in increasing order. *)
 val iter : (int -> unit) -> t -> unit
 
-(** [iter_diff f src excl] visits every element of [src \ excl] in increasing
-    order. No allocation — the solver's hot path uses it to walk fresh deltas
-    without materializing the difference. *)
-val iter_diff : (int -> unit) -> t -> t -> unit
-
 (** [add_image ~into f src] adds [f.(i)] to [into] for every [i] in [src]
     (the image of [src] under the map [f]); no closure call per element. *)
 val add_image : into:t -> int array -> t -> unit

@@ -34,11 +34,3 @@ let pick_list t l = pick t (Array.of_list l)
 let range t lo hi =
   if hi < lo then invalid_arg "Rng.range";
   lo + int t (hi - lo + 1)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

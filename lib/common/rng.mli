@@ -27,6 +27,3 @@ val pick_list : t -> 'a list -> 'a
 
 (** Uniform in [lo, hi] inclusive. *)
 val range : t -> int -> int -> int
-
-(** In-place Fisher-Yates shuffle. *)
-val shuffle : t -> 'a array -> unit

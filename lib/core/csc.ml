@@ -197,7 +197,8 @@ let sort_objs t =
   let n = Solver.n_objs t.solver in
   for o = t.n_sorted to n - 1 do
     let c = Solver.obj_cls t.solver o in
-    if c >= 0 && Spec.is_host_class t.spec c then ignore (Bits.add t.host_objs o)
+    if c >= 0 && Spec.is_host_class t.spec c then
+      ignore (Bits.add t.host_objs o)
   done;
   t.n_sorted <- n
 
@@ -251,7 +252,9 @@ let rec apply_store_pattern t (site : Ir.call_id) (k1, fld, k2) =
 and add_store_pattern t (m : Ir.method_id) pat =
   if push t.store_pats m ~id:(store_key t m pat) pat then begin
     ignore (Bits.add t.involved m);
-    List.iter (fun site -> apply_store_pattern t site pat) (find_list t.callers m)
+    List.iter
+      (fun site -> apply_store_pattern t site pat)
+      (find_list t.callers m)
   end
 
 (* ---------------------------------------------------- field load pattern *)
@@ -277,7 +280,9 @@ and apply_load_pattern t (site : Ir.call_id) (k, fld) =
 and add_load_pattern t (m : Ir.method_id) pat =
   if push t.load_pats m ~id:(load_key t m pat) pat then begin
     ignore (Bits.add t.involved m);
-    List.iter (fun site -> apply_load_pattern t site pat) (find_list t.callers m)
+    List.iter
+      (fun site -> apply_load_pattern t site pat)
+      (find_list t.callers m)
   end
 
 (* ---------------------------------------------------------- subscriptions *)
@@ -297,7 +302,8 @@ and fire_sub t (s : sub) (objs : Bits.t) =
             ~dst:(Solver.ptr_field t.solver ~obj:o ~fld)
         | Sub_load { fld; to_ptr; tag } ->
           let src = Solver.ptr_field t.solver ~obj:o ~fld in
-          if tag then ignore (Inttbl.Set.add t.tagged ((src lsl 31) lor to_ptr));
+          if tag then
+            ignore (Inttbl.Set.add t.tagged ((src lsl 31) lor to_ptr));
           shortcut t t.sc_load ~src ~dst:to_ptr)
     objs
 
@@ -309,8 +315,7 @@ and fire_sub t (s : sub) (objs : Bits.t) =
 
 let relay_in_edge t (m : Ir.method_id) ~(src : int)
     ~(filter : Solver.filter option) =
-  let fid = match filter with Some f -> f.Solver.f_id + 1 | None -> 0 in
-  let id = pair_key t m ((src lsl 31) lor fid) in
+  let id = pair_key t m ((src lsl 31) lor Solver.filter_code filter) in
   if push t.relay_in m ~id (src, filter) then
     List.iter
       (fun lhs -> shortcut ?filter t t.sc_relay ~src ~dst:lhs)

@@ -12,8 +12,6 @@ module Ir = Csc_ir.Ir
     of [Arg2Var]). *)
 val param_index : Ir.program -> Ir.var_id -> int option
 
-val is_unredefined_param : Ir.program -> Ir.var_id -> bool
-
 (** Variable at argument position [k] of a call site (0 = receiver). *)
 val arg_at : Ir.program -> Ir.call_site -> int -> Ir.var_id option
 

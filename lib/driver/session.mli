@@ -32,9 +32,6 @@ type t
     session keeps a private registry. *)
 val create : ?max_mem_bytes:int -> ?registry:Csc_obs.Registry.t -> unit -> t
 
-(** Hex MD5 of a source text — the program-cache key. *)
-val digest_of_source : string -> string
-
 (** Compile [source] and check the lowered IR with
     {!Csc_ir.Validate.check}, once per digest: the program cache keeps only
     programs that pass both. [name] is used in error messages only. [Error]

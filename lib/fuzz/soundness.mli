@@ -3,9 +3,9 @@
     Executes a program once (partial traces from runtime errors are still
     valid lower bounds), then checks dynamic ⊆ static — reachable methods,
     call edges, per-variable points-to sets, failing casts, and taint sink
-    hits vs. the static leak report — for every engine/configuration in
-    {!default_matrix}, plus an exact-agreement cross-check (imperative vs.
-    Datalog CI). *)
+    hits vs. the static leak report — for every engine/configuration in the
+    matrix (by default imperative and Datalog engines, CSC off and on),
+    plus an exact-agreement cross-check (imperative vs. Datalog CI). *)
 
 module Ir = Csc_ir.Ir
 module Run = Csc_driver.Run
@@ -30,15 +30,12 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-(** Imperative × Datalog × CSC on/off. *)
-val default_matrix : Run.spec list
-
 (** IR statements in application (non-JDK) methods — the size metric for
     minimized counterexamples. *)
 val app_stmt_count : Ir.program -> int
 
 (** Run the full oracle on one program; empty list = no bug exposed.
-    [matrix] defaults to {!default_matrix}; [max_steps] (default 2M) bounds
+    [matrix] defaults to ci and csc on both engines; [max_steps] (default 2M) bounds
     the concrete run. *)
 val check :
   ?matrix:Run.spec list ->

@@ -599,7 +599,6 @@ let class_set =
      List.iter (fun n -> Hashtbl.replace h n ()) (Lazy.force class_names);
      h)
 
-let class_names () = Lazy.force class_names
 let is_jdk_class name = Hashtbl.mem (Lazy.force class_set) name
 
 let is_jdk_method (p : Csc_ir.Ir.program) =

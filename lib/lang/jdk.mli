@@ -10,9 +10,6 @@
 
 val source : string
 
-(** Names of every class declared in {!source}, in declaration order. *)
-val class_names : unit -> string list
-
 (** Is [name] a mini-JDK class? Lets clients (call-graph export, the
     {!Csc_checks} diagnostics) hide library internals from user output. *)
 val is_jdk_class : string -> bool

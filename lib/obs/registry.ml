@@ -72,8 +72,6 @@ let histogram t ?(labels = []) ~buckets name : histogram =
 
 let incr ?(by = 1) c = c.c_value <- c.c_value + by
 let value c = c.c_value
-let counter_name c = c.c_name
-let counter_labels c = c.c_labels
 let set g v = g.g_value <- v
 let set_max g v = if v > g.g_value then g.g_value <- v
 let gauge_value g = g.g_value

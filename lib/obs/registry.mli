@@ -26,11 +26,6 @@ val histogram :
 val incr : ?by:int -> counter -> unit
 val value : counter -> int
 
-(** The identity a handle was registered under (e.g. to key attribution
-    rows off an existing counter's name/labels). *)
-val counter_name : counter -> string
-
-val counter_labels : counter -> (string * string) list
 val set : gauge -> float -> unit
 
 (** Keep the maximum of all observations (e.g. peak heap). *)

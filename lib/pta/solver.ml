@@ -21,6 +21,8 @@
       following an edge touches one record instead of five tables. A
       source dedups its out-edges itself: by scanning its successor list
       while it has fewer than [scan_limit], then through a set of its own.
+      An existing edge hides a new one to the same pointer only when it is
+      unfiltered or has the same cast filter.
     - {b Int-keyed tables.} Pointer and object interning, reachability,
       call edges and dispatch pack their keys into one int over the dense
       ids and look them up in an open-addressing {!Inttbl}; the
@@ -106,9 +108,10 @@ type watch =
 (* ---------------------------------------------------------------- nodes *)
 
 (* Everything the solver keeps per pointer. [succs] is newest first;
-   [out] holds the successors' ids once there are [scan_limit] of them,
-   before that [add_edge] scans [succs]. [pending] is the coalescing
-   worklist's delta, the solver's [empty_pending] when there is none. *)
+   [out] holds the successors' ids, each with its edge's filter code,
+   once there are [scan_limit] of them; before that [add_edge] scans
+   [succs]. [pending] is the coalescing worklist's delta, the solver's
+   [empty_pending] when there is none. *)
 type node = {
   desc : ptr_desc;
   pts : Bits.t;
@@ -452,37 +455,54 @@ let prov_flow t ~src ~dst kind (objs : Bits.t) =
     let via = via_of_kind kind in
     Bits.iter (fun o -> Prov.record_flow pr ~ptr:dst ~obj:o ~src ~via) objs
 
-(* length of [succs], or -1 if one of them leads to [dst] *)
-let rec scan_succs dst len = function
-  | [] -> len
-  | e :: rest -> if e.e_dst = dst then -1 else scan_succs dst (len + 1) rest
+(* An edge's filter as a small int: 0 for none, the filter's id + 1
+   otherwise; a source's out-edge set holds [out_key] of each edge. *)
+let filter_code = function None -> 0 | Some f -> f.f_id + 1
+let out_key fc dst = (fc lsl 31) lor dst
 
-(* [true] iff [dst] is not yet a successor of [n]; the caller then adds
-   it. A source starts its own set when its successors reach
-   [scan_limit]. *)
-let fresh_succ n dst =
+(* length of [succs], or -1 if one of them leads to [dst] unfiltered or
+   through the filter coded [fc] *)
+let rec scan_succs dst fc len = function
+  | [] -> len
+  | e :: rest ->
+    if e.e_dst = dst && (let c = filter_code e.e_filter in c = 0 || c = fc)
+    then -1
+    else scan_succs dst fc (len + 1) rest
+
+(* [true] iff no successor edge of [n] subsumes a new edge to [dst] with
+   the filter coded [fc]; the caller then adds it. An existing edge
+   subsumes it when it is unfiltered or has the same filter: a cast edge
+   beside a copy edge to the same pointer must not hide the copy. A
+   source starts its own set when its successors reach [scan_limit]. *)
+let fresh_succ n dst fc =
   match n.out with
-  | Some out -> Inttbl.Set.add out dst
+  | Some out ->
+    (fc = 0 || not (Inttbl.Set.mem out dst))
+    && Inttbl.Set.add out (out_key fc dst)
   | None ->
-    let len = scan_succs dst 0 n.succs in
+    let len = scan_succs dst fc 0 n.succs in
     len >= 0
     && begin
       if len + 1 >= scan_limit then begin
         let out = Inttbl.Set.create (2 * scan_limit) in
-        List.iter (fun e -> ignore (Inttbl.Set.add out e.e_dst)) n.succs;
-        ignore (Inttbl.Set.add out dst);
+        List.iter
+          (fun e ->
+            let k = out_key (filter_code e.e_filter) e.e_dst in
+            ignore (Inttbl.Set.add out k))
+          n.succs;
+        ignore (Inttbl.Set.add out (out_key fc dst));
         n.out <- Some out
       end;
       true
     end
 
 (** Add an edge src->dst to the PFG; existing points-to facts of [src] flow
-    immediately. No-op if an edge src->dst exists, whatever its kind and
-    filter. *)
+    immediately. No-op if an edge src->dst exists that is unfiltered or
+    has the same filter, whatever its kind. *)
 let add_edge ?(kind = KNormal) ?filter t ~src ~dst =
   if src <> dst then begin
     let n = node t src in
-    if fresh_succ n dst then begin
+    if fresh_succ n dst (filter_code filter) then begin
       let e = { e_dst = dst; e_filter = filter; e_kind = kind } in
       n.succs <- e :: n.succs;
       Registry.incr t.c_edges;

@@ -11,9 +11,6 @@ val names : string list
 
 val programs : (string * Gen.shape) list
 
-(** Raises [Invalid_argument] for unknown names. *)
-val shape_of : string -> Gen.shape
-
 (** Deterministic MiniJava source of a suite program (without the JDK). *)
 val source : string -> string
 

@@ -49,17 +49,6 @@ let test_remove () =
   Bits.remove a 77;
   Alcotest.(check int) "card stable" 1 (Bits.cardinal a)
 
-let test_iter_diff () =
-  let src = Bits.of_list [ 1; 2; 63; 64; 200 ] in
-  let excl = Bits.of_list [ 2; 64; 300 ] in
-  let seen = ref [] in
-  Bits.iter_diff (fun i -> seen := i :: !seen) src excl;
-  Alcotest.(check (list int)) "src \\ excl" [ 1; 63; 200 ] (List.rev !seen);
-  (* excl shorter than src in words; and vice versa *)
-  let seen = ref [] in
-  Bits.iter_diff (fun i -> seen := i :: !seen) (Bits.of_list [ 500 ]) excl;
-  Alcotest.(check (list int)) "excl shorter" [ 500 ] (List.rev !seen)
-
 (* property tests *)
 
 let gen_small_list = QCheck2.Gen.(list_size (int_bound 200) (int_bound 500))
@@ -107,20 +96,6 @@ let prop_union_quiet =
       let union = List.sort_uniq compare (l1 @ l2) in
       Bits.to_list a = union && Bits.cardinal a = List.length union)
 
-let prop_iter_diff =
-  QCheck2.Test.make ~name:"iter_diff visits exactly src \\ excl, in order"
-    ~count:300
-    QCheck2.Gen.(pair gen_small_list gen_small_list)
-    (fun (l1, l2) ->
-      let src = Bits.of_list l1 and excl = Bits.of_list l2 in
-      let seen = ref [] in
-      Bits.iter_diff (fun i -> seen := i :: !seen) src excl;
-      let s2 = List.sort_uniq compare l2 in
-      let expect =
-        List.filter (fun x -> not (List.mem x s2)) (List.sort_uniq compare l1)
-      in
-      List.rev !seen = expect)
-
 let prop_subset_model =
   QCheck2.Test.make ~name:"subset agrees with list-set model" ~count:300
     QCheck2.Gen.(pair gen_small_list gen_small_list)
@@ -154,12 +129,10 @@ let suite =
         Alcotest.test_case "union_into" `Quick test_union_into;
         Alcotest.test_case "inter_nonempty" `Quick test_inter_nonempty;
         Alcotest.test_case "remove" `Quick test_remove;
-        Alcotest.test_case "iter_diff" `Quick test_iter_diff;
         QCheck_alcotest.to_alcotest prop_model;
         QCheck_alcotest.to_alcotest prop_union;
         QCheck_alcotest.to_alcotest prop_subset;
         QCheck_alcotest.to_alcotest prop_union_quiet;
-        QCheck_alcotest.to_alcotest prop_iter_diff;
         QCheck_alcotest.to_alcotest prop_subset_model;
       ] );
     ( "common.rng",

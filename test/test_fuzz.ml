@@ -52,7 +52,8 @@ let read_file path =
   close_in ic;
   s
 
-let seed_files = [ "seed_1"; "seed_2"; "seed_4"; "seed_13"; "seed_15" ]
+let seed_files =
+  [ "seed_1"; "seed_2"; "seed_4"; "seed_13"; "seed_15"; "cast_copy" ]
 
 let test_seed_corpus_replay () =
   List.iter

@@ -501,8 +501,9 @@ let test_caches_match_naive () =
 (* Random [add_edge] sequences over four sources and fourteen
    destinations, with varying kinds and cast filters and some self-loops:
    each source's successor list (contents and order) and the [pfg_edges]
-   counter match a model that dedups (src, dst) pairs in a [Hashtbl]. The
-   first edge of a pair wins, whatever kind and filter later ones carry.
+   counter match a model that dedups (src, dst, filter) triples in a
+   [Hashtbl], where an unfiltered src->dst edge also hides every filtered
+   one. The first edge of a triple wins, whatever kind later ones carry.
    Sixty edges from four sources push most of them past the list scan's
    limit into their own sets. *)
 let edge_ops_gen =
@@ -527,8 +528,12 @@ let prop_edge_dedup =
         (fun (s, d, k, f) ->
           let src = ptrs.(s) and dst = ptrs.(d) in
           Solver.add_edge ~kind:kinds.(k) ?filter:filters.(f) t ~src ~dst;
-          if src <> dst && not (Hashtbl.mem seen (src, dst)) then begin
-            Hashtbl.add seen (src, dst) ();
+          if
+            src <> dst
+            && (not (Hashtbl.mem seen (src, dst, 0)))
+            && not (Hashtbl.mem seen (src, dst, f))
+          then begin
+            Hashtbl.add seen (src, dst, f) ();
             model.(s) <- (dst, k, f) :: model.(s)
           end)
         ops;
