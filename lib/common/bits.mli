@@ -1,14 +1,16 @@
-(** Growable bitsets over dense non-negative ints.
+(** Growable bitsets over non-negative ints.
 
     These back every points-to set, host set and relation projection in the
-    analyses. All operations keep the cached cardinality exact; [add] and
-    [union_into] report what changed, which drives the solver's delta
-    propagation. *)
+    analyses. A set stores only the words between its lowest and its highest
+    element, so a few high ids cost a few words. All operations keep the
+    cached cardinality exact; [add] and [union_into] report what changed,
+    which drives the solver's delta propagation. *)
 
 type t
 
-(** [create ?capacity ()] is an empty set; [capacity] pre-sizes the backing
-    words (elements may exceed it freely). *)
+(** [create ?capacity ()] is an empty set. [capacity] (default 0) pre-sizes
+    the words for the elements [0, capacity), for sets that will be dense
+    from 0; elements may fall outside freely. *)
 val create : ?capacity:int -> unit -> t
 
 (** [add t i] inserts [i]; returns [true] iff it was not already present. *)
@@ -20,8 +22,16 @@ val remove : t -> int -> unit
 val mem : t -> int -> bool
 val cardinal : t -> int
 val is_empty : t -> bool
+
+(** Empties the set and keeps its words, so reusing it allocates nothing
+    until an element falls outside them. *)
 val clear : t -> unit
+
+(** The copy stores only the words from the lowest to the highest element. *)
 val copy : t -> t
+
+(** Heap words the set occupies, headers included. *)
+val footprint : t -> int
 
 (** Iterates elements in increasing order. *)
 val iter : (int -> unit) -> t -> unit
@@ -41,7 +51,7 @@ val choose : t -> int option
 
 (** [union_into ~into src] adds every element of [src] to [into]; returns
     the delta (elements newly added) or [None] if nothing changed. The delta
-    is fresh and owned by the caller. *)
+    is fresh, owned by the caller, and spans only its own words. *)
 val union_into : into:t -> t -> t option
 
 (** [union_quiet ~into src] adds every element of [src] to [into] without

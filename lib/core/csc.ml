@@ -603,7 +603,7 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
     Hashtbl.iter (fun m _ -> Bits.remove cut_load m) spec.Spec.exits;
     Bits.iter (fun m -> Bits.remove cut_load m) spec.Spec.transfers
   end;
-  let no_hosts = Bits.create ~capacity:1 () in
+  let no_hosts = Bits.create () in
   let pattern name =
     {
       p_count =

@@ -176,6 +176,8 @@ type t = {
   c_wl_coalesced : Registry.counter;(* pushes merged into a pending entry *)
   g_time : Registry.gauge;
   g_heap : Registry.gauge;          (* peak major-heap words observed *)
+  g_pts_words : Registry.gauge;     (* words in points-to sets, at the end *)
+  g_pending_words : Registry.gauge; (* words in pending and spare deltas *)
   mutable prov : Prov.t option;     (* opt-in derivation recorder *)
   mutable attr : Attr.t option;     (* opt-in cost-attribution tables *)
   (* [--progress] heartbeat: 0. = off *)
@@ -188,7 +190,7 @@ exception Timeout
 let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     : t =
   let reg = Registry.create () in
-  let empty_pending = Bits.create ~capacity:1 () in
+  let empty_pending = Bits.create () in
   let ctxs = Interner.create [] in
   let obj_sites = Vec.create 0 and obj_hctxs = Vec.create 0 in
   {
@@ -239,6 +241,8 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     c_wl_coalesced = Registry.counter reg "wl_coalesced";
     g_time = Registry.gauge reg "time_s";
     g_heap = Registry.gauge reg "heap_words_peak";
+    g_pts_words = Registry.gauge reg "pts_words";
+    g_pending_words = Registry.gauge reg "pending_words";
     prov = None;
     attr = None;
     progress_s = 0.;
@@ -277,7 +281,7 @@ let set_progress t interval_s =
 let new_ptr t key desc : int =
   let id =
     Vec.push_idx t.nodes
-      { desc; pts = Bits.create ~capacity:8 (); succs = []; out = None;
+      { desc; pts = Bits.create (); succs = []; out = None;
         watches = []; pending = t.empty_pending }
   in
   Inttbl.add t.ptr_ids key id;
@@ -407,7 +411,7 @@ let pending_slot t n =
       | b :: rest ->
         t.spare <- rest;
         b
-      | [] -> Bits.create ~capacity:8 ()
+      | [] -> Bits.create ()
     in
     n.pending <- b;
     b
@@ -738,6 +742,20 @@ let sample_heap t =
       ("ctx_methods", float_of_int (Registry.value t.c_reach_ctx));
     ]
 
+(* Heap words held by the points-to sets, and by the pending deltas with
+   the spare buffers they recycle through; one pass, when a solve stops. *)
+let measure_sets t =
+  let pts = ref 0 and pending = ref 0 in
+  Vec.iter
+    (fun n ->
+      pts := !pts + Bits.footprint n.pts;
+      if n.pending != t.empty_pending then
+        pending := !pending + Bits.footprint n.pending)
+    t.nodes;
+  List.iter (fun b -> pending := !pending + Bits.footprint b) t.spare;
+  Registry.set t.g_pts_words (float_of_int !pts);
+  Registry.set t.g_pending_words (float_of_int !pending)
+
 (* [--progress] heartbeat: one stderr line per interval, cheap enough to
    check from the 255-iteration cadence *)
 let maybe_progress t ~t0 ~iter =
@@ -755,6 +773,11 @@ let maybe_progress t ~t0 ~iter =
 
 let run_loop (t : t) : unit =
   let t0 = Timer.now () in
+  let stop () =
+    Registry.set t.g_time (Timer.now () -. t0);
+    sample_heap t;
+    measure_sets t
+  in
   let iter = ref 0 in
   (try
      Timer.check t.budget;
@@ -793,11 +816,9 @@ let run_loop (t : t) : unit =
        t.spare <- objs :: t.spare
      done
    with Timer.Out_of_budget ->
-     Registry.set t.g_time (Timer.now () -. t0);
-     sample_heap t;
+     stop ();
      raise Timeout);
-  Registry.set t.g_time (Timer.now () -. t0);
-  sample_heap t
+  stop ()
 
 (* Profiled runs time each plugin hook into an attribution rule row named
    after the plugin and the hook ("csc:on_new_pts", ...). Times are

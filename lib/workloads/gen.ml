@@ -528,6 +528,9 @@ module Rand = struct
     | PGet of { v : int; recv : int; acc : int * int }
     | PVirt of { v : int; recv : int }  (* Object v = recv.act(); *)
     | PCast of { v : int; cls : int; src : int; guarded : bool }
+    | PCastCopy of { v : int; cls : int; src : int }
+        (* v = (cls) src if src is a cls, else v = src: a cast edge and a
+           copy edge between the same two variables *)
     | PListNew of { v : int }
     | PListAdd of { list : int; arg : int }
     | PListGet of { v : int; list : int }
@@ -585,8 +588,8 @@ module Rand = struct
   let defs = function
     | PNew { v; _ } | PNewObj { v } | PStr { v; _ } | PMake { v; _ }
     | PPipe { v; _ } | PWiden { v; _ } | PChoice { v; _ } | PGet { v; _ }
-    | PVirt { v; _ } | PCast { v; _ } | PListNew { v } | PListGet { v; _ }
-    | PMapNew { v } | PMapGet { v; _ } | PArrNew { v; _ }
+    | PVirt { v; _ } | PCast { v; _ } | PCastCopy { v; _ } | PListNew { v }
+    | PListGet { v; _ } | PMapNew { v } | PMapGet { v; _ } | PArrNew { v; _ }
     | PArrLoad { v; _ } | PSource { v } | PScrub { v; _ } -> [ v ]
     | PIter { it; elem; _ } -> [ it; elem ]
     | PLoop { i; _ } -> [ i ]
@@ -595,7 +598,7 @@ module Rand = struct
 
   let uses = function
     | PPipe { src; _ } | PWiden { src; _ } | PCast { src; _ }
-    | PScrub { src; _ } -> [ src ]
+    | PCastCopy { src; _ } | PScrub { src; _ } -> [ src ]
     | PChoice { a; b; _ } -> [ a; b ]
     | PSet { recv; arg; _ } -> [ recv; arg ]
     | PGet { recv; _ } | PVirt { recv; _ } -> [ recv ]
@@ -780,6 +783,14 @@ module Rand = struct
               let v = fresh g in
               Some (PCast { v; cls; src = src.e_id; guarded = true },
                     [ entry v (RCls cls) ])
+            | None -> None);
+        (2, fun () ->
+            match pick_var rng scope is_ref with
+            | Some src ->
+              let cls = Rng.int rng (Array.length g.g_classes) in
+              let v = fresh g in
+              Some (PCastCopy { v; cls; src = src.e_id },
+                    [ entry ~nn:src.e_nn v RObj ])
             | None -> None);
         (1, fun () ->
             (* unguarded downcast to a strict subclass: may genuinely fail at
@@ -1066,7 +1077,7 @@ module Rand = struct
         u.u_classes <- c :: u.u_classes in
     let rec go s =
       (match s with
-      | PNew { cls; _ } | PCast { cls; _ } -> add_cls cls
+      | PNew { cls; _ } | PCast { cls; _ } | PCastCopy { cls; _ } -> add_cls cls
       | PMake { cls; _ } ->
         add_cls cls;
         if not (List.mem cls u.u_makes) then u.u_makes <- cls :: u.u_makes
@@ -1155,6 +1166,10 @@ module Rand = struct
         (cls_name cls) (vn v) (cls_name cls) (vn src)
     | PCast { v; cls; src; guarded = false } ->
       pf "%s%s %s = (%s) %s;\n" pad (cls_name cls) (vn v) (cls_name cls) (vn src)
+    | PCastCopy { v; cls; src } ->
+      pf "%sObject %s = null;\n" pad (vn v);
+      pf "%sif (%s instanceof %s) { %s = (%s) %s; } else { %s = %s; }\n" pad
+        (vn src) (cls_name cls) (vn v) (cls_name cls) (vn src) (vn v) (vn src)
     | PListNew { v } -> pf "%sArrayList %s = new ArrayList();\n" pad (vn v)
     | PListAdd { list; arg } -> pf "%s%s.add(%s);\n" pad (vn list) (vn arg)
     | PListGet { v; list } ->

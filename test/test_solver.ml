@@ -652,6 +652,24 @@ let test_repeated_receivers () =
         (Hashtbl.length want))
     [ ("ci", Context.ci); ("2obj", sel_2obj) ]
 
+(* Under 2obj most pointers hold one or two high object ids. A set stores
+   only the words between its lowest and highest element, so findbugs'
+   points-to sets take ~1.75M words; with words from element 0 they took
+   ~7.1M. The gauge is one pass over the pointers when the solve stops. *)
+let test_pts_words_bounded () =
+  let t = Solver.analyze ~sel:sel_2obj (named_program "findbugs") in
+  let gauge n =
+    Option.get (Snapshot.gauge_value (Solver.snapshot t) n) |> int_of_float
+  in
+  let sum = ref 0 in
+  Solver.iter_ptrs t (fun p _ -> sum := !sum + Bits.footprint (Solver.pts t p));
+  Alcotest.(check int) "gauge = footprint over pointers" !sum (gauge "pts_words");
+  Alcotest.(check bool)
+    (Printf.sprintf "pts_words %d <= 2.5M" (gauge "pts_words"))
+    true
+    (gauge "pts_words" <= 2_500_000);
+  Alcotest.(check bool) "pending_words measured" true (gauge "pending_words" > 0)
+
 let suite =
   [
     ( "pta.ci",
@@ -706,5 +724,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_edge_dedup;
         Alcotest.test_case "repeated receivers seed this only" `Quick
           test_repeated_receivers;
+        Alcotest.test_case "2obj points-to words bounded" `Quick
+          test_pts_words_bounded;
       ] );
   ]
