@@ -20,6 +20,7 @@ open E
 let dl_snapshot (t : E.t) ~time : Snapshot.t =
   Snapshot.of_metrics
     [ Snapshot.Counter { name = "derived"; labels = []; value = E.derived_count t };
+      Snapshot.Counter { name = "scans"; labels = []; value = E.scan_count t };
       Snapshot.Gauge { name = "time_s"; labels = []; value = time } ]
 
 let v x = V x

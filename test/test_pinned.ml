@@ -148,20 +148,30 @@ let test_explain_errors () =
 (* Datalog outputs, pinned the same way before the engine's join planner
    was rewritten: (program, analysis) -> MD5 of the [pts_json] dump, MD5
    of the callgraph DOT with its lines sorted (tuple iteration order may
-   change, the content may not), and the engine's derived-tuple count. *)
+   change, the content may not), the engine's derived-tuple count and its
+   scanned-candidate count. The scan count pins the join plans: a faster
+   relation store must probe the same tuples in the same order. The
+   doop-2type and doop-zipper-e cells cover the context-sensitive rules
+   and the [mkobj]/[calleectx] builtins. *)
 let datalog_pinned =
   [ (("findbugs", Run.Doop_ci),
      ("1708df97ecbe9d4f5a8eca3f7219c510", "27e0c8366eb41c6888012920c616a62c",
-      74254));
+      74254, 300025));
     (("findbugs", Run.Doop_csc),
      ("118ca8748c94940d0baef550b5e3857b", "e56c5d07bf1a9acdd0367f5193e25f85",
-      21388));
+      21388, 148160));
+    (("findbugs", Run.Doop_2type),
+     ("5daedfe95c58ef68abf243cdd072e0a1", "c48031086e067cf9733f7ea3c9846891",
+      77749, 376910));
+    (("findbugs", Run.Doop_zipper),
+     ("ba6e3716a12eeaa5cad0458c46641095", "46f70fe0405ba8bcf28dfaacdf78e694",
+      30779, 175569));
     (("hsqldb", Run.Doop_ci),
      ("2f175bf66d041145bd7c1cd365e51518", "cda3b447e5f71a656aba8ff240a80c20",
-      476936));
+      476936, 1953957));
     (("hsqldb", Run.Doop_csc),
      ("dac0a64fd8937e2b0fe0cb9ffa289f73", "f95d3de4fb6bda0fdc2501dc5883f54d",
-      227202)) ]
+      227202, 1541740)) ]
 
 let sorted_lines s =
   String.split_on_char '\n' s |> List.sort String.compare |> String.concat "\n"
@@ -169,18 +179,23 @@ let sorted_lines s =
 let test_datalog name () =
   let p = named_program name in
   List.iter
-    (fun ((n, a), (pts, dot, derived)) ->
+    (fun ((n, a), (pts, dot, derived, scans)) ->
       if n = name then begin
         let o = Run.run_spec (Run.spec a) p in
         let r = Option.get o.Run.o_result in
         let what = name ^ " " ^ Run.name a in
         let md5 s = Digest.to_hex (Digest.string s) in
+        let counter k =
+          Csc_obs.Snapshot.counter_value r.Csc_pta.Solver.r_snapshot k
+        in
         Alcotest.(check string) (what ^ " pts") pts
           (md5 (Json.to_string (Export.pts_json p r)));
         Alcotest.(check string) (what ^ " dot") dot
           (md5 (sorted_lines (Export.callgraph_dot p r)));
         Alcotest.(check (option int)) (what ^ " derived") (Some derived)
-          (Csc_obs.Snapshot.counter_value r.Csc_pta.Solver.r_snapshot "derived")
+          (counter "derived");
+        Alcotest.(check (option int)) (what ^ " scans") (Some scans)
+          (counter "scans")
       end)
     datalog_pinned
 
