@@ -4,7 +4,8 @@
     the declarative version of the pointer analysis is expressed as rules
     evaluated here. Features: automatic stratification, stratified negation
     (a negated atom may only mention relations of strictly lower strata),
-    lazily-built hash indices per (relation, bound-column mask), semi-naive
+    flat tuple storage with lazily-built indices per (relation, bound-column
+    mask), semi-naive
     delta iteration inside each stratum, and a join planner that orders each
     rule's body by estimated index selectivity once per round. *)
 
@@ -45,63 +46,112 @@ let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 
 (* ------------------------------------------------------------- relations *)
 
-(* tuple keys: int arrays hashed and compared without the polymorphic
-   primitives *)
-module Key = struct
-  type t = int array
+(* Every value a relation stores is an int in [0, 2^31): the analyses
+   store interned, dense ids. So a one-column index can be an array indexed
+   by the key's value, and tuples, tuple ids and indices can all live in
+   32-bit cells. [fact], rule constants and builtin results are checked. *)
+let valid x = x lsr 31 = 0
 
-  let equal (a : t) (b : t) =
-    let n = Array.length a in
-    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-    n = Array.length b && go 0
+(* Vectors of signed 32-bit cells in a [bytes], bounds-checked. They hold
+   values and tuple ids, and [-1] for "none". Half the size of an [int
+   array] matters: these vectors are the engine's whole footprint, and run
+   after another analysis has grown the heap, they add to the process's
+   peak memory. *)
+module C32 = struct
+  external get32 : bytes -> int -> int32 = "%caml_bytes_get32"
+  external set32 : bytes -> int -> int32 -> unit = "%caml_bytes_set32"
 
-  let hash (a : t) =
-    let h = ref 0 in
-    for i = 0 to Array.length a - 1 do
-      h := (!h * 65599) + a.(i)
-    done;
-    !h land max_int
+  let get b i = Int32.to_int (get32 b (i lsl 2))
+  let set b i x = set32 b (i lsl 2) (Int32.of_int x)
+  let length b = Bytes.length b lsr 2
+
+  (* [fill] is 0 or -1 *)
+  let make n fill = Bytes.make (4 * n) (if fill < 0 then '\255' else '\000')
+
+  (* [a] grown to hold index [i], at least doubled; new cells read [fill] *)
+  let grow_to a i fill =
+    let b = make (max (i + 1) (2 * length a)) fill in
+    Bytes.blit a 0 b 0 (Bytes.length a);
+    b
 end
 
-module KH = Hashtbl.Make (Key)
+(* hashing a key of several columns, read in place from wherever it lives:
+   Fibonacci mixing per column, the high half folded into the low bits
+   that a table's mask keeps *)
+let mix h x = (h + x) * 0x1E3779B97F4A7C15
+let finish h = h lxor (h lsr 32)
 
-(* an append-only tuple vector. Scans read [v_len] once and then index
-   [v_data] afresh per tuple, so tuples appended during a scan (rules that
-   derive into a relation they read) are not visited by it. *)
-type vec = { mutable v_data : int array array; mutable v_len : int }
+let hash_key (key : int array) =
+  let h = ref 0 in
+  for i = 0 to Array.length key - 1 do
+    h := mix !h (Array.unsafe_get key i)
+  done;
+  finish !h
 
-let vec_create () = { v_data = [||]; v_len = 0 }
+(* the columns [cols] of the tuple at [base] in [data] *)
+let hash_at data base (cols : int array) =
+  let h = ref 0 in
+  for i = 0 to Array.length cols - 1 do
+    h := mix !h (C32.get data (base + Array.unsafe_get cols i))
+  done;
+  finish !h
 
-let vec_push v x =
-  if v.v_len = Array.length v.v_data then begin
-    let data = Array.make (max 2 (2 * v.v_len)) [||] in
-    Array.blit v.v_data 0 data 0 v.v_len;
-    v.v_data <- data
-  end;
-  v.v_data.(v.v_len) <- x;
-  v.v_len <- v.v_len + 1
+let rec eq_key data base (cols : int array) (key : int array) i =
+  i >= Array.length cols
+  || C32.get data (base + Array.unsafe_get cols i) = Array.unsafe_get key i
+     && eq_key data base cols key (i + 1)
 
-let empty_vec = vec_create ()
+let rec eq_at data a b (cols : int array) i =
+  i >= Array.length cols
+  || (let c = Array.unsafe_get cols i in
+      C32.get data (a + c) = C32.get data (b + c))
+     && eq_at data a b cols (i + 1)
 
-(* a hash index on the columns [ix_cols] (bitmask [ix_mask]): projected key
-   -> matching tuples. Its size is the number of distinct keys, which the
-   join planner reads as the index's selectivity. *)
+(* open-addressing tables of tuple ids: power-of-two length, linear
+   probing, [-1] in every free slot, at most 3/4 full *)
+let capacity n =
+  let c = ref 8 in
+  while !c * 3 < n * 4 do
+    c := !c * 2
+  done;
+  !c
+
+let full n slots = (n + 1) * 4 > C32.length slots * 3
+
+(* An index on the columns [ix_cols] (bitmask [ix_mask]). Each key's
+   tuples form a ring through [ix_next] (tuple id -> the next tuple with
+   the same key, the newest pointing back to the oldest), and the index
+   maps each key to its newest tuple id:
+   - a one-column index ([ix_col >= 0]) is an array indexed by the key's
+     value, [-1] where no tuple has that value;
+   - any other is an open-addressing table of tuple ids, hashed and
+     compared on the key columns of that tuple.
+   [ix_keys] counts the distinct keys, which the join planner reads as the
+   index's selectivity. *)
 type index = {
   ix_mask : int;
   ix_cols : int array;
-  ix_tbl : vec KH.t;
-  ix_key : int array;  (* scratch key for [index_add] *)
+  ix_col : int;
+  mutable ix_last : bytes;
+  mutable ix_next : bytes;
+  mutable ix_keys : int;
 }
 
+(* A relation stores its tuples flat: tuple [i] is [r_data] positions
+   [i * r_arity, (i + 1) * r_arity), in insertion order. Scans read
+   [r_len] once and re-read [r_data] per tuple, so tuples appended during a
+   scan (rules that derive into a relation they read) are not visited by
+   it. [r_set] is an open-addressing table of every tuple id. *)
 type relation = {
   r_name : string;
   r_arity : int;
-  r_set : unit KH.t;
-  r_all : vec;  (* every tuple, in insertion order *)
+  r_cols : int array;  (* [0; ...; r_arity - 1] *)
+  mutable r_data : bytes;
+  mutable r_len : int;
+  mutable r_set : bytes;
   mutable r_indices : index list;
-  (* semi-naive delta: the tuples derived in the previous round are
-     [r_all] positions [r_dlo, r_dhi); [r_seen] is [r_all]'s length when
-     the current round started *)
+  (* semi-naive delta: the tuples derived in the previous round are ids
+     [r_dlo, r_dhi); [r_seen] is [r_len] when the current round started *)
   mutable r_dlo : int;
   mutable r_dhi : int;
   mutable r_seen : int;
@@ -133,36 +183,114 @@ let relation t name arity : relation =
     r
   | None ->
     let r =
-      { r_name = name; r_arity = arity; r_set = KH.create 64;
-        r_all = vec_create (); r_indices = []; r_dlo = 0; r_dhi = 0;
-        r_seen = 0 }
+      { r_name = name; r_arity = arity; r_cols = Array.init arity Fun.id;
+        r_data = Bytes.empty; r_len = 0; r_set = C32.make (capacity 0) (-1);
+        r_indices = []; r_dlo = 0; r_dhi = 0; r_seen = 0 }
     in
     Hashtbl.add t.rels name r;
     r
 
-let index_add ix (tup : int array) =
-  let key = ix.ix_key in
-  for i = 0 to Array.length key - 1 do
-    key.(i) <- tup.(ix.ix_cols.(i))
-  done;
-  match KH.find ix.ix_tbl key with
-  | v -> vec_push v tup
-  | exception Not_found ->
-    let v = vec_create () in
-    vec_push v tup;
-    KH.add ix.ix_tbl (Array.copy key) v
+(* the slot of [r_set] holding the tuple equal to [key], or the free slot
+   where it would go; load 3/4 guarantees a free slot, so the probe ends *)
+let rec set_probe (r : relation) slots mask (key : int array) i =
+  let id = C32.get slots i in
+  if id < 0 || eq_key r.r_data (id * r.r_arity) r.r_cols key 0 then i
+  else set_probe r slots mask key ((i + 1) land mask)
 
-(* insert a tuple known to be absent into the set, [r_all] and every built
-   index *)
-let add_new (r : relation) (tup : int array) =
-  KH.add r.r_set tup ();
-  vec_push r.r_all tup;
-  List.iter (fun ix -> index_add ix tup) r.r_indices
+let set_slot (r : relation) key =
+  let mask = C32.length r.r_set - 1 in
+  set_probe r r.r_set mask key (hash_key key land mask)
+
+let mem (r : relation) key = C32.get r.r_set (set_slot r key) >= 0
+
+let set_grow (r : relation) =
+  let slots = C32.make (2 * C32.length r.r_set) (-1) in
+  let mask = C32.length slots - 1 in
+  for id = 0 to r.r_len - 1 do
+    let i = ref (hash_at r.r_data (id * r.r_arity) r.r_cols land mask) in
+    while C32.get slots !i >= 0 do
+      i := (!i + 1) land mask
+    done;
+    C32.set slots !i id
+  done;
+  r.r_set <- slots
+
+(* the slot of a multi-column index holding the key of the tuple at [base]
+   (found in [data]), or the free slot where it would go *)
+let rec ix_probe ix data arity base mask i =
+  let id = C32.get ix.ix_last i in
+  if id < 0 || eq_at data (id * arity) base ix.ix_cols 0 then i
+  else ix_probe ix data arity base mask ((i + 1) land mask)
+
+let ix_slot ix data arity base =
+  let mask = C32.length ix.ix_last - 1 in
+  ix_probe ix data arity base mask (hash_at data base ix.ix_cols land mask)
+
+(* the tuple after [id] in its key's ring: after the newest, the oldest *)
+let ring_next ix id = C32.get ix.ix_next id
+
+(* append tuple [id], whose key sits at position [p] of [ix_last], to its
+   key's ring *)
+let ring_add ix p id =
+  if id >= C32.length ix.ix_next then ix.ix_next <- C32.grow_to ix.ix_next id 0;
+  let last = C32.get ix.ix_last p in
+  if last < 0 then begin
+    C32.set ix.ix_next id id;
+    ix.ix_keys <- ix.ix_keys + 1
+  end
+  else begin
+    C32.set ix.ix_next id (C32.get ix.ix_next last);
+    C32.set ix.ix_next last id
+  end;
+  C32.set ix.ix_last p id
+
+let index_add (r : relation) ix id =
+  let base = id * r.r_arity in
+  if ix.ix_col >= 0 then begin
+    let v = C32.get r.r_data (base + ix.ix_col) in
+    if v >= C32.length ix.ix_last then ix.ix_last <- C32.grow_to ix.ix_last v (-1);
+    ring_add ix v id
+  end
+  else begin
+    if full ix.ix_keys ix.ix_last then begin
+      (* rehash the keys' newest ids into a table twice as large *)
+      let old = ix.ix_last in
+      ix.ix_last <- C32.make (2 * C32.length old) (-1);
+      for i = 0 to C32.length old - 1 do
+        let last = C32.get old i in
+        if last >= 0 then
+          C32.set ix.ix_last (ix_slot ix r.r_data r.r_arity (last * r.r_arity)) last
+      done
+    end;
+    ring_add ix (ix_slot ix r.r_data r.r_arity base) id
+  end
+
+(* [List.iter] would allocate a closure per tuple *)
+let rec add_to_indices r id = function
+  | [] -> ()
+  | ix :: rest ->
+    index_add r ix id;
+    add_to_indices r id rest
+
+(* append [tup], known to be absent and to sit at [r_set] slot [slot] *)
+let add_new (r : relation) slot (tup : int array) =
+  let id = r.r_len in
+  let base = id * r.r_arity in
+  if base + r.r_arity > C32.length r.r_data then
+    r.r_data <- C32.grow_to r.r_data (base + r.r_arity - 1) 0;
+  for i = 0 to r.r_arity - 1 do
+    C32.set r.r_data (base + i) tup.(i)
+  done;
+  r.r_len <- id + 1;
+  if full id r.r_set then set_grow r
+  else C32.set r.r_set slot id;
+  add_to_indices r id r.r_indices
 
 let insert (r : relation) (tup : int array) : bool =
-  if KH.mem r.r_set tup then false
+  let slot = set_slot r tup in
+  if C32.get r.r_set slot >= 0 then false
   else begin
-    add_new r tup;
+    add_new r slot tup;
     true
   end
 
@@ -174,25 +302,49 @@ let index_for (r : relation) (mask : int) : index =
       List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init r.r_arity Fun.id)
       |> Array.of_list
     in
-    let ix =
-      { ix_mask = mask; ix_cols = cols;
-        ix_tbl = KH.create (max 64 (r.r_all.v_len / 4));
-        ix_key = Array.make (Array.length cols) 0 }
+    let col = if Array.length cols = 1 then cols.(0) else -1 in
+    (* sized from the relation as it stands: a one-column index to the
+       largest value, any other to one key per tuple *)
+    let last =
+      if col >= 0 then begin
+        let top = ref (-1) in
+        for id = 0 to r.r_len - 1 do
+          top := max !top (C32.get r.r_data ((id * r.r_arity) + col))
+        done;
+        C32.make (!top + 1) (-1)
+      end
+      else C32.make (capacity r.r_len) (-1)
     in
-    for i = 0 to r.r_all.v_len - 1 do
-      index_add ix r.r_all.v_data.(i)
+    let ix =
+      { ix_mask = mask; ix_cols = cols; ix_col = col; ix_last = last;
+        ix_next = C32.make r.r_len 0; ix_keys = 0 }
+    in
+    for id = 0 to r.r_len - 1 do
+      index_add r ix id
     done;
     r.r_indices <- ix :: r.r_indices;
     ix
 
-(** Add an EDB fact. *)
+(** Add an EDB fact. Values must lie in [0, 2^31). *)
 let fact t name args =
+  if not (List.for_all valid args) then
+    error "value out of range in fact %s(%s)" name
+      (String.concat ", " (List.map string_of_int args));
   let args = Array.of_list args in
   let r = relation t name (Array.length args) in
   ignore (insert r args)
 
 let add_rule t (rule : rule) =
   if rule.head.neg then error "negative head in rule for %s" rule.head.rel;
+  List.iter
+    (fun a ->
+      if not a.builtin then
+        Array.iter
+          (function
+            | C c when not (valid c) -> error "constant %d out of range in %s" c a.rel
+            | _ -> ())
+          a.args)
+    (rule.head :: rule.body);
   ignore (relation t rule.head.rel (Array.length rule.head.args));
   List.iter
     (fun a ->
@@ -439,9 +591,15 @@ let make_scan (r : relation) (args : slot array) (bound : bool array) ~mask :
 
 (* estimated candidates of probing [r] on [mask]: |R| / distinct keys *)
 let estimate (r : relation) mask =
-  let n = r.r_all.v_len in
+  let n = r.r_len in
   if mask = 0 || n = 0 then float_of_int n
-  else float_of_int n /. float_of_int (KH.length (index_for r mask).ix_tbl)
+  else float_of_int n /. float_of_int (index_for r mask).ix_keys
+
+(* a new semi-naive round: its delta is what the previous round added *)
+let start_round (r : relation) =
+  r.r_dlo <- r.r_seen;
+  r.r_dhi <- r.r_len;
+  r.r_seen <- r.r_len
 
 (* Order the body greedily, with the delta atom (if [delta >= 0]) first:
    a negated atom, builtin or fully bound atom goes as soon as its inputs
@@ -499,7 +657,7 @@ let plan (cr : crule) ~(delta : int) : step array =
             match body.(i).ca_target with
             | Rel r when not body.(i).ca_neg ->
               let mask = mask_of bound body.(i).ca_args in
-              let cost = (mask = 0, estimate r mask, r.r_all.v_len) in
+              let cost = (mask = 0, estimate r mask, r.r_len) in
               (match !best with
               | Some (_, c) when compare c cost <= 0 -> ()
               | _ -> best := Some (i, cost))
@@ -520,25 +678,46 @@ let tick t =
   t.n_scans <- t.n_scans + 1;
   if t.n_scans land 0x7ffff = 0 then Timer.check t.budget
 
-let rec eq_const cols vals (tup : int array) i =
+let rec eq_const cols vals d base i =
   i >= Array.length cols
-  || (tup.(cols.(i)) = vals.(i) && eq_const cols vals tup (i + 1))
+  || (C32.get d (base + cols.(i)) = vals.(i) && eq_const cols vals d base (i + 1))
 
-let rec eq_var cols vars (env : int array) (tup : int array) i =
+let rec eq_var cols vars (env : int array) d base i =
   i >= Array.length cols
-  || (tup.(cols.(i)) = env.(vars.(i)) && eq_var cols vars env tup (i + 1))
+  || (C32.get d (base + cols.(i)) = env.(vars.(i)) && eq_var cols vars env d base (i + 1))
 
-(* bind the free columns of [tup], then run the checks *)
-let matches s (env : int array) (tup : int array) =
+(* bind the free columns of the tuple at [base] in [d], then run the
+   checks *)
+let matches s (env : int array) d base =
   for i = 0 to Array.length s.s_bind_col - 1 do
-    env.(s.s_bind_var.(i)) <- tup.(s.s_bind_col.(i))
+    env.(s.s_bind_var.(i)) <- C32.get d (base + s.s_bind_col.(i))
   done;
-  eq_const s.s_eqc_col s.s_eqc_val tup 0 && eq_var s.s_eqv_col s.s_eqv_var env tup 0
+  eq_const s.s_eqc_col s.s_eqc_val d base 0
+  && eq_var s.s_eqv_col s.s_eqv_var env d base 0
 
 let fill (dst : int array) pos vars (env : int array) =
   for i = 0 to Array.length pos - 1 do
     dst.(pos.(i)) <- env.(vars.(i))
   done
+
+(* the newest tuple id whose key is [key], or [-1] *)
+let probe (r : relation) ix (key : int array) =
+  if ix.ix_col >= 0 then begin
+    let v = Array.unsafe_get key 0 in
+    if v < C32.length ix.ix_last then C32.get ix.ix_last v else -1
+  end
+  else begin
+    let slots = ix.ix_last in
+    let mask = C32.length slots - 1 in
+    let i = ref (hash_key key land mask) in
+    while
+      let id = C32.get slots !i in
+      id >= 0 && not (eq_key r.r_data (id * r.r_arity) ix.ix_cols key 0)
+    do
+      i := (!i + 1) land mask
+    done;
+    C32.get slots !i
+  end
 
 let emit t (cr : crule) =
   t.n_emits <- t.n_emits + 1;
@@ -549,8 +728,9 @@ let emit t (cr : crule) =
       (match cr.cr_head.(i) with S_const c -> c | S_var v -> cr.cr_env.(v))
   done;
   let r = cr.cr_head_rel in
-  if not (KH.mem r.r_set out) then begin
-    add_new r (Array.copy out);
+  let slot = set_slot r out in
+  if C32.get r.r_set slot < 0 then begin
+    add_new r slot out;
     t.n_derived <- t.n_derived + 1;
     match cr.cr_arule with None -> () | Some ar -> Attr.rule_tuples ar
   end
@@ -560,33 +740,41 @@ let rec exec t (cr : crule) (plan : step array) i =
   else
     let env = cr.cr_env in
     match plan.(i) with
-    | Scan s ->
-      let v =
-        match s.s_index with
-        | None -> s.s_rel.r_all
-        | Some ix -> (
-          fill s.s_key s.s_key_pos s.s_key_var env;
-          match KH.find ix.ix_tbl s.s_key with
-          | v -> v
-          | exception Not_found -> empty_vec)
-      in
-      for j = 0 to v.v_len - 1 do
-        tick t;
-        if matches s env v.v_data.(j) then exec t cr plan (i + 1)
-      done
+    | Scan s -> (
+      let r = s.s_rel in
+      match s.s_index with
+      | None ->
+        for id = 0 to r.r_len - 1 do
+          tick t;
+          if matches s env r.r_data (id * r.r_arity) then exec t cr plan (i + 1)
+        done
+      | Some ix ->
+        fill s.s_key s.s_key_pos s.s_key_var env;
+        (* walk the key's ring from its oldest tuple to the newest one as
+           the scan starts; tuples appended meanwhile come after it *)
+        let last = probe r ix s.s_key in
+        if last >= 0 then begin
+          let id = ref (ring_next ix last) and more = ref true in
+          while !more do
+            tick t;
+            if matches s env r.r_data (!id * r.r_arity) then exec t cr plan (i + 1);
+            if !id = last then more := false else id := ring_next ix !id
+          done
+        end)
     | Delta s ->
       let r = s.s_rel in
-      for j = r.r_dlo to r.r_dhi - 1 do
-        if matches s env r.r_all.v_data.(j) then exec t cr plan (i + 1)
+      for id = r.r_dlo to r.r_dhi - 1 do
+        if matches s env r.r_data (id * r.r_arity) then exec t cr plan (i + 1)
       done
     | Member m ->
       fill m.m_tup m.m_pos m.m_var env;
-      if KH.mem m.m_rel.r_set m.m_tup <> m.m_neg then exec t cr plan (i + 1)
+      if mem m.m_rel m.m_tup <> m.m_neg then exec t cr plan (i + 1)
     | Call c -> (
       fill c.c_in c.c_pos c.c_var env;
       let x = c.c_fn c.c_in in
       match c.c_out with
       | Bind v ->
+        if not (valid x) then error "builtin result %d out of range" x;
         env.(v) <- x;
         exec t cr plan (i + 1)
       | Eq_var v -> if env.(v) = x then exec t cr plan (i + 1)
@@ -666,20 +854,15 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
              mid-stratum, so timed-out profiles stay meaningful *)
           Fun.protect ~finally:st_finish @@ fun () ->
           (* round 0: run every rule of the stratum naively *)
-          List.iter (fun r -> r.r_seen <- r.r_all.v_len) heads;
+          List.iter (fun r -> r.r_seen <- r.r_len) heads;
           List.iter (fun cr -> timed cr ~delta:(-1)) srules;
           (* semi-naive rounds: each rule once per body atom whose relation
              grew in the previous round *)
-          while List.exists (fun r -> r.r_all.v_len > r.r_seen) heads do
+          while List.exists (fun r -> r.r_len > r.r_seen) heads do
             Timer.check budget;
             incr round;
             heartbeat ();
-            List.iter
-              (fun r ->
-                r.r_dlo <- r.r_seen;
-                r.r_dhi <- r.r_all.v_len;
-                r.r_seen <- r.r_dhi)
-              heads;
+            List.iter start_round heads;
             List.iter
               (fun cr ->
                 Array.iteri
@@ -700,12 +883,14 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
 let tuples t name : int array list =
   match Hashtbl.find_opt t.rels name with
   | None -> []
-  | Some r -> List.init r.r_all.v_len (fun i -> r.r_all.v_data.(i))
+  | Some r ->
+    List.init r.r_len (fun id ->
+        Array.init r.r_arity (fun i -> C32.get r.r_data ((id * r.r_arity) + i)))
 
 let count t name =
   match Hashtbl.find_opt t.rels name with
   | None -> 0
-  | Some r -> r.r_all.v_len
+  | Some r -> r.r_len
 
 let derived_count t = t.n_derived
 
@@ -713,10 +898,16 @@ let derived_count t = t.n_derived
     join planner's cost, next to {!derived_count}, its yield. *)
 let scan_count t = t.n_scans
 
+(** [f] sees each tuple of [name] in insertion order, in one array that is
+    reused between calls, so [f] must not retain it. *)
 let iter_tuples t name f =
   match Hashtbl.find_opt t.rels name with
   | None -> ()
   | Some r ->
-    for i = 0 to r.r_all.v_len - 1 do
-      f r.r_all.v_data.(i)
+    let tup = Array.make r.r_arity 0 in
+    for id = 0 to r.r_len - 1 do
+      for i = 0 to r.r_arity - 1 do
+        tup.(i) <- C32.get r.r_data ((id * r.r_arity) + i)
+      done;
+      f tup
     done

@@ -215,6 +215,161 @@ let prop_body_order_irrelevant =
       in
       solved false = solved true)
 
+(* The relation store against a list model. Random insert sequences over
+   one relation of arity 1-4, with duplicates and with values either
+   clustered (below 40) or sparse (up to 2^22), in rounds; indices are built
+   at random points, so some grow with the relation and some are built from
+   it. After each round: the round's delta range, membership, and for every
+   column mask the distinct-key count and each key's tuples in insertion
+   order, absent keys included. *)
+let prop_store_model =
+  QCheck2.Test.make ~name:"relation store = list model" ~count:150
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let arity = 1 + Random.State.int rs 4 in
+      let sparse = Random.State.int rs 4 = 0 in
+      let value () =
+        if sparse then Random.State.int rs (1 lsl 22) else Random.State.int rs 40
+      in
+      let t = create () in
+      let r = relation t "r" arity in
+      let masks = List.init ((1 lsl arity) - 1) (fun m -> m + 1) in
+      let model = ref [] (* newest first *) in
+      let fail fmt = Printf.ksprintf failwith fmt in
+      let project mask tup =
+        List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list tup)
+        |> Array.of_list
+      in
+      let check_round () =
+        let all = Array.of_list (List.rev !model) in
+        let stored = Array.of_list (tuples t "r") in
+        if stored <> all then fail "tuples differ from the model";
+        Array.iter (fun tup -> if not (mem r tup) then fail "member missing") all;
+        for _ = 1 to 20 do
+          let tup = Array.init arity (fun _ -> value ()) in
+          if mem r tup <> Array.mem tup all then fail "mem disagrees"
+        done;
+        List.iter
+          (fun mask ->
+            let ix = index_for r mask in
+            let keys = List.sort_uniq compare (List.map (project mask) (Array.to_list all)) in
+            if ix.ix_keys <> List.length keys then fail "mask %d: key count" mask;
+            if all <> [||]
+               && estimate r mask
+                  <> float_of_int (Array.length all)
+                     /. float_of_int (List.length keys)
+            then fail "mask %d: estimate" mask;
+            let ring key =
+              let last = probe r ix key in
+              if last < 0 then []
+              else
+                let rec go id acc =
+                  let acc = stored.(id) :: acc in
+                  if id = last then List.rev acc else go (ring_next ix id) acc
+                in
+                go (ring_next ix last) []
+            in
+            let expect key =
+              List.filter (fun tup -> project mask tup = key) (Array.to_list all)
+            in
+            (* every present key, and absent keys at and past the edges *)
+            let width = Array.length ix.ix_cols in
+            let absent =
+              [ Array.make width 0; Array.make width 40; Array.make width (1 lsl 22) ]
+              @ List.init 10 (fun _ -> Array.init width (fun _ -> value ()))
+              @
+              if ix.ix_col >= 0 then
+                let n = C32.length ix.ix_last in
+                List.map (fun v -> [| v |]) [ max 0 (n - 1); n; n + 1 ]
+              else []
+            in
+            List.iter
+              (fun key ->
+                if ring key <> expect key then
+                  fail "mask %d key [%s]: tuples differ" mask
+                    (String.concat ";" (Array.to_list (Array.map string_of_int key))))
+              (keys @ absent))
+          masks
+      in
+      for round = 0 to Random.State.int rs 5 do
+        let added = ref [] in
+        for _ = 1 to Random.State.int rs 60 do
+          let tup =
+            match !model with
+            | old :: _ when Random.State.int rs 4 = 0 -> Array.copy old
+            | _ -> Array.init arity (fun _ -> value ())
+          in
+          if Random.State.int rs 8 = 0 then
+            ignore (index_for r (1 + Random.State.int rs ((1 lsl arity) - 1)));
+          if round = 0 then fact t "r" (Array.to_list tup)
+          else ignore (insert r tup);
+          if not (List.mem tup !model) then begin
+            model := tup :: !model;
+            added := tup :: !added
+          end
+        done;
+        let n = List.length !model in
+        start_round r;
+        if r.r_dlo <> n - List.length !added || r.r_dhi <> n then
+          fail "round %d: delta [%d, %d) for %d tuples, %d new" round r.r_dlo
+            r.r_dhi n (List.length !added);
+        check_round ()
+      done;
+      true)
+
+(* stored values must fit the store's cells: non-negative, below 2^31.
+   Facts, rule constants and builtin results are checked. *)
+let test_value_range () =
+  let refused what f =
+    match f (create ()) with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Error _ -> ()
+  in
+  List.iter
+    (fun args -> refused "fact" (fun t -> fact t "r" args))
+    [ [ -1; 0 ]; [ 0; -5 ]; [ 1 lsl 31; 0 ] ];
+  refused "constant" (fun t ->
+      add_rule t (atom "p" [ c (-1) ] <-- [ atom "q" [ v "x" ] ]));
+  refused "builtin result" (fun t ->
+      add_builtin t "neg" (fun args -> -args.(0) - 1);
+      fact t "q" [ 3 ];
+      add_rule t (atom "p" [ v "y" ] <-- [ atom "q" [ v "x" ]; fn "neg" [ v "x"; v "y" ] ]);
+      solve t);
+  let t = create () in
+  fact t "r" [ 0; (1 lsl 31) - 1 ];
+  Alcotest.(check (list (array int))) "largest value stored"
+    [ [| 0; (1 lsl 31) - 1 |] ] (tuples t "r")
+
+(* probes, key comparisons and membership tests allocate nothing. Each
+   rule scans a(x), then probes on x: b on one column (c), m on two
+   columns and b as a membership test (d), b negated (e); half the probes
+   miss. The solve may allocate per rule evaluation, not per probe or per
+   derived tuple. *)
+let test_solve_allocation () =
+  let t = create () in
+  let n = 10_000 in
+  for i = 0 to n - 1 do
+    fact t "a" [ i ];
+    if i mod 2 = 0 then
+      for k = 1 to 3 do
+        fact t "b" [ i; i + k ];
+        if k < 3 then fact t "m" [ i; i + k; i ]
+      done
+  done;
+  add_rule t (atom "c" [ v "x"; v "y" ] <-- [ atom "a" [ v "x" ]; atom "b" [ v "x"; v "y" ] ]);
+  add_rule t
+    (atom "d" [ v "x"; v "y" ]
+    <-- [ atom "a" [ v "x" ]; atom "b" [ v "x"; v "y" ]; atom "m" [ v "x"; v "y"; v "x" ] ]);
+  add_rule t
+    (atom "e" [ v "x" ] <-- [ atom "a" [ v "x" ]; atom ~neg:true "b" [ v "x"; v "x" ] ]);
+  let w0 = Gc.minor_words () in
+  solve t;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "derived" 35_000 (derived_count t);
+  Alcotest.(check int) "scans" 55_000 (scan_count t);
+  if words > 10_000. then
+    Alcotest.failf "solve allocated %.0f minor words for %d scans" words (scan_count t)
+
 let suite =
   [
     ( "datalog.more",
@@ -231,5 +386,9 @@ let suite =
           test_same_var_twice_in_atom;
         Alcotest.test_case "doop-csc <= imperative csc" `Quick
           test_doop_csc_at_most_imperative;
+        QCheck_alcotest.to_alcotest prop_store_model;
+        Alcotest.test_case "stored values in range" `Quick test_value_range;
+        Alcotest.test_case "solve allocates nothing per probe" `Quick
+          test_solve_allocation;
       ] );
   ]
