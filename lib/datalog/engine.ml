@@ -5,9 +5,9 @@
     evaluated here. Features: automatic stratification, stratified negation
     (a negated atom may only mention relations of strictly lower strata),
     flat tuple storage with lazily-built indices per (relation, bound-column
-    mask), semi-naive
-    delta iteration inside each stratum, and a join planner that orders each
-    rule's body by estimated index selectivity once per round. *)
+    mask), semi-naive delta iteration inside each stratum, and a join
+    planner that orders each rule's body by estimated index selectivity
+    once per round. *)
 
 open Csc_common
 module Trace = Csc_obs.Trace
@@ -54,9 +54,9 @@ let valid x = x lsr 31 = 0
 
 (* Vectors of signed 32-bit cells in a [bytes], bounds-checked. They hold
    values and tuple ids, and [-1] for "none". Half the size of an [int
-   array] matters: these vectors are the engine's whole footprint, and run
-   after another analysis has grown the heap, they add to the process's
-   peak memory. *)
+   array] matters: these vectors are the engine's whole footprint, and
+   when the engine runs after another analysis has grown the heap, they
+   add to the process's peak memory. *)
 module C32 = struct
   external get32 : bytes -> int -> int32 = "%caml_bytes_get32"
   external set32 : bytes -> int -> int32 -> unit = "%caml_bytes_set32"
