@@ -151,8 +151,9 @@ let test_explain_errors () =
    change, the content may not), the engine's derived-tuple count and its
    scanned-candidate count. The scan count pins the join plans: a faster
    relation store must probe the same tuples in the same order. The
-   doop-2type and doop-zipper-e cells cover the context-sensitive rules
-   and the [mkobj]/[calleectx] builtins. *)
+   doop-2type, doop-zipper-e and doop-2obj cells cover the
+   context-sensitive rules and the [mkobj]/[calleectx]/[staticctx]
+   builtins. *)
 let datalog_pinned =
   [ (("findbugs", Run.Doop_ci),
      ("1708df97ecbe9d4f5a8eca3f7219c510", "27e0c8366eb41c6888012920c616a62c",
@@ -171,7 +172,13 @@ let datalog_pinned =
       476936, 1953957));
     (("hsqldb", Run.Doop_csc),
      ("dac0a64fd8937e2b0fe0cb9ffa289f73", "f95d3de4fb6bda0fdc2501dc5883f54d",
-      227202, 1541740)) ]
+      227202, 1541740));
+    (("nullbugs.mjava", Run.Doop_2obj),
+     ("9695c4e723c4afc267763c33a12cf4f1", "eb5f06618fa27599d6341f7e012f9f73",
+      109, 662));
+    (("plugins.mjava", Run.Doop_2obj),
+     ("82d8fca8e83ac5ea14e1fd63304367cc", "df8821b4f74095fcee41b2023168194f",
+      212, 958)) ]
 
 let sorted_lines s =
   String.split_on_char '\n' s |> List.sort String.compare |> String.concat "\n"
@@ -331,7 +338,7 @@ let suite =
     ( "pinned.datalog",
       List.map
         (fun name -> Alcotest.test_case name `Quick (test_datalog name))
-        [ "findbugs"; "hsqldb" ] );
+        [ "findbugs"; "hsqldb"; "nullbugs.mjava"; "plugins.mjava" ] );
     ( "pinned.frontend",
       List.map
         (fun (name, _) -> Alcotest.test_case name `Quick (test_frontend name))
