@@ -1,6 +1,6 @@
 (** The declarative pointer analyses (the Doop analog, DESIGN.md S5):
     Andersen context-insensitive analysis, Cut-Shortcut, and context
-    sensitivity (2obj / 2type / selective 2obj) expressed as Datalog rules
+    sensitivity under any {!Context.t} selector, expressed as Datalog rules
     over the EDB of {!Facts}.
 
     Faithful to the paper's Doop implementation, the declarative Cut-Shortcut
@@ -11,6 +11,7 @@
 open Csc_common
 module Ir = Csc_ir.Ir
 module Solver = Csc_pta.Solver
+module Context = Csc_pta.Context
 module E = Engine
 module Snapshot = Csc_obs.Snapshot
 open E
@@ -29,16 +30,12 @@ let c x = C x
 type kind =
   | Ci
   | Csc_doop  (** store + container + local-flow patterns, no load pattern *)
-  | Obj2
-  | Type2
-  | Selective2obj of Bits.t  (** Zipper^e main analysis: selected methods *)
+  | Cs of Context.t
 
 let kind_name = function
   | Ci -> "doop-ci"
   | Csc_doop -> "doop-csc"
-  | Obj2 -> "doop-2obj"
-  | Type2 -> "doop-2type"
-  | Selective2obj _ -> "doop-zipper-e"
+  | Cs sel -> "doop-" ^ sel.sel_name
 
 (* ------------------------------------------------------- CI core rules *)
 
@@ -222,71 +219,36 @@ let csc_rules (t : E.t) =
 (* When Cut-Shortcut is off, the cut relations must stay empty: CI declares
    them (via Facts.load ~csc:false) and never populates them. *)
 
-(* --------------------------------------- context-sensitive rules (2obj+) *)
+(* ------------------------------------------- context-sensitive rules *)
 
 (* Contexts and context-sensitive objects are interned on the fly through
-   builtin functors, like Doop's context constructors. *)
+   builtin functors, like Doop's context constructors: [mkobj] and
+   [calleectx]/[staticctx] (Doop's [Record] and [Merge]/[MergeStatic]) ask
+   the selector, so one {!Context.t} serves both engines. An object is an
+   interned (heap context, allocation site) pair. *)
 
-type cs_policy = {
-  cp_name : string;
-  cp_obj_elem : Ir.program -> Ir.alloc_id -> int;
-      (** context element contributed by a receiver object's allocation:
-          the allocation site (object sensitivity) or the class containing
-          it (type sensitivity) *)
-  cp_selected : Ir.method_id -> bool;
-}
-
-let policy_2obj : cs_policy =
-  { cp_name = "2obj"; cp_obj_elem = (fun _ a -> a); cp_selected = (fun _ -> true) }
-
-let policy_2type : cs_policy =
-  {
-    cp_name = "2type";
-    cp_obj_elem =
-      (fun p a -> (Ir.metho p (Ir.alloc p a).a_method).m_class);
-    cp_selected = (fun _ -> true);
-  }
-
-let policy_selective (selected : Bits.t) : cs_policy =
-  { policy_2obj with cp_name = "sel-2obj"; cp_selected = Bits.mem selected }
-
-let cs_rules (t : E.t) (p : Ir.program) (pol : cs_policy) =
-  let k_limit = 2 and hk_limit = 1 in
-  let ctxs : int list Interner.t = Interner.create [] in
+let cs_rules (t : E.t) (p : Ir.program) (sel : Context.t) =
   let objs : (int * int) Interner.t = Interner.create (-1, -1) in
-  let empty_ctx = Interner.intern ctxs [] in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: r -> x :: take (k - 1) r
+  let env =
+    Context.env ~prog:p
+      ~obj_alloc:(fun o -> snd (Interner.get objs o))
+      ~obj_hctx:(fun o -> fst (Interner.get objs o))
   in
-  (* builtins *)
   add_builtin t "mkobj" (fun args ->
       (* mkobj(C, H) -> O : allocate H under method context C *)
-      let mctx = args.(0) and h = args.(1) in
-      let hctx =
-        if pol.cp_selected (Ir.alloc p h).a_method then
-          Interner.intern ctxs (take hk_limit (Interner.get ctxs mctx))
-        else empty_ctx
-      in
-      Interner.intern objs (hctx, h));
-  add_builtin t "objalloc" (fun args -> snd (Interner.get objs args.(0)));
+      let h = args.(1) in
+      Interner.intern objs (sel.sel_heap_ctx env ~mctx:args.(0) ~site:h, h));
+  add_builtin t "objalloc" (fun args -> env.obj_alloc args.(0));
   add_builtin t "calleectx" (fun args ->
-      (* calleectx(O, Callee) -> C2 *)
-      let o = args.(0) and callee = args.(1) in
-      if pol.cp_selected callee then begin
-        let hctx, h = Interner.get objs o in
-        Interner.intern ctxs
-          (take k_limit (pol.cp_obj_elem p h :: Interner.get ctxs hctx))
-      end
-      else empty_ctx);
+      (* calleectx(C, Site, O, Callee) -> C2 *)
+      sel.sel_callee_ctx env ~caller_ctx:args.(0) ~site:args.(1)
+        ~recv:args.(2) ~callee:args.(3));
   add_builtin t "staticctx" (fun args ->
-      let ctx = args.(0) and callee = args.(1) in
-      if pol.cp_selected callee then
-        Interner.intern ctxs (take k_limit (Interner.get ctxs ctx))
-      else empty_ctx);
+      (* staticctx(C, Site, Callee) -> C2 *)
+      sel.sel_callee_ctx env ~caller_ctx:args.(0) ~site:args.(1) ~recv:(-1)
+        ~callee:args.(2));
   let r h b = add_rule t (h <-- b) in
-  r (atom "ReachCS" [ c empty_ctx; v "M" ]) [ atom "EntryMethod" [ v "M" ] ];
+  r (atom "ReachCS" [ c env.empty; v "M" ]) [ atom "EntryMethod" [ v "M" ] ];
   r (atom "CVPT" [ v "C"; v "V"; v "O" ])
     [ atom "ReachCS" [ v "C"; v "M" ]; atom "AllocIn" [ v "M"; v "V"; v "H" ];
       fn "mkobj" [ v "C"; v "H"; v "O" ] ];
@@ -323,10 +285,10 @@ let cs_rules (t : E.t) (p : Ir.program) (pol : cs_policy) =
       atom "Dispatch" [ v "Cl"; v "Name"; v "Callee" ] ];
   r (atom "CallEdgeCS" [ v "C"; v "Site"; v "C2"; v "Callee" ])
     [ atom "CVDisp" [ v "C"; v "Site"; v "O"; v "Callee" ];
-      fn "calleectx" [ v "O"; v "Callee"; v "C2" ] ];
+      fn "calleectx" [ v "C"; v "Site"; v "O"; v "Callee"; v "C2" ] ];
   r (atom "CVPT" [ v "C2"; v "This"; v "O" ])
     [ atom "CVDisp" [ v "C"; v "Site"; v "O"; v "Callee" ];
-      fn "calleectx" [ v "O"; v "Callee"; v "C2" ];
+      fn "calleectx" [ v "C"; v "Site"; v "O"; v "Callee"; v "C2" ];
       atom "FormalParam" [ v "Callee"; c 0; v "This" ] ];
   r (atom "CSpecial" [ v "C"; v "Site"; v "O"; v "Callee" ])
     [ atom "ReachCS" [ v "C"; v "M" ];
@@ -334,15 +296,15 @@ let cs_rules (t : E.t) (p : Ir.program) (pol : cs_policy) =
       atom "CVPT" [ v "C"; v "Recv"; v "O" ] ];
   r (atom "CallEdgeCS" [ v "C"; v "Site"; v "C2"; v "Callee" ])
     [ atom "CSpecial" [ v "C"; v "Site"; v "O"; v "Callee" ];
-      fn "calleectx" [ v "O"; v "Callee"; v "C2" ] ];
+      fn "calleectx" [ v "C"; v "Site"; v "O"; v "Callee"; v "C2" ] ];
   r (atom "CVPT" [ v "C2"; v "This"; v "O" ])
     [ atom "CSpecial" [ v "C"; v "Site"; v "O"; v "Callee" ];
-      fn "calleectx" [ v "O"; v "Callee"; v "C2" ];
+      fn "calleectx" [ v "C"; v "Site"; v "O"; v "Callee"; v "C2" ];
       atom "FormalParam" [ v "Callee"; c 0; v "This" ] ];
   r (atom "CallEdgeCS" [ v "C"; v "Site"; v "C2"; v "Callee" ])
     [ atom "ReachCS" [ v "C"; v "M" ];
       atom "StaticIn" [ v "M"; v "Site"; v "Callee" ];
-      fn "staticctx" [ v "C"; v "Callee"; v "C2" ] ];
+      fn "staticctx" [ v "C"; v "Site"; v "Callee"; v "C2" ] ];
   r (atom "ReachCS" [ v "C2"; v "M2" ])
     [ atom "CallEdgeCS" [ v "C"; v "Site"; v "C2"; v "M2" ] ];
   r (atom "CVPT" [ v "C2"; v "P"; v "O" ])
@@ -439,15 +401,8 @@ let run ?(budget = Timer.no_budget) ?attr ?progress_s (p : Ir.program)
     if csc then csc_rules t;
     solve t;
     result_of_ci t p ~name:(kind_name kind) ~time:(Timer.now () -. t0)
-  | Obj2 | Type2 | Selective2obj _ ->
+  | Cs sel ->
     ignore (Facts.load ~csc:false t p);
-    let pol =
-      match kind with
-      | Obj2 -> policy_2obj
-      | Type2 -> policy_2type
-      | Selective2obj sel -> policy_selective sel
-      | _ -> assert false
-    in
-    let objs = cs_rules t p pol in
+    let objs = cs_rules t p sel in
     solve t;
     result_of_cs t objs ~name:(kind_name kind) ~time:(Timer.now () -. t0)

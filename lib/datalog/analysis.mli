@@ -6,8 +6,10 @@
     omits the field-*load* pattern (its [CutPropLoad] needs negation inside
     the recursive pt cycle, §5 "Implementation"); [cutStores]/[cutReturns]
     are static relations of stratum 0, so every negation is stratified.
-    Context-sensitive variants intern contexts and abstract objects through
-    builtin functors, like Doop's context constructors. *)
+    The context-sensitive rules take a {!Csc_pta.Context.t}, the selector
+    the imperative solver takes: its builtins [mkobj], [calleectx] and
+    [staticctx] intern heap and callee contexts through it, as Doop's
+    context constructors do over one shared rule set. *)
 
 open Csc_common
 module Ir = Csc_ir.Ir
@@ -16,10 +18,9 @@ module Solver = Csc_pta.Solver
 type kind =
   | Ci
   | Csc_doop  (** store + container + local-flow patterns, no load pattern *)
-  | Obj2
-  | Type2
-  | Selective2obj of Bits.t  (** Zipper^e main analysis: selected methods *)
+  | Cs of Csc_pta.Context.t  (** the context-sensitive rules under a selector *)
 
+(** ["doop-ci"], ["doop-csc"], or ["doop-"] followed by the selector's name *)
 val kind_name : kind -> string
 
 (** Budget expiry, carrying the aborted engine's snapshot (tuples derived
@@ -27,8 +28,7 @@ val kind_name : kind -> string
 exception Timeout of Csc_obs.Snapshot.t
 
 (** Run a declarative analysis end to end, producing the same
-    engine-agnostic result shape as the imperative solver (tested to be
-    *identical* to it for CI / 2obj / 2type). [attr] collects per-rule and
+    engine-agnostic result shape as the imperative solver. [attr] collects per-rule and
     per-stratum cost attribution (tuple counts and wall time); [progress_s]
     emits a heartbeat line to stderr every that-many seconds. *)
 val run :

@@ -64,25 +64,29 @@ type plan =
   | Zipper of stage * (Bits.t -> stage)
       (** pre-analysis; main analysis over the selected methods *)
 
+(* the k-limited selectors, heap depth k-1 (at least 1), on both engines *)
+let kobj k = Context.kobj ~k ~hk:(max 1 (k - 1))
+let ktype k = Context.ktype ~k ~hk:(max 1 (k - 1))
+let kcall k = Context.kcall ~k ~hk:(max 1 (k - 1))
+
+(* Zipper^e's main analysis: 2obj on the selected methods only *)
+let zipper_main selected = Context.selective ~selected ~base:(kobj 2)
+
 let rec plan = function
   | Imp_ci -> Solve (Imp (Context.ci, None))
   | Imp_csc -> Solve (Imp (Context.ci, Some Csc.default_config))
   | Imp_csc_cfg c -> Solve (Imp (Context.ci, Some c))
-  | Imp_kobj k -> Solve (Imp (Context.kobj ~k ~hk:(max 1 (k - 1)), None))
-  | Imp_ktype k -> Solve (Imp (Context.ktype ~k ~hk:(max 1 (k - 1)), None))
-  | Imp_kcall k -> Solve (Imp (Context.kcall ~k ~hk:(max 1 (k - 1)), None))
+  | Imp_kobj k -> Solve (Imp (kobj k, None))
+  | Imp_ktype k -> Solve (Imp (ktype k, None))
+  | Imp_kcall k -> Solve (Imp (kcall k, None))
   | Imp_2obj -> plan (Imp_kobj 2)
   | Imp_zipper ->
-    Zipper
-      ( Imp (Context.ci, None),
-        fun selected ->
-          Imp (Context.selective ~selected ~base:(Context.kobj ~k:2 ~hk:1), None)
-      )
+    Zipper (Imp (Context.ci, None), fun sel -> Imp (zipper_main sel, None))
   | Doop_ci -> Solve (Dl Dl.Ci)
   | Doop_csc -> Solve (Dl Dl.Csc_doop)
-  | Doop_2obj -> Solve (Dl Dl.Obj2)
-  | Doop_2type -> Solve (Dl Dl.Type2)
-  | Doop_zipper -> Zipper (Dl Dl.Ci, fun selected -> Dl (Dl.Selective2obj selected))
+  | Doop_2obj -> Solve (Dl (Dl.Cs (kobj 2)))
+  | Doop_2type -> Solve (Dl (Dl.Cs (ktype 2)))
+  | Doop_zipper -> Zipper (Dl Dl.Ci, fun sel -> Dl (Dl.Cs (zipper_main sel)))
 
 let is_datalog a =
   match plan a with Solve (Dl _) | Zipper (Dl _, _) -> true | _ -> false

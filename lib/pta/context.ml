@@ -32,6 +32,21 @@ type t = {
   sel_heap_ctx : env -> mctx:int -> site:Ir.alloc_id -> int;
 }
 
+(** An environment over a fresh context interner, with the empty context
+    interned first. Both engines build theirs here; they differ only in how
+    abstract objects are stored. *)
+let env ~prog ~obj_alloc ~obj_hctx : env =
+  let ctxs = Interner.create [] in
+  let empty = Interner.intern ctxs [] in
+  {
+    prog;
+    empty;
+    ctx_elems = Interner.get ctxs;
+    intern_ctx = Interner.intern ctxs;
+    obj_alloc;
+    obj_hctx;
+  }
+
 let rec take k = function
   | [] -> []
   | _ when k = 0 -> []

@@ -18,6 +18,15 @@ type env = {
   obj_hctx : int -> int;         (** object id -> its heap context id *)
 }
 
+(** [env ~prog ~obj_alloc ~obj_hctx] creates the context interner (the
+    empty context is interned first, so its id is 0) and the environment
+    over it. [obj_alloc]/[obj_hctx] read the caller's abstract objects. *)
+val env :
+  prog:Ir.program ->
+  obj_alloc:(int -> Ir.alloc_id) ->
+  obj_hctx:(int -> int) ->
+  env
+
 type t = {
   sel_name : string;
   sel_callee_ctx :

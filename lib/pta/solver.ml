@@ -134,7 +134,6 @@ type t = {
   n_vars : int;             (* key-packing radices for pointer keys *)
   n_fields : int;
   n_allocs : int;           (* key-packing radix for objects *)
-  ctxs : int list Interner.t;
   env : Context.env;        (* what context selectors see; built once *)
   (* objects: hctx * n_allocs + site -> dense id -> site, hctx, class
      (-1 for arrays) *)
@@ -191,7 +190,6 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     : t =
   let reg = Registry.create () in
   let empty_pending = Bits.create () in
-  let ctxs = Interner.create [] in
   let obj_sites = Vec.create 0 and obj_hctxs = Vec.create 0 in
   {
     prog;
@@ -202,16 +200,9 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     n_vars = max 1 (Array.length prog.vars);
     n_fields = max 1 (Array.length prog.fields);
     n_allocs = max 1 (Array.length prog.allocs);
-    ctxs;
     env =
-      {
-        prog;
-        empty = Interner.intern ctxs [];
-        ctx_elems = Interner.get ctxs;
-        intern_ctx = Interner.intern ctxs;
-        obj_alloc = Vec.get obj_sites;
-        obj_hctx = Vec.get obj_hctxs;
-      };
+      Context.env ~prog ~obj_alloc:(Vec.get obj_sites)
+        ~obj_hctx:(Vec.get obj_hctxs);
     obj_ids = Inttbl.create 256;
     obj_sites;
     obj_hctxs;

@@ -1,10 +1,11 @@
 (** Tests for the declarative (Doop-analog) analyses: equivalence with the
-    imperative engine for CI and 2obj, faithfulness of the Doop CSC variant
-    (no load pattern), and soundness. *)
+    imperative engine for CI and under one context selector on both engines,
+    faithfulness of the Doop CSC variant (no load pattern), and soundness. *)
 
 open Helpers
 module A = Csc_datalog.Analysis
 module Solver = Csc_pta.Solver
+module Context = Csc_pta.Context
 module Bits = Csc_common.Bits
 module Csc = Csc_core.Csc
 
@@ -40,29 +41,33 @@ let test_ci_matches_imperative () =
       same_result p imp dl)
     Fixtures.all
 
-let test_2obj_matches_imperative () =
+(* one selector drives both engines: the Datalog rules under [A.Cs sel]
+   must give what [Solver.analyze ~sel] gives (soot's 2obj-style solves
+   are too slow for the quick suite) *)
+let same_under ?(skip = []) sels () =
   List.iter
     (fun (name, src) ->
-      if name <> "soot" then begin
+      if not (List.mem name skip) then begin
         let p = compile src in
-        let imp =
-          Solver.(result (analyze ~sel:(Csc_pta.Context.kobj ~k:2 ~hk:1) p))
-        in
-        let dl = A.run p A.Obj2 in
-        same_result p imp dl
+        List.iter
+          (fun sel ->
+            same_result p Solver.(result (analyze ~sel p)) (A.run p (A.Cs sel)))
+          sels
       end)
     Fixtures.all
 
-let test_2type_matches_imperative () =
-  List.iter
-    (fun (_, src) ->
-      let p = compile src in
-      let imp =
-        Solver.(result (analyze ~sel:(Csc_pta.Context.ktype ~k:2 ~hk:1) p))
-      in
-      let dl = A.run p A.Type2 in
-      same_result p imp dl)
-    Fixtures.all
+let test_2obj_matches_imperative =
+  same_under ~skip:[ "soot" ] [ Context.kobj ~k:2 ~hk:1 ]
+
+let test_2type_matches_imperative = same_under [ Context.ktype ~k:2 ~hk:1 ]
+
+(* selectors no analysis name spells on the Datalog engine: other depths,
+   and call-site sensitivity, which needs the call site in [calleectx] and
+   [staticctx] *)
+let test_any_selector_matches_imperative =
+  same_under ~skip:[ "soot" ]
+    [ Context.kobj ~k:1 ~hk:1; Context.kobj ~k:3 ~hk:2;
+      Context.ktype ~k:1 ~hk:1; Context.kcall ~k:2 ~hk:1 ]
 
 (* the Doop CSC variant: container + store + local flow, but NO load
    handling (paper §5, "Implementation") *)
@@ -119,7 +124,9 @@ let test_selective_between_ci_and_2obj () =
     (fun (m : Ir.metho) ->
       if Ir.class_name p m.m_class = "Carton" then ignore (Bits.add sel m.m_id))
     p.methods;
-  let r = A.run p (A.Selective2obj sel) in
+  let r =
+    A.run p (A.Cs (Context.selective ~selected:sel ~base:(Context.kobj ~k:2 ~hk:1)))
+  in
   Alcotest.(check int) "selective 2obj recovers carton precision" 1
     (pt_size r (var p "Main.main" "result1"))
 
@@ -155,6 +162,8 @@ let suite =
           test_2obj_matches_imperative;
         Alcotest.test_case "2type = imperative 2type" `Quick
           test_2type_matches_imperative;
+        Alcotest.test_case "any selector = imperative" `Quick
+          test_any_selector_matches_imperative;
         Alcotest.test_case "doop-csc: no load pattern" `Quick
           test_doop_csc_store_side;
         Alcotest.test_case "doop-csc: containers" `Quick test_doop_csc_containers;
