@@ -321,7 +321,7 @@ let cs_rules (t : E.t) (p : Ir.program) (sel : Context.t) =
 
 (* -------------------------------------------------------------- results *)
 
-let result_of_ci (t : E.t) (p : Ir.program) ~name ~time : Solver.result =
+let result_of_ci (t : E.t) ~name ~time : Solver.result =
   let reach = Bits.create () in
   E.iter_tuples t "Reachable" (fun tup -> ignore (Bits.add reach tup.(0)));
   let edges = ref [] in
@@ -338,7 +338,6 @@ let result_of_ci (t : E.t) (p : Ir.program) ~name ~time : Solver.result =
       in
       ignore (Bits.add b tup.(1)));
   let empty = Bits.create () in
-  ignore p;
   {
     Solver.r_name = name;
     r_time = time;
@@ -396,13 +395,13 @@ let run ?(budget = Timer.no_budget) ?attr ?progress_s (p : Ir.program)
   match kind with
   | Ci | Csc_doop ->
     let csc = kind = Csc_doop in
-    ignore (Facts.load ~csc t p);
+    Facts.load ~csc t p;
     ci_rules t;
     if csc then csc_rules t;
     solve t;
-    result_of_ci t p ~name:(kind_name kind) ~time:(Timer.now () -. t0)
+    result_of_ci t ~name:(kind_name kind) ~time:(Timer.now () -. t0)
   | Cs sel ->
-    ignore (Facts.load ~csc:false t p);
+    Facts.load ~csc:false t p;
     let objs = cs_rules t p sel in
     solve t;
     result_of_cs t objs ~name:(kind_name kind) ~time:(Timer.now () -. t0)

@@ -41,8 +41,8 @@ module E = Engine
 let is_ref (p : Ir.program) v = Ir.is_ref_type (Ir.var p v).v_ty
 
 (** Declare every relation (so rules can reference empty ones) and load the
-    EDB facts of [p]. Returns the method-name interner used by Dispatch. *)
-let load ?(csc = true) (t : E.t) (p : Ir.program) : string Interner.t =
+    EDB facts of [p]. Method names are interned to ints for Dispatch. *)
+let load ?(csc = true) (t : E.t) (p : Ir.program) : unit =
   let names = Interner.create "" in
   let decl name arity = ignore (E.relation t name arity) in
   List.iter
@@ -211,5 +211,4 @@ let load ?(csc = true) (t : E.t) (p : Ir.program) : string Interner.t =
         | `Class c when Spec.is_host_class spec c -> E.fact t "HostHeap" [ a.a_id ]
         | _ -> ())
       p.allocs
-  end;
-  names
+  end

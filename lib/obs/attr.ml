@@ -130,13 +130,8 @@ type profile = {
   p_shortcuts : int;
 }
 
-let take n xs =
-  let rec go n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: tl -> x :: go (n - 1) tl
-  in
-  go n xs
+(* the first [n] entries of a ranked list *)
+let first n xs = List.filteri (fun i _ -> i < n) xs
 
 (* hottest first: objects propagated, then pops, then name — a total order,
    so output is deterministic for a deterministic run *)
@@ -169,7 +164,7 @@ let render ?(top = 10) t ~engine ~meth_name ~ptr_name : profile =
         :: acc)
       tbl []
     |> List.sort entry_compare
-    |> take top
+    |> first top
   in
   let rules =
     Hashtbl.fold
@@ -184,7 +179,7 @@ let render ?(top = 10) t ~engine ~meth_name ~ptr_name : profile =
         :: acc)
       t.rules []
     |> List.sort rule_compare
-    |> take top
+    |> first top
   in
   let hist = ref [] in
   for i = n_buckets - 1 downto 0 do
@@ -241,7 +236,7 @@ let profile_json (p : profile) : Json.t =
     ]
 
 let profile_text ?top (p : profile) : string =
-  let cut xs = match top with None -> xs | Some n -> take n xs in
+  let cut xs = match top with None -> xs | Some n -> first n xs in
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "engine: %s\n" p.p_engine;
