@@ -359,6 +359,59 @@ let handle_line t (line : string) : string =
 
 (* ------------------------------------------------------------ accept loop *)
 
+(* The longest request line the server reads. The largest source a request
+   can carry is a suite program's text, and soot's, the largest, is about
+   400 KB; 16 MiB leaves room for any of them and bounds what one line can
+   make the daemon hold. *)
+let max_request_bytes = 16 * 1024 * 1024
+
+(* a connection's input, read in blocks *)
+type reader = {
+  ic : in_channel;
+  blk : Bytes.t;
+  mutable pos : int;  (* unread bytes are blk.[pos, len) *)
+  mutable len : int;
+  line : Buffer.t;
+}
+
+let reader ic =
+  { ic; blk = Bytes.create 65536; pos = 0; len = 0; line = Buffer.create 1024 }
+
+(* The next line without its newline, [None] when it is longer than
+   [max_request_bytes] (the rest of it is read and dropped). Raises
+   [End_of_file] at the end of the input, as [input_line] does. *)
+let read_line r =
+  Buffer.clear r.line;
+  let over = ref false in
+  let add i j =
+    if not !over then
+      if Buffer.length r.line + (j - i) > max_request_bytes then begin
+        over := true;
+        Buffer.reset r.line
+      end
+      else Buffer.add_subbytes r.line r.blk i (j - i)
+  in
+  let rec go () =
+    if r.pos >= r.len then begin
+      r.pos <- 0;
+      r.len <- input r.ic r.blk 0 (Bytes.length r.blk)
+    end;
+    if r.len = 0 then begin
+      if Buffer.length r.line = 0 && not !over then raise End_of_file
+    end
+    else
+      match Bytes.index_from_opt r.blk r.pos '\n' with
+      | Some i when i < r.len ->
+        add r.pos i;
+        r.pos <- i + 1
+      | _ ->
+        add r.pos r.len;
+        r.pos <- r.len;
+        go ()
+  in
+  go ();
+  if !over then None else Some (Buffer.contents r.line)
+
 let serve t ~socket =
   (* start from a settled heap: a server forked from a busy process would
      otherwise inherit that process's major-GC phase, and its peak RSS
@@ -385,17 +438,24 @@ let serve t ~socket =
   Fun.protect ~finally:cleanup @@ fun () ->
   while not t.stop do
     let cfd, _ = Unix.accept fd in
-    let ic = Unix.in_channel_of_descr cfd in
+    let r = reader (Unix.in_channel_of_descr cfd) in
     let oc = Unix.out_channel_of_descr cfd in
+    let answer reply =
+      output_string oc reply;
+      output_char oc '\n';
+      flush oc
+    in
     (try
        (* one connection at a time, strictly in request order (S19) *)
        while not t.stop do
-         let line = input_line ic in
-         if String.trim line <> "" then begin
-           output_string oc (handle_line t line);
-           output_char oc '\n';
-           flush oc
-         end
+         match read_line r with
+         | None ->
+           answer
+             (error_reply ~code:"bad-request"
+                (Printf.sprintf "request line longer than %d bytes"
+                   max_request_bytes))
+         | Some line ->
+           if String.trim line <> "" then answer (handle_line t line)
        done
      with End_of_file | Sys_error _ -> ());
     try Unix.close cfd with Unix.Unix_error _ -> ()

@@ -57,7 +57,8 @@
     {"code": ..., "message": ...}}] on failure. The codes [bad-request],
     [not-found], [compile] and [timeout] are {!Query}'s refusals, the same
     ones the batch CLI prints; the server adds [parse] (the line is not
-    JSON), [bad-request] for malformed members, [unknown-cmd], and
+    JSON), [bad-request] for malformed members or a line longer than
+    {!max_request_bytes}, [unknown-cmd], and
     [internal] for an exception no handler anticipated (those also count in
     the [server_internal_errors] counter).
 
@@ -88,6 +89,11 @@ val stopped : t -> bool
     exception. This is the full router — the socket loop and the tests both
     sit on it. *)
 val handle_line : t -> string -> string
+
+(** The longest request line [serve] reads (16 MiB). A longer line is
+    read to its end and dropped, and answered with a [bad-request] that
+    names this limit; the connection then goes on to its next request. *)
+val max_request_bytes : int
 
 (** Bind [socket] (an existing file is unlinked first), listen, and serve
     connections one at a time until a [shutdown] request arrives; the socket

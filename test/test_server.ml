@@ -560,6 +560,22 @@ let test_socket_roundtrip () =
   Alcotest.(check bool) "warm over the wire" true
     (get_bool (member "cached" j));
   Alcotest.(check int) "id echoed" 2 (get_int (member "id" j));
+  (* an oversized line is answered and dropped; the same connection then
+     answers its next request *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let oc = Unix.out_channel_of_descr fd and ic = Unix.in_channel_of_descr fd in
+  output_string oc (String.make (Server.max_request_bytes + 1) 'x');
+  output_string oc "\n{\"cmd\": \"stats\"}\n";
+  flush oc;
+  let big = input_line ic in
+  let stats = input_line ic in
+  Unix.close fd;
+  let j = error_reply ~code:"bad-request" big in
+  Alcotest.(check string) "names the limit"
+    (Printf.sprintf "request line longer than %d bytes" Server.max_request_bytes)
+    (get_str (member "message" (member "error" j)));
+  let _ = ok_reply stats in
   let _ = ok_reply (ask "{\"cmd\": \"shutdown\"}") in
   Thread.join th;
   Alcotest.(check bool) "server stopped cleanly" true (Server.stopped t)
