@@ -321,61 +321,49 @@ let cs_rules (t : E.t) (p : Ir.program) (sel : Context.t) =
 
 (* -------------------------------------------------------------- results *)
 
-let result_of_ci (t : E.t) ~name ~time : Solver.result =
-  let reach = Bits.create () in
-  E.iter_tuples t "Reachable" (fun tup -> ignore (Bits.add reach tup.(0)));
-  let edges = ref [] in
-  E.iter_tuples t "CallEdge" (fun tup -> edges := (tup.(0), tup.(1)) :: !edges);
+(* the engine-agnostic result; [pts] feeds each (variable, allocation
+   site) pair to its argument *)
+let result (t : E.t) ~name ~time ~reach ~edges pts : Solver.result =
   let var_pt : (Ir.var_id, Bits.t) Hashtbl.t = Hashtbl.create 1024 in
-  E.iter_tuples t "VPT" (fun tup ->
+  pts (fun v h ->
       let b =
-        match Hashtbl.find_opt var_pt tup.(0) with
+        match Hashtbl.find_opt var_pt v with
         | Some b -> b
         | None ->
           let b = Bits.create () in
-          Hashtbl.add var_pt tup.(0) b;
+          Hashtbl.add var_pt v b;
           b
       in
-      ignore (Bits.add b tup.(1)));
+      ignore (Bits.add b h));
   let empty = Bits.create () in
   {
     Solver.r_name = name;
     r_time = time;
     r_reach = reach;
-    r_edges = !edges;
+    r_edges = edges;
     r_pt =
       (fun vr -> match Hashtbl.find_opt var_pt vr with Some b -> b | None -> empty);
     r_snapshot = dl_snapshot t ~time;
   }
 
-let result_of_cs (t : E.t) (objs : (int * int) Interner.t) ~name ~time :
-    Solver.result =
+let result_of_ci (t : E.t) ~name ~time =
+  let reach = Bits.create () in
+  E.iter_tuples t "Reachable" (fun tup -> ignore (Bits.add reach tup.(0)));
+  let edges = ref [] in
+  E.iter_tuples t "CallEdge" (fun tup -> edges := (tup.(0), tup.(1)) :: !edges);
+  result t ~name ~time ~reach ~edges:!edges (fun add ->
+      E.iter_tuples t "VPT" (fun tup -> add tup.(0) tup.(1)))
+
+let result_of_cs (t : E.t) (objs : (int * int) Interner.t) ~name ~time =
   let reach = Bits.create () in
   E.iter_tuples t "ReachCS" (fun tup -> ignore (Bits.add reach tup.(1)));
   let edge_set = Hashtbl.create 1024 in
   E.iter_tuples t "CallEdgeCS" (fun tup ->
       Hashtbl.replace edge_set (tup.(1), tup.(3)) ());
-  let var_pt : (Ir.var_id, Bits.t) Hashtbl.t = Hashtbl.create 1024 in
-  E.iter_tuples t "CVPT" (fun tup ->
-      let b =
-        match Hashtbl.find_opt var_pt tup.(1) with
-        | Some b -> b
-        | None ->
-          let b = Bits.create () in
-          Hashtbl.add var_pt tup.(1) b;
-          b
-      in
-      ignore (Bits.add b (snd (Interner.get objs tup.(2)))));
-  let empty = Bits.create () in
-  {
-    Solver.r_name = name;
-    r_time = time;
-    r_reach = reach;
-    r_edges = Hashtbl.fold (fun k () acc -> k :: acc) edge_set [];
-    r_pt =
-      (fun vr -> match Hashtbl.find_opt var_pt vr with Some b -> b | None -> empty);
-    r_snapshot = dl_snapshot t ~time;
-  }
+  let edges = Hashtbl.fold (fun k () acc -> k :: acc) edge_set [] in
+  result t ~name ~time ~reach ~edges (fun add ->
+      E.iter_tuples t "CVPT" (fun tup ->
+          add tup.(1) (snd (Interner.get objs tup.(2)))))
 
 exception Timeout of Snapshot.t
 

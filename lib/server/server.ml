@@ -365,52 +365,37 @@ let handle_line t (line : string) : string =
    make the daemon hold. *)
 let max_request_bytes = 16 * 1024 * 1024
 
-(* a connection's input, read in blocks *)
-type reader = {
-  ic : in_channel;
-  blk : Bytes.t;
-  mutable pos : int;  (* unread bytes are blk.[pos, len) *)
-  mutable len : int;
-  line : Buffer.t;
-}
-
-let reader ic =
-  { ic; blk = Bytes.create 65536; pos = 0; len = 0; line = Buffer.create 1024 }
-
-(* The next line without its newline, [None] when it is longer than
-   [max_request_bytes] (the rest of it is read and dropped). Raises
+(* A connection's line reader, reading in blocks. Each call returns the
+   next line without its newline, or [None] when the line is longer than
+   [max_request_bytes] (its rest is read and dropped), and raises
    [End_of_file] at the end of the input, as [input_line] does. *)
-let read_line r =
-  Buffer.clear r.line;
-  let over = ref false in
-  let add i j =
-    if not !over then
-      if Buffer.length r.line + (j - i) > max_request_bytes then begin
+let line_reader ic =
+  let blk = Bytes.create 65536 and pos = ref 0 and len = ref 0 in
+  let line = Buffer.create 1024 in
+  fun () ->
+    Buffer.clear line;
+    let over = ref false and eol = ref false in
+    while not !eol do
+      if !pos = !len then begin
+        pos := 0;
+        len := input ic blk 0 (Bytes.length blk);
+        if !len = 0 && Buffer.length line = 0 && not !over then raise End_of_file
+      end;
+      (* the unread bytes are blk.[pos, len) *)
+      let stop =
+        match Bytes.index_from_opt blk !pos '\n' with
+        | Some i when i < !len -> i
+        | _ -> !len
+      in
+      eol := stop < !len || !len = 0;
+      if Buffer.length line + (stop - !pos) > max_request_bytes then begin
         over := true;
-        Buffer.reset r.line
+        Buffer.reset line
       end
-      else Buffer.add_subbytes r.line r.blk i (j - i)
-  in
-  let rec go () =
-    if r.pos >= r.len then begin
-      r.pos <- 0;
-      r.len <- input r.ic r.blk 0 (Bytes.length r.blk)
-    end;
-    if r.len = 0 then begin
-      if Buffer.length r.line = 0 && not !over then raise End_of_file
-    end
-    else
-      match Bytes.index_from_opt r.blk r.pos '\n' with
-      | Some i when i < r.len ->
-        add r.pos i;
-        r.pos <- i + 1
-      | _ ->
-        add r.pos r.len;
-        r.pos <- r.len;
-        go ()
-  in
-  go ();
-  if !over then None else Some (Buffer.contents r.line)
+      else if not !over then Buffer.add_subbytes line blk !pos (stop - !pos);
+      pos := if stop < !len then stop + 1 else stop
+    done;
+    if !over then None else Some (Buffer.contents line)
 
 let serve t ~socket =
   (* start from a settled heap: a server forked from a busy process would
@@ -438,7 +423,7 @@ let serve t ~socket =
   Fun.protect ~finally:cleanup @@ fun () ->
   while not t.stop do
     let cfd, _ = Unix.accept fd in
-    let r = reader (Unix.in_channel_of_descr cfd) in
+    let read_line = line_reader (Unix.in_channel_of_descr cfd) in
     let oc = Unix.out_channel_of_descr cfd in
     let answer reply =
       output_string oc reply;
@@ -448,7 +433,7 @@ let serve t ~socket =
     (try
        (* one connection at a time, strictly in request order (S19) *)
        while not t.stop do
-         match read_line r with
+         match read_line () with
          | None ->
            answer
              (error_reply ~code:"bad-request"
