@@ -365,12 +365,12 @@ let handle_line t (line : string) : string =
    make the daemon hold. *)
 let max_request_bytes = 16 * 1024 * 1024
 
-(* A connection's line reader, reading in blocks. Each call returns the
-   next line without its newline, or [None] when the line is longer than
-   [max_request_bytes] (its rest is read and dropped), and raises
-   [End_of_file] at the end of the input, as [input_line] does. *)
-let line_reader ic =
-  let blk = Bytes.create 65536 and pos = ref 0 and len = ref 0 in
+(* A connection's line reader, reading in blocks into [blk]. Each call
+   returns the next line without its newline, or [None] when the line is
+   longer than [max_request_bytes] (its rest is read and dropped), and
+   raises [End_of_file] at the end of the input, as [input_line] does. *)
+let line_reader blk ic =
+  let pos = ref 0 and len = ref 0 in
   let line = Buffer.create 1024 in
   fun () ->
     Buffer.clear line;
@@ -421,9 +421,11 @@ let serve t ~socket =
     | None -> ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
+  (* one block for every connection: they are served one at a time *)
+  let blk = Bytes.create 65536 in
   while not t.stop do
     let cfd, _ = Unix.accept fd in
-    let read_line = line_reader (Unix.in_channel_of_descr cfd) in
+    let read_line = line_reader blk (Unix.in_channel_of_descr cfd) in
     let oc = Unix.out_channel_of_descr cfd in
     let answer reply =
       output_string oc reply;
