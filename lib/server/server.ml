@@ -365,37 +365,48 @@ let handle_line t (line : string) : string =
    make the daemon hold. *)
 let max_request_bytes = 16 * 1024 * 1024
 
-(* A connection's line reader, reading in blocks into [blk]. Each call
-   returns the next line without its newline, or [None] when the line is
-   longer than [max_request_bytes] (its rest is read and dropped), and
-   raises [End_of_file] at the end of the input, as [input_line] does. *)
-let line_reader blk ic =
-  let pos = ref 0 and len = ref 0 in
-  let line = Buffer.create 1024 in
-  fun () ->
-    Buffer.clear line;
-    let over = ref false and eol = ref false in
-    while not !eol do
-      if !pos = !len then begin
-        pos := 0;
-        len := input ic blk 0 (Bytes.length blk);
-        if !len = 0 && Buffer.length line = 0 && not !over then raise End_of_file
-      end;
-      (* the unread bytes are blk.[pos, len) *)
-      let stop =
-        match Bytes.index_from_opt blk !pos '\n' with
-        | Some i when i < !len -> i
-        | _ -> !len
-      in
-      eol := stop < !len || !len = 0;
-      if Buffer.length line + (stop - !pos) > max_request_bytes then begin
-        over := true;
-        Buffer.reset line
+(* the runtime's newline scan over a channel's buffer, which [input_line]
+   uses: [n > 0] when a newline ends the first [n] buffered bytes, [-n]
+   when the [n] buffered bytes hold none, [0] at the end of the input *)
+external scan_line : in_channel -> int = "caml_ml_input_scan_line"
+
+(* The next line of [ic] without its newline, read a buffer at a time as
+   [input_line] reads it (and raising [End_of_file] as it does), or [None]
+   when the line is longer than [max_request_bytes]: its rest is read
+   into [scratch] and dropped. *)
+let read_line scratch ic =
+  let rec drop k =
+    let m = min k (Bytes.length scratch) in
+    if m > 0 then begin
+      really_input ic scratch 0 m;
+      drop (k - m)
+    end
+  in
+  (* [chunks] newest first, [len] their bytes, [-1] once over the limit *)
+  let rec go chunks len =
+    let n = scan_line ic in
+    if n = 0 && len = 0 && chunks = [] then raise End_of_file;
+    let k = if n > 0 then n - 1 else -n in
+    let chunks, len =
+      if len < 0 || len + k > max_request_bytes then begin
+        drop k;
+        ([], -1)
       end
-      else if not !over then Buffer.add_subbytes line blk !pos (stop - !pos);
-      pos := if stop < !len then stop + 1 else stop
-    done;
-    if !over then None else Some (Buffer.contents line)
+      else begin
+        let b = Bytes.create k in
+        really_input ic b 0 k;
+        (b :: chunks, len + k)
+      end
+    in
+    if n > 0 then ignore (input_char ic);
+    if n < 0 then go chunks len
+    else if len < 0 then None
+    else
+      match chunks with
+      | [ b ] -> Some (Bytes.unsafe_to_string b)
+      | _ -> Some (Bytes.unsafe_to_string (Bytes.concat Bytes.empty (List.rev chunks)))
+  in
+  go [] 0
 
 let serve t ~socket =
   (* start from a settled heap: a server forked from a busy process would
@@ -421,11 +432,12 @@ let serve t ~socket =
     | None -> ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  (* one block for every connection: they are served one at a time *)
-  let blk = Bytes.create 65536 in
+  (* where oversized lines are dropped, for every connection: they are
+     served one at a time *)
+  let scratch = Bytes.create 65536 in
   while not t.stop do
     let cfd, _ = Unix.accept fd in
-    let read_line = line_reader blk (Unix.in_channel_of_descr cfd) in
+    let ic = Unix.in_channel_of_descr cfd in
     let oc = Unix.out_channel_of_descr cfd in
     let answer reply =
       output_string oc reply;
@@ -435,7 +447,7 @@ let serve t ~socket =
     (try
        (* one connection at a time, strictly in request order (S19) *)
        while not t.stop do
-         match read_line () with
+         match read_line scratch ic with
          | None ->
            answer
              (error_reply ~code:"bad-request"
