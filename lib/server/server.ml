@@ -372,39 +372,22 @@ external scan_line : in_channel -> int = "caml_ml_input_scan_line"
 
 (* The next line of [ic] without its newline, read a buffer at a time as
    [input_line] reads it (and raising [End_of_file] as it does), or [None]
-   when the line is longer than [max_request_bytes]: its rest is read
-   into [scratch] and dropped. *)
-let read_line scratch ic =
-  let rec drop k =
-    let m = min k (Bytes.length scratch) in
-    if m > 0 then begin
-      really_input ic scratch 0 m;
-      drop (k - m)
-    end
-  in
+   when the line is longer than [max_request_bytes]: its rest is read and
+   dropped. *)
+let read_line ic =
   (* [chunks] newest first, [len] their bytes, [-1] once over the limit *)
   let rec go chunks len =
     let n = scan_line ic in
     if n = 0 && len = 0 && chunks = [] then raise End_of_file;
-    let k = if n > 0 then n - 1 else -n in
+    let s = really_input_string ic (if n > 0 then n - 1 else -n) in
     let chunks, len =
-      if len < 0 || len + k > max_request_bytes then begin
-        drop k;
-        ([], -1)
-      end
-      else begin
-        let b = Bytes.create k in
-        really_input ic b 0 k;
-        (b :: chunks, len + k)
-      end
+      if len < 0 || len + String.length s > max_request_bytes then ([], -1)
+      else (s :: chunks, len + String.length s)
     in
     if n > 0 then ignore (input_char ic);
     if n < 0 then go chunks len
     else if len < 0 then None
-    else
-      match chunks with
-      | [ b ] -> Some (Bytes.unsafe_to_string b)
-      | _ -> Some (Bytes.unsafe_to_string (Bytes.concat Bytes.empty (List.rev chunks)))
+    else match chunks with [ s ] -> Some s | _ -> Some (String.concat "" (List.rev chunks))
   in
   go [] 0
 
@@ -432,9 +415,6 @@ let serve t ~socket =
     | None -> ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
-  (* where oversized lines are dropped, for every connection: they are
-     served one at a time *)
-  let scratch = Bytes.create 65536 in
   while not t.stop do
     let cfd, _ = Unix.accept fd in
     let ic = Unix.in_channel_of_descr cfd in
@@ -447,7 +427,7 @@ let serve t ~socket =
     (try
        (* one connection at a time, strictly in request order (S19) *)
        while not t.stop do
-         match read_line scratch ic with
+         match read_line ic with
          | None ->
            answer
              (error_reply ~code:"bad-request"
