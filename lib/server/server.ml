@@ -387,7 +387,10 @@ let read_line ic =
     if n > 0 then ignore (input_char ic);
     if n < 0 then go chunks len
     else if len < 0 then None
-    else match chunks with [ s ] -> Some s | _ -> Some (String.concat "" (List.rev chunks))
+    else
+      match chunks with
+      | [ s ] -> Some s
+      | _ -> Some (String.concat "" (List.rev chunks))
   in
   go [] 0
 
