@@ -96,6 +96,100 @@ let test_selective_gates () =
   Alcotest.(check (list int)) "unselected method stays CI" []
     (env.ctx_elems c_unsel)
 
+(* A list-interner model of the context store. Contexts are element
+   lists, most recent first, numbered in the order a selector first
+   returns them (the empty context is 0); a suffix a selector builds on
+   the way takes no number. Objects are (heap context, site) pairs
+   numbered in creation order. The store is driven through selectors:
+   [Push] is a call-site context, [Truncate] a heap context, [Recv] an
+   object-sensitive callee context; indices pick among the contexts and
+   objects made so far. *)
+type op =
+  | Push of int * int * int  (* limit, element, context index *)
+  | Truncate of int * int    (* depth, context index *)
+  | Obj of int * int         (* context index, site *)
+  | Recv of int * int        (* limit, object index *)
+
+let show_op = function
+  | Push (l, e, c) -> Printf.sprintf "push ~limit:%d %d ctx.%d" l e c
+  | Truncate (d, c) -> Printf.sprintf "truncate ~depth:%d ctx.%d" d c
+  | Obj (c, s) -> Printf.sprintf "obj ctx.%d site %d" c s
+  | Recv (l, o) -> Printf.sprintf "recv ~limit:%d obj.%d" l o
+
+let gen_op =
+  QCheck2.Gen.(
+    let idx = int_bound 1000 and elem = int_bound 40 and lim = int_bound 3 in
+    frequency
+      [ (4, map3 (fun l e c -> Push (l, e, c)) lim elem idx);
+        (2, map2 (fun d c -> Truncate (d, c)) lim idx);
+        (2, map2 (fun c s -> Obj (c, s)) idx elem);
+        (2, map2 (fun l o -> Recv (l, o)) lim idx) ])
+
+let prop_store_model =
+  QCheck2.Test.make ~name:"store = list-interner model" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck2.Gen.(list_size (int_range 1 200) gen_op)
+    (fun ops ->
+      let env, objs = mk_env program in
+      let mk_obj hctx site = Interner.intern objs (hctx, site) in
+      let elems = env.ctx_elems in
+      (* the model *)
+      let ids : (int list, int) Hashtbl.t = Hashtbl.create 64 in
+      let lists = ref [||] in
+      let name l =
+        match Hashtbl.find_opt ids l with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length ids in
+          Hashtbl.add ids l i;
+          lists := Array.append !lists [| l |];
+          i
+      in
+      ignore (name []);
+      let m_objs : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
+      let obj_list = ref [||] in
+      let nth a i = a.(i mod Array.length a) in
+      let step op =
+        let n = Array.length !lists in
+        match op with
+        | Push (l, e, c) ->
+          let c = c mod n in
+          let got =
+            (Context.kcall ~k:l ~hk:1).sel_callee_ctx env ~caller_ctx:c
+              ~site:e ~recv:(-1) ~callee:0
+          in
+          got = name (Context.take l (e :: nth !lists c))
+        | Truncate (d, c) ->
+          let c = c mod n in
+          let got = (Context.kcall ~k:1 ~hk:d).sel_heap_ctx env ~mctx:c ~site:0 in
+          got = name (Context.take d (nth !lists c))
+        | Obj (c, s) ->
+          let c = c mod n in
+          let want =
+            match Hashtbl.find_opt m_objs (c, s) with
+            | Some o -> o
+            | None ->
+              let o = Hashtbl.length m_objs in
+              Hashtbl.add m_objs (c, s) o;
+              obj_list := Array.append !obj_list [| (c, s) |];
+              o
+          in
+          mk_obj c s = want
+        | Recv (l, o) ->
+          if Array.length !obj_list = 0 then true
+          else
+            let o = o mod Array.length !obj_list in
+            let hctx, site = !obj_list.(o) in
+            let got =
+              (Context.kobj ~k:l ~hk:1).sel_callee_ctx env ~caller_ctx:0
+                ~site:0 ~recv:o ~callee:0
+            in
+            got = name (Context.take l (site :: nth !lists hctx))
+      in
+      List.for_all step ops
+      && Array.for_all Fun.id
+           (Array.mapi (fun i l -> elems i = l) !lists))
+
 let suite =
   [
     ( "pta.context",
@@ -106,5 +200,6 @@ let suite =
         Alcotest.test_case "kcall sites" `Quick test_kcall_uses_sites;
         Alcotest.test_case "ktype alloc class" `Quick test_ktype_uses_alloc_class;
         Alcotest.test_case "selective gating" `Quick test_selective_gates;
+        QCheck_alcotest.to_alcotest prop_store_model;
       ] );
   ]

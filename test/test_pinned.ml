@@ -104,7 +104,13 @@ let explain_pinned =
     (("findbugs", "csc", Some "op0_0.back"),
      "80901ea6cb71de82104fd594c5665ce8");
     (("findbugs", "2obj", Some "op0_0.back"),
-     "f9f8561544f9a6f3afe89a07ff25bdfb") ]
+     "f9f8561544f9a6f3afe89a07ff25bdfb");
+    (* call-site and 3-object contexts render as [@ctxN]: their numbering
+       is pinned here (2call reaches @ctx31) *)
+    (("plugins.mjava", "2call", Some "bootAll.handle"),
+     "511da4c0e7ebd603eb8abc6c8fef7855");
+    (("plugins.mjava", "3obj", Some "bootAll.handle"),
+     "9eacee70739afefb886d34df4a9b9b0f") ]
 
 let render_facts facts =
   String.concat ""
@@ -302,6 +308,10 @@ let counters_pinned =
      "ptrs=14231 pfg_edges=19696 propagated=4490090 wl_pushes=156618 wl_coalesced=128020 cs_call_edges=9497 ctx_methods=1810");
     (("soot", "csc"),
      "ptrs=13831 pfg_edges=252985 propagated=369858 wl_pushes=296269 wl_coalesced=280971 cs_call_edges=8868 ctx_methods=1785 sc_store=4406 sc_load=218306 sc_relay=149 sc_container=91387 sc_lflow=398");
+    (("findbugs", "2type"),
+     "ptrs=4152 pfg_edges=4282 propagated=64026 wl_pushes=11448 wl_coalesced=6166 cs_call_edges=2227 ctx_methods=764");
+    (("findbugs", "2call"),
+     "ptrs=7097 pfg_edges=9875 propagated=191292 wl_pushes=23329 wl_coalesced=14363 cs_call_edges=1778 ctx_methods=1539");
     (("nullbugs.mjava", "2obj"),
      "ptrs=73 pfg_edges=50 propagated=63 wl_pushes=59 wl_coalesced=6 cs_call_edges=15 ctx_methods=16");
     (("plugins.mjava", "2obj"),
@@ -333,7 +343,7 @@ let suite =
       @ List.map
           (fun name ->
             Alcotest.test_case ("explain " ^ name) `Quick (test_explain name))
-          [ "nullbugs.mjava"; "findbugs" ]
+          [ "nullbugs.mjava"; "findbugs"; "plugins.mjava" ]
       @ [ Alcotest.test_case "explain errors" `Quick test_explain_errors ] );
     ( "pinned.datalog",
       List.map
