@@ -779,9 +779,11 @@ let () =
       doop_budget =
         Option.value !doop_budget ~default:(if !quick then 60. else 150.);
       analyses = !analyses;
-      (* hsqldb's 2obj cells run to the quick budget, and a timed-out cell
-         is one the baseline gate skips *)
-      left_out = (if !quick then [ ("hsqldb", Run.Imp_kobj 2) ] else []);
+      (* hsqldb's 2obj cells, on either engine, run to the quick budget,
+         and a timed-out cell is one the baseline gate skips *)
+      left_out =
+        (if !quick then [ ("hsqldb", Run.Imp_kobj 2); ("hsqldb", Run.Doop_2obj) ]
+         else []);
     }
   in
   (* --out DIR: directory for all emitted JSON (created if missing), so bare
