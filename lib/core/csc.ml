@@ -32,6 +32,7 @@
 open Csc_common
 module Ir = Csc_ir.Ir
 module Solver = Csc_pta.Solver
+module Context = Csc_pta.Context
 module Registry = Csc_obs.Registry
 module Attr = Csc_obs.Attr
 
@@ -102,7 +103,6 @@ type t = {
   prog : Ir.program;
   cfg : config;
   spec : Spec.t;
-  ci : int;  (* the (only) context id *)
   n_fields : int;  (* key-packing radices *)
   n_ks : int;      (* parameter positions: 0 (this) to the most params *)
   (* ---- static cut sets ---- *)
@@ -155,7 +155,7 @@ type t = {
 
 (* ----------------------------------------------------------- small utils *)
 
-let ptr_var t v = Solver.ptr_var t.solver ~ctx:t.ci v
+let ptr_var t v = Solver.ptr_var t.solver ~ctx:Context.empty v
 
 (* One int for the pair ([a], [b]) whatever [b]'s range: [b] is interned
    to a dense id first, [a] is a pointer or method id. *)
@@ -458,7 +458,7 @@ let on_reachable t (mid : Ir.method_id) =
           | (New { lhs; site; _ } | NewArray { lhs; site; _ }
             | StrConst { lhs; site; _ })
             when lhs = rv ->
-            relay_seed t mid (Solver.intern_obj t.solver ~hctx:t.ci ~site)
+            relay_seed t mid (Solver.intern_obj t.solver ~hctx:Context.empty ~site)
           | _ -> ())
         m.m_body
     end
@@ -619,7 +619,6 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
       prog;
       cfg = config;
       spec;
-      ci = solver.Solver.env.empty;
       n_fields = max 1 (Array.length prog.fields);
       n_ks =
         2

@@ -221,24 +221,19 @@ let csc_rules (t : E.t) =
 
 (* ------------------------------------------- context-sensitive rules *)
 
-(* Contexts and context-sensitive objects are interned on the fly through
+(* Contexts and context-sensitive objects are made on the fly through
    builtin functors, like Doop's context constructors: [mkobj] and
    [calleectx]/[staticctx] (Doop's [Record] and [Merge]/[MergeStatic]) ask
-   the selector, so one {!Context.t} serves both engines. An object is an
-   interned (heap context, allocation site) pair. *)
+   the selector, so one {!Context.t} serves both engines, and every id
+   they return is one of [env]'s contexts or objects, the store the
+   imperative solver uses. *)
 
-let cs_rules (t : E.t) (p : Ir.program) (sel : Context.t) =
-  let objs : (int * int) Interner.t = Interner.create (-1, -1) in
-  let env =
-    Context.env ~prog:p
-      ~obj_alloc:(fun o -> snd (Interner.get objs o))
-      ~obj_hctx:(fun o -> fst (Interner.get objs o))
-  in
+let cs_rules (t : E.t) (env : Context.env) (sel : Context.t) =
   add_builtin t "mkobj" (fun args ->
       (* mkobj(C, H) -> O : allocate H under method context C *)
       let h = args.(1) in
-      Interner.intern objs (sel.sel_heap_ctx env ~mctx:args.(0) ~site:h, h));
-  add_builtin t "objalloc" (fun args -> env.obj_alloc args.(0));
+      Context.obj env ~hctx:(sel.sel_heap_ctx env ~mctx:args.(0) ~site:h) ~site:h);
+  add_builtin t "objalloc" (fun args -> Context.obj_site env args.(0));
   add_builtin t "calleectx" (fun args ->
       (* calleectx(C, Site, O, Callee) -> C2 *)
       sel.sel_callee_ctx env ~caller_ctx:args.(0) ~site:args.(1)
@@ -248,7 +243,7 @@ let cs_rules (t : E.t) (p : Ir.program) (sel : Context.t) =
       sel.sel_callee_ctx env ~caller_ctx:args.(0) ~site:args.(1) ~recv:(-1)
         ~callee:args.(2));
   let r h b = add_rule t (h <-- b) in
-  r (atom "ReachCS" [ c env.empty; v "M" ]) [ atom "EntryMethod" [ v "M" ] ];
+  r (atom "ReachCS" [ c Context.empty; v "M" ]) [ atom "EntryMethod" [ v "M" ] ];
   r (atom "CVPT" [ v "C"; v "V"; v "O" ])
     [ atom "ReachCS" [ v "C"; v "M" ]; atom "AllocIn" [ v "M"; v "V"; v "H" ];
       fn "mkobj" [ v "C"; v "H"; v "O" ] ];
@@ -316,8 +311,7 @@ let cs_rules (t : E.t) (p : Ir.program) (sel : Context.t) =
     [ atom "CallEdgeCS" [ v "C"; v "Site"; v "C2"; v "Callee" ];
       atom "CallLhs" [ v "Site"; v "Lhs" ];
       atom "MethodRet" [ v "Callee"; v "Ret" ];
-      atom "CVPT" [ v "C2"; v "Ret"; v "O" ] ];
-  objs
+      atom "CVPT" [ v "C2"; v "Ret"; v "O" ] ]
 
 (* -------------------------------------------------------------- results *)
 
@@ -354,7 +348,7 @@ let result_of_ci (t : E.t) ~name ~time =
   result t ~name ~time ~reach ~edges:!edges (fun add ->
       E.iter_tuples t "VPT" (fun tup -> add tup.(0) tup.(1)))
 
-let result_of_cs (t : E.t) (objs : (int * int) Interner.t) ~name ~time =
+let result_of_cs (t : E.t) (env : Context.env) ~name ~time =
   let reach = Bits.create () in
   E.iter_tuples t "ReachCS" (fun tup -> ignore (Bits.add reach tup.(1)));
   let edge_set = Hashtbl.create 1024 in
@@ -363,7 +357,7 @@ let result_of_cs (t : E.t) (objs : (int * int) Interner.t) ~name ~time =
   let edges = Hashtbl.fold (fun k () acc -> k :: acc) edge_set [] in
   result t ~name ~time ~reach ~edges (fun add ->
       E.iter_tuples t "CVPT" (fun tup ->
-          add tup.(1) (snd (Interner.get objs tup.(2)))))
+          add tup.(1) (Context.obj_site env tup.(2))))
 
 exception Timeout of Snapshot.t
 
@@ -390,6 +384,7 @@ let run ?(budget = Timer.no_budget) ?attr ?progress_s (p : Ir.program)
     result_of_ci t ~name:(kind_name kind) ~time:(Timer.now () -. t0)
   | Cs sel ->
     Facts.load ~csc:false t p;
-    let objs = cs_rules t p sel in
+    let env = Context.env p in
+    cs_rules t env sel;
     solve t;
-    result_of_cs t objs ~name:(kind_name kind) ~time:(Timer.now () -. t0)
+    result_of_cs t env ~name:(kind_name kind) ~time:(Timer.now () -. t0)

@@ -8,8 +8,10 @@
     are static relations of stratum 0, so every negation is stratified.
     The context-sensitive rules take a {!Csc_pta.Context.t}, the selector
     the imperative solver takes: its builtins [mkobj], [calleectx] and
-    [staticctx] intern heap and callee contexts through it, as Doop's
-    context constructors do over one shared rule set. *)
+    [staticctx] make heap and callee contexts through it, as Doop's
+    context constructors do over one shared rule set, in the
+    {!Csc_pta.Context.env} store the imperative solver keeps its contexts
+    and objects in. *)
 
 open Csc_common
 module Ir = Csc_ir.Ir

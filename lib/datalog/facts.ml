@@ -43,7 +43,15 @@ let is_ref (p : Ir.program) v = Ir.is_ref_type (Ir.var p v).v_ty
 (** Declare every relation (so rules can reference empty ones) and load the
     EDB facts of [p]. Method names are interned to ints for Dispatch. *)
 let load ?(csc = true) (t : E.t) (p : Ir.program) : unit =
-  let names = Interner.create "" in
+  let names : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let name_id n =
+    match Hashtbl.find_opt names n with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length names in
+      Hashtbl.add names n i;
+      i
+  in
   let decl name arity = ignore (E.relation t name arity) in
   List.iter
     (fun (n, a) -> decl n a)
@@ -97,7 +105,7 @@ let load ?(csc = true) (t : E.t) (p : Ir.program) : unit =
           | Invoke { kind; recv; target; site; _ } -> (
             match (kind, recv) with
             | Ir.Virtual, Some r ->
-              let name = Interner.intern names (Ir.metho p target).m_name in
+              let name = name_id (Ir.metho p target).m_name in
               E.fact t "VCallIn" [ m.m_id; site; r; name ]
             | Ir.Special, Some r -> E.fact t "SpecialIn" [ m.m_id; site; r; target ]
             | Ir.Static, _ -> E.fact t "StaticIn" [ m.m_id; site; target ]
@@ -155,7 +163,7 @@ let load ?(csc = true) (t : E.t) (p : Ir.program) : unit =
     (fun c vt ->
       Hashtbl.iter
         (fun name m ->
-          E.fact t "Dispatch" [ c; Interner.intern names name; m ])
+          E.fact t "Dispatch" [ c; name_id name; m ])
         vt)
     p.vtables;
   Array.iter

@@ -1,24 +1,110 @@
-(** Context abstractions for the context-sensitive baselines.
+(** Context abstractions for the context-sensitive baselines, and the
+    store of contexts and abstract objects both engines share.
 
-    A context is an interned tuple of ints whose meaning depends on the
-    selector: abstract object ids for object sensitivity, class ids for type
-    sensitivity, call-site ids for call-site sensitivity. Tuples are stored
-    most-recent-first, so k-limiting is [take k]. Selecting the empty tuple
-    everywhere yields context insensitivity — the solver is the same for all
-    analyses (DESIGN.md §3). *)
+    A context is a tuple of ints whose meaning depends on the selector:
+    allocation sites for object sensitivity, class ids for type
+    sensitivity, call-site ids for call-site sensitivity. Tuples are kept
+    most-recent-first, so k-limiting keeps a prefix. Selecting the empty
+    tuple everywhere yields context insensitivity — the solver is the same
+    for all analyses (DESIGN.md §3). *)
 
 open Csc_common
 module Ir = Csc_ir.Ir
 
-(** The solver-side environment a selector can query. *)
+(* The store. A cell is an element consed onto its parent, the cell of
+   the older elements; cell 0 is the empty tuple. Cells are hash-consed on
+   (parent lsl 31) lor element, so equal tuples share one cell. A cell
+   takes a context id only when a selector returns it ([name]); the two
+   numberings stay apart so that a k-limited suffix built on the way
+   leaves the context ids as a list interner of selector results would
+   give them. Objects are keyed on (hctx lsl 31) lor site. Elements and
+   sites are program ids, below 2^31. *)
 type env = {
   prog : Ir.program;
-  empty : int;                   (** the empty context's id *)
-  ctx_elems : int -> int list;   (** interned context id -> elements *)
-  intern_ctx : int list -> int;
-  obj_alloc : int -> Ir.alloc_id;
-  obj_hctx : int -> int;         (** object id -> its heap context id *)
+  cells : int Inttbl.t;
+  cell_elem : int Vec.t;
+  cell_parent : int Vec.t;
+  cell_depth : int Vec.t;
+  cell_ctx : int Vec.t;   (* context id, -1 while unnamed *)
+  ctx_cell : int Vec.t;   (* context id -> cell *)
+  objs : int Inttbl.t;
+  obj_sites : int Vec.t;
+  obj_hctxs : int Vec.t;
 }
+
+let empty = 0
+
+let env prog =
+  let one x = Vec.of_list (-1) [ x ] in
+  {
+    prog;
+    cells = Inttbl.create 256;
+    cell_elem = one (-1);
+    cell_parent = one (-1);
+    cell_depth = one 0;
+    cell_ctx = one empty;
+    ctx_cell = one 0;
+    objs = Inttbl.create 256;
+    obj_sites = Vec.create 0;
+    obj_hctxs = Vec.create 0;
+  }
+
+let cons env e parent =
+  let key = (parent lsl 31) lor e in
+  match Inttbl.find env.cells key with
+  | c -> c
+  | exception Not_found ->
+    let c = Vec.push_idx env.cell_elem e in
+    Vec.push env.cell_parent parent;
+    Vec.push env.cell_depth (Vec.get env.cell_depth parent + 1);
+    Vec.push env.cell_ctx (-1);
+    Inttbl.add env.cells key c;
+    c
+
+(* the cell of the [d] most recent elements of cell [c] *)
+let rec trunc env d c =
+  if Vec.get env.cell_depth c <= d then c
+  else if d = 0 then 0
+  else
+    cons env (Vec.get env.cell_elem c) (trunc env (d - 1) (Vec.get env.cell_parent c))
+
+let name env c =
+  let x = Vec.get env.cell_ctx c in
+  if x >= 0 then x
+  else begin
+    let x = Vec.push_idx env.ctx_cell c in
+    Vec.set env.cell_ctx c x;
+    x
+  end
+
+let push env ~limit e ctx =
+  if limit <= 0 then empty
+  else name env (cons env e (trunc env (limit - 1) (Vec.get env.ctx_cell ctx)))
+
+let truncate env ~depth ctx =
+  let c = Vec.get env.ctx_cell ctx in
+  if Vec.get env.cell_depth c <= depth then ctx else name env (trunc env depth c)
+
+let elems env ctx =
+  let rec go c =
+    if c = 0 then [] else Vec.get env.cell_elem c :: go (Vec.get env.cell_parent c)
+  in
+  go (Vec.get env.ctx_cell ctx)
+
+let obj env ~hctx ~site =
+  let key = (hctx lsl 31) lor site in
+  match Inttbl.find env.objs key with
+  | o -> o
+  | exception Not_found ->
+    let o = Vec.push_idx env.obj_sites site in
+    Vec.push env.obj_hctxs hctx;
+    Inttbl.add env.objs key o;
+    o
+
+let n_objs env = Vec.length env.obj_sites
+let obj_site env o = Vec.get env.obj_sites o
+let obj_hctx env o = Vec.get env.obj_hctxs o
+let obj_sites env = Vec.to_array env.obj_sites
 
 type t = {
   sel_name : string;
@@ -32,32 +118,12 @@ type t = {
   sel_heap_ctx : env -> mctx:int -> site:Ir.alloc_id -> int;
 }
 
-(** An environment over a fresh context interner, with the empty context
-    interned first. Both engines build theirs here; they differ only in how
-    abstract objects are stored. *)
-let env ~prog ~obj_alloc ~obj_hctx : env =
-  let ctxs = Interner.create [] in
-  let empty = Interner.intern ctxs [] in
-  {
-    prog;
-    empty;
-    ctx_elems = Interner.get ctxs;
-    intern_ctx = Interner.intern ctxs;
-    obj_alloc;
-    obj_hctx;
-  }
-
-let rec take k = function
-  | [] -> []
-  | _ when k = 0 -> []
-  | x :: rest -> x :: take (k - 1) rest
-
 (** Context insensitivity: the empty context everywhere. *)
 let ci : t =
   {
     sel_name = "ci";
-    sel_callee_ctx = (fun env ~caller_ctx:_ ~site:_ ~recv:_ ~callee:_ -> env.empty);
-    sel_heap_ctx = (fun env ~mctx:_ ~site:_ -> env.empty);
+    sel_callee_ctx = (fun _ ~caller_ctx:_ ~site:_ ~recv:_ ~callee:_ -> empty);
+    sel_heap_ctx = (fun _ ~mctx:_ ~site:_ -> empty);
   }
 
 (* k-object sensitivity: context elements are allocation sites [Milanova
@@ -69,14 +135,10 @@ let kobj ~k ~hk : t =
     sel_name = Printf.sprintf "%dobj" k;
     sel_callee_ctx =
       (fun env ~caller_ctx ~site:_ ~recv ~callee:_ ->
-        if recv < 0 then env.intern_ctx (take k (env.ctx_elems caller_ctx))
+        if recv < 0 then truncate env ~depth:k caller_ctx
           (* static call: inherit the caller's context *)
-        else
-          env.intern_ctx
-            (take k
-               (env.obj_alloc recv :: env.ctx_elems (env.obj_hctx recv))));
-    sel_heap_ctx =
-      (fun env ~mctx ~site:_ -> env.intern_ctx (take hk (env.ctx_elems mctx)));
+        else push env ~limit:k (obj_site env recv) (obj_hctx env recv));
+    sel_heap_ctx = (fun env ~mctx ~site:_ -> truncate env ~depth:hk mctx);
   }
 
 (* k-type sensitivity: as object sensitivity, but each receiver object is
@@ -84,20 +146,16 @@ let kobj ~k ~hk : t =
    [Smaragdakis et al. 2011]. *)
 let ktype ~k ~hk : t =
   let type_of_obj env o =
-    let a = Ir.alloc env.prog (env.obj_alloc o) in
+    let a = Ir.alloc env.prog (obj_site env o) in
     (Ir.metho env.prog a.a_method).m_class
   in
   {
     sel_name = Printf.sprintf "%dtype" k;
     sel_callee_ctx =
       (fun env ~caller_ctx ~site:_ ~recv ~callee:_ ->
-        if recv < 0 then env.intern_ctx (take k (env.ctx_elems caller_ctx))
-        else
-          env.intern_ctx
-            (take k
-               (type_of_obj env recv :: env.ctx_elems (env.obj_hctx recv))));
-    sel_heap_ctx =
-      (fun env ~mctx ~site:_ -> env.intern_ctx (take hk (env.ctx_elems mctx)));
+        if recv < 0 then truncate env ~depth:k caller_ctx
+        else push env ~limit:k (type_of_obj env recv) (obj_hctx env recv));
+    sel_heap_ctx = (fun env ~mctx ~site:_ -> truncate env ~depth:hk mctx);
   }
 
 (* k-call-site sensitivity (k-CFA). *)
@@ -106,9 +164,8 @@ let kcall ~k ~hk : t =
     sel_name = Printf.sprintf "%dcall" k;
     sel_callee_ctx =
       (fun env ~caller_ctx ~site ~recv:_ ~callee:_ ->
-        env.intern_ctx (take k (site :: env.ctx_elems caller_ctx)));
-    sel_heap_ctx =
-      (fun env ~mctx ~site:_ -> env.intern_ctx (take hk (env.ctx_elems mctx)));
+        push env ~limit:k site caller_ctx);
+    sel_heap_ctx = (fun env ~mctx ~site:_ -> truncate env ~depth:hk mctx);
   }
 
 (** Selective context sensitivity: apply [base] only to methods in
@@ -122,10 +179,10 @@ let selective ~(selected : Bits.t) ~(base : t) : t =
       (fun env ~caller_ctx ~site ~recv ~callee ->
         if Bits.mem selected callee then
           base.sel_callee_ctx env ~caller_ctx ~site ~recv ~callee
-        else env.empty);
+        else empty);
     sel_heap_ctx =
       (fun env ~mctx ~site ->
         let m = (Ir.alloc env.prog site).a_method in
         if Bits.mem selected m then base.sel_heap_ctx env ~mctx ~site
-        else env.empty);
+        else empty);
   }

@@ -1,31 +1,52 @@
-(** Context abstractions for the context-sensitive baselines.
+(** Context abstractions for the context-sensitive baselines, and the
+    store that owns context and abstract-object identity for both engines.
 
-    A context is an interned tuple of ints, most-recent-first: allocation
-    sites for object sensitivity, class ids for type sensitivity, call-site
-    ids for call-site sensitivity. Selecting the empty tuple everywhere
-    yields context insensitivity — one solver implements every analysis. *)
+    A context is a tuple of ints, most recent first: allocation sites for
+    object sensitivity, class ids for type sensitivity, call-site ids for
+    call-site sensitivity. Selecting the empty tuple everywhere yields
+    context insensitivity — one solver implements every analysis.
+
+    The store keeps a tuple as a hash-consed cell, an element consed onto
+    the cell of the older elements, so extending and k-limiting a context
+    are int-keyed lookups that build no list. Cells and contexts are
+    numbered apart: the empty context is 0, and a context gets the next id
+    when a selector first returns it; a cell built only on the way (a
+    k-limited suffix) takes no context id. An abstract object is a
+    (heap context, allocation site) pair, numbered in creation order. *)
 
 open Csc_common
 module Ir = Csc_ir.Ir
 
-(** What a selector may query about the running solver. *)
-type env = {
-  prog : Ir.program;
-  empty : int;                   (** the empty context's id *)
-  ctx_elems : int -> int list;   (** interned context id -> elements *)
-  intern_ctx : int list -> int;
-  obj_alloc : int -> Ir.alloc_id;
-  obj_hctx : int -> int;         (** object id -> its heap context id *)
-}
+(** One solve's contexts and abstract objects, over a program. *)
+type env
 
-(** [env ~prog ~obj_alloc ~obj_hctx] creates the context interner (the
-    empty context is interned first, so its id is 0) and the environment
-    over it. [obj_alloc]/[obj_hctx] read the caller's abstract objects. *)
-val env :
-  prog:Ir.program ->
-  obj_alloc:(int -> Ir.alloc_id) ->
-  obj_hctx:(int -> int) ->
-  env
+(** [env prog] is an empty store: only the empty context exists. *)
+val env : Ir.program -> env
+
+(** The empty context's id, [0] in every store. *)
+val empty : int
+
+(** [push env ~limit e ctx] is the context [e] followed by the most recent
+    [limit - 1] elements of [ctx]: the first [limit] of [e :: ctx]. *)
+val push : env -> limit:int -> int -> int -> int
+
+(** [truncate env ~depth ctx] keeps the [depth] most recent elements. *)
+val truncate : env -> depth:int -> int -> int
+
+(** The context's elements, most recent first (for tests and renders; the
+    selectors never build the list). *)
+val elems : env -> int -> int list
+
+(** The abstract object of [site] under heap context [hctx], created on
+    first request. *)
+val obj : env -> hctx:int -> site:Ir.alloc_id -> int
+
+val n_objs : env -> int
+val obj_site : env -> int -> Ir.alloc_id
+val obj_hctx : env -> int -> int
+
+(** Every object's allocation site, indexed by object id (a copy). *)
+val obj_sites : env -> Ir.alloc_id array
 
 type t = {
   sel_name : string;
@@ -41,9 +62,6 @@ type t = {
   sel_heap_ctx : env -> mctx:int -> site:Ir.alloc_id -> int;
       (** heap context for an allocation under method context [mctx] *)
 }
-
-(** [take k l] keeps the k most recent context elements. *)
-val take : int -> int list -> int list
 
 (** Context insensitivity: the empty context everywhere. *)
 val ci : t

@@ -23,16 +23,18 @@
       while it has fewer than [scan_limit], then through a set of its own.
       An existing edge hides a new one to the same pointer only when it is
       unfiltered or has the same cast filter.
-    - {b Int-keyed tables.} Pointer and object interning, reachability,
-      call edges and dispatch pack their keys into one int over the dense
-      ids and look them up in an open-addressing {!Inttbl}; the
-      polymorphic [Hashtbl] would call the runtime's generic hash and
-      compare on every lookup.
-    - {b Dense object facts.} Each abstract object's allocation site,
-      heap context and class sit in int vectors filled when it is
-      interned, and each cast type keeps a bitset of the objects that pass
-      it, extended as objects appear, so filtering a delta is one
-      intersection. The per-object loops of the watches and the PFG flow
+    - {b Int-keyed tables.} Pointer interning, reachability, call edges
+      and dispatch pack their keys into one int over the dense ids and
+      look them up in an open-addressing {!Inttbl}; the polymorphic
+      [Hashtbl] would call the runtime's generic hash and compare on every
+      lookup. Contexts and abstract objects live in {!Context.env}, which
+      keys them the same way: a context is a hash-consed (element, parent)
+      cell, an object a packed (heap context, site) key.
+    - {b Dense object facts.} The store keeps each abstract object's
+      allocation site and heap context in int vectors; the solver adds its
+      class when it first interns it, and each cast type keeps a bitset of
+      the objects that pass it, extended as objects appear, so filtering a
+      delta is one intersection. The per-object loops of the watches and the PFG flow
       neither hash nor allocate. *)
 
 open Csc_common
@@ -133,14 +135,8 @@ type t = {
   n_methods : int;          (* key-packing radix for (ctx, method) pairs *)
   n_vars : int;             (* key-packing radices for pointer keys *)
   n_fields : int;
-  n_allocs : int;           (* key-packing radix for objects *)
-  env : Context.env;        (* what context selectors see; built once *)
-  (* objects: hctx * n_allocs + site -> dense id -> site, hctx, class
-     (-1 for arrays) *)
-  obj_ids : int Inttbl.t;
-  obj_sites : int Vec.t;
-  obj_hctxs : int Vec.t;
-  obj_clss : int Vec.t;
+  env : Context.env;        (* contexts and objects; what selectors see *)
+  obj_clss : int Vec.t;     (* object id -> class, -1 for arrays *)
   (* cast filters by type; virtual dispatch by cls * n_methods + target,
      -1 when no method of matching arity answers it *)
   filters : (Ir.typ, filter) Hashtbl.t;
@@ -190,7 +186,6 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     : t =
   let reg = Registry.create () in
   let empty_pending = Bits.create () in
-  let obj_sites = Vec.create 0 and obj_hctxs = Vec.create 0 in
   {
     prog;
     sel;
@@ -199,13 +194,7 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     n_methods = Array.length prog.methods;
     n_vars = max 1 (Array.length prog.vars);
     n_fields = max 1 (Array.length prog.fields);
-    n_allocs = max 1 (Array.length prog.allocs);
-    env =
-      Context.env ~prog ~obj_alloc:(Vec.get obj_sites)
-        ~obj_hctx:(Vec.get obj_hctxs);
-    obj_ids = Inttbl.create 256;
-    obj_sites;
-    obj_hctxs;
+    env = Context.env prog;
     obj_clss = Vec.create 0;
     filters = Hashtbl.create 16;
     dispatch = Inttbl.create 256;
@@ -309,20 +298,14 @@ let succs t p = (node t p).succs
 let ptr_desc t p = (node t p).desc
 
 let intern_obj t ~hctx ~site : int =
-  let key = (hctx * t.n_allocs) + site in
-  match Inttbl.find t.obj_ids key with
-  | o -> o
-  | exception Not_found ->
-    let o = Vec.push_idx t.obj_sites site in
-    Inttbl.add t.obj_ids key o;
-    Vec.push t.obj_hctxs hctx;
+  let o = Context.obj t.env ~hctx ~site in
+  if o = Vec.length t.obj_clss then
     Vec.push t.obj_clss
       (match Ir.alloc_class t.prog site with Some c -> c | None -> -1);
-    o
+  o
 
-let n_objs t = Vec.length t.obj_sites
-let obj_alloc t o = Vec.get t.obj_sites o
-let obj_hctx t o = Vec.get t.obj_hctxs o
+let n_objs t = Vec.length t.obj_clss
+let obj_alloc t o = Context.obj_site t.env o
 
 (** Object's runtime class, [-1] for arrays. *)
 let obj_cls t o = Vec.get t.obj_clss o
@@ -772,7 +755,7 @@ let run_loop (t : t) : unit =
   let iter = ref 0 in
   (try
      Timer.check t.budget;
-     add_reachable t ~ctx:t.env.empty ~mid:t.prog.main;
+     add_reachable t ~ctx:Context.empty ~mid:t.prog.main;
      while not (Queue.is_empty t.wl) do
        incr iter;
        if !iter land 255 = 0 then begin
@@ -907,7 +890,7 @@ let result (t : t) : result =
       | _ -> ())
     t.nodes;
   let sites =
-    ref (if Bits.is_empty unread then [||] else Vec.to_array t.obj_sites)
+    ref (if Bits.is_empty unread then [||] else Context.obj_sites t.env)
   in
   let r_pt v =
     if v < 0 || v >= n then empty
@@ -944,7 +927,7 @@ let ptr_to_string t p =
   | PVar (ctx, v) ->
     let vr = Ir.var t.prog v in
     let m = Ir.method_name t.prog vr.v_method in
-    if ctx = t.env.empty then Printf.sprintf "%s.%s" m vr.v_name
+    if ctx = Context.empty then Printf.sprintf "%s.%s" m vr.v_name
     else Printf.sprintf "%s.%s@ctx%d" m vr.v_name ctx
   | PField (o, fld) ->
     Printf.sprintf "obj#%d.%s" o (Ir.field t.prog fld).f_name

@@ -1,4 +1,4 @@
-(** Additional unit + property tests for Vec, Interner, Domains_compat and
+(** Additional unit + property tests for Vec, Inttbl, Domains_compat and
     parser precedence / disambiguation corners. *)
 
 open Csc_common
@@ -49,34 +49,6 @@ let prop_vec_model =
       Vec.to_list v = l
       && Vec.length v = List.length l
       && Vec.fold (fun acc x -> acc + x) 0 v = List.fold_left ( + ) 0 l)
-
-(* ------------------------------------------------------------- Interner *)
-
-let test_interner_roundtrip () =
-  let t = Interner.create "" in
-  let a = Interner.intern t "alpha" in
-  let b = Interner.intern t "beta" in
-  let a' = Interner.intern t "alpha" in
-  Alcotest.(check int) "stable" a a';
-  Alcotest.(check bool) "distinct" true (a <> b);
-  Alcotest.(check string) "reverse" "beta" (Interner.get t b);
-  Alcotest.(check int) "count" 2 (Interner.count t);
-  Alcotest.(check (option int)) "find" (Some a) (Interner.find_opt t "alpha");
-  Alcotest.(check (option int)) "find missing" None (Interner.find_opt t "gamma")
-
-let prop_interner_dense =
-  QCheck2.Test.make ~name:"interner ids are dense from 0" ~count:100
-    QCheck2.Gen.(list (string_size ~gen:(char_range 'a' 'z') (int_range 1 6)))
-    (fun names ->
-      let t = Interner.create "" in
-      List.iter (fun n -> ignore (Interner.intern t n)) names;
-      let distinct = List.sort_uniq compare names in
-      Interner.count t = List.length distinct
-      && List.for_all
-           (fun n ->
-             let i = Interner.intern t n in
-             i >= 0 && i < Interner.count t && Interner.get t i = n)
-           distinct)
 
 (* ---------------------------------------------------------------- Inttbl *)
 
@@ -287,11 +259,6 @@ let suite =
         Alcotest.test_case "set_grow" `Quick test_vec_set_grow;
         Alcotest.test_case "pop" `Quick test_vec_pop;
         QCheck_alcotest.to_alcotest prop_vec_model;
-      ] );
-    ( "common.interner",
-      [
-        Alcotest.test_case "roundtrip" `Quick test_interner_roundtrip;
-        QCheck_alcotest.to_alcotest prop_interner_dense;
       ] );
     ( "common.inttbl",
       [

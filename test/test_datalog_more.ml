@@ -34,11 +34,12 @@ let test_builtin_as_filter () =
   Alcotest.(check int) "only the doubling pair" 1 (count t "ok")
 
 let test_builtin_interning () =
-  (* the pattern used by the context-sensitive rules: an interning functor *)
-  let interner = Csc_common.Interner.create (-1, -1) in
+  (* the pattern used by the context-sensitive rules: a builtin that makes
+     abstract objects in the context store *)
+  let env = Csc_pta.Context.env (Helpers.compile Fixtures.carton) in
   let t = create () in
   add_builtin t "mkpair" (fun args ->
-      Csc_common.Interner.intern interner (args.(0), args.(1)));
+      Csc_pta.Context.obj env ~hctx:args.(0) ~site:args.(1));
   fact t "e" [ 1; 2 ];
   fact t "e" [ 2; 3 ];
   fact t "e" [ 1; 2 ];
@@ -47,7 +48,7 @@ let test_builtin_interning () =
     <-- [ atom "e" [ v "a"; v "b" ]; fn "mkpair" [ v "a"; v "b"; v "id" ] ]);
   solve t;
   Alcotest.(check int) "two interned pairs" 2 (count t "p");
-  Alcotest.(check int) "interner has 2" 2 (Csc_common.Interner.count interner)
+  Alcotest.(check int) "store has 2" 2 (Csc_pta.Context.n_objs env)
 
 let test_zero_arity () =
   let t = create () in

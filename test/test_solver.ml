@@ -591,7 +591,7 @@ let test_repeated_receivers () =
   List.iter
     (fun (name, sel) ->
       let t = Solver.analyze ~sel p in
-      let ctx = t.env.empty in
+      let ctx = Context.empty in
       let recvs = Solver.pts t (Solver.ptr_var t ~ctx a) in
       Alcotest.(check (list string)) (name ^ ": receivers interleave")
         [ "Dog"; "Dog"; "Cat"; "Dog"; "Cat"; "Cat" ]
