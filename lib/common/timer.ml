@@ -12,25 +12,42 @@ let time f =
     Besides the deadline, a major-heap cap guards against analyses that
     exhaust memory before they exhaust time (the paper's machine had 128 GB;
     context-sensitive analyses routinely hit whichever limit comes first).
-    The cap bounds growth past the heap size at budget creation: the major
-    heap does not shrink after an aborted solve is dropped (and OCaml 5.1
-    does not compact), so an absolute cap would abort every later solve in
-    the same process. *)
+    The cap bounds growth past the smallest heap seen since the budget was
+    created: the major heap may hold an aborted solve's garbage (and OCaml
+    5.1 does not compact), so an absolute cap would abort every later solve
+    in the same process, and a cap over the size at creation would count
+    that garbage as headroom once a cycle frees it.
+
+    [Gc.quick_stat] is cheap, but on OCaml 5 its [heap_words] moves only
+    when a major cycle ends, so a heap can outgrow the cap by what one
+    cycle allocates before the sample shows it. The budget remembers the
+    major words allocated when [heap_words] last changed; once the words
+    allocated since exceed the headroom left under the cap, the heap may
+    be past it, and one [Gc.full_major] brings the sample up to date. A
+    run far below the cap never pays for it. *)
 type budget = {
   deadline : float option;
-  max_heap_words : int option;  (** absolute: heap at creation + cap *)
+  cap_words : int option;
+  mutable floor : int;         (** smallest [heap_words] sampled *)
+  mutable heap_seen : int;     (** [heap_words] at its last change *)
+  mutable major_seen : float;  (** [major_words] then *)
 }
 
-let no_budget = { deadline = None; max_heap_words = None }
+let no_budget =
+  { deadline = None; cap_words = None; floor = 0; heap_seen = 0; major_seen = 0. }
 
 (** [budget ?max_gb s]: expires [s] seconds from now ([None]: never) or
     when the OCaml major heap grows more than [max_gb] (default 4.0)
-    gigabytes past its size now. *)
+    gigabytes past its smallest size from now on. *)
 let budget ?(max_gb = 4.0) s =
   let cap = int_of_float (max_gb *. 1024. *. 1024. *. 1024. /. float (Sys.word_size / 8)) in
+  let st = Gc.quick_stat () in
   {
     deadline = Option.map (fun s -> now () +. s) s;
-    max_heap_words = Some ((Gc.quick_stat ()).heap_words + cap);
+    cap_words = Some cap;
+    floor = st.heap_words;
+    heap_seen = st.heap_words;
+    major_seen = st.major_words;
   }
 
 exception Out_of_budget
@@ -39,6 +56,27 @@ let check b =
   (match b.deadline with
   | Some d when now () > d -> raise Out_of_budget
   | _ -> ());
-  match b.max_heap_words with
-  | Some limit when (Gc.quick_stat ()).heap_words > limit -> raise Out_of_budget
-  | _ -> ()
+  match b.cap_words with
+  | None -> ()
+  | Some cap ->
+    let sample () =
+      let st = Gc.quick_stat () in
+      if st.heap_words <> b.heap_seen then begin
+        b.heap_seen <- st.heap_words;
+        b.major_seen <- st.major_words;
+        b.floor <- min b.floor st.heap_words
+      end;
+      st
+    in
+    let st = sample () in
+    let st =
+      if st.major_words -. b.major_seen > float (b.floor + cap - st.heap_words)
+      then begin
+        Gc.full_major ();
+        let st = sample () in
+        b.major_seen <- st.major_words;
+        st
+      end
+      else st
+    in
+    if st.heap_words > b.floor + cap then raise Out_of_budget

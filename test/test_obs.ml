@@ -232,6 +232,20 @@ let test_timer_heap_cap_without_deadline () =
       done);
   ignore (Sys.opaque_identity !keep)
 
+let test_timer_heap_cap_no_forced_major () =
+  (* far below the cap, checks only sample the heap: allocating and
+     checking must force no major collection *)
+  let b = Timer.budget (Some 3600.) in
+  let forced () = (Gc.quick_stat ()).Gc.forced_major_collections in
+  let before = forced () in
+  let keep = ref [] in
+  for _ = 1 to 64 do
+    keep := Array.make 100_000 0 :: !keep;
+    Timer.check b
+  done;
+  ignore (Sys.opaque_identity !keep);
+  Alcotest.(check int) "no forced major" before (forced ())
+
 let test_timeout_outcome_snapshot () =
   (* the solver timeout path must flag the outcome AND still deliver a
      well-formed snapshot of the aborted state *)
@@ -415,6 +429,8 @@ let suite =
           test_timer_heap_cap_is_relative;
         Alcotest.test_case "heap cap holds without a deadline" `Quick
           test_timer_heap_cap_without_deadline;
+        Alcotest.test_case "heap cap forces no collection far below it" `Quick
+          test_timer_heap_cap_no_forced_major;
         Alcotest.test_case "timeout outcome keeps snapshot" `Quick
           test_timeout_outcome_snapshot;
       ] );
