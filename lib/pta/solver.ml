@@ -34,8 +34,8 @@
       allocation site and heap context in int vectors; the solver adds its
       class when it first interns it, and each cast type keeps a bitset of
       the objects that pass it, extended as objects appear, so filtering a
-      delta is one intersection. The per-object loops of the watches and the PFG flow
-      neither hash nor allocate. *)
+      delta is one intersection. The per-object loops of the watches and
+      the PFG flow neither hash nor allocate. *)
 
 open Csc_common
 module Ir = Csc_ir.Ir
