@@ -25,58 +25,59 @@ let time f =
     allocated since exceed the headroom left under the cap, the heap may
     be past it, and one [Gc.full_major] brings the sample up to date. A
     run far below the cap never pays for it. *)
-type budget = {
-  deadline : float option;
-  cap_words : int option;
+type cap = {
+  words : int;                 (** growth allowed past [floor] *)
   mutable floor : int;         (** smallest [heap_words] sampled *)
   mutable heap_seen : int;     (** [heap_words] at its last change *)
-  mutable major_seen : float;  (** [major_words] then *)
+  mutable major_seen : int;    (** [major_words] then *)
 }
 
-let no_budget =
-  { deadline = None; cap_words = None; floor = 0; heap_seen = 0; major_seen = 0. }
+type budget = { deadline : float option; cap : cap option }
+
+let no_budget = { deadline = None; cap = None }
 
 (** [budget ?max_gb s]: expires [s] seconds from now ([None]: never) or
     when the OCaml major heap grows more than [max_gb] (default 4.0)
     gigabytes past its smallest size from now on. *)
 let budget ?(max_gb = 4.0) s =
-  let cap = int_of_float (max_gb *. 1024. *. 1024. *. 1024. /. float (Sys.word_size / 8)) in
+  let words = int_of_float (max_gb *. 1024. *. 1024. *. 1024. /. float (Sys.word_size / 8)) in
   let st = Gc.quick_stat () in
   {
     deadline = Option.map (fun s -> now () +. s) s;
-    cap_words = Some cap;
-    floor = st.heap_words;
-    heap_seen = st.heap_words;
-    major_seen = st.major_words;
+    cap =
+      Some
+        { words; floor = st.heap_words; heap_seen = st.heap_words;
+          major_seen = int_of_float st.major_words };
   }
 
 exception Out_of_budget
+
+(* the heap sample, after noting a change of [heap_words] in [c] *)
+let sample c =
+  let st = Gc.quick_stat () in
+  if st.heap_words <> c.heap_seen then begin
+    c.heap_seen <- st.heap_words;
+    c.major_seen <- int_of_float st.major_words;
+    c.floor <- min c.floor st.heap_words
+  end;
+  st
 
 let check b =
   (match b.deadline with
   | Some d when now () > d -> raise Out_of_budget
   | _ -> ());
-  match b.cap_words with
+  match b.cap with
   | None -> ()
-  | Some cap ->
-    let sample () =
-      let st = Gc.quick_stat () in
-      if st.heap_words <> b.heap_seen then begin
-        b.heap_seen <- st.heap_words;
-        b.major_seen <- st.major_words;
-        b.floor <- min b.floor st.heap_words
-      end;
-      st
-    in
-    let st = sample () in
+  | Some c ->
+    let st = sample c in
     let st =
-      if st.major_words -. b.major_seen > float (b.floor + cap - st.heap_words)
+      if int_of_float st.major_words - c.major_seen > c.floor + c.words - st.heap_words
       then begin
         Gc.full_major ();
-        let st = sample () in
-        b.major_seen <- st.major_words;
+        let st = sample c in
+        c.major_seen <- int_of_float st.major_words;
         st
       end
       else st
     in
-    if st.heap_words > b.floor + cap then raise Out_of_budget
+    if st.heap_words > c.floor + c.words then raise Out_of_budget

@@ -33,8 +33,8 @@ val push : env -> limit:int -> int -> int -> int
 (** [truncate env ~depth ctx] keeps the [depth] most recent elements. *)
 val truncate : env -> depth:int -> int -> int
 
-(** The context's elements, most recent first (for tests and renders; the
-    selectors never build the list). *)
+(** The context's elements, most recent first (for tests; the selectors
+    never build the list). *)
 val elems : env -> int -> int list
 
 (** The abstract object of [site] under heap context [hctx], created on

@@ -304,7 +304,7 @@ let intern_obj t ~hctx ~site : int =
       (match Ir.alloc_class t.prog site with Some c -> c | None -> -1);
   o
 
-let n_objs t = Vec.length t.obj_clss
+let n_objs t = Context.n_objs t.env
 let obj_alloc t o = Context.obj_site t.env o
 
 (** Object's runtime class, [-1] for arrays. *)
