@@ -95,6 +95,15 @@ let max_probe_of keys =
 
 let max_probe t = max_probe_of t.keys
 
+let iter f t =
+  Array.iteri
+    (fun i k -> if k <> empty then f k (Array.unsafe_get t.vals i))
+    t.keys
+
+(* an array block is its length plus a header word; [||] is an atom *)
+let array_words a = if Array.length a = 0 then 0 else Array.length a + 1
+let words t = 4 + array_words t.keys + array_words t.vals
+
 module Set = struct
   type t = { mutable keys : int array; mutable size : int }
 
@@ -124,4 +133,5 @@ module Set = struct
     end
 
   let max_probe t = max_probe_of t.keys
+  let words t = 3 + array_words t.keys
 end

@@ -36,6 +36,13 @@ val length : 'a t -> int
     slot). A measure of how well the hash spreads the keys. *)
 val max_probe : 'a t -> int
 
+(** [iter f t] applies [f] to every binding, in slot order. *)
+val iter : (int -> 'a -> unit) -> 'a t -> unit
+
+(** Heap words of the table's own blocks (its record and arrays, headers
+    included), not of the values it holds. *)
+val words : 'a t -> int
+
 (** Sets of non-negative ints, the same table without values. *)
 module Set : sig
   type t
@@ -48,4 +55,7 @@ module Set : sig
   val mem : t -> int -> bool
   val length : t -> int
   val max_probe : t -> int
+
+  (** Heap words of the set's record and key array. *)
+  val words : t -> int
 end

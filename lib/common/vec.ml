@@ -10,6 +10,7 @@ let create ?(capacity = 8) dummy =
   { data = Array.make (max capacity 1) dummy; len = 0; dummy }
 
 let length t = t.len
+let words t = 4 + Array.length t.data + 1
 
 let ensure t n =
   if n > Array.length t.data then begin

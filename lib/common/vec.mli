@@ -7,6 +7,10 @@ type 'a t
 val create : ?capacity:int -> 'a -> 'a t
 
 val length : 'a t -> int
+
+(** Heap words of the vector's record and backing array, headers
+    included, not of the elements it points to. *)
+val words : 'a t -> int
 val push : 'a t -> 'a -> unit
 
 (** Push and return the new element's index. *)

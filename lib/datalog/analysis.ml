@@ -19,10 +19,16 @@ open E
 (* the Datalog engines expose a small fixed metric set; building the
    snapshot directly keeps them registry-free *)
 let dl_snapshot (t : E.t) ~time : Snapshot.t =
+  let cells, index = E.store_words t in
+  let words name n =
+    Snapshot.Gauge { name; labels = []; value = float_of_int n }
+  in
   Snapshot.of_metrics
     [ Snapshot.Counter { name = "derived"; labels = []; value = E.derived_count t };
       Snapshot.Counter { name = "scans"; labels = []; value = E.scan_count t };
-      Snapshot.Gauge { name = "time_s"; labels = []; value = time } ]
+      Snapshot.Gauge { name = "time_s"; labels = []; value = time };
+      words "cell_words" cells;
+      words "index_words" index ]
 
 let v x = V x
 let c x = C x

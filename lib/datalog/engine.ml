@@ -898,6 +898,22 @@ let derived_count t = t.n_derived
     join planner's cost, next to {!derived_count}, its yield. *)
 let scan_count t = t.n_scans
 
+(** Words in the relation store, as [(cells, index)]: the tuples' 32-bit
+    cells, and the tuple sets with every index's key array and rings.
+    Payload bytes over eight, block headers left out. *)
+let store_words t =
+  let cells = ref 0 and index = ref 0 in
+  Hashtbl.iter
+    (fun _ r ->
+      cells := !cells + Bytes.length r.r_data;
+      index := !index + Bytes.length r.r_set;
+      List.iter
+        (fun ix ->
+          index := !index + Bytes.length ix.ix_last + Bytes.length ix.ix_next)
+        r.r_indices)
+    t.rels;
+  (!cells / 8, !index / 8)
+
 (** [f] sees each tuple of [name] in insertion order, in one array that is
     reused between calls, so [f] must not retain it. *)
 let iter_tuples t name f =

@@ -173,6 +173,12 @@ type t = {
   g_heap : Registry.gauge;          (* peak major-heap words observed *)
   g_pts_words : Registry.gauge;     (* words in points-to sets, at the end *)
   g_pending_words : Registry.gauge; (* words in pending and spare deltas *)
+  (* the rest of the memory ledger, also set when a solve stops *)
+  g_edge_words : Registry.gauge;      (* successors and out-edge sets *)
+  g_watch_words : Registry.gauge;     (* statement watches *)
+  g_node_words : Registry.gauge;      (* node vector, records, descriptors *)
+  g_ptr_table_words : Registry.gauge; (* the [ptr_ids] table *)
+  g_call_edge_words : Registry.gauge; (* [call_edges] and its projection *)
   mutable prov : Prov.t option;     (* opt-in derivation recorder *)
   mutable attr : Attr.t option;     (* opt-in cost-attribution tables *)
   (* [--progress] heartbeat: 0. = off *)
@@ -223,6 +229,11 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     g_heap = Registry.gauge reg "heap_words_peak";
     g_pts_words = Registry.gauge reg "pts_words";
     g_pending_words = Registry.gauge reg "pending_words";
+    g_edge_words = Registry.gauge reg "edge_words";
+    g_watch_words = Registry.gauge reg "watch_words";
+    g_node_words = Registry.gauge reg "node_words";
+    g_ptr_table_words = Registry.gauge reg "ptr_table_words";
+    g_call_edge_words = Registry.gauge reg "call_edge_words";
     prov = None;
     attr = None;
     progress_s = 0.;
@@ -716,19 +727,62 @@ let sample_heap t =
       ("ctx_methods", float_of_int (Registry.value t.c_reach_ctx));
     ]
 
-(* Heap words held by the points-to sets, and by the pending deltas with
-   the spare buffers they recycle through; one pass, when a solve stops. *)
+(* Heap words of a stdlib [Hashtbl]: its record, its bucket array and
+   one cons block per binding *)
+let hashtbl_words h =
+  let st = Hashtbl.stats h in
+  5 + (st.Hashtbl.num_buckets + 1) + (4 * st.Hashtbl.num_bindings)
+
+(* words of one successor: its cons cell, its edge record, and the boxes
+   of a [KReturn] kind and of a filter *)
+let edge_words e =
+  7
+  + (match e.e_kind with KReturn _ -> 2 | KNormal | KShortcut -> 0)
+  + match e.e_filter with Some _ -> 2 | None -> 0
+
+(* words of one watch: its cons cell and its record *)
+let watch_words = function
+  | WLoad _ | WStore _ -> 7
+  | WALoad _ | WAStore _ | WInvoke _ -> 6
+
+let desc_words = function PVar _ | PField _ -> 3 | PArr _ | PStatic _ -> 2
+
+(* The solver's memory ledger, one pass when a solve stops: heap words of
+   the points-to sets; of the pending deltas with the spare buffers they
+   recycle through; of the successors with their out-edge sets; of the
+   watches; of the node vector, records and descriptors; of the pointer
+   table; and of the call-edge tables. Counted from the blocks' sizes, so
+   deterministic. *)
 let measure_sets t =
-  let pts = ref 0 and pending = ref 0 in
+  let pts = ref 0 and pending = ref 0 and edges = ref 0 and watches = ref 0
+  and nodes = ref (Vec.words t.nodes) in
   Vec.iter
     (fun n ->
       pts := !pts + Bits.footprint n.pts;
       if n.pending != t.empty_pending then
-        pending := !pending + Bits.footprint n.pending)
+        pending := !pending + Bits.footprint n.pending;
+      List.iter (fun e -> edges := !edges + edge_words e) n.succs;
+      (match n.out with
+      | Some out -> edges := !edges + 2 + Inttbl.Set.words out
+      | None -> ());
+      List.iter (fun w -> watches := !watches + watch_words w) n.watches;
+      nodes := !nodes + 7 + desc_words n.desc)
     t.nodes;
   List.iter (fun b -> pending := !pending + Bits.footprint b) t.spare;
-  Registry.set t.g_pts_words (float_of_int !pts);
-  Registry.set t.g_pending_words (float_of_int !pending)
+  let call_edges =
+    ref (Inttbl.words t.call_edges + hashtbl_words t.call_edges_proj)
+  in
+  Inttbl.iter
+    (fun _ s -> call_edges := !call_edges + Inttbl.Set.words s)
+    t.call_edges;
+  let set g n = Registry.set g (float_of_int n) in
+  set t.g_pts_words !pts;
+  set t.g_pending_words !pending;
+  set t.g_edge_words !edges;
+  set t.g_watch_words !watches;
+  set t.g_node_words !nodes;
+  set t.g_ptr_table_words (Inttbl.words t.ptr_ids);
+  set t.g_call_edge_words !call_edges
 
 (* [--progress] heartbeat: one stderr line per interval, cheap enough to
    check from the 255-iteration cadence *)

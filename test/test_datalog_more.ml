@@ -341,6 +341,46 @@ let test_value_range () =
   Alcotest.(check (list (array int))) "largest value stored"
     [ [| 0; (1 lsl 31) - 1 |] ] (tuples t "r")
 
+(* The store gauges are the byte lengths of the store's vectors over
+   eight: a transitive closure over a 40-node chain with a shortcut edge
+   fills the relation cells, the tuple sets and an index with its rings.
+   A Datalog run reports them beside [derived] and [scans]. *)
+let test_store_words () =
+  let t = create () in
+  for i = 0 to 39 do
+    fact t "edge" [ i; i + 1 ]
+  done;
+  fact t "edge" [ 3; 30 ];
+  add_rule t (atom "path" [ v "x"; v "y" ] <-- [ atom "edge" [ v "x"; v "y" ] ]);
+  add_rule t
+    (atom "path" [ v "x"; v "z" ]
+    <-- [ atom "path" [ v "x"; v "y" ]; atom "edge" [ v "y"; v "z" ] ]);
+  solve t;
+  let cells = ref 0 and index = ref 0 and n_ix = ref 0 in
+  Hashtbl.iter
+    (fun _ r ->
+      cells := !cells + Bytes.length r.r_data;
+      index := !index + Bytes.length r.r_set;
+      List.iter
+        (fun ix ->
+          incr n_ix;
+          index := !index + Bytes.length ix.ix_last + Bytes.length ix.ix_next)
+        r.r_indices)
+    t.rels;
+  Alcotest.(check bool) "an index built" true (!n_ix >= 1);
+  Alcotest.(check (pair int int)) "gauges = byte lengths / 8"
+    (!cells / 8, !index / 8) (store_words t);
+  Alcotest.(check bool) "cells hold every tuple" true
+    (!cells >= 4 * 2 * (count t "path" + count t "edge"));
+  let p = Helpers.named_program "nullbugs.mjava" in
+  let r = Csc_datalog.Analysis.run p Csc_datalog.Analysis.Ci in
+  let gauge n =
+    Csc_obs.Snapshot.gauge_value r.Csc_pta.Solver.r_snapshot n
+    |> Option.get |> int_of_float
+  in
+  Alcotest.(check bool) "doop-ci reports both" true
+    (gauge "cell_words" > 0 && gauge "index_words" > 0)
+
 (* probes, key comparisons and membership tests allocate nothing. Each
    rule scans a(x), then probes on x: b on one column (c), m on two
    columns and b as a membership test (d), b negated (e); half the probes
@@ -391,5 +431,6 @@ let suite =
         Alcotest.test_case "stored values in range" `Quick test_value_range;
         Alcotest.test_case "solve allocates nothing per probe" `Quick
           test_solve_allocation;
+        Alcotest.test_case "store word gauges" `Quick test_store_words;
       ] );
   ]

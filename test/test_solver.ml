@@ -670,6 +670,47 @@ let test_pts_words_bounded () =
     (gauge "pts_words" <= 2_500_000);
   Alcotest.(check bool) "pending_words measured" true (gauge "pending_words" > 0)
 
+(* The memory ledger: the solver's word gauges, summed, cover most of
+   the words reachable from the finished solver (less the program's) and
+   never more. What they leave out is the context and object store, the
+   cast filters, the dispatch memo, the worklist's bookkeeping, the
+   registry and, under csc, the plugin's own tables. *)
+let ledger_gauges =
+  [ "pts_words"; "pending_words"; "edge_words"; "watch_words"; "node_words";
+    "ptr_table_words"; "call_edge_words" ]
+
+let gauge t n =
+  Option.get (Snapshot.gauge_value (Solver.snapshot t) n) |> int_of_float
+
+let test_memory_ledger () =
+  List.iter
+    (fun (name, sel, plugin_of, lo) ->
+      let p = named_program name in
+      let t = Solver.analyze ~sel ?plugin_of p in
+      let sum = List.fold_left (fun acc g -> acc + gauge t g) 0 ledger_gauges in
+      let live =
+        Obj.reachable_words (Obj.repr t) - Obj.reachable_words (Obj.repr p)
+      in
+      let share = float_of_int sum /. float_of_int live in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: ledger %d words = %.2f of %d live, in [%.2f, 1]"
+           name sum share live lo)
+        true
+        (share >= lo && share <= 1.))
+    [ ("findbugs", sel_2obj, None, 0.9);
+      ("soot", Context.ci, Some Csc_core.Csc.plugin, 0.75) ]
+
+(* findbugs under 2obj has 396,385 PFG edges. Each costs a cons cell, an
+   edge record and, for a return edge or a cast, one more box; with the
+   out-edge sets of the sources past the scan limit that is ~3.82M
+   words. *)
+let test_edge_words_bounded () =
+  let t = Solver.analyze ~sel:sel_2obj (named_program "findbugs") in
+  Alcotest.(check bool)
+    (Printf.sprintf "edge_words %d <= 4M" (gauge t "edge_words"))
+    true
+    (gauge t "edge_words" <= 4_000_000)
+
 let suite =
   [
     ( "pta.ci",
@@ -726,5 +767,9 @@ let suite =
           test_repeated_receivers;
         Alcotest.test_case "2obj points-to words bounded" `Quick
           test_pts_words_bounded;
+        Alcotest.test_case "memory ledger covers the solver" `Quick
+          test_memory_ledger;
+        Alcotest.test_case "2obj edge words bounded" `Quick
+          test_edge_words_bounded;
       ] );
   ]
