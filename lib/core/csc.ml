@@ -313,9 +313,9 @@ and fire_sub t (s : sub) (objs : Bits.t) =
    returnLoadEdges are forwarded to every call-site LHS; objects allocated
    directly into the return variable are forwarded as seeds. *)
 
-let relay_in_edge t (m : Ir.method_id) ~(src : int)
-    ~(filter : Solver.filter option) =
-  let id = pair_key t m ((src lsl 31) lor Solver.filter_code filter) in
+let relay_in_edge t (m : Ir.method_id) ~(src : int) ~(fc : int) =
+  let id = pair_key t m ((src lsl 31) lor fc) in
+  let filter = Solver.filter_of_code t.solver fc in
   if push t.relay_in m ~id (src, filter) then
     List.iter
       (fun lhs -> shortcut ?filter t t.sc_relay ~src ~dst:lhs)
@@ -362,6 +362,13 @@ let pt_h_slot t ptr =
 
 let host_cat host cat = (host lsl 2) lor Spec.category_code cat
 
+(* Is an edge of [kind] out of [src] a return edge of a transfer method?
+   A return edge's callee is the method of its source. *)
+let transfer_return t src (kind : Solver.edge_kind) =
+  match kind with
+  | KReturn -> Spec.is_transfer t.spec (Solver.meth_of_ptr t.solver src)
+  | KNormal | KShortcut -> false
+
 let rec add_source t host cat (src_ptr : int) =
   let hc = host_cat host cat in
   if push t.sources hc ~id:((hc lsl 31) lor src_ptr) src_ptr then
@@ -387,12 +394,8 @@ and add_hosts t (ptr : int) (delta : Bits.t) =
     (* roles on this pointer as a receiver *)
     List.iter (fun role -> apply_role t role fresh) (items t.roles ptr);
     (* PropHost along PFG successors *)
-    List.iter
-      (fun (e : Solver.edge) ->
-        match e.e_kind with
-        | Solver.KReturn callee when Spec.is_transfer t.spec callee -> ()
-        | _ -> add_hosts t e.e_dst fresh)
-      (Solver.succs t.solver ptr)
+    Solver.iter_succs t.solver ptr (fun dst _ kind ->
+        if not (transfer_return t ptr kind) then add_hosts t dst fresh)
 
 and apply_role t (role : role) (hosts : Bits.t) =
   Bits.iter
@@ -531,31 +534,29 @@ let on_new_pts t (ptr : int) (delta : Bits.t) =
       add_hosts t ptr (Bits.inter delta t.host_objs)
   end
 
-let on_edge t ~(src : int) (e : Solver.edge) =
+let on_edge t ~(src : int) ~(dst : int) ~(fc : int) kind =
   (* PropHost across late-added edges *)
-  (if t.cfg.container_pattern then
-     match e.e_kind with
-     | Solver.KReturn callee when Spec.is_transfer t.spec callee -> ()
-     | _ ->
-       let hosts = pt_h_of t src in
-       if not (Bits.is_empty hosts) then add_hosts t e.e_dst (Bits.copy hosts));
+  if t.cfg.container_pattern && not (transfer_return t src kind) then begin
+    let hosts = pt_h_of t src in
+    if not (Bits.is_empty hosts) then add_hosts t dst (Bits.copy hosts)
+  end;
   (* RelayEdge: classify in-edges of cut return variables *)
-  if t.cfg.field_pattern && Bits.mem t.ret_ptrs e.e_dst then begin
-    match Inttbl.find_opt t.ret_ptr_owner e.e_dst with
+  if t.cfg.field_pattern && Bits.mem t.ret_ptrs dst then begin
+    match Inttbl.find_opt t.ret_ptr_owner dst with
     | None -> ()
     | Some m ->
       let is_return_load =
-        Inttbl.Set.mem t.tagged ((src lsl 31) lor e.e_dst)
+        Inttbl.Set.mem t.tagged ((src lsl 31) lor dst)
         ||
         match Solver.ptr_desc t.solver src with
         | Solver.PField (o, fld) ->
           List.exists
             (fun (base_ptr, f) ->
               f = fld && Bits.mem (Solver.pts t.solver base_ptr) o)
-            (find_list t.retload_pats e.e_dst)
+            (find_list t.retload_pats dst)
         | _ -> false
       in
-      if not is_return_load then relay_in_edge t m ~src ~filter:e.e_filter
+      if not is_return_load then relay_in_edge t m ~src ~fc
   end
 
 (* ---------------------------------------------------------------- public *)
@@ -675,7 +676,7 @@ let plugin_with_handle ?(config = default_config) (solver : Solver.t) :
       pl_on_reachable = on_reachable t;
       pl_on_call_edge = on_call_edge t;
       pl_on_new_pts = on_new_pts t;
-      pl_on_edge = (fun ~src e -> on_edge t ~src e);
+      pl_on_edge = on_edge t;
       pl_is_cut_store = (fun ~base ~rhs -> is_cut_store t ~base ~rhs);
       pl_is_cut_return = is_cut_return t;
     },

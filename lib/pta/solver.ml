@@ -16,13 +16,18 @@
       first-dirtying is kept for determinism; drained delta sets are
       recycled through a spare list, so steady-state pushes allocate
       nothing.
-    - {b One node per pointer.} A pointer's descriptor, points-to set,
-      successors, watches and pending delta sit in one record, so
-      following an edge touches one record instead of five tables. A
-      source dedups its out-edges itself: by scanning its successor list
-      while it has fewer than [scan_limit], then through a set of its own.
-      An existing edge hides a new one to the same pointer only when it is
-      unfiltered or has the same cast filter.
+    - {b One node per pointer, packed.} A pointer's descriptor, points-to
+      set, successors, watches and pending delta sit in one record, so
+      following an edge touches one record instead of five tables. Every
+      field is an int or a set: the descriptor is the pointer's packed
+      [ptr_ids] key; each out-edge is one int (destination, filter code
+      and kind) in an int vector; each statement watch is two ints (a
+      context-and-tag head and a payload). The flow and watch loops
+      decode them in place, newest first. A source dedups its out-edges
+      itself: by scanning its edge vector while it has fewer than
+      [scan_limit], then through a set of its own. An existing edge hides
+      a new one to the same pointer only when it is unfiltered or has the
+      same cast filter.
     - {b Int-keyed tables.} Pointer interning, reachability, call edges
       and dispatch pack their keys into one int over the dense ids and
       look them up in an open-addressing {!Inttbl}; the polymorphic
@@ -53,10 +58,9 @@ type ptr_desc =
   | PArr of int                    (** abstract object id: its array cells *)
   | PStatic of Ir.field_id
 
-type edge_kind =
-  | KNormal
-  | KReturn of Ir.method_id  (** return edge out of this callee *)
-  | KShortcut
+(** A return edge leaves the callee's return variable, so its callee is
+    the method of the edge's source ({!meth_of_ptr}). *)
+type edge_kind = KNormal | KReturn | KShortcut
 
 (* A cast filter, shared by every edge that casts to [f_ty]: [f_pass]
    holds the objects in [0, f_upto) whose type is a subtype of [f_ty], and
@@ -68,7 +72,73 @@ type filter = {
   mutable f_upto : int;
 }
 
-type edge = { e_dst : int; e_filter : filter option; e_kind : edge_kind }
+(* ------------------------------------------------------ packed encodings *)
+
+(* Pointer ids take 31 bits of a packed edge and filter codes the 29
+   above them; an id or a code that would not fit is refused with
+   [Invalid_argument] before it is stored. *)
+let max_ptrs = 1 lsl 31
+let max_filter_codes = 1 lsl 29
+
+let check_range what x bound bits =
+  if x < 0 || x >= bound then
+    invalid_arg
+      (Printf.sprintf "Solver: %s %d does not fit the %d bits it is packed in"
+         what x bits)
+
+let kind_tag = function KNormal -> 0 | KReturn -> 1 | KShortcut -> 2
+let kind_of_tag = function 0 -> KNormal | 1 -> KReturn | _ -> KShortcut
+
+(** A PFG edge as one int: [(fc lsl 33) lor (dst lsl 2) lor kind tag],
+    where [fc] is the filter code, 0 for none. *)
+let pack_edge ~dst ~fc kind =
+  check_range "pointer id" dst max_ptrs 31;
+  check_range "filter code" fc max_filter_codes 29;
+  (fc lsl 33) lor (dst lsl 2) lor kind_tag kind
+
+let edge_dst e = (e lsr 2) land (max_ptrs - 1)
+let edge_fc e = e lsr 33
+let edge_kind e = kind_of_tag (e land 3)
+
+(** A statement watch is two ints: a head [(ctx lsl 3) lor tag], and a
+    payload, the statement's variable, field or call site, where a load
+    packs [(lhs lsl 31) lor fld] and a store [(fld lsl 31) lor rhs]. *)
+type watch = WLoad | WStore | WALoad | WAStore | WInvoke
+
+let watch_tag = function
+  | WLoad -> 0 | WStore -> 1 | WALoad -> 2 | WAStore -> 3 | WInvoke -> 4
+
+let watch_of_tag = function
+  | 0 -> WLoad | 1 -> WStore | 2 -> WALoad | 3 -> WAStore | _ -> WInvoke
+
+let watch_head ~ctx w = (ctx lsl 3) lor watch_tag w
+let head_ctx h = h lsr 3
+let head_watch h = watch_of_tag (h land 7)
+
+let pack_pair a b =
+  check_range "variable or field id" a max_ptrs 31;
+  check_range "variable or field id" b max_ptrs 31;
+  (a lsl 31) lor b
+
+let pair_fst x = x lsr 31
+let pair_snd x = x land (max_ptrs - 1)
+
+(* Growable int vectors in one array each: slot 0 counts the ints in use
+   and they follow it, oldest first. [no_ints] is the shared empty
+   vector; it is always full, so it is never written. *)
+let no_ints = [| 0 |]
+
+(* [a] with room for [k] more ints, grown by at least half when full *)
+let reserve (a : int array) k =
+  let len = a.(0) in
+  if len + k < Array.length a then a
+  else begin
+    let b = Array.make (1 + max (len + k) (len + (len / 2))) 0 in
+    Array.blit a 0 b 0 (len + 1);
+    b
+  end
+
+let ints_words a = if a == no_ints then 0 else Array.length a + 1
 
 (* --------------------------------------------------------------- plugin *)
 
@@ -80,7 +150,8 @@ type plugin = {
       (** a (site, callee) call edge appeared (first time, any context) *)
   pl_on_new_pts : int -> Bits.t -> unit;
       (** pointer id, delta of newly added objects *)
-  pl_on_edge : src:int -> edge -> unit;  (** a PFG edge was added *)
+  pl_on_edge : src:int -> dst:int -> fc:int -> edge_kind -> unit;
+      (** a PFG edge was added; [fc] is its filter code *)
   pl_is_cut_store : base:Ir.var_id -> rhs:Ir.var_id -> bool;
       (** [cutStores]: refuse the store edges of this statement *)
   pl_is_cut_return : Ir.method_id -> bool;
@@ -93,37 +164,32 @@ let no_plugin : plugin =
     pl_on_reachable = (fun _ -> ());
     pl_on_call_edge = (fun _ _ -> ());
     pl_on_new_pts = (fun _ _ -> ());
-    pl_on_edge = (fun ~src:_ _ -> ());
+    pl_on_edge = (fun ~src:_ ~dst:_ ~fc:_ _ -> ());
     pl_is_cut_store = (fun ~base:_ ~rhs:_ -> false);
     pl_is_cut_return = (fun _ -> false);
   }
 
-(* -------------------------------------------------------------- watches *)
-
-type watch =
-  | WLoad of { ctx : int; lhs : Ir.var_id; fld : Ir.field_id }
-  | WStore of { ctx : int; fld : Ir.field_id; rhs : Ir.var_id }
-  | WALoad of { ctx : int; lhs : Ir.var_id }
-  | WAStore of { ctx : int; rhs : Ir.var_id }
-  | WInvoke of { ctx : int; site : Ir.call_id }
-
 (* ---------------------------------------------------------------- nodes *)
 
-(* Everything the solver keeps per pointer. [succs] is newest first;
-   [out] holds the successors' ids, each with its edge's filter code,
-   once there are [scan_limit] of them; before that [add_edge] scans
-   [succs]. [pending] is the coalescing worklist's delta, the solver's
-   [empty_pending] when there is none. *)
+(* Everything the solver keeps per pointer, as ints and sets. [key] is
+   the pointer's packed descriptor (see [new_ptr]). [succ] holds its
+   packed out-edges and [watch] its (head, payload) pairs, both iterated
+   newest first. [out] holds the successors' ids, each with its edge's
+   filter code, once there are [scan_limit] of them; before that it is
+   the shared [no_out] and [add_edge] scans [succ]. [pending] is the
+   coalescing worklist's delta, the solver's [empty_pending] when there
+   is none. *)
 type node = {
-  desc : ptr_desc;
+  key : int;
   pts : Bits.t;
-  mutable succs : edge list;
-  mutable out : Inttbl.Set.t option;
-  mutable watches : watch list;
+  mutable succ : int array;
+  mutable out : Inttbl.Set.t;
+  mutable watch : int array;
   mutable pending : Bits.t;
 }
 
 let scan_limit = 8
+let no_out = Inttbl.Set.create 0
 
 (* ---------------------------------------------------------------- state *)
 
@@ -137,9 +203,11 @@ type t = {
   n_fields : int;
   env : Context.env;        (* contexts and objects; what selectors see *)
   obj_clss : int Vec.t;     (* object id -> class, -1 for arrays *)
-  (* cast filters by type; virtual dispatch by cls * n_methods + target,
-     -1 when no method of matching arity answers it *)
+  (* cast filters by type and by id; virtual dispatch by
+     cls * n_methods + target, -1 when no method of matching arity
+     answers it *)
   filters : (Ir.typ, filter) Hashtbl.t;
+  filter_ids : filter Vec.t;
   dispatch : int Inttbl.t;
   (* pointers: packed key (see [new_ptr]) -> dense id -> node *)
   ptr_ids : int Inttbl.t;
@@ -176,7 +244,7 @@ type t = {
   (* the rest of the memory ledger, also set when a solve stops *)
   g_edge_words : Registry.gauge;      (* successors and out-edge sets *)
   g_watch_words : Registry.gauge;     (* statement watches *)
-  g_node_words : Registry.gauge;      (* node vector, records, descriptors *)
+  g_node_words : Registry.gauge;      (* node vector and records *)
   g_ptr_table_words : Registry.gauge; (* the [ptr_ids] table *)
   g_call_edge_words : Registry.gauge; (* [call_edges] and its projection *)
   mutable prov : Prov.t option;     (* opt-in derivation recorder *)
@@ -203,12 +271,15 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     env = Context.env prog;
     obj_clss = Vec.create 0;
     filters = Hashtbl.create 16;
+    filter_ids =
+      Vec.create ~capacity:16
+        { f_id = -1; f_ty = Ir.Tnull; f_pass = empty_pending; f_upto = 0 };
     dispatch = Inttbl.create 256;
     ptr_ids = Inttbl.create 4096;
     nodes =
       Vec.create ~capacity:4096
-        { desc = PStatic (-1); pts = empty_pending; succs = []; out = None;
-          watches = []; pending = empty_pending };
+        { key = -1; pts = empty_pending; succ = no_ints; out = no_out;
+          watch = no_ints; pending = empty_pending };
     dirty = Bits.create ();
     wl = Queue.create ();
     empty_pending;
@@ -268,45 +339,50 @@ let set_progress t interval_s =
 
 (* A pointer's key packs its descriptor into one int: the payload shifted
    left by two, tagged 0 PVar, 1 PField, 2 PArr, 3 PStatic. The payload of
-   PVar is ctx * n_vars + v, of PField obj * n_fields + fld. *)
-let new_ptr t key desc : int =
-  let id =
-    Vec.push_idx t.nodes
-      { desc; pts = Bits.create (); succs = []; out = None;
-        watches = []; pending = t.empty_pending }
-  in
+   PVar is ctx * n_vars + v, of PField obj * n_fields + fld. The node
+   keeps the key as its descriptor. *)
+let new_ptr t key : int =
+  let id = Vec.length t.nodes in
+  check_range "pointer id" id max_ptrs 31;
+  Vec.push t.nodes
+    { key; pts = Bits.create (); succ = no_ints; out = no_out;
+      watch = no_ints; pending = t.empty_pending };
   Inttbl.add t.ptr_ids key id;
   Registry.incr t.c_ptrs;
   id
 
-let ptr_var t ~ctx v =
-  let key = ((ctx * t.n_vars) + v) lsl 2 in
+let intern_ptr t key =
   match Inttbl.find t.ptr_ids key with
   | id -> id
-  | exception Not_found -> new_ptr t key (PVar (ctx, v))
+  | exception Not_found -> new_ptr t key
 
-let ptr_field t ~obj ~fld =
-  let key = ((((obj * t.n_fields) + fld) lsl 2) lor 1) in
-  match Inttbl.find t.ptr_ids key with
-  | id -> id
-  | exception Not_found -> new_ptr t key (PField (obj, fld))
-
-let ptr_arr t ~obj =
-  let key = (obj lsl 2) lor 2 in
-  match Inttbl.find t.ptr_ids key with
-  | id -> id
-  | exception Not_found -> new_ptr t key (PArr obj)
-
-let ptr_static t ~fld =
-  let key = (fld lsl 2) lor 3 in
-  match Inttbl.find t.ptr_ids key with
-  | id -> id
-  | exception Not_found -> new_ptr t key (PStatic fld)
+let ptr_var t ~ctx v = intern_ptr t (((ctx * t.n_vars) + v) lsl 2)
+let ptr_field t ~obj ~fld = intern_ptr t ((((obj * t.n_fields) + fld) lsl 2) lor 1)
+let ptr_arr t ~obj = intern_ptr t ((obj lsl 2) lor 2)
+let ptr_static t ~fld = intern_ptr t ((fld lsl 2) lor 3)
 
 let node t p = Vec.get t.nodes p
 let pts t p = (node t p).pts
-let succs t p = (node t p).succs
-let ptr_desc t p = (node t p).desc
+
+let desc_of_key t key =
+  let x = key lsr 2 in
+  match key land 3 with
+  | 0 -> PVar (x / t.n_vars, x mod t.n_vars)
+  | 1 -> PField (x / t.n_fields, x mod t.n_fields)
+  | 2 -> PArr x
+  | _ -> PStatic x
+
+let ptr_desc t p = desc_of_key t (node t p).key
+
+(** [iter_succs t p f] calls [f dst fc kind] on each PFG out-edge of [p],
+    newest first, where [fc] is the edge's filter code ({!filter_code}).
+    Edges added meanwhile are not visited. Allocates nothing. *)
+let iter_succs t p f =
+  let succ = (node t p).succ in
+  for i = succ.(0) downto 1 do
+    let e = Array.unsafe_get succ i in
+    f (edge_dst e) (edge_fc e) (edge_kind e)
+  done
 
 let intern_obj t ~hctx ~site : int =
   let o = Context.obj t.env ~hctx ~site in
@@ -321,13 +397,17 @@ let obj_alloc t o = Context.obj_site t.env o
 (** Object's runtime class, [-1] for arrays. *)
 let obj_cls t o = Vec.get t.obj_clss o
 
-(* owning method for cost attribution: variables belong to their declaring
-   method, heap nodes to the allocating method, statics to none (-1) *)
+(** The owning method of a pointer: a variable's declaring method, a
+    heap pointer's allocating method, none ([-1]) for a static. It is
+    also the callee of a return edge out of the pointer. *)
 let meth_of_ptr t p : int =
-  match ptr_desc t p with
-  | PVar (_, v) -> (Ir.var t.prog v).v_method
-  | PField (o, _) | PArr o -> (Ir.alloc t.prog (obj_alloc t o)).a_method
-  | PStatic _ -> -1
+  let key = (node t p).key in
+  let x = key lsr 2 in
+  match key land 3 with
+  | 0 -> (Ir.var t.prog (x mod t.n_vars)).v_method
+  | 1 -> (Ir.alloc t.prog (obj_alloc t (x / t.n_fields))).a_method
+  | 2 -> (Ir.alloc t.prog (obj_alloc t x)).a_method
+  | _ -> -1
 
 let obj_typ t o = Ir.alloc_typ t.prog (obj_alloc t o)
 
@@ -336,17 +416,25 @@ let cast_filter t (ty : Ir.typ) : filter =
   match Hashtbl.find_opt t.filters ty with
   | Some f -> f
   | None ->
-    let f =
-      { f_id = Hashtbl.length t.filters; f_ty = ty; f_pass = Bits.create ();
-        f_upto = 0 }
-    in
+    let id = Vec.length t.filter_ids in
+    check_range "filter code" (id + 1) max_filter_codes 29;
+    let f = { f_id = id; f_ty = ty; f_pass = Bits.create (); f_upto = 0 } in
     Hashtbl.add t.filters ty f;
+    Vec.push t.filter_ids f;
     f
 
-let filter_delta t (filter : filter option) (delta : Bits.t) : Bits.t =
-  match filter with
-  | None -> delta
-  | Some f ->
+(** An edge's filter as a small int: 0 for none, the filter's id + 1
+    otherwise. *)
+let filter_code = function None -> 0 | Some f -> f.f_id + 1
+
+let filter_of_code t fc =
+  if fc = 0 then None else Some (Vec.get t.filter_ids (fc - 1))
+
+(* [delta] through the filter coded [fc] *)
+let filter_delta t fc (delta : Bits.t) : Bits.t =
+  if fc = 0 then delta
+  else
+    let f = Vec.get t.filter_ids (fc - 1) in
     let n = n_objs t in
     for o = f.f_upto to n - 1 do
       (* a class object passes by its class alone; arrays need their type *)
@@ -432,7 +520,7 @@ let wl_push1 t p o =
 
 let via_of_kind = function
   | KNormal -> "flow"
-  | KReturn _ -> "return"
+  | KReturn -> "return"
   | KShortcut -> "shortcut"
 
 (* record a flow derivation for every object about to be pushed to [dst];
@@ -444,70 +532,73 @@ let prov_flow t ~src ~dst kind (objs : Bits.t) =
     let via = via_of_kind kind in
     Bits.iter (fun o -> Prov.record_flow pr ~ptr:dst ~obj:o ~src ~via) objs
 
-(* An edge's filter as a small int: 0 for none, the filter's id + 1
-   otherwise; a source's out-edge set holds [out_key] of each edge. *)
-let filter_code = function None -> 0 | Some f -> f.f_id + 1
+(* a source's out-edge set holds [out_key] of each edge *)
 let out_key fc dst = (fc lsl 31) lor dst
 
-(* length of [succs], or -1 if one of them leads to [dst] unfiltered or
-   through the filter coded [fc] *)
-let rec scan_succs dst fc len = function
-  | [] -> len
-  | e :: rest ->
-    if e.e_dst = dst && (let c = filter_code e.e_filter in c = 0 || c = fc)
-    then -1
-    else scan_succs dst fc (len + 1) rest
-
-(* [true] iff no successor edge of [n] subsumes a new edge to [dst] with
-   the filter coded [fc]; the caller then adds it. An existing edge
-   subsumes it when it is unfiltered or has the same filter: a cast edge
-   beside a copy edge to the same pointer must not hide the copy. A
-   source starts its own set when its successors reach [scan_limit]. *)
+(* [true] iff no out-edge of [n] subsumes a new edge to [dst] with the
+   filter coded [fc]; the caller then adds it. An existing edge subsumes
+   it when it is unfiltered or has the same filter: a cast edge beside a
+   copy edge to the same pointer must not hide the copy. Below
+   [scan_limit] edges the source scans [succ]; at the limit it starts a
+   set of its own. *)
 let fresh_succ n dst fc =
-  match n.out with
-  | Some out ->
-    (fc = 0 || not (Inttbl.Set.mem out dst))
-    && Inttbl.Set.add out (out_key fc dst)
-  | None ->
-    let len = scan_succs dst fc 0 n.succs in
-    len >= 0
+  if n.out != no_out then
+    (fc = 0 || not (Inttbl.Set.mem n.out dst))
+    && Inttbl.Set.add n.out (out_key fc dst)
+  else begin
+    let succ = n.succ in
+    let len = succ.(0) in
+    let rec subsumed i =
+      i <= len
+      && (let e = Array.unsafe_get succ i in
+          (edge_dst e = dst && (let c = edge_fc e in c = 0 || c = fc))
+          || subsumed (i + 1))
+    in
+    (not (subsumed 1))
     && begin
       if len + 1 >= scan_limit then begin
-        let out = Inttbl.Set.create (2 * scan_limit) in
-        List.iter
-          (fun e ->
-            let k = out_key (filter_code e.e_filter) e.e_dst in
-            ignore (Inttbl.Set.add out k))
-          n.succs;
+        let out = Inttbl.Set.create scan_limit in
+        for i = 1 to len do
+          let e = succ.(i) in
+          ignore (Inttbl.Set.add out (out_key (edge_fc e) (edge_dst e)))
+        done;
         ignore (Inttbl.Set.add out (out_key fc dst));
-        n.out <- Some out
+        n.out <- out
       end;
       true
     end
+  end
 
-(** Add an edge src->dst to the PFG; existing points-to facts of [src] flow
-    immediately. No-op if an edge src->dst exists that is unfiltered or
-    has the same filter, whatever its kind. *)
-let add_edge ?(kind = KNormal) ?filter t ~src ~dst =
+(* [add_edge] over a filter code; neither allocates *)
+let add_edge_fc t ~src ~dst fc kind =
   if src <> dst then begin
     let n = node t src in
-    if fresh_succ n dst (filter_code filter) then begin
-      let e = { e_dst = dst; e_filter = filter; e_kind = kind } in
-      n.succs <- e :: n.succs;
+    if fresh_succ n dst fc then begin
+      let succ = reserve n.succ 1 in
+      let len = succ.(0) + 1 in
+      succ.(len) <- pack_edge ~dst ~fc kind;
+      succ.(0) <- len;
+      n.succ <- succ;
       Registry.incr t.c_edges;
       (match (t.attr, kind) with
       | Some a, KShortcut ->
         Attr.observe_shortcut a ~meth:(meth_of_ptr t dst) ~ptr:dst
       | _ -> ());
-      t.plugin.pl_on_edge ~src e;
+      t.plugin.pl_on_edge ~src ~dst ~fc kind;
       let cur = n.pts in
       if not (Bits.is_empty cur) then begin
-        let d = filter_delta t filter cur in
+        let d = filter_delta t fc cur in
         prov_flow t ~src ~dst kind d;
         wl_push t dst d
       end
     end
   end
+
+(** Add an edge src->dst to the PFG; existing points-to facts of [src] flow
+    immediately. No-op if an edge src->dst exists that is unfiltered or
+    has the same filter, whatever its kind. *)
+let add_edge ?(kind = KNormal) ?filter t ~src ~dst =
+  add_edge_fc t ~src ~dst (filter_code filter) kind
 
 let seed ?(why = "seed") t p (objs : Bits.t) =
   (match t.prov with
@@ -524,9 +615,14 @@ let seed1 ?(why = "seed") t p o =
 
 (* --------------------------------------------------- reachable methods *)
 
-let add_watch t p w =
+let add_watch t p head payload =
   let n = node t p in
-  n.watches <- w :: n.watches
+  let w = reserve n.watch 2 in
+  let len = w.(0) in
+  w.(len + 1) <- head;
+  w.(len + 2) <- payload;
+  w.(0) <- len + 2;
+  n.watch <- w
 
 let rec add_reachable t ~ctx ~(mid : Ir.method_id) =
   if Inttbl.Set.add t.reached ((ctx * t.n_methods) + mid) then begin
@@ -553,23 +649,12 @@ and process_stmt t ~ctx (s : Ir.stmt) =
   | Cast { lhs; ty; rhs; _ } ->
     add_edge ~filter:(cast_filter t ty) t ~src:(pv rhs) ~dst:(pv lhs)
   | Load { lhs; base; fld } ->
-    let bp = pv base in
-    add_watch t bp (WLoad { ctx; lhs; fld });
-    process_watch t (WLoad { ctx; lhs; fld }) (pts t bp)
+    watch t (pv base) (watch_head ~ctx WLoad) (pack_pair lhs fld)
   | Store { base; fld; rhs } ->
-    if not (t.plugin.pl_is_cut_store ~base ~rhs) then begin
-      let bp = pv base in
-      add_watch t bp (WStore { ctx; fld; rhs });
-      process_watch t (WStore { ctx; fld; rhs }) (pts t bp)
-    end
-  | ALoad { lhs; arr; _ } ->
-    let ap = pv arr in
-    add_watch t ap (WALoad { ctx; lhs });
-    process_watch t (WALoad { ctx; lhs }) (pts t ap)
-  | AStore { arr; rhs; _ } ->
-    let ap = pv arr in
-    add_watch t ap (WAStore { ctx; rhs });
-    process_watch t (WAStore { ctx; rhs }) (pts t ap)
+    if not (t.plugin.pl_is_cut_store ~base ~rhs) then
+      watch t (pv base) (watch_head ~ctx WStore) (pack_pair fld rhs)
+  | ALoad { lhs; arr; _ } -> watch t (pv arr) (watch_head ~ctx WALoad) lhs
+  | AStore { arr; rhs; _ } -> watch t (pv arr) (watch_head ~ctx WAStore) rhs
   | SLoad { lhs; fld } ->
     if Ir.is_ref_type (Ir.field t.prog fld).f_ty then
       add_edge t ~src:(ptr_static t ~fld) ~dst:(pv lhs)
@@ -584,62 +669,69 @@ and process_stmt t ~ctx (s : Ir.stmt) =
     add_call_edge t ~caller_ctx:ctx ~site ~callee_ctx:cctx ~callee:target
   | Invoke { kind = Virtual | Special; recv; site; _ } -> (
     match recv with
-    | Some r ->
-      let rp = pv r in
-      add_watch t rp (WInvoke { ctx; site });
-      process_watch t (WInvoke { ctx; site }) (pts t rp)
+    | Some r -> watch t (pv r) (watch_head ~ctx WInvoke) site
     | None -> ())
   | Return _ | If _ | While _ | Print _ | Nop | ConstInt _ | ConstBool _
   | ConstNull _ | Binop _ | Unop _ | ALen _ | InstanceOf _ ->
     ()
+
+(* a statement watches the pointer [p] from now on, and sees what [p]
+   already points to *)
+and watch t p head payload =
+  add_watch t p head payload;
+  fire_watch t head payload (pts t p)
 
 (* The statement's own variable is interned at the first object that
    needs it: before that object's field or array pointer when it is the
    edge's destination, after it when it is the source. Pointers are thus
    numbered as if each object's [add_edge] interned both of its ends,
    arguments right to left. *)
-and process_watch t (w : watch) (delta : Bits.t) =
+and fire_watch t head payload (delta : Bits.t) =
   if not (Bits.is_empty delta) then
-    match w with
-    | WLoad { ctx; lhs; fld } ->
+    let ctx = head_ctx head in
+    match head_watch head with
+    | WLoad ->
+      let lhs = pair_fst payload and fld = pair_snd payload in
       let dst = ref (-1) in
       Bits.iter
         (fun o ->
           if obj_cls t o >= 0 then begin
             if !dst < 0 then dst := ptr_var t ~ctx lhs;
-            add_edge t ~src:(ptr_field t ~obj:o ~fld) ~dst:!dst
+            add_edge_fc t ~src:(ptr_field t ~obj:o ~fld) ~dst:!dst 0 KNormal
           end)
         delta
-    | WStore { ctx; fld; rhs } ->
+    | WStore ->
+      let fld = pair_fst payload and rhs = pair_snd payload in
       let src = ref (-1) in
       Bits.iter
         (fun o ->
           if obj_cls t o >= 0 then begin
             let dst = ptr_field t ~obj:o ~fld in
             if !src < 0 then src := ptr_var t ~ctx rhs;
-            add_edge t ~src:!src ~dst
+            add_edge_fc t ~src:!src ~dst 0 KNormal
           end)
         delta
-    | WALoad { ctx; lhs } ->
+    | WALoad ->
       let dst = ref (-1) in
       Bits.iter
         (fun o ->
           if obj_cls t o < 0 then begin
-            if !dst < 0 then dst := ptr_var t ~ctx lhs;
-            add_edge t ~src:(ptr_arr t ~obj:o) ~dst:!dst
+            if !dst < 0 then dst := ptr_var t ~ctx payload;
+            add_edge_fc t ~src:(ptr_arr t ~obj:o) ~dst:!dst 0 KNormal
           end)
         delta
-    | WAStore { ctx; rhs } ->
+    | WAStore ->
       let src = ref (-1) in
       Bits.iter
         (fun o ->
           if obj_cls t o < 0 then begin
             let dst = ptr_arr t ~obj:o in
-            if !src < 0 then src := ptr_var t ~ctx rhs;
-            add_edge t ~src:!src ~dst
+            if !src < 0 then src := ptr_var t ~ctx payload;
+            add_edge_fc t ~src:!src ~dst 0 KNormal
           end)
         delta
-    | WInvoke { ctx; site } ->
+    | WInvoke ->
+      let site = payload in
       let cs = Ir.call t.prog site in
       (* a receiver resolving to the previous one's (callee, callee
          context) finds that call edge in place: it only seeds [this] *)
@@ -705,7 +797,7 @@ and add_call_edge t ~caller_ctx ~site ~callee_ctx ~callee =
     (match (cs.cs_lhs, m.m_ret_var) with
     | Some lhs, Some rv when Ir.is_ref_type (Ir.var t.prog rv).v_ty ->
       if not (t.plugin.pl_is_cut_return callee) then
-        add_edge ~kind:(KReturn callee) t
+        add_edge ~kind:KReturn t
           ~src:(ptr_var t ~ctx:callee_ctx rv)
           ~dst:(ptr_var t ~ctx:caller_ctx lhs)
     | _ -> ())
@@ -733,40 +825,22 @@ let hashtbl_words h =
   let st = Hashtbl.stats h in
   5 + (st.Hashtbl.num_buckets + 1) + (4 * st.Hashtbl.num_bindings)
 
-(* words of one successor: its cons cell, its edge record, and the boxes
-   of a [KReturn] kind and of a filter *)
-let edge_words e =
-  7
-  + (match e.e_kind with KReturn _ -> 2 | KNormal | KShortcut -> 0)
-  + match e.e_filter with Some _ -> 2 | None -> 0
-
-(* words of one watch: its cons cell and its record *)
-let watch_words = function
-  | WLoad _ | WStore _ -> 7
-  | WALoad _ | WAStore _ | WInvoke _ -> 6
-
-let desc_words = function PVar _ | PField _ -> 3 | PArr _ | PStatic _ -> 2
-
 (* The solver's memory ledger, one pass when a solve stops: heap words of
    the points-to sets; of the pending deltas with the spare buffers they
-   recycle through; of the successors with their out-edge sets; of the
-   watches; of the node vector, records and descriptors; of the pointer
-   table; and of the call-edge tables. Counted from the blocks' sizes, so
+   recycle through; of the edge vectors with their out-edge sets; of the
+   watch vectors; of the node vector and records; of the pointer table;
+   and of the call-edge tables. Counted from the blocks' sizes, so
    deterministic. *)
 let measure_sets t =
-  let pts = ref 0 and pending = ref 0 and edges = ref 0 and watches = ref 0
-  and nodes = ref (Vec.words t.nodes) in
+  let pts = ref 0 and pending = ref 0 and edges = ref 0 and watches = ref 0 in
   Vec.iter
     (fun n ->
       pts := !pts + Bits.footprint n.pts;
       if n.pending != t.empty_pending then
         pending := !pending + Bits.footprint n.pending;
-      List.iter (fun e -> edges := !edges + edge_words e) n.succs;
-      (match n.out with
-      | Some out -> edges := !edges + 2 + Inttbl.Set.words out
-      | None -> ());
-      List.iter (fun w -> watches := !watches + watch_words w) n.watches;
-      nodes := !nodes + 7 + desc_words n.desc)
+      edges := !edges + ints_words n.succ;
+      if n.out != no_out then edges := !edges + Inttbl.Set.words n.out;
+      watches := !watches + ints_words n.watch)
     t.nodes;
   List.iter (fun b -> pending := !pending + Bits.footprint b) t.spare;
   let call_edges =
@@ -780,7 +854,8 @@ let measure_sets t =
   set t.g_pending_words !pending;
   set t.g_edge_words !edges;
   set t.g_watch_words !watches;
-  set t.g_node_words !nodes;
+  (* a node record is six fields and a header *)
+  set t.g_node_words (Vec.words t.nodes + (7 * Vec.length t.nodes));
   set t.g_ptr_table_words (Inttbl.words t.ptr_ids);
   set t.g_call_edge_words !call_edges
 
@@ -830,15 +905,24 @@ let run_loop (t : t) : unit =
          (match t.attr with
          | None -> ()
          | Some a -> Attr.observe_pop a ~meth:(meth_of_ptr t p) ~ptr:p ~delta:dn);
-         (* flow along PFG edges *)
-         List.iter
-           (fun e ->
-             let d = filter_delta t e.e_filter delta in
-             prov_flow t ~src:p ~dst:e.e_dst e.e_kind d;
-             wl_push t e.e_dst d)
-           n.succs;
-         (* statement watches *)
-         List.iter (fun w -> process_watch t w delta) n.watches;
+         (* flow along PFG edges, newest first *)
+         let succ = n.succ in
+         for i = succ.(0) downto 1 do
+           let e = Array.unsafe_get succ i in
+           let dst = edge_dst e in
+           let d = filter_delta t (edge_fc e) delta in
+           prov_flow t ~src:p ~dst (edge_kind e) d;
+           wl_push t dst d
+         done;
+         (* statement watches, newest first; a watch added meanwhile has
+            already seen the whole set *)
+         let w = n.watch in
+         let i = ref w.(0) in
+         while !i > 0 do
+           fire_watch t (Array.unsafe_get w (!i - 1)) (Array.unsafe_get w !i)
+             delta;
+           i := !i - 2
+         done;
          t.plugin.pl_on_new_pts p delta);
        Bits.clear objs;
        t.spare <- objs :: t.spare
@@ -869,7 +953,9 @@ let timed_plugin a (p : plugin) : plugin =
     pl_on_call_edge =
       (fun site callee -> call_edge (fun () -> p.pl_on_call_edge site callee));
     pl_on_new_pts = (fun ptr d -> new_pts (fun () -> p.pl_on_new_pts ptr d));
-    pl_on_edge = (fun ~src e -> on_edge (fun () -> p.pl_on_edge ~src e));
+    pl_on_edge =
+      (fun ~src ~dst ~fc kind ->
+        on_edge (fun () -> p.pl_on_edge ~src ~dst ~fc kind));
   }
 
 let run (t : t) : unit =
@@ -928,20 +1014,19 @@ let result (t : t) : result =
   let unread = Bits.create ~capacity:n () in
   let merged = Bits.create ~capacity:n () in
   Vec.iter
-    (fun n ->
-      match n.desc with
-      | PVar (_, v) ->
-        let pt = n.pts in
-        if not (Bits.is_empty pt) then
-          if var_pt.(v) == empty then begin
-            var_pt.(v) <- pt;
-            ignore (Bits.add unread v)
-          end
-          else begin
-            if Bits.add merged v then var_pt.(v) <- Bits.copy var_pt.(v);
-            Bits.union_quiet ~into:var_pt.(v) pt
-          end
-      | _ -> ())
+    (fun nd ->
+      let pt = nd.pts in
+      if nd.key land 3 = 0 && not (Bits.is_empty pt) then begin
+        let v = (nd.key lsr 2) mod t.n_vars in
+        if var_pt.(v) == empty then begin
+          var_pt.(v) <- pt;
+          ignore (Bits.add unread v)
+        end
+        else begin
+          if Bits.add merged v then var_pt.(v) <- Bits.copy var_pt.(v);
+          Bits.union_quiet ~into:var_pt.(v) pt
+        end
+      end)
     t.nodes;
   let sites =
     ref (if Bits.is_empty unread then [||] else Context.obj_sites t.env)
@@ -974,7 +1059,7 @@ let result (t : t) : result =
 
 (* ------------------------------------------------------- explain helpers *)
 
-let iter_ptrs t f = Vec.iteri (fun p n -> f p n.desc) t.nodes
+let iter_ptrs t f = Vec.iteri (fun p n -> f p (desc_of_key t n.key)) t.nodes
 
 let ptr_to_string t p =
   match ptr_desc t p with

@@ -522,7 +522,7 @@ let prop_edge_dedup =
       let f1 = Solver.cast_filter t (Ir.Tclass p.object_cls) in
       let f2 = Solver.cast_filter t (Ir.Tclass p.string_cls) in
       let filters = [| None; Some f1; Some f2 |] in
-      let kinds = [| Solver.KNormal; KReturn 0; KShortcut |] in
+      let kinds = [| Solver.KNormal; KReturn; KShortcut |] in
       let seen = Hashtbl.create 64 and model = Array.make 4 [] in
       List.iter
         (fun (s, d, k, f) ->
@@ -537,15 +537,58 @@ let prop_edge_dedup =
             model.(s) <- (dst, k, f) :: model.(s)
           end)
         ops;
-      let code (e : Solver.edge) =
-        ( e.e_dst,
-          (match e.e_kind with KNormal -> 0 | KReturn _ -> 1 | KShortcut -> 2),
-          match e.e_filter with None -> 0 | Some fl -> fl.f_id + 1 )
+      let succs src =
+        let acc = ref [] in
+        Solver.iter_succs t src (fun dst fc kind ->
+            let k = match kind with KNormal -> 0 | KReturn -> 1 | KShortcut -> 2 in
+            acc := (dst, k, fc) :: !acc);
+        List.rev !acc
       in
-      Array.for_all
-        (fun s -> List.map code (Solver.succs t ptrs.(s)) = model.(s))
-        [| 0; 1; 2; 3 |]
+      Array.for_all (fun s -> succs ptrs.(s) = model.(s)) [| 0; 1; 2; 3 |]
       && counter t "pfg_edges" = Hashtbl.length seen)
+
+(* A packed edge and a packed watch decode to what was packed, with
+   every field at either end of its range as often as inside it. *)
+let at_ends hi =
+  QCheck2.Gen.(oneof [ pure 0; pure hi; int_range 0 hi; int_range (hi - 3) hi ])
+
+let prop_packing =
+  QCheck2.Test.make ~name:"packed edges and watches round-trip" ~count:500
+    QCheck2.Gen.(
+      tup4
+        (tup3 (at_ends (Solver.max_ptrs - 1))
+           (at_ends (Solver.max_filter_codes - 1))
+           (int_range 0 2))
+        (tup2 (at_ends ((1 lsl 59) - 1)) (int_range 0 4))
+        (at_ends (Solver.max_ptrs - 1))
+        (at_ends (Solver.max_ptrs - 1)))
+    (fun ((dst, fc, k), (ctx, w), a, b) ->
+      let kind = [| Solver.KNormal; KReturn; KShortcut |].(k) in
+      let e = Solver.pack_edge ~dst ~fc kind in
+      let watch = [| Solver.WLoad; WStore; WALoad; WAStore; WInvoke |].(w) in
+      let h = Solver.watch_head ~ctx watch in
+      let pl = Solver.pack_pair a b in
+      e >= 0 && Solver.edge_dst e = dst && Solver.edge_fc e = fc
+      && Solver.edge_kind e = kind
+      && Solver.head_ctx h = ctx && Solver.head_watch h = watch
+      && Solver.pair_fst pl = a && Solver.pair_snd pl = b)
+
+(* An id or a code one past its field is refused, not packed into its
+   neighbour's bits. *)
+let test_packing_range () =
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "pointer id 2^31" (fun () ->
+      Solver.pack_edge ~dst:Solver.max_ptrs ~fc:0 KNormal);
+  refused "negative pointer id" (fun () ->
+      Solver.pack_edge ~dst:(-1) ~fc:0 KNormal);
+  refused "filter code 2^29" (fun () ->
+      Solver.pack_edge ~dst:0 ~fc:Solver.max_filter_codes KShortcut);
+  refused "payload 2^31" (fun () -> Solver.pack_pair 0 Solver.max_ptrs);
+  refused "payload head 2^31" (fun () -> Solver.pack_pair Solver.max_ptrs 0)
 
 (* --- repeated receivers at a virtual call ----------------------------- *)
 
@@ -700,16 +743,16 @@ let test_memory_ledger () =
     [ ("findbugs", sel_2obj, None, 0.9);
       ("soot", Context.ci, Some Csc_core.Csc.plugin, 0.75) ]
 
-(* findbugs under 2obj has 396,385 PFG edges. Each costs a cons cell, an
-   edge record and, for a return edge or a cast, one more box; with the
-   out-edge sets of the sources past the scan limit that is ~3.82M
-   words. *)
+(* findbugs under 2obj has 396,385 PFG edges. Packed one int each, in
+   vectors that grow by half, with the out-edge sets of the sources past
+   the scan limit, they take ~1.25M words; as a list of boxed edge
+   records they took ~3.82M. *)
 let test_edge_words_bounded () =
   let t = Solver.analyze ~sel:sel_2obj (named_program "findbugs") in
   Alcotest.(check bool)
-    (Printf.sprintf "edge_words %d <= 4M" (gauge t "edge_words"))
+    (Printf.sprintf "edge_words %d <= 1.5M" (gauge t "edge_words"))
     true
-    (gauge t "edge_words" <= 4_000_000)
+    (gauge t "edge_words" <= 1_500_000)
 
 let suite =
   [
@@ -763,6 +806,9 @@ let suite =
         Alcotest.test_case "caches match naive checks" `Quick
           test_caches_match_naive;
         QCheck_alcotest.to_alcotest prop_edge_dedup;
+        QCheck_alcotest.to_alcotest prop_packing;
+        Alcotest.test_case "packing refuses out-of-range ids" `Quick
+          test_packing_range;
         Alcotest.test_case "repeated receivers seed this only" `Quick
           test_repeated_receivers;
         Alcotest.test_case "2obj points-to words bounded" `Quick
