@@ -535,6 +535,14 @@ let prov_flow t ~src ~dst kind (objs : Bits.t) =
 (* a source's out-edge set holds [out_key] of each edge *)
 let out_key fc dst = (fc lsl 31) lor dst
 
+(* does one of the edges [succ.(i..len)] lead to [dst] unfiltered or
+   through the filter coded [fc]? *)
+let rec subsumed succ len dst fc i =
+  i <= len
+  && (let e = Array.unsafe_get succ i in
+      (edge_dst e = dst && (let c = edge_fc e in c = 0 || c = fc))
+      || subsumed succ len dst fc (i + 1))
+
 (* [true] iff no out-edge of [n] subsumes a new edge to [dst] with the
    filter coded [fc]; the caller then adds it. An existing edge subsumes
    it when it is unfiltered or has the same filter: a cast edge beside a
@@ -548,13 +556,7 @@ let fresh_succ n dst fc =
   else begin
     let succ = n.succ in
     let len = succ.(0) in
-    let rec subsumed i =
-      i <= len
-      && (let e = Array.unsafe_get succ i in
-          (edge_dst e = dst && (let c = edge_fc e in c = 0 || c = fc))
-          || subsumed (i + 1))
-    in
-    (not (subsumed 1))
+    (not (subsumed succ len dst fc 1))
     && begin
       if len + 1 >= scan_limit then begin
         let out = Inttbl.Set.create scan_limit in

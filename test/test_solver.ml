@@ -573,6 +573,38 @@ let prop_packing =
       && Solver.head_ctx h = ctx && Solver.head_watch h = watch
       && Solver.pair_fst pl = a && Solver.pair_snd pl = b)
 
+(* Re-adding an existing edge and walking a pointer's out-edges allocate
+   nothing: soot's busiest pointers under csc dedup through their own
+   sets, the others by scanning their edge vectors. *)
+let test_edges_allocate_nothing () =
+  let t =
+    Solver.analyze ~plugin_of:Csc_core.Csc.plugin (named_program "soot")
+  in
+  let edges = ref [] in
+  Solver.iter_ptrs t (fun src _ ->
+      Solver.iter_succs t src (fun dst fc kind ->
+          if fc = 0 then edges := (src, dst, kind) :: !edges));
+  let edges = Array.of_list !edges in
+  let n = counter t "pfg_edges" and n_ptrs = counter t "ptrs" in
+  let count = ref 0 in
+  let walk _ _ _ = incr count in
+  let before = Gc.minor_words () in
+  for _ = 1 to 3 do
+    Array.iter
+      (fun (src, dst, kind) -> Solver.add_edge_fc t ~src ~dst 0 kind)
+      edges;
+    for p = 0 to n_ptrs - 1 do
+      Solver.iter_succs t p walk
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no edge added" n (counter t "pfg_edges");
+  Alcotest.(check int) "every edge walked" (3 * n) !count;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words allocated for %d re-adds" words
+       (3 * Array.length edges))
+    true (words < 100.)
+
 (* An id or a code one past its field is refused, not packed into its
    neighbour's bits. *)
 let test_packing_range () =
@@ -809,6 +841,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_packing;
         Alcotest.test_case "packing refuses out-of-range ids" `Quick
           test_packing_range;
+        Alcotest.test_case "edge dedup and walks allocate nothing" `Quick
+          test_edges_allocate_nothing;
         Alcotest.test_case "repeated receivers seed this only" `Quick
           test_repeated_receivers;
         Alcotest.test_case "2obj points-to words bounded" `Quick
