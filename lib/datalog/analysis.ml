@@ -26,6 +26,9 @@ let dl_snapshot (t : E.t) ~time : Snapshot.t =
   Snapshot.of_metrics
     [ Snapshot.Counter { name = "derived"; labels = []; value = E.derived_count t };
       Snapshot.Counter { name = "scans"; labels = []; value = E.scan_count t };
+      Snapshot.Counter { name = "emits"; labels = []; value = E.emit_count t };
+      Snapshot.Counter
+        { name = "delta_tuples"; labels = []; value = E.delta_count t };
       Snapshot.Gauge { name = "time_s"; labels = []; value = time };
       words "cell_words" cells;
       words "index_words" index ]

@@ -164,12 +164,13 @@ type t = {
   mutable n_derived : int;
   mutable n_scans : int;  (* candidates scanned, see [tick] *)
   mutable n_emits : int;  (* head instantiations, new or not *)
+  mutable n_delta : int;  (* tuples visited by delta steps *)
   mutable budget : Timer.budget;
 }
 
 let create () =
   { rels = Hashtbl.create 64; builtins = Hashtbl.create 8; rules = [];
-    n_derived = 0; n_scans = 0; n_emits = 0; budget = Timer.no_budget }
+    n_derived = 0; n_scans = 0; n_emits = 0; n_delta = 0; budget = Timer.no_budget }
 
 (** Register a builtin function callable from rules via {!fn}. The engine
     reuses the argument array between calls, so [f] must not retain it. *)
@@ -764,6 +765,7 @@ let rec exec t (cr : crule) (plan : step array) i =
     | Delta s ->
       let r = s.s_rel in
       for id = r.r_dlo to r.r_dhi - 1 do
+        t.n_delta <- t.n_delta + 1;
         if matches s env r.r_data (id * r.r_arity) then exec t cr plan (i + 1)
       done
     | Member m ->
@@ -897,6 +899,14 @@ let derived_count t = t.n_derived
 (** Candidate tuples scanned by index probes and full scans so far: the
     join planner's cost, next to {!derived_count}, its yield. *)
 let scan_count t = t.n_scans
+
+(** Head instantiations so far, duplicates included: each one writes the
+    head tuple and probes its relation's tuple set. *)
+let emit_count t = t.n_emits
+
+(** Tuples visited by semi-naive delta steps so far. Delta steps do not
+    count as scans. *)
+let delta_count t = t.n_delta
 
 (** Words in the relation store, as [(cells, index)]: the tuples' 32-bit
     cells, and the tuple sets with every index's key array and rings.

@@ -154,37 +154,48 @@ let test_explain_errors () =
 (* Datalog outputs, pinned the same way before the engine's join planner
    was rewritten: (program, analysis) -> MD5 of the [pts_json] dump, MD5
    of the callgraph DOT with its lines sorted (tuple iteration order may
-   change, the content may not), the engine's derived-tuple count and its
-   scanned-candidate count. The scan count pins the join plans: a faster
-   relation store must probe the same tuples in the same order. The
+   change, the content may not), the engine's derived-tuple count, its
+   scanned-candidate count, its head instantiations ([emits], duplicates
+   included) and the tuples its delta steps visit ([delta_tuples]). The
+   scan count pins the join plans: a faster relation store must probe the
+   same tuples in the same order; with emits and delta tuples it pins the
+   evaluator's whole work, so a faster evaluator must do the same. The
    doop-2type, doop-zipper-e and doop-2obj cells cover the
    context-sensitive rules and the [mkobj]/[calleectx]/[staticctx]
    builtins. *)
 let datalog_pinned =
   [ (("findbugs", Run.Doop_ci),
      ("1708df97ecbe9d4f5a8eca3f7219c510", "27e0c8366eb41c6888012920c616a62c",
-      74254, 300025));
+      74254, 300025,
+      134707, 661839));
     (("findbugs", Run.Doop_csc),
      ("118ca8748c94940d0baef550b5e3857b", "e56c5d07bf1a9acdd0367f5193e25f85",
-      21388, 148160));
+      21388, 148160,
+      43035, 283507));
     (("findbugs", Run.Doop_2type),
      ("5daedfe95c58ef68abf243cdd072e0a1", "c48031086e067cf9733f7ea3c9846891",
-      77749, 376910));
+      77749, 376910,
+      167138, 708219));
     (("findbugs", Run.Doop_zipper),
      ("ba6e3716a12eeaa5cad0458c46641095", "46f70fe0405ba8bcf28dfaacdf78e694",
-      30779, 175569));
+      30779, 175569,
+      114676, 242270));
     (("hsqldb", Run.Doop_ci),
      ("2f175bf66d041145bd7c1cd365e51518", "cda3b447e5f71a656aba8ff240a80c20",
-      476936, 1953957));
+      476936, 1953957,
+      922117, 4127680));
     (("hsqldb", Run.Doop_csc),
      ("dac0a64fd8937e2b0fe0cb9ffa289f73", "f95d3de4fb6bda0fdc2501dc5883f54d",
-      227202, 1541740));
+      227202, 1541740,
+      482358, 2977535));
     (("nullbugs.mjava", Run.Doop_2obj),
      ("9695c4e723c4afc267763c33a12cf4f1", "eb5f06618fa27599d6341f7e012f9f73",
-      109, 662));
+      109, 662,
+      197, 878));
     (("plugins.mjava", Run.Doop_2obj),
      ("82d8fca8e83ac5ea14e1fd63304367cc", "df8821b4f74095fcee41b2023168194f",
-      212, 958)) ]
+      212, 958,
+      307, 1758)) ]
 
 let sorted_lines s =
   String.split_on_char '\n' s |> List.sort String.compare |> String.concat "\n"
@@ -192,7 +203,7 @@ let sorted_lines s =
 let test_datalog name () =
   let p = named_program name in
   List.iter
-    (fun ((n, a), (pts, dot, derived, scans)) ->
+    (fun ((n, a), (pts, dot, derived, scans, emits, delta)) ->
       if n = name then begin
         let o = Run.run_spec (Run.spec a) p in
         let r = Option.get o.Run.o_result in
@@ -208,7 +219,11 @@ let test_datalog name () =
         Alcotest.(check (option int)) (what ^ " derived") (Some derived)
           (counter "derived");
         Alcotest.(check (option int)) (what ^ " scans") (Some scans)
-          (counter "scans")
+          (counter "scans");
+        Alcotest.(check (option int)) (what ^ " emits") (Some emits)
+          (counter "emits");
+        Alcotest.(check (option int)) (what ^ " delta_tuples") (Some delta)
+          (counter "delta_tuples")
       end)
     datalog_pinned
 
