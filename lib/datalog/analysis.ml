@@ -325,46 +325,47 @@ let cs_rules (t : E.t) (env : Context.env) (sel : Context.t) =
 (* -------------------------------------------------------------- results *)
 
 (* the engine-agnostic result; [pts] feeds each (variable, allocation
-   site) pair to its argument *)
-let result (t : E.t) ~name ~time ~reach ~edges pts : Solver.result =
-  let var_pt : (Ir.var_id, Bits.t) Hashtbl.t = Hashtbl.create 1024 in
+   site) pair to its argument. Points-to sets are kept by variable id. *)
+let result (t : E.t) (p : Ir.program) ~name ~time ~reach ~edges pts : Solver.result =
+  let empty = Bits.create () in
+  let var_pt = Array.make (Array.length p.vars) empty in
   pts (fun v h ->
+      let b = var_pt.(v) in
       let b =
-        match Hashtbl.find_opt var_pt v with
-        | Some b -> b
-        | None ->
+        if b != empty then b
+        else begin
           let b = Bits.create () in
-          Hashtbl.add var_pt v b;
+          var_pt.(v) <- b;
           b
+        end
       in
       ignore (Bits.add b h));
-  let empty = Bits.create () in
   {
     Solver.r_name = name;
     r_time = time;
     r_reach = reach;
     r_edges = edges;
     r_pt =
-      (fun vr -> match Hashtbl.find_opt var_pt vr with Some b -> b | None -> empty);
+      (fun vr -> if vr >= 0 && vr < Array.length var_pt then var_pt.(vr) else empty);
     r_snapshot = dl_snapshot t ~time;
   }
 
-let result_of_ci (t : E.t) ~name ~time =
+let result_of_ci (t : E.t) p ~name ~time =
   let reach = Bits.create () in
   E.iter_tuples t "Reachable" (fun tup -> ignore (Bits.add reach tup.(0)));
   let edges = ref [] in
   E.iter_tuples t "CallEdge" (fun tup -> edges := (tup.(0), tup.(1)) :: !edges);
-  result t ~name ~time ~reach ~edges:!edges (fun add ->
+  result t p ~name ~time ~reach ~edges:!edges (fun add ->
       E.iter_tuples t "VPT" (fun tup -> add tup.(0) tup.(1)))
 
-let result_of_cs (t : E.t) (env : Context.env) ~name ~time =
+let result_of_cs (t : E.t) p (env : Context.env) ~name ~time =
   let reach = Bits.create () in
   E.iter_tuples t "ReachCS" (fun tup -> ignore (Bits.add reach tup.(1)));
   let edge_set = Hashtbl.create 1024 in
   E.iter_tuples t "CallEdgeCS" (fun tup ->
       Hashtbl.replace edge_set (tup.(1), tup.(3)) ());
   let edges = Hashtbl.fold (fun k () acc -> k :: acc) edge_set [] in
-  result t ~name ~time ~reach ~edges (fun add ->
+  result t p ~name ~time ~reach ~edges (fun add ->
       E.iter_tuples t "CVPT" (fun tup ->
           add tup.(1) (Context.obj_site env tup.(2))))
 
@@ -378,6 +379,8 @@ let run ?(budget = Timer.no_budget) ?attr ?progress_s (p : Ir.program)
     (kind : kind) : Solver.result =
   let t0 = Timer.now () in
   let t = create () in
+  let span name f = Csc_obs.Trace.with_span ~cat:"datalog" name f in
+  let load ~csc = span "load" (fun () -> Facts.load ~csc t p) in
   let solve t =
     try solve ~budget ?attr ?progress_s t
     with Timer.Out_of_budget ->
@@ -386,14 +389,16 @@ let run ?(budget = Timer.no_budget) ?attr ?progress_s (p : Ir.program)
   match kind with
   | Ci | Csc_doop ->
     let csc = kind = Csc_doop in
-    Facts.load ~csc t p;
+    load ~csc;
     ci_rules t;
     if csc then csc_rules t;
     solve t;
-    result_of_ci t ~name:(kind_name kind) ~time:(Timer.now () -. t0)
+    span "result" (fun () ->
+        result_of_ci t p ~name:(kind_name kind) ~time:(Timer.now () -. t0))
   | Cs sel ->
-    Facts.load ~csc:false t p;
+    load ~csc:false;
     let env = Context.env p in
     cs_rules t env sel;
     solve t;
-    result_of_cs t env ~name:(kind_name kind) ~time:(Timer.now () -. t0)
+    span "result" (fun () ->
+        result_of_cs t p env ~name:(kind_name kind) ~time:(Timer.now () -. t0))

@@ -165,12 +165,15 @@ type t = {
   mutable n_scans : int;  (* candidates scanned, see [tick] *)
   mutable n_emits : int;  (* head instantiations, new or not *)
   mutable n_delta : int;  (* tuples visited by delta steps *)
+  mutable n_fires : int;  (* rule evaluations *)
+  mutable n_plans : int;  (* join plans staged, see [chain] *)
   mutable budget : Timer.budget;
 }
 
 let create () =
   { rels = Hashtbl.create 64; builtins = Hashtbl.create 8; rules = [];
-    n_derived = 0; n_scans = 0; n_emits = 0; n_delta = 0; budget = Timer.no_budget }
+    n_derived = 0; n_scans = 0; n_emits = 0; n_delta = 0;
+    n_fires = 0; n_plans = 0; budget = Timer.no_budget }
 
 (** Register a builtin function callable from rules via {!fn}. The engine
     reuses the argument array between calls, so [f] must not retain it. *)
@@ -295,10 +298,14 @@ let insert (r : relation) (tup : int array) : bool =
     true
   end
 
+let rec find_index mask = function
+  | [] -> raise_notrace Not_found
+  | ix :: rest -> if ix.ix_mask = mask then ix else find_index mask rest
+
 let index_for (r : relation) (mask : int) : index =
-  match List.find_opt (fun ix -> ix.ix_mask = mask) r.r_indices with
-  | Some ix -> ix
-  | None ->
+  match find_index mask r.r_indices with
+  | ix -> ix
+  | exception Not_found ->
     let cols =
       List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init r.r_arity Fun.id)
       |> Array.of_list
@@ -337,6 +344,9 @@ let fact t name args =
 
 let add_rule t (rule : rule) =
   if rule.head.neg then error "negative head in rule for %s" rule.head.rel;
+  (* the planner keeps the atoms left to place in an int's bits *)
+  if List.length rule.body > Sys.int_size - 2 then
+    error "rule for %s has more than %d body atoms" rule.head.rel (Sys.int_size - 2);
   List.iter
     (fun a ->
       if not a.builtin then
@@ -426,12 +436,22 @@ type catom = {
   ca_args : slot array;
 }
 
+(* a rule's join plan for one delta position, staged: [ch_order] is the
+   body order it was compiled for, [ch_run] evaluates it *)
+type chain = {
+  ch_order : int array;
+  ch_run : unit -> unit;
+}
+
 type crule = {
   cr_head_rel : relation;
   cr_head : slot array;
-  cr_out : int array;  (* scratch head tuple *)
+  cr_out : int array;  (* scratch head tuple, constant positions prefilled *)
   cr_body : catom array;
   cr_env : int array;  (* variable slots *)
+  cr_chains : chain option array;  (* by delta position + 1 *)
+  cr_order : int array;  (* scratch: the body order of this fire *)
+  cr_bound : bool array;  (* scratch: the variables bound so far *)
   cr_label : string;  (* "Head :- Body, ..." for attribution *)
   cr_span : string;  (* "rule:" ^ cr_label *)
   mutable cr_arule : Attr.rule option;  (* attribution row, when profiling *)
@@ -478,9 +498,12 @@ let compile_rule t (rule : rule) : crule =
   {
     cr_head_rel = Hashtbl.find t.rels rule.head.rel;
     cr_head = head;
-    cr_out = Array.make (Array.length head) 0;
+    cr_out = Array.map (function S_const c -> c | S_var _ -> 0) head;
     cr_body = Array.of_list body;
     cr_env = Array.make (Hashtbl.length vars) 0;
+    cr_chains = Array.make (List.length rule.body + 1) None;
+    cr_order = Array.make (List.length rule.body) 0;
+    cr_bound = Array.make (Hashtbl.length vars) false;
     cr_label = label;
     cr_span = "rule:" ^ label;
     cr_arule = None;
@@ -538,16 +561,6 @@ let scratch (args : slot array) =
   in
   (a, Array.of_list (List.map fst vars), Array.of_list (List.map snd vars))
 
-let mask_of (bound : bool array) (args : slot array) =
-  let m = ref 0 in
-  Array.iteri
-    (fun i s ->
-      match s with
-      | S_const _ -> m := !m lor (1 lsl i)
-      | S_var v -> if bound.(v) then m := !m lor (1 lsl i))
-    args;
-  !m
-
 (* compile a positive atom against [bound] (which it updates). [mask]
    selects the probe-key columns; every other constant or already-bound
    column becomes a check *)
@@ -602,25 +615,100 @@ let start_round (r : relation) =
   r.r_dhi <- r.r_len;
   r.r_seen <- r.r_len
 
+(* [a]'s inputs: a builtin's arguments but the last *)
+let inputs (a : catom) = Array.sub a.ca_args 0 (Array.length a.ca_args - 1)
+
+let rec all_bound (bound : bool array) (args : slot array) i n =
+  i >= n
+  || (match args.(i) with S_const _ -> true | S_var v -> bound.(v))
+     && all_bound bound args (i + 1) n
+
+(* [a] can be evaluated as a membership test or builtin call: every
+   argument (every input, for a builtin) is bound *)
+let ready (bound : bool array) (a : catom) =
+  let n = Array.length a.ca_args in
+  match a.ca_target with
+  | Fn _ -> all_bound bound a.ca_args 0 (n - 1)
+  | Rel _ -> all_bound bound a.ca_args 0 n
+
+let mask_of (bound : bool array) (args : slot array) =
+  let m = ref 0 in
+  for i = 0 to Array.length args - 1 do
+    match args.(i) with
+    | S_const _ -> m := !m lor (1 lsl i)
+    | S_var v -> if bound.(v) then m := !m lor (1 lsl i)
+  done;
+  !m
+
+let bind_all (bound : bool array) (args : slot array) =
+  for i = 0 to Array.length args - 1 do
+    match args.(i) with S_var v -> bound.(v) <- true | S_const _ -> ()
+  done
+
 (* Order the body greedily, with the delta atom (if [delta >= 0]) first:
    a negated atom, builtin or fully bound atom goes as soon as its inputs
    are bound; otherwise the positive atom with the fewest estimated
    candidates, where any bound probe beats any full scan (ties: smaller
-   relation, then body order). Built once per rule, delta position and
-   round, from the index statistics at that time. *)
-let plan (cr : crule) ~(delta : int) : step array =
+   relation, then body order). Computed once per rule, delta position and
+   round, from the index statistics at that time, into [cr_order]. Every
+   atom placed binds all its variables. *)
+let order (cr : crule) ~(delta : int) =
+  let body = cr.cr_body and bound = cr.cr_bound and placed = cr.cr_order in
+  let n = Array.length body in
+  Array.fill bound 0 (Array.length bound) false;
+  let k = ref 0 and remaining = ref ((1 lsl n) - 1) in
+  let place i =
+    bind_all bound body.(i).ca_args;
+    placed.(!k) <- i;
+    incr k;
+    remaining := !remaining land lnot (1 lsl i)
+  in
+  if delta >= 0 then place delta;
+  while !remaining <> 0 do
+    let next = ref (-1) and i = ref 0 in
+    while !next < 0 && !i < n do
+      if !remaining land (1 lsl !i) <> 0 && ready bound body.(!i) then next := !i;
+      incr i
+    done;
+    if !next < 0 then begin
+      (* the cheapest probe: (full scan, estimate, size), least first *)
+      let b_full = ref true and b_est = ref 0. and b_len = ref 0 in
+      for i = 0 to n - 1 do
+        let a = body.(i) in
+        match a.ca_target with
+        | Rel r when !remaining land (1 lsl i) <> 0 && not a.ca_neg ->
+          let mask = mask_of bound a.ca_args in
+          let full = mask = 0 and est = estimate r mask in
+          if !next < 0
+             || (full = !b_full
+                 && (est < !b_est || (est = !b_est && r.r_len < !b_len)))
+             || (!b_full && not full)
+          then begin
+            next := i;
+            b_full := full;
+            b_est := est;
+            b_len := r.r_len
+          end
+        | _ -> ()
+      done;
+      if !next < 0 then
+        error "no evaluable atom in %s (unbound builtin inputs?)" cr.cr_label
+    end;
+    place !next
+  done
+
+(* the steps of the body in [order]: the delta atom (if [delta >= 0], it
+   comes first) scans the delta; a fully bound atom becomes a membership
+   test; any other relation atom is probed on its bound columns *)
+let plan (cr : crule) ~(delta : int) (order : int array) : step list =
   let body = cr.cr_body in
   let bound = Array.make (Array.length cr.cr_env) false in
-  let is_bound = function S_const _ -> true | S_var v -> bound.(v) in
-  let inputs (a : catom) = Array.sub a.ca_args 0 (Array.length a.ca_args - 1) in
-  let ready (a : catom) =
+  let step_of i =
+    let a = body.(i) in
     match a.ca_target with
-    | Fn _ -> Array.for_all is_bound (inputs a)
-    | Rel _ -> Array.for_all is_bound a.ca_args
-  in
-  let step_of (a : catom) =
-    match a.ca_target with
-    | Rel r when ready a ->
+    | Rel r when i = delta -> Delta (make_scan r a.ca_args bound ~mask:0)
+    | Fn _ when i = delta -> invalid_arg "Engine.plan: builtin delta atom"
+    | Rel r when ready bound a ->
       let m_tup, m_pos, m_var = scratch a.ca_args in
       Member { m_rel = r; m_neg = a.ca_neg; m_tup; m_pos; m_var }
     | Rel r -> Scan (make_scan r a.ca_args bound ~mask:(mask_of bound a.ca_args))
@@ -636,46 +724,23 @@ let plan (cr : crule) ~(delta : int) : step array =
       in
       Call { c_fn = f; c_in; c_pos; c_var; c_out }
   in
-  let steps =
-    ref
-      (if delta < 0 then []
-       else
-         match body.(delta).ca_target with
-         | Rel r -> [ Delta (make_scan r body.(delta).ca_args bound ~mask:0) ]
-         | Fn _ -> invalid_arg "Engine.plan: builtin delta atom")
-  in
-  let remaining =
-    ref (List.filter (( <> ) delta) (List.init (Array.length body) Fun.id))
-  in
-  while !remaining <> [] do
-    let next =
-      match List.find_opt (fun i -> ready body.(i)) !remaining with
-      | Some i -> i
-      | None ->
-        let best = ref None in
-        List.iter
-          (fun i ->
-            match body.(i).ca_target with
-            | Rel r when not body.(i).ca_neg ->
-              let mask = mask_of bound body.(i).ca_args in
-              let cost = (mask = 0, estimate r mask, r.r_len) in
-              (match !best with
-              | Some (_, c) when compare c cost <= 0 -> ()
-              | _ -> best := Some (i, cost))
-            | _ -> ())
-          !remaining;
-        (match !best with
-        | Some (i, _) -> i
-        | None -> error "no evaluable atom in %s (unbound builtin inputs?)" cr.cr_label)
-    in
-    steps := step_of body.(next) :: !steps;
-    remaining := List.filter (( <> ) next) !remaining
-  done;
-  Array.of_list (List.rev !steps)
+  (* in order: each step binds what later steps read *)
+  Array.fold_left (fun acc i -> step_of i :: acc) [] order |> List.rev
+
+(* Staging. A plan is compiled once into a chain of closures, one per
+   step, each calling the next for every binding it produces; the last
+   emits the head. Each closure is specialized on its step's shape (delta
+   scan, a one-variable key into a one-column index, a multi-column probe,
+   full scan, membership test, builtin call, and the head of arity 2 or 3
+   with only variables), with one generic closure for any other shape, and
+   the tuple test of a scan is a matcher specialized on its bindings and
+   checks. Closures read the store's vectors ([r_data], [ix_last],
+   [ix_next], [r_set]) when they run, never when they are built, since
+   inserts reallocate them. Nothing allocates per tuple. *)
 
 (* candidate-scan accounting: huge joins can spend a long time without
    deriving anything, so the deadline is also checked per scanned tuple *)
-let tick t =
+let[@inline] tick t =
   t.n_scans <- t.n_scans + 1;
   if t.n_scans land 0x7ffff = 0 then Timer.check t.budget
 
@@ -695,6 +760,38 @@ let matches s (env : int array) d base =
   done;
   eq_const s.s_eqc_col s.s_eqc_val d base 0
   && eq_var s.s_eqv_col s.s_eqv_var env d base 0
+
+(* [matches s env], specialized on up to three bindings and no check, or
+   one binding and one check *)
+let matcher s (env : int array) : bytes -> int -> bool =
+  match (s.s_bind_col, s.s_bind_var, s.s_eqc_col, s.s_eqv_col) with
+  | [||], _, [||], [||] -> fun _ _ -> true
+  | [| c0 |], [| v0 |], [||], [||] ->
+    fun d base ->
+      env.(v0) <- C32.get d (base + c0);
+      true
+  | [| c0; c1 |], [| v0; v1 |], [||], [||] ->
+    fun d base ->
+      env.(v0) <- C32.get d (base + c0);
+      env.(v1) <- C32.get d (base + c1);
+      true
+  | [| c0; c1; c2 |], [| v0; v1; v2 |], [||], [||] ->
+    fun d base ->
+      env.(v0) <- C32.get d (base + c0);
+      env.(v1) <- C32.get d (base + c1);
+      env.(v2) <- C32.get d (base + c2);
+      true
+  | [| c0 |], [| v0 |], [| k0 |], [||] ->
+    let x0 = s.s_eqc_val.(0) in
+    fun d base ->
+      env.(v0) <- C32.get d (base + c0);
+      C32.get d (base + k0) = x0
+  | [| c0 |], [| v0 |], [||], [| k0 |] ->
+    let w0 = s.s_eqv_var.(0) in
+    fun d base ->
+      env.(v0) <- C32.get d (base + c0);
+      C32.get d (base + k0) = env.(w0)
+  | _ -> matches s env
 
 let fill (dst : int array) pos vars (env : int array) =
   for i = 0 to Array.length pos - 1 do
@@ -720,67 +817,172 @@ let probe (r : relation) ix (key : int array) =
     C32.get slots !i
   end
 
-let emit t (cr : crule) =
-  t.n_emits <- t.n_emits + 1;
-  if t.n_emits land 0xffff = 0 then Timer.check t.budget;
-  let out = cr.cr_out in
-  for i = 0 to Array.length out - 1 do
-    out.(i) <-
-      (match cr.cr_head.(i) with S_const c -> c | S_var v -> cr.cr_env.(v))
-  done;
-  let r = cr.cr_head_rel in
-  let slot = set_slot r out in
-  if C32.get r.r_set slot < 0 then begin
-    add_new r slot out;
-    t.n_derived <- t.n_derived + 1;
-    match cr.cr_arule with None -> () | Some ar -> Attr.rule_tuples ar
+(* Walk the ring of tuple [last] from its oldest tuple to [last], the
+   newest as the scan starts; tuples appended meanwhile come after it.
+   [next] runs for each tuple that [m] accepts. *)
+let walk t (r : relation) ix m next last =
+  if last >= 0 then begin
+    let id = ref (ring_next ix last) and more = ref true in
+    while !more do
+      tick t;
+      let i = !id in
+      if m r.r_data (i * r.r_arity) then next ();
+      if i = last then more := false else id := ring_next ix i
+    done
   end
 
-let rec exec t (cr : crule) (plan : step array) i =
-  if i = Array.length plan then emit t cr
-  else
-    let env = cr.cr_env in
-    match plan.(i) with
-    | Scan s -> (
-      let r = s.s_rel in
-      match s.s_index with
-      | None ->
-        for id = 0 to r.r_len - 1 do
-          tick t;
-          if matches s env r.r_data (id * r.r_arity) then exec t cr plan (i + 1)
-        done
-      | Some ix ->
-        fill s.s_key s.s_key_pos s.s_key_var env;
-        (* walk the key's ring from its oldest tuple to the newest one as
-           the scan starts; tuples appended meanwhile come after it *)
-        let last = probe r ix s.s_key in
-        if last >= 0 then begin
-          let id = ref (ring_next ix last) and more = ref true in
-          while !more do
-            tick t;
-            if matches s env r.r_data (!id * r.r_arity) then exec t cr plan (i + 1);
-            if !id = last then more := false else id := ring_next ix !id
-          done
-        end)
-    | Delta s ->
-      let r = s.s_rel in
+let stage_scan t env next = function
+  | Delta s ->
+    let r = s.s_rel and m = matcher s env in
+    fun () ->
       for id = r.r_dlo to r.r_dhi - 1 do
         t.n_delta <- t.n_delta + 1;
-        if matches s env r.r_data (id * r.r_arity) then exec t cr plan (i + 1)
+        if m r.r_data (id * r.r_arity) then next ()
       done
-    | Member m ->
-      fill m.m_tup m.m_pos m.m_var env;
-      if mem m.m_rel m.m_tup <> m.m_neg then exec t cr plan (i + 1)
-    | Call c -> (
-      fill c.c_in c.c_pos c.c_var env;
-      let x = c.c_fn c.c_in in
-      match c.c_out with
-      | Bind v ->
+  | Scan ({ s_index = None; _ } as s) ->
+    let r = s.s_rel and m = matcher s env in
+    fun () ->
+      for id = 0 to r.r_len - 1 do
+        tick t;
+        if m r.r_data (id * r.r_arity) then next ()
+      done
+  | Scan ({ s_index = Some ix; s_key_var = [| kv |]; _ } as s) when ix.ix_col >= 0 ->
+    let r = s.s_rel and m = matcher s env in
+    fun () ->
+      let v = env.(kv) in
+      let keys = ix.ix_last in
+      walk t r ix m next (if v < C32.length keys then C32.get keys v else -1)
+  | Scan ({ s_index = Some ix; _ } as s) when ix.ix_col < 0 ->
+    let r = s.s_rel and m = matcher s env in
+    let key = s.s_key and pos = s.s_key_pos and vars = s.s_key_var in
+    let cols = ix.ix_cols in
+    fun () ->
+      fill key pos vars env;
+      let slots = ix.ix_last in
+      let mask = C32.length slots - 1 in
+      let i = ref (hash_key key land mask) in
+      while
+        let id = C32.get slots !i in
+        id >= 0 && not (eq_key r.r_data (id * r.r_arity) cols key 0)
+      do
+        i := (!i + 1) land mask
+      done;
+      walk t r ix m next (C32.get slots !i)
+  | Scan ({ s_index = Some ix; _ } as s) ->
+    let r = s.s_rel and m = matcher s env in
+    fun () ->
+      fill s.s_key s.s_key_pos s.s_key_var env;
+      walk t r ix m next (probe r ix s.s_key)
+  | Member { m_rel; m_neg; m_tup; m_pos; m_var } ->
+    fun () ->
+      fill m_tup m_pos m_var env;
+      if mem m_rel m_tup <> m_neg then next ()
+  | Call { c_fn; c_in; c_pos; c_var; c_out } -> (
+    match c_out with
+    | Bind v ->
+      fun () ->
+        fill c_in c_pos c_var env;
+        let x = c_fn c_in in
         if not (valid x) then error "builtin result %d out of range" x;
         env.(v) <- x;
-        exec t cr plan (i + 1)
-      | Eq_var v -> if env.(v) = x then exec t cr plan (i + 1)
-      | Eq_const k -> if x = k then exec t cr plan (i + 1))
+        next ()
+    | Eq_var v ->
+      fun () ->
+        fill c_in c_pos c_var env;
+        if c_fn c_in = env.(v) then next ()
+    | Eq_const k ->
+      fun () ->
+        fill c_in c_pos c_var env;
+        if c_fn c_in = k then next ())
+
+let[@inline] count_emit t =
+  t.n_emits <- t.n_emits + 1;
+  if t.n_emits land 0xffff = 0 then Timer.check t.budget
+
+(* [cr]'s head tuple, already in [cr_out], is new at [r_set] slot [slot] *)
+let derive t (cr : crule) slot =
+  add_new cr.cr_head_rel slot cr.cr_out;
+  t.n_derived <- t.n_derived + 1;
+  match cr.cr_arule with None -> () | Some ar -> Attr.rule_tuples ar
+
+(* the [r_set] slot holding the pair (a, b) of a binary relation, or the
+   free slot where it would go; [hash_key] of the pair, unrolled *)
+let rec slot2 d slots mask a b i =
+  let id = C32.get slots i in
+  if id < 0 || (C32.get d (2 * id) = a && C32.get d ((2 * id) + 1) = b) then i
+  else slot2 d slots mask a b ((i + 1) land mask)
+
+let rec slot3 d slots mask a b c i =
+  let id = C32.get slots i in
+  if id < 0
+     || C32.get d (3 * id) = a
+        && C32.get d ((3 * id) + 1) = b
+        && C32.get d ((3 * id) + 2) = c
+  then i
+  else slot3 d slots mask a b c ((i + 1) land mask)
+
+(* the closure that instantiates [cr]'s head and inserts it *)
+let stage_emit t (cr : crule) =
+  let env = cr.cr_env and out = cr.cr_out and r = cr.cr_head_rel in
+  match cr.cr_head with
+  | [| S_var v0; S_var v1 |] ->
+    fun () ->
+      count_emit t;
+      let a = env.(v0) and b = env.(v1) in
+      let slots = r.r_set in
+      let mask = C32.length slots - 1 in
+      let slot = slot2 r.r_data slots mask a b (finish (mix (mix 0 a) b) land mask) in
+      if C32.get slots slot < 0 then begin
+        out.(0) <- a;
+        out.(1) <- b;
+        derive t cr slot
+      end
+  | [| S_var v0; S_var v1; S_var v2 |] ->
+    fun () ->
+      count_emit t;
+      let a = env.(v0) and b = env.(v1) and c = env.(v2) in
+      let slots = r.r_set in
+      let mask = C32.length slots - 1 in
+      let slot =
+        slot3 r.r_data slots mask a b c
+          (finish (mix (mix (mix 0 a) b) c) land mask)
+      in
+      if C32.get slots slot < 0 then begin
+        out.(0) <- a;
+        out.(1) <- b;
+        out.(2) <- c;
+        derive t cr slot
+      end
+  | head ->
+    let _, pos, vars = scratch head in
+    fun () ->
+      count_emit t;
+      fill out pos vars env;
+      let slot = set_slot r out in
+      if C32.get r.r_set slot < 0 then derive t cr slot
+
+(* [cr]'s plan for [delta] as one closure: the chain compiled for the
+   previous fire at this delta position when the order is the same,
+   otherwise a new one *)
+let rec same_order (a : int array) (b : int array) i =
+  i < 0 || (a.(i) = b.(i) && same_order a b (i - 1))
+
+let chain t (cr : crule) ~delta =
+  order cr ~delta;
+  t.n_fires <- t.n_fires + 1;
+  match cr.cr_chains.(delta + 1) with
+  | Some ch when same_order ch.ch_order cr.cr_order (Array.length cr.cr_order - 1) ->
+    ch.ch_run
+  | _ ->
+    t.n_plans <- t.n_plans + 1;
+    let order = Array.copy cr.cr_order in
+    let run =
+      List.fold_right
+        (fun step next -> stage_scan t cr.cr_env next step)
+        (plan cr ~delta order) (stage_emit t cr)
+    in
+    cr.cr_chains.(delta + 1) <- Some { ch_order = order; ch_run = run };
+    run
 
 (** Run all rules to fixpoint, stratum by stratum. [attr] records per-rule
     and per-stratum tuple counts, candidates scanned and wall time;
@@ -821,7 +1023,7 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
                 Attr.rule_fire r;
                 Attr.rule_scans r (t.n_scans - scans0);
                 Attr.rule_time r (Timer.now () -. t0))
-            (fun () -> exec t cr (plan cr ~delta) 0))
+            (fun () -> chain t cr ~delta ()))
     in
     let heartbeat () =
       (match progress_s with

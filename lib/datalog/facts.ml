@@ -174,14 +174,25 @@ let load ?(csc = true) (t : E.t) (p : Ir.program) : unit =
       | `Array _ -> E.fact t "HeapIsArray" [ a.a_id ])
     p.allocs;
   (* ---- cast compatibility (instanceof sites generate no flow) ---- *)
+  (* each distinct cast type is tested once against every allocation; the
+     facts still come cast by cast, allocations in order *)
+  let alloc_typs = Array.map (fun (a : Ir.alloc_site) -> Ir.alloc_typ p a.a_id) p.allocs in
+  let passing : (Ir.typ, int list) Hashtbl.t = Hashtbl.create 16 in
+  let passing ty =
+    match Hashtbl.find_opt passing ty with
+    | Some l -> l
+    | None ->
+      let l = ref [] in
+      for i = Array.length p.allocs - 1 downto 0 do
+        if Ir.subtype p alloc_typs.(i) ty then l := p.allocs.(i).a_id :: !l
+      done;
+      Hashtbl.add passing ty !l;
+      !l
+  in
   Array.iter
     (fun (x : Ir.cast_site) ->
       if x.x_kind = `Cast then
-        Array.iter
-          (fun (a : Ir.alloc_site) ->
-            if Ir.subtype p (Ir.alloc_typ p a.a_id) x.x_ty then
-              E.fact t "CastOk" [ x.x_id; a.a_id ])
-          p.allocs)
+        List.iter (fun a -> E.fact t "CastOk" [ x.x_id; a ]) (passing x.x_ty))
     p.casts;
   (* ---- Cut-Shortcut statics ---- *)
   if csc then begin

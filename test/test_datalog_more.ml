@@ -134,13 +134,16 @@ let test_join_plan_selectivity () =
     Alcotest.failf "%d candidates scanned for %d tuples derived" scans derived
 
 (* a random stratifiable program over a small domain: EDB relations e0/2,
-   e1/2, u0/1; IDB relations p0/2, p1/1, p2/2; rules with up to four
-   positive atoms, optionally a negated EDB atom and a bounded builtin *)
+   e1/2, e2/3, u0/1; IDB relations p0/2, p1/1, p2/2, p3/3; rules with up to
+   four positive atoms, optionally a negated EDB atom or a bounded builtin
+   after them, and heads that may hold constants *)
+let mod5 x = ((x * 7) + 3) mod 5
+
 let random_program rs =
   let t = create () in
-  add_builtin t "mod5" (fun args -> ((args.(0) * 7) + 3) mod 5);
-  let edb = [| ("e0", 2); ("e1", 2); ("u0", 1) |]
-  and idb = [| ("p0", 2); ("p1", 1); ("p2", 2) |] in
+  add_builtin t "mod5" (fun args -> mod5 args.(0));
+  let edb = [| ("e0", 2); ("e1", 2); ("e2", 3); ("u0", 1) |]
+  and idb = [| ("p0", 2); ("p1", 1); ("p2", 2); ("p3", 3) |] in
   Array.iter (fun (r, n) -> ignore (relation t r n)) (Array.append edb idb);
   Array.iter
     (fun (r, n) ->
@@ -185,7 +188,8 @@ let random_program rs =
         let head_rel, n = pick idb in
         let head =
           List.init n (fun _ ->
-              if vars = [||] then C (Random.State.int rs 4) else V (pick vars))
+              if vars = [||] || Random.State.int rs 6 = 0 then C (Random.State.int rs 4)
+              else V (pick vars))
         in
         atom head_rel head <-- (positive @ extra))
   in
@@ -198,7 +202,7 @@ let shuffle rs l =
 let relations t =
   List.map
     (fun r -> (r, List.sort compare (tuples t r)))
-    [ "e0"; "e1"; "u0"; "p0"; "p1"; "p2" ]
+    [ "e0"; "e1"; "e2"; "u0"; "p0"; "p1"; "p2"; "p3" ]
 
 let prop_body_order_irrelevant =
   QCheck2.Test.make ~name:"permuted bodies derive the same"
@@ -215,6 +219,69 @@ let prop_body_order_irrelevant =
         (relations t, derived_count t)
       in
       solved false = solved true)
+
+(* The evaluator against a naive fixpoint written over lists: every rule
+   is evaluated over the whole database, its body left to right (the
+   generator puts the negated atom or builtin after the positive atoms, so
+   their inputs are bound), until a pass derives nothing. Negation reads
+   EDB relations only, so the least model is the answer for both. *)
+let naive_fixpoint (edb : (string * int array list) list) (rules : rule list) =
+  let db = Hashtbl.create 16 in
+  List.iter (fun (r, tups) -> Hashtbl.replace db r tups) edb;
+  let get r = Option.value ~default:[] (Hashtbl.find_opt db r) in
+  let value env = function C k -> Some k | V x -> List.assoc_opt x env in
+  (* [env] extended so that [args] matches [tup], if it can be *)
+  let unify env args tup =
+    let rec go env i =
+      if i = Array.length args then Some env
+      else
+        match value env args.(i) with
+        | Some k -> if k = tup.(i) then go env (i + 1) else None
+        | None -> (
+          match args.(i) with
+          | V x -> go ((x, tup.(i)) :: env) (i + 1)
+          | C _ -> None)
+    in
+    go env 0
+  in
+  let bound env a = Array.map (fun t -> Option.get (value env t)) a.args in
+  let step envs a =
+    List.concat_map
+      (fun env ->
+        if a.builtin then
+          let x = mod5 (Option.get (value env a.args.(0))) in
+          Option.to_list (unify env [| a.args.(1) |] [| x |])
+        else if a.neg then if List.mem (bound env a) (get a.rel) then [] else [ env ]
+        else List.filter_map (unify env a.args) (get a.rel))
+      envs
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun r ->
+        List.iter
+          (fun env ->
+            let tup = bound env r.head in
+            if not (List.mem tup (get r.head.rel)) then begin
+              Hashtbl.replace db r.head.rel (tup :: get r.head.rel);
+              changed := true
+            end)
+          (List.fold_left step [ [] ] r.body))
+      rules
+  done;
+  fun r -> List.sort compare (get r)
+
+let prop_naive_model =
+  QCheck2.Test.make ~name:"engine = naive fixpoint" ~count:300
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let t, rules = random_program rs in
+      let edb = List.map (fun r -> (r, tuples t r)) [ "e0"; "e1"; "e2"; "u0" ] in
+      let model = naive_fixpoint edb rules in
+      List.iter (add_rule t) rules;
+      solve t;
+      List.for_all (fun (r, tups) -> tups = model r) (relations t))
 
 (* The relation store against a list model. Random insert sequences over
    one relation of arity 1-4, with duplicates and with values either
@@ -385,31 +452,54 @@ let test_store_words () =
    rule scans a(x), then probes on x: b on one column (c), m on two
    columns and b as a membership test (d), b negated (e); half the probes
    miss. The solve may allocate per rule evaluation, not per probe or per
-   derived tuple. *)
+   derived tuple. A second solve runs the other step shapes: q(x, 1, y)
+   as a delta step with an equality check (the q(x, 2, x) tuples fail
+   it), a probe of m on two columns, a builtin call and a head of arity
+   3. *)
 let test_solve_allocation () =
-  let t = create () in
   let n = 10_000 in
-  for i = 0 to n - 1 do
-    fact t "a" [ i ];
-    if i mod 2 = 0 then
-      for k = 1 to 3 do
-        fact t "b" [ i; i + k ];
-        if k < 3 then fact t "m" [ i; i + k; i ]
-      done
-  done;
+  let base () =
+    let t = create () in
+    for i = 0 to n - 1 do
+      fact t "a" [ i ];
+      if i mod 2 = 0 then
+        for k = 1 to 3 do
+          fact t "b" [ i; i + k ];
+          if k < 3 then fact t "m" [ i; i + k; i ]
+        done
+    done;
+    t
+  in
+  let bounded t =
+    let w0 = Gc.minor_words () in
+    solve t;
+    let words = Gc.minor_words () -. w0 in
+    if words > 10_000. then
+      Alcotest.failf "solve allocated %.0f minor words for %d scans" words
+        (scan_count t)
+  in
+  let t = base () in
   add_rule t (atom "c" [ v "x"; v "y" ] <-- [ atom "a" [ v "x" ]; atom "b" [ v "x"; v "y" ] ]);
   add_rule t
     (atom "d" [ v "x"; v "y" ]
     <-- [ atom "a" [ v "x" ]; atom "b" [ v "x"; v "y" ]; atom "m" [ v "x"; v "y"; v "x" ] ]);
   add_rule t
     (atom "e" [ v "x" ] <-- [ atom "a" [ v "x" ]; atom ~neg:true "b" [ v "x"; v "x" ] ]);
-  let w0 = Gc.minor_words () in
-  solve t;
-  let words = Gc.minor_words () -. w0 in
+  bounded t;
   Alcotest.(check int) "derived" 35_000 (derived_count t);
   Alcotest.(check int) "scans" 55_000 (scan_count t);
-  if words > 10_000. then
-    Alcotest.failf "solve allocated %.0f minor words for %d scans" words (scan_count t)
+  let t = base () in
+  add_builtin t "succ" (fun args -> args.(0) + 1);
+  add_rule t (atom "q" [ v "x"; c 1; v "y" ] <-- [ atom "a" [ v "x" ]; atom "b" [ v "x"; v "y" ] ]);
+  add_rule t (atom "q" [ v "x"; c 2; v "x" ] <-- [ atom "a" [ v "x" ] ]);
+  add_rule t
+    (atom "h" [ v "x"; v "y"; v "w" ]
+    <-- [ atom "q" [ v "x"; c 1; v "y" ]; atom "m" [ v "x"; v "y"; v "z" ];
+          fn "succ" [ v "z"; v "w" ] ]);
+  bounded t;
+  Alcotest.(check int) "shapes: derived" 35_000 (derived_count t);
+  Alcotest.(check int) "shapes: scans" 70_000 (scan_count t);
+  Alcotest.(check int) "shapes: delta tuples" 25_000 (delta_count t)
 
 let suite =
   [
@@ -423,6 +513,7 @@ let suite =
         Alcotest.test_case "join plan selectivity" `Quick
           test_join_plan_selectivity;
         QCheck_alcotest.to_alcotest prop_body_order_irrelevant;
+        QCheck_alcotest.to_alcotest prop_naive_model;
         Alcotest.test_case "repeated var in atom" `Quick
           test_same_var_twice_in_atom;
         Alcotest.test_case "doop-csc <= imperative csc" `Quick
