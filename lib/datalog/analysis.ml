@@ -29,6 +29,8 @@ let dl_snapshot (t : E.t) ~time : Snapshot.t =
       Snapshot.Counter { name = "emits"; labels = []; value = E.emit_count t };
       Snapshot.Counter
         { name = "delta_tuples"; labels = []; value = E.delta_count t };
+      Snapshot.Counter { name = "fires"; labels = []; value = E.fire_count t };
+      Snapshot.Counter { name = "plans"; labels = []; value = E.plan_count t };
       Snapshot.Gauge { name = "time_s"; labels = []; value = time };
       words "cell_words" cells;
       words "index_words" index ]

@@ -1110,6 +1110,12 @@ let emit_count t = t.n_emits
     count as scans. *)
 let delta_count t = t.n_delta
 
+(** Rule evaluations so far, and the join plans staged for them: a fire
+    whose body order matches the chain staged for its delta position
+    reuses it. *)
+let fire_count t = t.n_fires
+let plan_count t = t.n_plans
+
 (** Words in the relation store, as [(cells, index)]: the tuples' 32-bit
     cells, and the tuple sets with every index's key array and rings.
     Payload bytes over eight, block headers left out. *)
