@@ -7,7 +7,7 @@
     flat tuple storage with lazily-built indices per (relation, bound-column
     mask), semi-naive delta iteration inside each stratum, and a join
     planner that orders each rule's body by estimated index selectivity
-    once per round. *)
+    once per round, and plans staged into chains of closures. *)
 
 open Csc_common
 module Trace = Csc_obs.Trace
@@ -798,24 +798,27 @@ let fill (dst : int array) pos vars (env : int array) =
     dst.(pos.(i)) <- env.(vars.(i))
   done
 
+(* the newest tuple id whose key is [key] in a multi-column index, or
+   [-1] *)
+let probe_table (r : relation) ix (key : int array) =
+  let slots = ix.ix_last in
+  let mask = C32.length slots - 1 in
+  let i = ref (hash_key key land mask) in
+  while
+    let id = C32.get slots !i in
+    id >= 0 && not (eq_key r.r_data (id * r.r_arity) ix.ix_cols key 0)
+  do
+    i := (!i + 1) land mask
+  done;
+  C32.get slots !i
+
 (* the newest tuple id whose key is [key], or [-1] *)
 let probe (r : relation) ix (key : int array) =
   if ix.ix_col >= 0 then begin
     let v = Array.unsafe_get key 0 in
     if v < C32.length ix.ix_last then C32.get ix.ix_last v else -1
   end
-  else begin
-    let slots = ix.ix_last in
-    let mask = C32.length slots - 1 in
-    let i = ref (hash_key key land mask) in
-    while
-      let id = C32.get slots !i in
-      id >= 0 && not (eq_key r.r_data (id * r.r_arity) ix.ix_cols key 0)
-    do
-      i := (!i + 1) land mask
-    done;
-    C32.get slots !i
-  end
+  else probe_table r ix key
 
 (* Walk the ring of tuple [last] from its oldest tuple to [last], the
    newest as the scan starts; tuples appended meanwhile come after it.
@@ -855,19 +858,9 @@ let stage_scan t env next = function
   | Scan ({ s_index = Some ix; _ } as s) when ix.ix_col < 0 ->
     let r = s.s_rel and m = matcher s env in
     let key = s.s_key and pos = s.s_key_pos and vars = s.s_key_var in
-    let cols = ix.ix_cols in
     fun () ->
       fill key pos vars env;
-      let slots = ix.ix_last in
-      let mask = C32.length slots - 1 in
-      let i = ref (hash_key key land mask) in
-      while
-        let id = C32.get slots !i in
-        id >= 0 && not (eq_key r.r_data (id * r.r_arity) cols key 0)
-      do
-        i := (!i + 1) land mask
-      done;
-      walk t r ix m next (C32.get slots !i)
+      walk t r ix m next (probe_table r ix key)
   | Scan ({ s_index = Some ix; _ } as s) ->
     let r = s.s_rel and m = matcher s env in
     fun () ->
