@@ -344,9 +344,6 @@ let fact t name args =
 
 let add_rule t (rule : rule) =
   if rule.head.neg then error "negative head in rule for %s" rule.head.rel;
-  (* the planner keeps the atoms left to place in an int's bits *)
-  if List.length rule.body > Sys.int_size - 2 then
-    error "rule for %s has more than %d body atoms" rule.head.rel (Sys.int_size - 2);
   List.iter
     (fun a ->
       if not a.builtin then
@@ -451,6 +448,7 @@ type crule = {
   cr_env : int array;  (* variable slots *)
   cr_chains : chain option array;  (* by delta position + 1 *)
   cr_order : int array;  (* scratch: the body order of this fire *)
+  cr_left : bool array;  (* scratch: the atoms not yet ordered *)
   cr_bound : bool array;  (* scratch: the variables bound so far *)
   cr_label : string;  (* "Head :- Body, ..." for attribution *)
   cr_span : string;  (* "rule:" ^ cr_label *)
@@ -503,6 +501,7 @@ let compile_rule t (rule : rule) : crule =
     cr_env = Array.make (Hashtbl.length vars) 0;
     cr_chains = Array.make (List.length rule.body + 1) None;
     cr_order = Array.make (List.length rule.body) 0;
+    cr_left = Array.make (List.length rule.body) false;
     cr_bound = Array.make (Hashtbl.length vars) false;
     cr_label = label;
     cr_span = "rule:" ^ label;
@@ -654,20 +653,21 @@ let bind_all (bound : bool array) (args : slot array) =
    atom placed binds all its variables. *)
 let order (cr : crule) ~(delta : int) =
   let body = cr.cr_body and bound = cr.cr_bound and placed = cr.cr_order in
-  let n = Array.length body in
+  let left = cr.cr_left and n = Array.length body in
   Array.fill bound 0 (Array.length bound) false;
-  let k = ref 0 and remaining = ref ((1 lsl n) - 1) in
+  Array.fill left 0 n true;
+  let k = ref 0 in
   let place i =
     bind_all bound body.(i).ca_args;
     placed.(!k) <- i;
     incr k;
-    remaining := !remaining land lnot (1 lsl i)
+    left.(i) <- false
   in
   if delta >= 0 then place delta;
-  while !remaining <> 0 do
+  while !k < n do
     let next = ref (-1) and i = ref 0 in
     while !next < 0 && !i < n do
-      if !remaining land (1 lsl !i) <> 0 && ready bound body.(!i) then next := !i;
+      if left.(!i) && ready bound body.(!i) then next := !i;
       incr i
     done;
     if !next < 0 then begin
@@ -676,7 +676,7 @@ let order (cr : crule) ~(delta : int) =
       for i = 0 to n - 1 do
         let a = body.(i) in
         match a.ca_target with
-        | Rel r when !remaining land (1 lsl i) <> 0 && not a.ca_neg ->
+        | Rel r when left.(i) && not a.ca_neg ->
           let mask = mask_of bound a.ca_args in
           let full = mask = 0 and est = estimate r mask in
           if !next < 0
@@ -730,11 +730,12 @@ let plan (cr : crule) ~(delta : int) (order : int array) : step list =
 (* Staging. A plan is compiled once into a chain of closures, one per
    step, each calling the next for every binding it produces; the last
    emits the head. Each closure is specialized on its step's shape (delta
-   scan, a one-variable key into a one-column index, a multi-column probe,
-   full scan, membership test, builtin call, and the head of arity 2 or 3
-   with only variables), with one generic closure for any other shape, and
-   the tuple test of a scan is a matcher specialized on its bindings and
-   checks. Closures read the store's vectors ([r_data], [ix_last],
+   scan, full scan, a probe of a one-column index on one variable or
+   constant, a multi-column probe, membership test, builtin call, and the
+   head of arity 2 or 3 with only variables), with one generic closure for
+   any other head. The tuple test of a scan that binds at most three
+   columns and checks none is specialized; any other runs [matches].
+   Closures read the store's vectors ([r_data], [ix_last],
    [ix_next], [r_set]) when they run, never when they are built, since
    inserts reallocate them. Nothing allocates per tuple. *)
 
@@ -761,8 +762,7 @@ let matches s (env : int array) d base =
   eq_const s.s_eqc_col s.s_eqc_val d base 0
   && eq_var s.s_eqv_col s.s_eqv_var env d base 0
 
-(* [matches s env], specialized on up to three bindings and no check, or
-   one binding and one check *)
+(* [matches s env], specialized on up to three bindings and no check *)
 let matcher s (env : int array) : bytes -> int -> bool =
   match (s.s_bind_col, s.s_bind_var, s.s_eqc_col, s.s_eqv_col) with
   | [||], _, [||], [||] -> fun _ _ -> true
@@ -781,16 +781,6 @@ let matcher s (env : int array) : bytes -> int -> bool =
       env.(v1) <- C32.get d (base + c1);
       env.(v2) <- C32.get d (base + c2);
       true
-  | [| c0 |], [| v0 |], [| k0 |], [||] ->
-    let x0 = s.s_eqc_val.(0) in
-    fun d base ->
-      env.(v0) <- C32.get d (base + c0);
-      C32.get d (base + k0) = x0
-  | [| c0 |], [| v0 |], [||], [| k0 |] ->
-    let w0 = s.s_eqv_var.(0) in
-    fun d base ->
-      env.(v0) <- C32.get d (base + c0);
-      C32.get d (base + k0) = env.(w0)
   | _ -> matches s env
 
 let fill (dst : int array) pos vars (env : int array) =
@@ -812,13 +802,8 @@ let probe_table (r : relation) ix (key : int array) =
   done;
   C32.get slots !i
 
-(* the newest tuple id whose key is [key], or [-1] *)
-let probe (r : relation) ix (key : int array) =
-  if ix.ix_col >= 0 then begin
-    let v = Array.unsafe_get key 0 in
-    if v < C32.length ix.ix_last then C32.get ix.ix_last v else -1
-  end
-  else probe_table r ix key
+(* the newest tuple id whose key is [v] in a one-column index, or [-1] *)
+let col_last ix v = if v < C32.length ix.ix_last then C32.get ix.ix_last v else -1
 
 (* Walk the ring of tuple [last] from its oldest tuple to [last], the
    newest as the scan starts; tuples appended meanwhile come after it.
@@ -849,23 +834,17 @@ let stage_scan t env next = function
         tick t;
         if m r.r_data (id * r.r_arity) then next ()
       done
-  | Scan ({ s_index = Some ix; s_key_var = [| kv |]; _ } as s) when ix.ix_col >= 0 ->
+  | Scan ({ s_index = Some ix; _ } as s) when ix.ix_col >= 0 ->
+    (* the key is one bound variable, or one constant *)
     let r = s.s_rel and m = matcher s env in
-    fun () ->
-      let v = env.(kv) in
-      let keys = ix.ix_last in
-      walk t r ix m next (if v < C32.length keys then C32.get keys v else -1)
-  | Scan ({ s_index = Some ix; _ } as s) when ix.ix_col < 0 ->
+    let kv = (match s.s_key_var with [| v |] -> v | _ -> -1) and k = s.s_key.(0) in
+    fun () -> walk t r ix m next (col_last ix (if kv >= 0 then env.(kv) else k))
+  | Scan ({ s_index = Some ix; _ } as s) ->
     let r = s.s_rel and m = matcher s env in
     let key = s.s_key and pos = s.s_key_pos and vars = s.s_key_var in
     fun () ->
       fill key pos vars env;
       walk t r ix m next (probe_table r ix key)
-  | Scan ({ s_index = Some ix; _ } as s) ->
-    let r = s.s_rel and m = matcher s env in
-    fun () ->
-      fill s.s_key s.s_key_pos s.s_key_var env;
-      walk t r ix m next (probe r ix s.s_key)
   | Member { m_rel; m_neg; m_tup; m_pos; m_var } ->
     fun () ->
       fill m_tup m_pos m_var env;

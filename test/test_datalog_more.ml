@@ -328,7 +328,9 @@ let prop_store_model =
                      /. float_of_int (List.length keys)
             then fail "mask %d: estimate" mask;
             let ring key =
-              let last = probe r ix key in
+              let last =
+                if ix.ix_col >= 0 then col_last ix key.(0) else probe_table r ix key
+              in
               if last < 0 then []
               else
                 let rec go id acc =
