@@ -480,67 +480,6 @@ let profile_cell cfg g r a : Json.t =
          fields)
   | j -> j
 
-(* ------------------------------------------------------------------ micro *)
-
-let micro _ _ =
-  Fmt.pr "@.=== Micro-benchmarks (Bechamel) ===@.";
-  let open Bechamel in
-  let small_prog =
-    Csc_lang.Frontend.compile_string Csc_workloads.Gen.(generate small_shape)
-  in
-  let datalog_tc () =
-    let t = Csc_datalog.Engine.create () in
-    for i = 0 to 499 do
-      Csc_datalog.Engine.fact t "edge" [ i; i + 1 ]
-    done;
-    Csc_datalog.Engine.fact t "reach" [ 0 ];
-    Csc_datalog.Engine.(
-      add_rule t
-        (atom "reach" [ V "y" ]
-        <-- [ atom "reach" [ V "x" ]; atom "edge" [ V "x"; V "y" ] ]));
-    Csc_datalog.Engine.solve t
-  in
-  let tests =
-    [ ( "bits-union-1k",
-        fun () ->
-          let a = Bits.create () and b = Bits.create () in
-          for i = 0 to 999 do
-            ignore (Bits.add a (i * 3));
-            ignore (Bits.add b (i * 5))
-          done;
-          ignore (Bits.union_into ~into:a b) );
-      ( "frontend-jdk",
-        fun () -> ignore (Csc_lang.Parser.parse_program Csc_lang.Jdk.source) );
-      ("solver-ci-small", fun () -> ignore (Csc_pta.Solver.analyze small_prog));
-      ( "solver-csc-small",
-        fun () ->
-          ignore (Csc_pta.Solver.analyze ~plugin_of:Csc.plugin small_prog) );
-      ("datalog-tc-500", datalog_tc);
-      ("interp-small", fun () -> ignore (Csc_interp.Interp.run small_prog)) ]
-  in
-  let cfg_b =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
-  in
-  List.iter
-    (fun (name, f) ->
-      let results =
-        Benchmark.all cfg_b
-          Toolkit.Instance.[ monotonic_clock ]
-          (Test.make_grouped ~name:"g" [ Test.make ~name (Staged.stage f) ])
-      in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> Fmt.pr "%-24s %12.1f ns/run@." name t
-          | _ -> Fmt.pr "%-24s (no estimate)@." name)
-        ols)
-    tests
-
 (* ------------------------------------------------------------ experiments *)
 
 type experiment = {
@@ -600,9 +539,6 @@ let experiments =
         grid ~profiled:true ~left_out:cfg.left_out cfg.programs
           [ Run.Imp_ci; Run.Imp_csc; Run.Imp_kobj 2 ])
       profile;
-    exp "micro" "Bechamel micro-benchmarks of the substrates"
-      (fun _ -> grid [] [])
-      micro;
     exp "table3" "Table 3: Zipper^e vs Cut-Shortcut"
       (on_programs
          (List.concat_map (fun (_, z, c) -> [ z; c ]) table3_engines))
@@ -625,8 +561,8 @@ let experiments =
       custom ]
 
 (* the experiment's JSON document, reading the cells its printer already
-   solved; an experiment without cells (micro, custom without --analyses)
-   has none *)
+   solved; an experiment without cells (custom without --analyses) has
+   none *)
 let experiment_json cfg e g : Json.t option =
   if g.rows = [] || g.cols = [] then None
   else

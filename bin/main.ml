@@ -15,9 +15,10 @@
 
     The analysis subcommands ([analyze]/[explain]/[check]/[profile]/
     [taint]/[recall]/[callgraph]/[pts]) take the same run-spec flags
-    ([--budget], [--progress], [--trace]; [serve] takes them too, as its
-    defaults). [--trace FILE] records a Chrome trace_event timeline of the
-    phases (open in chrome://tracing or Perfetto).
+    ([--budget], [--trace]; [serve] takes them too, as its defaults).
+    [--trace FILE] records a Chrome trace_event timeline of the phases
+    (open in chrome://tracing or Perfetto), with counter samples from
+    inside both solver loops.
 
     Every batch subcommand and the server share one request path,
     {!Csc_server.Query}: a {!Csc_driver.Run.spec} built from the command's
@@ -90,37 +91,20 @@ let with_trace trace f =
     Trace.start ~file;
     Fun.protect ~finally:Trace.finish f
 
-let progress_arg =
-  let doc =
-    "Print a heartbeat line to stderr every $(docv) seconds of solving \
-     (long runs under nightly CI; 0 = off)."
-  in
-  Arg.(value & opt float 0. & info [ "progress" ] ~docv:"SECS" ~doc)
-
-let positive s = if s <= 0. then None else Some s
-
 (* The run-spec flags shared by every analysis subcommand and serve: one
-   Cmdliner term, so the flag set cannot drift between subcommands again
-   (--budget/--progress used to exist on some and not others). *)
-type common = {
-  cm_budget : float;
-  cm_progress : float;
-  cm_trace : string option;
-}
+   Cmdliner term, so the flag set cannot drift between subcommands. *)
+type common = { cm_budget : float; cm_trace : string option }
 
 let common_term =
-  let mk budget progress trace =
-    { cm_budget = budget; cm_progress = progress; cm_trace = trace }
-  in
-  Cmdliner.Term.(const mk $ budget_arg $ progress_arg $ trace_arg)
+  let mk budget trace = { cm_budget = budget; cm_trace = trace } in
+  Cmdliner.Term.(const mk $ budget_arg $ trace_arg)
 
 let spec_of_common ?(profile = false) ?(profile_top = 25) c analysis =
   {
     (Run.spec analysis) with
-    Run.sp_budget_s = positive c.cm_budget;
+    Run.sp_budget_s = (if c.cm_budget <= 0. then None else Some c.cm_budget);
     sp_profile = profile;
     sp_profile_top = profile_top;
-    sp_progress_s = positive c.cm_progress;
   }
 
 (* every batch analysis goes through the session cache — same code path as
@@ -482,20 +466,26 @@ let pts_cmd =
     Term.(const run $ program_arg $ analysis_arg ~doc:"Analysis to use." $ meth
           $ common_term)
 
+(* the §5.1 recall experiment: execute the program, then score how much of
+   the dynamic behaviour each analysis over-approximates *)
 let recall_cmd =
   let run name common =
     with_trace common.cm_trace @@ fun () ->
-    let p, _ = program name in
-    let reports =
-      Run.recall ~base:(spec_of_common common Run.Imp_ci) p
-        [ Run.Imp_ci; Run.Imp_csc; Run.Imp_kobj 2; Run.Doop_csc ]
-    in
+    let ((p, _) as pd) = program name in
+    let dyn = Csc_interp.Interp.run p in
     Fmt.pr "%-14s %10s %10s@." "analysis" "methods" "edges";
     List.iter
-      (fun (r : Run.recall_report) ->
-        Fmt.pr "%-14s %9.1f%% %9.1f%%@." r.rc_analysis (100. *. r.rc_methods)
-          (100. *. r.rc_edges))
-      reports
+      (fun a ->
+        match (outcome common a pd).o_result with
+        | None -> Fmt.pr "%-14s (timeout)@." (Run.name a)
+        | Some r ->
+          let rc =
+            Csc_clients.Metrics.recall r ~dyn_reach:dyn.dyn_reachable
+              ~dyn_edges:dyn.dyn_edges
+          in
+          Fmt.pr "%-14s %9.1f%% %9.1f%%@." (Run.name a)
+            (100. *. rc.recall_methods) (100. *. rc.recall_edges))
+      [ Run.Imp_ci; Run.Imp_csc; Run.Imp_kobj 2; Run.Doop_csc ]
   in
   Cmd.v
     (Cmd.info "recall" ~doc:"Recall experiment: dynamic vs static coverage")
@@ -612,7 +602,7 @@ let serve_cmd =
         ~max_mem_bytes:(max_mem * 1024 * 1024)
         ~defaults ()
     in
-    Fmt.epr "cutshortcut serve: listening on %s (default analysis %s)@."
+    Fmt.epr "cutshortcut serve: starting on %s (default analysis %s)@."
       socket analysis;
     Csc_server.Server.serve t ~socket;
     Fmt.epr "cutshortcut serve: shut down@."

@@ -375,16 +375,15 @@ exception Timeout of Snapshot.t
 
 (** Run a declarative analysis end to end. Raises {!Timeout} with the
     aborted engine's snapshot on budget expiry. [attr] collects
-    per-rule/per-stratum cost attribution; [progress_s] enables the
-    engine's heartbeat. *)
-let run ?(budget = Timer.no_budget) ?attr ?progress_s (p : Ir.program)
+    per-rule/per-stratum cost attribution. *)
+let run ?(budget = Timer.no_budget) ?attr (p : Ir.program)
     (kind : kind) : Solver.result =
   let t0 = Timer.now () in
   let t = create () in
   let span name f = Csc_obs.Trace.with_span ~cat:"datalog" name f in
   let load ~csc = span "load" (fun () -> Facts.load ~csc t p) in
   let solve t =
-    try solve ~budget ?attr ?progress_s t
+    try solve ~budget ?attr t
     with Timer.Out_of_budget ->
       raise (Timeout (dl_snapshot t ~time:(Timer.now () -. t0)))
   in

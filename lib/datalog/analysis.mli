@@ -31,12 +31,10 @@ exception Timeout of Csc_obs.Snapshot.t
 
 (** Run a declarative analysis end to end, producing the same
     engine-agnostic result shape as the imperative solver. [attr] collects per-rule and
-    per-stratum cost attribution (tuple counts and wall time); [progress_s]
-    emits a heartbeat line to stderr every that-many seconds. *)
+    per-stratum cost attribution (tuple counts and wall time). *)
 val run :
   ?budget:Timer.budget ->
   ?attr:Csc_obs.Attr.t ->
-  ?progress_s:float ->
   Ir.program ->
   kind ->
   Solver.result

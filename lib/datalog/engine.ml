@@ -957,13 +957,10 @@ let chain t (cr : crule) ~delta =
     run
 
 (** Run all rules to fixpoint, stratum by stratum. [attr] records per-rule
-    and per-stratum tuple counts, candidates scanned and wall time;
-    [progress_s] emits a stderr heartbeat line every that-many seconds.
-    Both default to off. *)
-let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
+    and per-stratum tuple counts, candidates scanned and wall time; it
+    defaults to off. *)
+let solve ?(budget = Timer.no_budget) ?attr (t : t) : unit =
   t.budget <- budget;
-  let t_solve0 = Timer.now () in
-  let last_progress = ref t_solve0 in
   let strata = stratify t in
   let max_stratum = Hashtbl.fold (fun _ s acc -> max s acc) strata 0 in
   let rules = List.rev t.rules in
@@ -982,7 +979,6 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
         (List.map (fun cr -> cr.cr_head_rel) srules)
     in
     let recursive (r : relation) = Hashtbl.find strata r.r_name = stratum in
-    let round = ref 0 in
     (* one rule evaluation = one span, one attribution fire *)
     let timed cr ~delta =
       Trace.with_span ~cat:"datalog" cr.cr_span (fun () ->
@@ -996,19 +992,6 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
                 Attr.rule_scans r (t.n_scans - scans0);
                 Attr.rule_time r (Timer.now () -. t0))
             (fun () -> chain t cr ~delta ()))
-    in
-    let heartbeat () =
-      (match progress_s with
-      | None -> ()
-      | Some iv ->
-        let now = Timer.now () in
-        if now -. !last_progress >= iv then begin
-          last_progress := now;
-          Fmt.epr
-            "[progress] datalog %.1fs: stratum %d/%d round %d, %d tuples derived@."
-            (now -. t_solve0) stratum max_stratum !round t.n_derived
-        end);
-      Trace.counter "datalog" [ ("derived", float_of_int t.n_derived) ]
     in
     if srules <> [] then begin
       let derived0 = t.n_derived and scans0 = t.n_scans in
@@ -1036,8 +1019,7 @@ let solve ?(budget = Timer.no_budget) ?attr ?progress_s (t : t) : unit =
              grew in the previous round *)
           while List.exists (fun r -> r.r_len > r.r_seen) heads do
             Timer.check budget;
-            incr round;
-            heartbeat ();
+            Trace.counter "datalog" [ ("derived", float_of_int t.n_derived) ];
             List.iter start_round heads;
             List.iter
               (fun cr ->

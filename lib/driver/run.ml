@@ -197,7 +197,6 @@ type spec = {
   sp_budget_s : float option;
   sp_profile : bool;
   sp_profile_top : int;
-  sp_progress_s : float option;
   sp_jobs : int;
 }
 
@@ -207,16 +206,14 @@ let spec analysis =
     sp_budget_s = None;
     sp_profile = false;
     sp_profile_top = 25;
-    sp_progress_s = None;
     sp_jobs = 1;
   }
 
-(* progress heartbeats only change stderr cadence and [sp_jobs] is ignored,
-   so the session result cache must not fragment on either; [Imp_2obj] is
-   the same run as [Imp_kobj 2] *)
+(* [sp_jobs] is ignored, so the session result cache must not fragment on
+   it; [Imp_2obj] is the same run as [Imp_kobj 2] *)
 let spec_key s =
   let a = match s.sp_analysis with Imp_2obj -> Imp_kobj 2 | a -> a in
-  { s with sp_analysis = a; sp_progress_s = None; sp_jobs = 1 }
+  { s with sp_analysis = a; sp_jobs = 1 }
 
 let timeout_outcome ?snapshot s elapsed =
   {
@@ -274,7 +271,6 @@ let run_kept ?(provenance = false) (s : spec) (p : Ir.program) :
       let t = Solver.create ~budget ~sel p in
       if provenance then Solver.enable_provenance t;
       if s.sp_profile then Solver.enable_attr t;
-      Option.iter (Solver.set_progress t) s.sp_progress_s;
       Option.iter
         (fun config ->
           let pl, h = Csc.plugin_with_handle ~config t in
@@ -289,8 +285,7 @@ let run_kept ?(provenance = false) (s : spec) (p : Ir.program) :
     | Dl kind -> (
       match
         Trace.with_span ~cat:"driver" ("datalog:" ^ Dl.kind_name kind)
-          (fun () ->
-            Dl.run ~budget ?attr:dl_attr ?progress_s:s.sp_progress_s p kind)
+          (fun () -> Dl.run ~budget ?attr:dl_attr p kind)
       with
       | r -> Ok r
       | exception Dl.Timeout snap -> Error (Some snap))
@@ -337,35 +332,6 @@ let run_spec_solver (s : spec) (p : Ir.program) =
   | Solve (Dl _) | Zipper (Dl _, _) -> Error `Datalog
   | Zipper (Imp _, _) -> Error `Staged
   | Solve (Imp _) -> Ok (run_kept ~provenance:true s p)
-
-(* ------------------------------------------------------------- recall *)
-
-type recall_report = {
-  rc_analysis : string;
-  rc_methods : float;
-  rc_edges : float;
-}
-
-(** The §5.1 recall experiment: execute the program, then check how much of
-    the dynamic behaviour each analysis over-approximates. *)
-let recall ?(base = spec Imp_ci) ?(max_steps = 50_000_000) (p : Ir.program)
-    (analyses : analysis list) : recall_report list =
-  let dyn = Csc_interp.Interp.run ~max_steps p in
-  List.filter_map
-    (fun a ->
-      match (run_spec { base with sp_analysis = a } p).o_result with
-      | None -> None
-      | Some r ->
-        let rc =
-          Metrics.recall r ~dyn_reach:dyn.dyn_reachable ~dyn_edges:dyn.dyn_edges
-        in
-        Some
-          {
-            rc_analysis = name a;
-            rc_methods = rc.recall_methods;
-            rc_edges = rc.recall_edges;
-          })
-    analyses
 
 (** Overlap of Zipper-selected methods with CSC-involved methods (Table 3's
     last column): the fraction of CSC-involved methods also selected by

@@ -102,9 +102,6 @@ type spec = {
           selective analysis), per-rule/per-stratum tuples and time on the
           Datalog engine (pre + main phases combined) *)
   sp_profile_top : int;        (** rows per rendered profile table *)
-  sp_progress_s : float option;
-      (** emit a heartbeat line to stderr every that-many seconds of solving
-          on either engine *)
   sp_jobs : int;
       (** ignored: every solve runs on one domain. Kept only so that
           [bench/perf] still compiles unmodified; {!spec_key} resets it, so
@@ -113,13 +110,12 @@ type spec = {
 }
 
 (** [spec a] is the default request for analysis [a]: no budget, no
-    profile (top 25), no heartbeat. *)
+    profile (top 25). *)
 val spec : analysis -> spec
 
-(** Cache-key normalization: fields that cannot change the outcome (the
-    [sp_progress_s] stderr cadence and the ignored [sp_jobs]) reset to their
-    defaults and [Imp_2obj] becomes [Imp_kobj 2], so a result cache keyed on
-    [spec_key s] is shared across them. *)
+(** Cache-key normalization: the ignored [sp_jobs], which cannot change the
+    outcome, resets to its default and [Imp_2obj] becomes [Imp_kobj 2], so a
+    result cache keyed on [spec_key s] is shared across them. *)
 val spec_key : spec -> spec
 
 (** Run one analysis as described by the request record. *)
@@ -133,23 +129,6 @@ val run_spec_solver :
   spec ->
   Ir.program ->
   (outcome * Solver.t option, [ `Staged | `Datalog ]) result
-
-type recall_report = {
-  rc_analysis : string;
-  rc_methods : float;
-  rc_edges : float;
-}
-
-(** The §5.1 recall experiment: execute the program, then score how much of
-    the dynamic behaviour each analysis over-approximates (1.0 = all). Each
-    analysis runs under [base] (default [spec Imp_ci]) with its
-    [sp_analysis] replaced; timed-out analyses are left out. *)
-val recall :
-  ?base:spec ->
-  ?max_steps:int ->
-  Ir.program ->
-  analysis list ->
-  recall_report list
 
 (** Fraction of CSC-involved methods also selected by Zipper^e (Table 3's
     "overlap" column). *)

@@ -86,7 +86,7 @@ let load_source t ~name (src : string) : (Ir.program * string, string) result =
     e.pe_tick <- next_tick t;
     Ok (e.pe_prog, digest)
   | None -> (
-    match Csc_lang.Frontend.compile_string ~name src with
+    match Csc_lang.Frontend.compile_string src with
     | p -> (
       match
         Csc_obs.Trace.with_span ~cat:"ir" "validate" (fun () ->

@@ -1,15 +1,9 @@
-(** Entry points: compile MiniJava source text (plus the mini-JDK) into an
+(** Entry point: compile MiniJava source text (plus the mini-JDK) into an
     {!Csc_ir.Ir.program}. *)
 
-(** [compile ~with_jdk sources] parses, resolves and lowers the given
-    [(unit_name, source_text)] pairs. The mini-JDK is prepended unless
-    [with_jdk:false]. Raises {!Ast.Syntax_error} / {!Ast.Semantic_error}. *)
-let compile ?(with_jdk = true) (sources : (string * string) list) :
-    Csc_ir.Ir.program =
-  let sources = if with_jdk then ("jdk", Jdk.source) :: sources else sources in
+(** [compile_string src] parses, resolves and lowers [src] after the
+    mini-JDK; [name] is ignored. Raises {!Ast.Syntax_error} /
+    {!Ast.Semantic_error}. *)
+let compile_string ?name:_ src =
   Csc_obs.Trace.with_span ~cat:"frontend" "compile" (fun () ->
-      Resolver.compile sources)
-
-(** Convenience for a single compilation unit. *)
-let compile_string ?with_jdk ?(name = "input") src =
-  compile ?with_jdk [ (name, src) ]
+      Resolver.compile [ Jdk.source; src ])

@@ -1,16 +1,15 @@
-(** Entry points: compile MiniJava source text (plus the mini-JDK) into an
+(** Entry point: compile MiniJava source text (plus the mini-JDK) into an
     {!Csc_ir.Ir.program}.
 
     Raises {!Ast.Syntax_error} or {!Ast.Semantic_error} (both carry source
     positions) on malformed input. *)
 
-(** [compile ?with_jdk sources] parses, resolves and lowers the given
-    [(unit_name, source_text)] pairs into one program. The mini-JDK
-    ({!Jdk.source}) is prepended unless [with_jdk:false]; programs compiled
-    without it cannot use containers, [String] literals still work via a
-    synthesized [Object]-rooted class table. *)
-val compile : ?with_jdk:bool -> (string * string) list -> Csc_ir.Ir.program
+(** [compile_string src] parses, resolves and lowers [src] into one
+    program, with the mini-JDK ({!Jdk.source}) compiled in front of it.
 
-(** Convenience wrapper for a single compilation unit. *)
-val compile_string :
-  ?with_jdk:bool -> ?name:string -> string -> Csc_ir.Ir.program
+    [name] is ignored: error positions carry a line and a column, and a
+    caller that reports them prefixes the unit's name itself (as
+    [Csc_driver.Session.load_source] does). It is kept only so that
+    [bench/perf] still compiles unmodified; to be removed with the
+    benchmark's next change. *)
+val compile_string : ?name:string -> string -> Csc_ir.Ir.program

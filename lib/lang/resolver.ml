@@ -739,14 +739,13 @@ let finish t : Ir.program =
     subtypes;
   }
 
-(** Compile a list of (unit-name, source) pairs into one program. Each
-    phase is a ["frontend"] trace span; lexing has no span of its own,
-    because the parser pulls tokens as it goes, so [parse] covers both. *)
-let compile (sources : (string * string) list) : Ir.program =
+(** Compile a list of source texts into one program. Each phase is a
+    ["frontend"] trace span; lexing has no span of its own, because the
+    parser pulls tokens as it goes, so [parse] covers both. *)
+let compile (sources : string list) : Ir.program =
   let span name f = Csc_obs.Trace.with_span ~cat:"frontend" name f in
   let asts =
-    span "parse" (fun () ->
-        List.concat_map (fun (_name, src) -> Parser.parse_program src) sources)
+    span "parse" (fun () -> List.concat_map Parser.parse_program sources)
   in
   let t = create () in
   span "declare" (fun () ->

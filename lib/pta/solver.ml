@@ -249,9 +249,6 @@ type t = {
   g_call_edge_words : Registry.gauge; (* [call_edges] and its projection *)
   mutable prov : Prov.t option;     (* opt-in derivation recorder *)
   mutable attr : Attr.t option;     (* opt-in cost-attribution tables *)
-  (* [--progress] heartbeat: 0. = off *)
-  mutable progress_s : float;
-  mutable last_progress : float;
 }
 
 exception Timeout
@@ -307,8 +304,6 @@ let create ?(budget = Timer.no_budget) ?(sel = Context.ci) (prog : Ir.program)
     g_call_edge_words = Registry.gauge reg "call_edge_words";
     prov = None;
     attr = None;
-    progress_s = 0.;
-    last_progress = 0.;
   }
 
 let set_plugin t p = t.plugin <- p
@@ -328,12 +323,6 @@ let provenance t = t.prov
 let enable_attr t = if t.attr = None then t.attr <- Some (Attr.create ())
 
 let attr t = t.attr
-
-(** Emit a heartbeat line to stderr every [interval_s] seconds while
-    solving. *)
-let set_progress t interval_s =
-  t.progress_s <- interval_s;
-  t.last_progress <- Timer.now ()
 
 (* ------------------------------------------------------------ accessors *)
 
@@ -861,21 +850,6 @@ let measure_sets t =
   set t.g_ptr_table_words (Inttbl.words t.ptr_ids);
   set t.g_call_edge_words !call_edges
 
-(* [--progress] heartbeat: one stderr line per interval, cheap enough to
-   check from the 255-iteration cadence *)
-let maybe_progress t ~t0 ~iter =
-  let now = Timer.now () in
-  if now -. t.last_progress >= t.progress_s then begin
-    t.last_progress <- now;
-    Fmt.epr
-      "[progress] %s+%s %.1fs: %d iters, %d ptrs, %d pfg-edges, %d propagated, %d ctx-methods, wl=%d@."
-      t.sel.sel_name t.plugin.pl_name (now -. t0) iter
-      (Registry.value t.c_ptrs) (Registry.value t.c_edges)
-      (Registry.value t.c_prop)
-      (Registry.value t.c_reach_ctx)
-      (Queue.length t.wl)
-  end
-
 let run_loop (t : t) : unit =
   let t0 = Timer.now () in
   let stop () =
@@ -891,7 +865,6 @@ let run_loop (t : t) : unit =
        incr iter;
        if !iter land 255 = 0 then begin
          Timer.check t.budget;
-         if t.progress_s > 0. then maybe_progress t ~t0 ~iter:!iter;
          if !iter land 4095 = 0 then sample_heap t
        end;
        let p = Queue.pop t.wl in

@@ -99,10 +99,6 @@ let spec_of_request t req : Run.spec =
       | Some b, Some db -> Some (Float.min b db)
       | Some b, None -> Some b
       | None, db -> db);
-    sp_progress_s =
-      (match float_member "progress_s" req with
-      | Some s -> if s <= 0. then None else Some s
-      | None -> d.Run.sp_progress_s);
   }
 
 let program_of_request t req =
@@ -395,6 +391,12 @@ let read_line ic =
   go [] 0
 
 let serve t ~socket =
+  (* a socket left at the path by an earlier server is replaced; any other
+     file there is not ours to delete *)
+  (match (Unix.lstat socket).Unix.st_kind with
+  | Unix.S_SOCK -> Unix.unlink socket
+  | _ -> rejectf "bad-request" "%s exists and is not a socket" socket
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
   (* start from a settled heap: a server forked from a busy process would
      otherwise inherit that process's major-GC phase, and its peak RSS
      would depend on when the inherited cycle ends (on the edit workload it
@@ -406,7 +408,6 @@ let serve t ~socket =
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
     with Invalid_argument _ -> None
   in
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind fd (Unix.ADDR_UNIX socket);
   Unix.listen fd 16;

@@ -21,11 +21,11 @@
       server-side); alternatively [source] carries inline MiniJava text
       (with an optional [name] for error positions).
     - [analysis]: any spelling {!Csc_driver.Run.analysis_of_string} accepts.
-    - run-spec overrides, both optional: [budget_s] and [progress_s] —
-      defaults come from the spec the server was created with. [budget_s]
-      must be positive and can only lower the server's budget: the solve
-      runs under the smaller of the two. A profile is asked for with the
-      [profile] command.
+    - run-spec override, optional: [budget_s] — the default comes from the
+      spec the server was created with. [budget_s] must be positive and can
+      only lower the server's budget: the solve runs under the smaller of
+      the two. A profile is asked for with the [profile] command. Members
+      the protocol does not name are ignored.
     - command-specific: [var] (pt, explain), [limit] (explain),
       [include_jdk] (pt, callgraph, check, taint), [checks] (check, a list
       of checker names), [spec] (taint, a JSON taint-spec path), [top]
@@ -95,9 +95,11 @@ val handle_line : t -> string -> string
     names this limit; the connection then goes on to its next request. *)
 val max_request_bytes : int
 
-(** Bind [socket] (an existing file is unlinked first), listen, and serve
-    connections one at a time until a [shutdown] request arrives; the socket
-    file is removed on exit. Ignores SIGPIPE for the duration. Starts with a
-    full major collection, so a server forked from another process does not
-    inherit that process's GC phase. *)
+(** Bind [socket], listen, and serve connections one at a time until a
+    [shutdown] request arrives; the socket file is removed on exit. A socket
+    already at the path (an earlier server's) is unlinked first; any other
+    existing file is left in place and refused with a [bad-request]
+    {!Query.Reject} before anything is bound. Ignores SIGPIPE for the
+    duration. Starts with a full major collection, so a server forked from
+    another process does not inherit that process's GC phase. *)
 val serve : t -> socket:string -> unit

@@ -26,7 +26,7 @@ type shape = {
   mesh_classes : int;   (** size of the type-sensitivity context bomb *)
 }
 
-(** A small shape used by tests and micro-benchmarks. *)
+(** A small shape used by tests. *)
 val small_shape : shape
 
 (** Generate a full MiniJava program (the frontend prepends the JDK).

@@ -57,4 +57,4 @@ let source_variant name variant = Gen.generate ~variant (shape_of name)
 
 (** Compile a suite program (with the mini-JDK). *)
 let compile name : Csc_ir.Ir.program =
-  Csc_lang.Frontend.compile_string ~name (source name)
+  Csc_lang.Frontend.compile_string (source name)

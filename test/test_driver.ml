@@ -1,5 +1,5 @@
 (** Tests for the driver layer: Zipper^e selection, the uniform analysis
-    runner, metrics, and the recall API. *)
+    runner, metrics, and the recall experiment. *)
 
 open Helpers
 module Run = Csc_driver.Run
@@ -128,17 +128,27 @@ let test_metrics_ordering () =
       | None -> ())
     [ Run.Imp_csc; Run.Imp_kobj 2; Run.Imp_ktype 2; Run.Imp_zipper; Run.Doop_csc ]
 
+(* the recall experiment's path, as the CLI [recall] command and the bench
+   [recall] experiment take it: solve through a session, score the answer
+   against an execution *)
 let test_recall_api () =
-  let p = compile Fixtures.arith in
-  let reports = Run.recall p [ Run.Imp_ci; Run.Imp_csc ] in
-  Alcotest.(check int) "two reports" 2 (List.length reports);
+  let sess = Csc_driver.Session.create () in
+  let ((p, _) as pd) =
+    Csc_server.Query.program sess ~source:Fixtures.arith "arith"
+  in
+  let dyn = Csc_interp.Interp.run p in
   List.iter
-    (fun (r : Run.recall_report) ->
-      Alcotest.(check (float 0.0001)) (r.rc_analysis ^ " methods recall") 1.0
-        r.rc_methods;
-      Alcotest.(check (float 0.0001)) (r.rc_analysis ^ " edges recall") 1.0
-        r.rc_edges)
-    reports
+    (fun a ->
+      let o, _ = Csc_server.Query.outcome sess (Run.spec a) pd in
+      let rc =
+        Metrics.recall (Csc_server.Query.result o)
+          ~dyn_reach:dyn.dyn_reachable ~dyn_edges:dyn.dyn_edges
+      in
+      Alcotest.(check (float 0.0001)) (Run.name a ^ " methods recall") 1.0
+        rc.recall_methods;
+      Alcotest.(check (float 0.0001)) (Run.name a ^ " edges recall") 1.0
+        rc.recall_edges)
+    [ Run.Imp_ci; Run.Imp_csc ]
 
 let test_overlap () =
   let a = Bits.of_list [ 1; 2; 3; 4 ] in

@@ -9,7 +9,7 @@ module Soundness = Csc_fuzz.Soundness
 module Campaign = Csc_fuzz.Campaign
 
 let compile src =
-  let p = Frontend.compile_string ~name:"fuzz-test" src in
+  let p = Frontend.compile_string src in
   Validate.check_exn p;
   p
 

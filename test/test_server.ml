@@ -147,14 +147,9 @@ let test_session_hit_miss () =
   Alcotest.(check bool) "second is a hit" true c2;
   Alcotest.(check int) "hits" 1 (Session.hits s);
   Alcotest.(check int) "misses" 1 (Session.misses s);
-  (* a progress cadence cannot change the outcome, so it must not miss *)
-  let _, c3 =
-    Session.outcome s ~digest { spec with Run.sp_progress_s = Some 5. } p
-  in
-  Alcotest.(check bool) "progress_s not in the key" true c3;
   (* a different analysis is a different key *)
-  let _, c4 = Session.outcome s ~digest (Run.spec Run.Imp_ci) p in
-  Alcotest.(check bool) "other analysis misses" false c4
+  let _, c3 = Session.outcome s ~digest (Run.spec Run.Imp_ci) p in
+  Alcotest.(check bool) "other analysis misses" false c3
 
 let test_session_digest_change () =
   let s = Session.create () in
@@ -399,39 +394,21 @@ let test_protocol_bad_checks () =
   let _ = ok_reply (h (req "check" "")) in
   Alcotest.(check bool) "server still up" false (Server.stopped t)
 
-(* "jobs" is not a request member: a request naming it, even absurdly
-   large, is the same request as one without it, so it must be served from
-   the session cache with the same result *)
-let test_protocol_jobs_ignored () =
-  let t = Server.create () in
-  let h line = Server.handle_line t line in
-  let analyze extra =
-    h
-      (Printf.sprintf
-         "{\"cmd\": \"analyze\", \"program\": \"findbugs\", \"analysis\": \
-          \"csc\"%s}"
-         extra)
-  in
-  let j1 = ok_reply (analyze "") in
-  let j2 = ok_reply (analyze ", \"jobs\": 100000") in
-  Alcotest.(check bool) "served from the cache" true
-    (get_bool (member "cached" j2));
-  let metrics j = Json.to_string (member "metrics" (member "result" j)) in
-  Alcotest.(check string) "same metrics" (metrics j1) (metrics j2)
-
-(* "collapse" is not a request member: naming it changes nothing, so the
-   request is answered from the cache entry of the plain one *)
-let test_protocol_collapse_ignored () =
+(* "jobs", "collapse" and "progress_s" are not request members: a request
+   naming one, even with an absurd value, is the plain request, answered
+   from its cache entry with the same outcome under the plain label *)
+let test_protocol_member_ignored extra () =
   let t = Server.create () in
   let h line = Server.handle_line t line in
   let j1 = ok_reply (h (req "analyze" "")) in
-  let j2 = ok_reply (h (req "analyze" "\"collapse\": false")) in
+  let j2 = ok_reply (h (req "analyze" extra)) in
   Alcotest.(check bool) "served from the cache" true
     (get_bool (member "cached" j2));
   Alcotest.(check string) "plain label" "csc"
     (get_str (member "analysis" (member "result" j2)));
-  let metrics j = Json.to_string (member "metrics" (member "result" j)) in
-  Alcotest.(check string) "same metrics" (metrics j1) (metrics j2)
+  Alcotest.(check string) "same result"
+    (Json.to_string (member "result" j1))
+    (Json.to_string (member "result" j2))
 
 (* a request may lower the server's budget but never remove or raise it:
    a non-positive budget is refused, a larger one runs under the default *)
@@ -580,6 +557,52 @@ let test_socket_roundtrip () =
   Thread.join th;
   Alcotest.(check bool) "server stopped cleanly" true (Server.stopped t)
 
+(* a path that holds anything but a socket is not the server's: [serve]
+   must refuse it before binding and leave the file as it was *)
+let test_socket_refuses_regular_file () =
+  let path = Filename.temp_file "csc-test" ".txt" in
+  let text = "not a socket\n" in
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc;
+  let t = Server.create () in
+  let result = ref None in
+  let serve () =
+    result :=
+      Some
+        (match Server.serve t ~socket:path with
+        | () -> None
+        | exception e -> Some e)
+  in
+  let th = Thread.create serve () in
+  (* a server that took the path over would wait for connections: stop it
+     so the failure is reported instead of hanging the suite *)
+  let rec wait n =
+    if !result = None && n > 0 then (Thread.delay 0.01; wait (n - 1))
+  in
+  wait 1000;
+  if !result = None then
+    ignore (Client.request ~socket:path "{\"cmd\": \"shutdown\"}");
+  Thread.join th;
+  let survived =
+    match (Unix.lstat path).Unix.st_kind with
+    | Unix.S_REG ->
+      let ic = open_in path in
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      s = text
+    | _ -> false
+    | exception Unix.Unix_error _ -> false
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  Alcotest.(check bool) "the regular file survives" true survived;
+  match Option.join !result with
+  | Some e -> (
+    match Csc_server.Query.refusal e with
+    | Some (code, _) -> Alcotest.(check string) "refused" "bad-request" code
+    | None -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e))
+  | None -> Alcotest.fail "serve took over a regular file"
+
 let suite =
   [
     ( "server.grammar",
@@ -613,13 +636,17 @@ let suite =
         Alcotest.test_case "malformed requests" `Quick test_protocol_errors;
         Alcotest.test_case "unknown checkers" `Quick test_protocol_bad_checks;
         Alcotest.test_case "jobs member is ignored" `Quick
-          test_protocol_jobs_ignored;
+          (test_protocol_member_ignored "\"jobs\": 100000");
         Alcotest.test_case "collapse member is ignored" `Quick
-          test_protocol_collapse_ignored;
+          (test_protocol_member_ignored "\"collapse\": false");
+        Alcotest.test_case "progress_s member is ignored" `Quick
+          (test_protocol_member_ignored "\"progress_s\": 5");
         Alcotest.test_case "budget_s only lowers the budget" `Quick
           test_protocol_budget_capped;
         Alcotest.test_case "update round-trip" `Quick test_protocol_update;
       ] );
     ( "server.socket",
-      [ Alcotest.test_case "serve/client round-trip" `Quick test_socket_roundtrip ] );
+      [ Alcotest.test_case "serve/client round-trip" `Quick test_socket_roundtrip;
+        Alcotest.test_case "serve refuses a regular file" `Quick
+          test_socket_refuses_regular_file ] );
   ]
